@@ -1,4 +1,4 @@
-//! The three converge workloads (`ppl-ring`, `yokota-ring`, `fj-ring`):
+//! The converge workloads (`ppl-ring`, `fj-ring`):
 //! independent trials on the directed ring, each run to its protocol's safe
 //! set through `Scenario::try_run_full` and then on, in the safe set, to a
 //! fixed horizon, shared out by `BatchRunner::run_map`.
@@ -21,7 +21,7 @@ use crate::layers::{self, per_op_ns};
 use crate::report::Metrics;
 use crate::spans::{Span, Tracer};
 use crate::util::{median, mix, ratio, tail, Digest};
-use crate::{batch_metrics, Checked, Workload};
+use crate::{batch_metrics, Checked, Work, Workload};
 
 /// One converge workload: `trials` runs of `kind` at ring size `n`, each to
 /// the safe set and on to `horizon` steps.  `P_PL` trials are shared out
@@ -159,13 +159,15 @@ impl Workload for Converge {
         digest
     }
 
-    fn work(&self, done: &Vec<TrialRun>) -> (u64, f64) {
-        let steps = done
-            .iter()
-            .filter_map(|t| t.run.as_ref().ok())
-            .map(|r| r.sim.steps())
-            .sum();
-        (steps, done.iter().map(|t| t.secs).sum())
+    fn work(&self, done: &Vec<TrialRun>) -> Work {
+        Work {
+            steps: done
+                .iter()
+                .filter_map(|t| t.run.as_ref().ok())
+                .map(|r| r.sim.steps())
+                .sum(),
+            secs: done.iter().map(|t| t.secs).collect(),
+        }
     }
 
     fn check(&self, plan: &Plan, done: &Vec<TrialRun>) -> Checked {
@@ -210,7 +212,8 @@ impl Workload for Converge {
         m.set("init.config_s", plan.config_s);
         m.set("graph.build_s", plan.graph_s);
 
-        let (steps, busy_s) = self.work(done);
+        let work = self.work(done);
+        let (steps, busy_s) = (work.steps, work.busy_s());
         let reports: Vec<_> = done
             .iter()
             .filter_map(|t| Some(&t.run.as_ref().ok()?.report))
@@ -398,7 +401,7 @@ mod tests {
             assert_eq!(checked.failures, Vec::<String>::new(), "{kind:?}");
             assert_eq!(checked.attempted, 7);
             // Every trial ran on to the horizon.
-            assert!(w.work(&done).0 >= 6 * SMALL.horizon);
+            assert!(w.work(&done).steps >= 6 * SMALL.horizon);
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path perfbench/Cargo.toml -- \
-//!     --workload ppl-ring --seed 1 --seconds 20 --trace 0
+//!     --workload ppl-ring --seed 1 --seconds 30 --trace 0
 //! ```
 //!
 //! One process, at most two worker threads, every input derived from
@@ -33,18 +33,39 @@ use crate::spans::{Span, Tracer};
 use crate::util::{median, peak_rss_mb, ratio, Digest};
 
 /// The workloads, by name.
-pub const WORKLOADS: [&str; 4] = ["ppl-ring", "yokota-ring", "fj-ring", "search-ring"];
+pub const WORKLOADS: [&str; 3] = ["ppl-ring", "fj-ring", "search-ring"];
 
-/// How many times a run builds its inputs; `setup_s` is the median.  A
-/// set-up takes well under a millisecond, so many are cheap.
-const SETUP_REPS: usize = 31;
+/// The fewest repetitions of the work a run makes, however short its
+/// `--seconds`.
+const MIN_REPETITIONS: usize = 3;
 
-/// How many times a run of `seconds` repeats the workload's fixed work,
-/// which takes about two seconds; `wall_s` is the fastest repetition.  A
-/// shared host's speed drifts by a quarter within seconds, so a run is many
-/// short repetitions rather than one long one.
-fn repetitions(seconds: u64) -> usize {
-    (seconds as usize * 2 / 5).max(2)
+/// The shortest set-up block: a single set-up takes well under a
+/// millisecond, too short to time alone.
+const SETUP_BLOCK_S: f64 = 0.05;
+
+/// How many set-ups make one block of at least [`SETUP_BLOCK_S`]: doubled
+/// from one until a block takes that long.  The doubling warms the set-up
+/// path before anything is timed.
+fn setup_block(mut set_up: impl FnMut()) -> usize {
+    let mut block = 1;
+    loop {
+        let t = Instant::now();
+        for _ in 0..block {
+            set_up();
+        }
+        if t.elapsed().as_secs_f64() >= SETUP_BLOCK_S || block >= 1 << 20 {
+            return block;
+        }
+        block *= 2;
+    }
+}
+
+/// The least of `samples`: the sample least disturbed by whatever else
+/// shares the host.  The host slows by up to a half for seconds at a time,
+/// so a median moves with when the run happened; the fastest sample of a
+/// run that spans many such periods does not.
+fn fastest(samples: &[f64]) -> f64 {
+    samples.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
 /// Worker threads: the machine's parallelism, at most two.
@@ -65,12 +86,27 @@ pub trait Workload {
     /// An exact fold of the simulated results (seeds, steps, scores).
     fn digest(&self, plan: &Self::Plan, done: &Self::Done) -> Digest;
     /// Simulated interactions, counted from the returned reports, and the
-    /// thread-seconds spent in the operations that simulated them.
-    fn work(&self, done: &Self::Done) -> (u64, f64);
+    /// seconds of each operation that simulated them.
+    fn work(&self, done: &Self::Done) -> Work;
     /// Checks every output.
     fn check(&self, plan: &Self::Plan, done: &Self::Done) -> Checked;
     /// The per-layer metrics of a traced pass.
     fn layers(&self, plan: &Self::Plan, done: &Self::Done, spans: &[Span], m: &mut Metrics);
+}
+
+/// The simulated interactions of one pass, and the seconds each operation
+/// that simulated them took, in the pass's fixed order.
+#[derive(Clone, Debug)]
+pub struct Work {
+    pub steps: u64,
+    pub secs: Vec<f64>,
+}
+
+impl Work {
+    /// Busy thread-seconds: the operations' seconds summed.
+    pub fn busy_s(&self) -> f64 {
+        self.secs.iter().sum()
+    }
 }
 
 /// The output check of one pass.
@@ -124,6 +160,23 @@ pub fn batch_metrics(spans: &[Span], leaf: &str, m: &mut Metrics) {
     m.set("batch.imbalance", ratio(busiest, busy / workers));
 }
 
+/// The busy thread-seconds of one pass with each operation at the fastest
+/// it ran in any pass: the operations repeat in the same order and simulate
+/// the same interactions every pass, and a slow spell of the host that
+/// catches one of them need not catch the rest of its pass.  `None` if the
+/// passes ran different numbers of operations.
+fn fastest_ops(works: &[Work]) -> Option<f64> {
+    let ops = works.first()?.secs.len();
+    if works.iter().any(|w| w.secs.len() != ops) {
+        return None;
+    }
+    Some(
+        (0..ops)
+            .map(|i| fastest(&works.iter().map(|w| w.secs[i]).collect::<Vec<_>>()))
+            .sum(),
+    )
+}
+
 /// The parsed command line.
 #[derive(Debug, PartialEq)]
 struct Args {
@@ -167,7 +220,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     Ok(Args {
         workload: workload.ok_or("--workload is required")?,
         seed: seed.ok_or("--seed is required")?,
-        seconds: seconds.unwrap_or(20),
+        seconds: seconds.unwrap_or(30),
         trace: trace.unwrap_or(false),
     })
 }
@@ -183,38 +236,43 @@ struct Outcome {
 
 fn bench<W: Workload>(w: &W, args: &Args) -> Outcome {
     let runner = BatchRunner::with_threads(threads());
-    let mut setups = Vec::with_capacity(SETUP_REPS);
-    let mut plan = None;
-    for _ in 0..SETUP_REPS {
-        let t = Instant::now();
-        plan = Some(w.plan(args.seed));
-        setups.push(t.elapsed().as_secs_f64());
-    }
-    let plan = plan.expect("SETUP_REPS > 0");
+    let mut plan = w.plan(args.seed);
+    let block = setup_block(|| plan = w.plan(args.seed));
 
-    // The untraced repetitions of the same work.  Every one must simulate
-    // the same results; the fastest is the least disturbed by whatever else
-    // shares the host.
-    let reps = repetitions(args.seconds);
+    // Set-up blocks and repetitions of the work alternate until the run's
+    // seconds are spent, so both sample the whole run.  Every repetition
+    // must simulate the same results.
     let untraced = Tracer::new(false);
-    let mut walls = Vec::with_capacity(reps);
-    let mut busies = Vec::with_capacity(reps);
+    let mut setup_s = f64::INFINITY;
+    let mut walls = Vec::new();
+    let mut works = Vec::new();
     let mut digest = None;
     let mut repeatable = true;
     let mut done = None;
-    for _ in 0..reps {
+    let start = Instant::now();
+    while walls.len() < MIN_REPETITIONS || start.elapsed().as_secs_f64() < args.seconds as f64 {
+        for _ in 0..block {
+            let t = Instant::now();
+            let fresh = w.plan(args.seed);
+            setup_s = setup_s.min(t.elapsed().as_secs_f64());
+            plan = fresh;
+        }
         drop(done.take());
         let t = Instant::now();
         let this = w.execute(&plan, &runner, &untraced);
         walls.push(t.elapsed().as_secs_f64());
-        busies.push(w.work(&this).1);
+        works.push(w.work(&this));
         let d = w.digest(&plan, &this);
         repeatable &= *digest.get_or_insert(d) == d;
         done = Some(this);
     }
     let (digest, done) = (digest.expect("reps > 0"), done.expect("reps > 0"));
-    let wall_s = walls.iter().copied().fold(f64::INFINITY, f64::min);
-    let steps = w.work(&done).0;
+    let wall_s = fastest(&walls);
+    let steps = w.work(&done).steps;
+    // Passes that ran different operations have already failed the digest
+    // check; the fastest pass then stands in.
+    let busy_s = fastest_ops(&works)
+        .unwrap_or_else(|| fastest(&works.iter().map(Work::busy_s).collect::<Vec<_>>()));
 
     let mut metrics = Metrics::default();
     let (mut checked, traced) = if args.trace {
@@ -253,9 +311,8 @@ fn bench<W: Workload>(w: &W, args: &Args) -> Outcome {
         metrics.set("threads", threads() as f64);
     } else {
         metrics.set("wall_s", wall_s);
-        let busy = busies.iter().copied().fold(f64::INFINITY, f64::min);
-        metrics.set("steps_per_s", ratio(steps as f64, busy));
-        metrics.set("setup_s", median(&setups));
+        metrics.set("steps_per_s", ratio(steps as f64, busy_s));
+        metrics.set("setup_s", setup_s);
         metrics.set("peak_rss_mb", peak_rss_mb().unwrap_or(f64::NAN));
         metrics.set(
             "ok_frac",
@@ -316,7 +373,6 @@ fn run_workload(args: &Args) -> Outcome {
     };
     match args.workload.as_str() {
         "ppl-ring" => bench(&converge(ProtocolKind::Ppl, 256, 6, 384), args),
-        "yokota-ring" => bench(&converge(ProtocolKind::Yokota, 1024, 6, 64), args),
         "fj-ring" => bench(&converge(ProtocolKind::FischerJiang, 256, 4, 48), args),
         "search-ring" => bench(
             &Search {
@@ -442,8 +498,20 @@ mod tests {
     }
 
     #[test]
-    fn a_run_repeats_its_work_at_least_twice() {
-        assert_eq!(repetitions(20), 8);
-        assert_eq!(repetitions(1), 2);
+    fn steps_per_s_takes_each_operation_at_its_fastest() {
+        let work = |secs: &[f64]| Work {
+            steps: 10,
+            secs: secs.to_vec(),
+        };
+        // Each pass was slowed somewhere; no single pass is the fastest
+        // throughout.
+        let works = [
+            work(&[1.0, 3.0, 2.0]),
+            work(&[2.0, 1.0, 2.5]),
+            work(&[1.5, 2.0, 0.5]),
+        ];
+        assert_eq!(fastest_ops(&works), Some(2.5));
+        assert_eq!(fastest_ops(&[work(&[1.0]), work(&[1.0, 2.0])]), None);
+        assert_eq!(fastest(&[0.3, 0.1, 0.2]), 0.1);
     }
 }

@@ -43,7 +43,7 @@ use crate::layers;
 use crate::report::Metrics;
 use crate::spans::{Span, Tracer};
 use crate::util::{median, mix, ratio, tail, Digest};
-use crate::{batch_metrics, Checked, Workload};
+use crate::{batch_metrics, Checked, Work, Workload};
 
 /// The scheduler kinds of the zoo, with the metric of their per-step time.
 const SPEC_KINDS: [(&str, &str); 4] = [
@@ -367,12 +367,12 @@ impl Workload for Search {
         digest
     }
 
-    fn work(&self, done: &Vec<CellRun>) -> (u64, f64) {
-        done.iter()
-            .flat_map(|r| &r.evals)
-            .fold((0, 0.0), |(steps, secs), e| {
-                (steps + e.steps, secs + e.secs)
-            })
+    fn work(&self, done: &Vec<CellRun>) -> Work {
+        let evals = || done.iter().flat_map(|r| &r.evals);
+        Work {
+            steps: evals().map(|e| e.steps).sum(),
+            secs: evals().map(|e| e.secs).collect(),
+        }
     }
 
     fn check(&self, plan: &Plan, done: &Vec<CellRun>) -> Checked {
