@@ -549,6 +549,142 @@ fn empty_and_unreached_churn_plans_leave_runs_bit_identical() {
     }
 }
 
+/// The Table 1 scenario of `kind`, made hostile-ready: the protocol's
+/// uniform state sampler is both its corruption function and its Byzantine
+/// rewrite.
+fn hostile_ready(kind: ProtocolKind) -> population::Scenario {
+    use population::{Protocol, ScenarioBuilder};
+    fn ready<P>(
+        builder: ScenarioBuilder<P>,
+        kind: ProtocolKind,
+        sample: fn(&P, &mut ChaCha8Rng) -> P::State,
+    ) -> population::Scenario
+    where
+        P: Protocol + 'static,
+        P::State: std::any::Any,
+    {
+        builder
+            .step_budget(move |pt| kind.trial_budget(pt.n))
+            .corruption(move |p, rng, _agent| sample(p, rng))
+            .byzantine(move |p, rng, _agent, _state| sample(p, rng))
+            .build()
+            .expect("complete scenario")
+    }
+    match kind {
+        ProtocolKind::Ppl | ProtocolKind::PplPaperConstants => ready(
+            ssle_bench::ppl_builder(InitialCondition::UniformRandom),
+            kind,
+            |p, rng| PplState::sample_uniform(rng, p.params()),
+        ),
+        ProtocolKind::Yokota => ready(ssle_bench::yokota_builder(), kind, |p, rng| {
+            YokotaState::sample_uniform(rng, p.cap())
+        }),
+        ProtocolKind::FischerJiang => {
+            ready(ssle_bench::fischer_jiang_builder(), kind, |_p, rng| {
+                FjState::sample_uniform(rng)
+            })
+        }
+        ProtocolKind::AngluinModK => ready(ssle_bench::angluin_builder(), kind, |p, rng| {
+            ModKState::sample_uniform(rng, p.k())
+        }),
+    }
+}
+
+/// A phase-less custom scheduler that follows churn yet differs from the
+/// uniform one: of two uniform draws from the current graph it takes the
+/// arc whose initiator has the smaller index.
+struct LowInitiator;
+
+impl<G: population::InteractionGraph> population::Scheduler<G> for LowInitiator {
+    fn next_interaction<R: rand::Rng + ?Sized>(
+        &mut self,
+        graph: &G,
+        rng: &mut R,
+    ) -> population::Result<population::Interaction> {
+        let (a, b) = (graph.sample(rng), graph.sample(rng));
+        Ok(if b.initiator().index() < a.initiator().index() {
+            b
+        } else {
+            a
+        })
+    }
+}
+
+/// The three entry points run one process: for every Table 1 protocol,
+/// under the uniform and a custom phase-less scheduler (so detection stays
+/// off), with no plan, a timed crash burst, a Byzantine window and a churn
+/// plan, the detecting run reports and ends exactly like the plain run, and
+/// a trajectory sampled on the stop-check grid up to the executed steps
+/// ends on the plain run's final leader count.
+#[test]
+fn entry_points_agree_under_every_scheduler_and_plan() {
+    use population::{
+        ByzantineWindow, ChurnKind, ChurnPlan, FaultKind, FaultPlan, SchedulerFamily,
+    };
+
+    let n = 8;
+    let schedulers = [
+        SchedulerFamily::Random,
+        SchedulerFamily::custom("low-initiator", |_pt, _graph| Box::new(LowInitiator)),
+    ];
+    for kind in ProtocolKind::ALL {
+        let plans: [(&str, population::Scenario); 4] = [
+            ("empty", hostile_ready(kind)),
+            (
+                "crash",
+                hostile_ready(kind).with_fault_plan(
+                    FaultPlan::new().at(40, FaultKind::CorruptRandomAgents { count: 3 }),
+                ),
+            ),
+            (
+                "byzantine",
+                hostile_ready(kind).with_fault_plan(
+                    FaultPlan::new().with_byzantine(ByzantineWindow::new([0, 1], 10, 500)),
+                ),
+            ),
+            (
+                "churn",
+                hostile_ready(kind).with_churn_plan(
+                    ChurnPlan::new()
+                        .at(20, ChurnKind::Rewire { count: 2 })
+                        .at(300, ChurnKind::Heal),
+                ),
+            ),
+        ];
+        for family in &schedulers {
+            for (plan, base) in &plans {
+                let scenario = base.clone().with_scheduler(family.clone());
+                let label = format!("{} {} {plan}", kind.key(), family.name());
+                for seed in SEEDS {
+                    let point = SweepPoint::new(n, seed);
+                    let plain = scenario.run_full(&point);
+                    assert_eq!(scenario.try_run(&point).unwrap(), plain.report, "{label}");
+                    let detected = scenario.try_run_detecting(&point).unwrap();
+                    assert!(detected.recurrence.is_none(), "{label}");
+                    assert_eq!(detected.report, plain.report, "{label} seed={seed}");
+                    assert_eq!(
+                        *detected.sim.config(),
+                        *plain.sim.config(),
+                        "{label} seed={seed}: detection perturbed the final states"
+                    );
+                    let trajectory = scenario
+                        .try_leader_trajectory(
+                            &point,
+                            plain.report.steps_executed,
+                            check_interval(n),
+                        )
+                        .unwrap();
+                    assert_eq!(
+                        trajectory.last(),
+                        Some(&(plain.report.steps_executed, plain.sim.count_leaders())),
+                        "{label} seed={seed}: the trajectory ended elsewhere"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The dynamic half: runs that *do* churn — an early rewire followed by a
 /// heal — are a deterministic function of the sweep point alone.  Sharding
 /// the same batch over 1 and 4 [`population::BatchRunner`] threads yields

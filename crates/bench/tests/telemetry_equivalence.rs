@@ -56,6 +56,59 @@ fn instrumented_runs_are_bit_identical_to_plain_runs() {
     }
 }
 
+/// Every executed step lands in exactly one step counter — uniform steps in
+/// `hot_steps`, custom-scheduler steps in `scheduled_steps`, Byzantine-window
+/// steps included — whichever entry point drives the run, and every
+/// converged run emits exactly one `converged` event.
+#[test]
+fn every_step_and_every_convergence_is_counted_once() {
+    use population::{ByzantineWindow, FaultPlan, RandomScheduler, SchedulerFamily};
+    use ssle_core::{InitialCondition, Ppl, PplState};
+    use ssle_telemetry::metrics::well_known::{HOT_STEPS, SCHEDULED_STEPS};
+
+    let _guard = serialize();
+    let point = SweepPoint::new(8, 3);
+    let counted = || HOT_STEPS.get() + SCHEDULED_STEPS.get();
+    let boxed = SchedulerFamily::custom("random-boxed", |_pt, _g| Box::new(RandomScheduler::new()));
+    let trace = ssle_telemetry::install_memory("telemetry-equivalence").expect("fresh sink");
+    let mut converged_runs = 0;
+    for family in [SchedulerFamily::Random, boxed] {
+        let scenario = ssle_bench::ppl_builder(InitialCondition::UniformRandom)
+            .step_budget(|pt| ProtocolKind::Ppl.trial_budget(pt.n))
+            .byzantine(|p: &Ppl, rng, _agent, _state| PplState::sample_uniform(rng, p.params()))
+            .scheduler(family)
+            .build()
+            .expect("complete scenario")
+            .with_fault_plan(FaultPlan::new().with_byzantine(ByzantineWindow::new(
+                [0, 1],
+                10,
+                500,
+            )));
+        let name = scenario.scheduler().name().to_string();
+
+        let before = counted();
+        let detected = scenario.try_run_detecting(&point).expect("detecting run");
+        let executed = detected.report.steps_executed;
+        assert_eq!(counted() - before, executed, "{name}: detecting run");
+        converged_runs += u64::from(detected.report.converged());
+
+        let before = counted();
+        let trajectory = scenario
+            .try_leader_trajectory(&point, 2_000, 64)
+            .expect("trajectory run");
+        assert_eq!(counted() - before, 2_000, "{name}: trajectory run");
+        assert_eq!(trajectory.last().map(|&(step, _)| step), Some(2_000));
+    }
+    let text = trace.contents();
+    ssle_telemetry::finish().expect("active stream finishes");
+
+    let stats = ssle_telemetry::validate_stream(&text).expect("schema-valid prefix");
+    assert_eq!(stats.count("run_start"), 4);
+    assert_eq!(stats.count("run_end"), 4);
+    assert!(converged_runs > 0, "vacuous without a converged run");
+    assert_eq!(stats.count("converged"), converged_runs);
+}
+
 #[test]
 fn finished_streams_validate_as_complete() {
     let _guard = serialize();

@@ -89,7 +89,7 @@ use crate::observer::{LeaderCounter, NoObserver, StepObserver};
 use crate::protocol::{LeaderElection, Protocol};
 use crate::recurrence::{ConfigDigest, RecurrenceCandidate, RecurrenceDetector};
 use crate::schedule::Interaction;
-use crate::scheduler::{RandomScheduler, Scheduler};
+use crate::scheduler::Scheduler;
 use crate::simulation::Simulation;
 use crate::sweep::{SweepGrid, SweepPoint};
 
@@ -1338,79 +1338,79 @@ impl Scenario {
     ///
     /// See [`Scenario::try_run`].
     pub fn try_run_full(&self, point: &SweepPoint) -> Result<ScenarioRun> {
+        let mut run = self.start(point)?;
+        let report = self.converge(point, &mut run, &mut NoObserver)?;
+        Ok(ScenarioRun {
+            report,
+            sim: run.sim,
+        })
+    }
+
+    /// The set-up every run shares, done once: prepares the point, builds
+    /// the graph, opens the telemetry scope, starts the simulation, the fault
+    /// and churn schedules and the step source, and fires the step-0 events.
+    fn start(&self, point: &SweepPoint) -> Result<Run> {
         let prepared = self.prepared_run(point)?;
         let graph = self.graph.build(point.n)?;
         let sim_seed = (self.sim_seed)(point);
-        let _scope = ssle_telemetry::run_scope(&self.name, point.n as u64, sim_seed);
+        let scope = ssle_telemetry::run_scope(&self.name, point.n as u64, sim_seed);
         telemetry_run_start();
         let mut sim = Simulation::new(prepared.protocol, graph, prepared.config, sim_seed);
-        let check_interval = (self.check_interval)(point).max(1);
-        let max_steps = (self.max_steps)(point);
         let plan = self.plan.as_ref().map(|f| f(point)).unwrap_or_default();
         let churn_plan = self.churn_plan_checked(point, &plan)?;
-
-        let mut stop = prepared.stop;
-        let mut report = match &self.scheduler {
-            // The default fast path: identical to the pre-scheduler code,
-            // no per-step indirection (pinned by `scenario_equivalence`).
-            SchedulerFamily::Random => {
-                if plan.is_empty() && churn_plan.is_empty() {
-                    sim.run_until(|_p, c| stop(c.states()), check_interval, max_steps)
-                } else {
-                    let mut faults = FaultSchedule::new(
-                        plan,
-                        prepared.corrupt,
-                        prepared.targets,
-                        prepared.byzantine,
-                        prepared.triggers,
-                        (self.fault_seed)(point),
-                    )?;
-                    let mut churn = ChurnSchedule::new(
-                        churn_plan,
-                        self.graph.clone(),
-                        prepared.churn_corrupt,
-                        (self.fault_seed)(point),
-                    )?;
-                    run_with_faults(
-                        &mut sim,
-                        &mut stop,
-                        check_interval,
-                        max_steps,
-                        &mut faults,
-                        &mut churn,
-                    )?
-                }
-            }
-            SchedulerFamily::Custom { build, .. } => {
-                let mut scheduler = build(point, sim.graph());
-                let mut faults = FaultSchedule::new(
-                    plan,
-                    prepared.corrupt,
-                    prepared.targets,
-                    prepared.byzantine,
-                    prepared.triggers,
-                    (self.fault_seed)(point),
-                )?;
-                let mut churn = ChurnSchedule::new(
-                    churn_plan,
-                    self.graph.clone(),
-                    prepared.churn_corrupt,
-                    (self.fault_seed)(point),
-                )?;
-                run_scheduled(
-                    &mut sim,
-                    &mut *scheduler,
-                    &mut stop,
-                    check_interval,
-                    max_steps,
-                    &mut faults,
-                    &mut churn,
-                )?
-            }
+        let fault_seed = (self.fault_seed)(point);
+        let mut faults = FaultSchedule::new(
+            plan,
+            prepared.corrupt,
+            prepared.targets,
+            prepared.byzantine,
+            prepared.triggers,
+            fault_seed,
+        )?;
+        let mut churn = ChurnSchedule::new(
+            churn_plan,
+            self.graph.clone(),
+            prepared.churn_corrupt,
+            fault_seed,
+        )?;
+        let scheduler = match &self.scheduler {
+            SchedulerFamily::Random => None,
+            SchedulerFamily::Custom { build, .. } => Some(build(point, sim.graph())),
         };
-        report.criterion = std::borrow::Cow::Owned(self.stop_name.clone());
-        telemetry_run_end(report.steps_executed, report.converged_at.is_some());
-        Ok(ScenarioRun { report, sim })
+        churn.fire_due(0, &mut sim)?;
+        faults.fire_due(0, &mut sim);
+        faults.fire_triggered(&mut sim);
+        Ok(Run {
+            sim,
+            scheduler,
+            faults,
+            churn,
+            stop: prepared.stop,
+            _scope: scope,
+        })
+    }
+
+    /// Drives `run` until the stop predicate holds at a check boundary (every
+    /// `check_interval` steps, and once at step 0) or the step budget is
+    /// spent, and reports the outcome.
+    fn converge<O: Watch>(
+        &self,
+        point: &SweepPoint,
+        run: &mut Run,
+        observer: &mut O,
+    ) -> Result<ConvergenceReport> {
+        let check_interval = (self.check_interval)(point).max(1);
+        let max_steps = (self.max_steps)(point);
+        let (steps, converged) = run.drive(observer, check_interval, max_steps, |run, _| {
+            (run.stop)(run.sim.config().states())
+        })?;
+        Ok(ConvergenceReport {
+            converged_at: converged.then_some(steps),
+            steps_executed: steps,
+            max_steps,
+            check_interval,
+            criterion: std::borrow::Cow::Owned(self.stop_name.clone()),
+        })
     }
 
     /// Runs every point of the grid in parallel and returns per-point
@@ -1489,93 +1489,25 @@ impl Scenario {
         total_steps: u64,
         sample_every: u64,
     ) -> Result<Vec<(u64, usize)>> {
-        let prepared = self.prepared_run(point)?;
-        let graph = self.graph.build(point.n)?;
-        let sim_seed = (self.sim_seed)(point);
-        let _scope = ssle_telemetry::run_scope(&self.name, point.n as u64, sim_seed);
-        telemetry_run_start();
-        let mut sim = Simulation::new(prepared.protocol, graph, prepared.config, sim_seed);
-        let mut scheduler = match &self.scheduler {
-            SchedulerFamily::Random => None,
-            SchedulerFamily::Custom { build, .. } => Some(build(point, sim.graph())),
-        };
-        let plan = self.plan.as_ref().map(|f| f(point)).unwrap_or_default();
-        let churn_plan = self.churn_plan_checked(point, &plan)?;
-        let mut faults = FaultSchedule::new(
-            plan,
-            prepared.corrupt,
-            prepared.targets,
-            prepared.byzantine,
-            prepared.triggers,
-            (self.fault_seed)(point),
-        )?;
-        let mut churn = ChurnSchedule::new(
-            churn_plan,
-            self.graph.clone(),
-            prepared.churn_corrupt,
-            (self.fault_seed)(point),
-        )?;
-        let sample_every = sample_every.max(1);
-        let incremental = !sim.environment_active();
-        churn.fire_due(0, &mut sim)?;
-        faults.fire_due(0, &mut sim);
-        faults.fire_triggered(&mut sim);
-        let mut counter = LeaderCounter::new(sim.protocol(), sim.config().states());
-        let mut out = vec![(0u64, counter.count())];
-        let mut done = 0u64;
-        while done < total_steps {
-            // The next sample boundary, split early if a fault or churn
-            // event is due first or a Byzantine window opens or closes
-            // mid-burst.
-            let boundary = ((done / sample_every + 1) * sample_every).min(total_steps);
-            let target = churn.clip(done, faults.clip(done, boundary));
-            let in_window = faults.byzantine_active(done);
-            // Byzantine rewrites mutate states *after* the observer hooks
-            // ran, which would silently desynchronize an incremental
-            // counter mid-segment; window segments therefore run
-            // unobserved and the counter is resynced at the boundary
-            // (the only place it is read).
-            match scheduler.as_deref_mut() {
-                None if in_window => {
-                    for _ in done..target {
-                        faults.byzantine_step(&mut sim, None, &mut NoObserver)?;
-                    }
-                }
-                // The random fast path: burst without per-step indirection.
-                None if incremental => sim.run_steps_observed(target - done, &mut counter),
-                None => sim.run_steps(target - done),
-                Some(sched) => {
-                    for _ in done..target {
-                        if in_window {
-                            faults.byzantine_step(&mut sim, Some(&mut *sched), &mut NoObserver)?;
-                        } else if incremental {
-                            sim.step_chosen_by_observed(&mut counter, |g, c, rng| {
-                                sched.schedule(g, c.states(), rng)
-                            })?;
-                        } else {
-                            sim.step_chosen_by(|g, c, rng| sched.schedule(g, c.states(), rng))?;
-                        }
-                    }
-                }
-            }
-            done = target;
-            let churned = churn.fire_due(done, &mut sim)?;
-            let fired = faults.fire_due(done, &mut sim);
-            let fired = faults.fire_triggered(&mut sim) || fired;
-            if (fired || churned || in_window) && incremental {
-                counter.resync(sim.protocol(), sim.config().states());
-            }
-            if done.is_multiple_of(sample_every) || done == total_steps {
-                let leaders = if incremental {
-                    counter.count()
-                } else {
-                    sim.count_leaders()
-                };
-                out.push((done, leaders));
-            }
+        let mut run = self.start(point)?;
+        let every = sample_every.max(1);
+        let mut out = Vec::new();
+        // A trajectory has no stop predicate: its boundary action samples
+        // and never ends the run.
+        if run.sim.environment_active() {
+            // An oracle's environment hook rewrites states inside every
+            // step, so the count cannot be kept incrementally.
+            run.drive(&mut NoObserver, every, total_steps, |run, _| {
+                out.push((run.sim.steps(), run.sim.count_leaders()));
+                false
+            })?;
+        } else {
+            let mut counter = LeaderCounter::new(run.sim.protocol(), run.sim.config().states());
+            run.drive(&mut counter, every, total_steps, |run, counter| {
+                out.push((run.sim.steps(), counter.count()));
+                false
+            })?;
         }
-        // A trajectory run has no stop predicate, so it never "converges".
-        telemetry_run_end(done, false);
         Ok(out)
     }
 
@@ -1608,7 +1540,9 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates graph-construction errors, and returns
+    /// Propagates graph-construction errors and a
+    /// [`Scenario::with_initial`] override of the wrong size
+    /// ([`PopulationError::ConfigurationSizeMismatch`]), and returns
     /// [`PopulationError::OracleUnsupported`] for protocols with an
     /// environment hook (the explorer models interactions only, so an
     /// oracle's out-of-band mutations would make its verdict unsound).
@@ -1617,18 +1551,23 @@ impl Scenario {
         point: &SweepPoint,
         limits: &crate::explore::ExploreLimits,
     ) -> Result<crate::explore::Explored> {
-        let mut prepared = self.prepare(point);
-        if prepared.protocol.uses_oracle() {
+        let PreparedRun {
+            protocol,
+            config,
+            mut stop,
+            ..
+        } = self.prepared_run(point)?;
+        if protocol.uses_oracle() {
             return Err(PopulationError::OracleUnsupported {
                 operation: "Scenario::explore",
             });
         }
         let graph = self.graph.build(point.n)?;
         Ok(crate::explore::explore(
-            &prepared.protocol,
+            &protocol,
             &graph.arcs(),
-            &prepared.config,
-            &mut prepared.stop,
+            &config,
+            &mut stop,
             limits,
         ))
     }
@@ -1668,164 +1607,246 @@ impl Scenario {
     ///
     /// See [`Scenario::try_run`].
     pub fn try_run_detecting(&self, point: &SweepPoint) -> Result<DetectedRun> {
-        let prepared = self.prepared_run(point)?;
-        let graph = self.graph.build(point.n)?;
-        let sim_seed = (self.sim_seed)(point);
-        let _scope = ssle_telemetry::run_scope(&self.name, point.n as u64, sim_seed);
-        telemetry_run_start();
-        let mut sim = Simulation::new(prepared.protocol, graph, prepared.config, sim_seed);
-        let check_interval = (self.check_interval)(point).max(1);
-        let max_steps = (self.max_steps)(point);
-        let plan = self.plan.as_ref().map(|f| f(point)).unwrap_or_default();
-        let churn_plan = self.churn_plan_checked(point, &plan)?;
-        let mut faults = FaultSchedule::new(
-            plan,
-            prepared.corrupt,
-            prepared.targets,
-            prepared.byzantine,
-            prepared.triggers,
-            (self.fault_seed)(point),
-        )?;
-        let mut churn = ChurnSchedule::new(
-            churn_plan,
-            self.graph.clone(),
-            prepared.churn_corrupt,
-            (self.fault_seed)(point),
-        )?;
-        let mut scheduler: Box<dyn DynScheduler> = match &self.scheduler {
-            // The boxed random scheduler consumes the RNG exactly like the
-            // inlined fast path (pinned by
-            // `explicit_random_scheduler_is_bit_identical_to_the_fast_path`),
-            // so detection does not perturb the run it observes.
-            SchedulerFamily::Random => Box::new(RandomScheduler::new()),
-            SchedulerFamily::Custom { build, .. } => build(point, sim.graph()),
-        };
-        let mut stop = prepared.stop;
+        let mut run = self.start(point)?;
         // Detection needs two preconditions.  The environment hook rewrites
         // states out-of-band inside each step, so the incremental digest is
         // only sound for pure protocols.  And a memoryless scheduler
-        // (phase `None`) revisits configurations by chance constantly —
-        // every interaction that happens not to change any state is a
-        // period-1 "recurrence" — so detection is only meaningful for
-        // schedulers with a deterministic phase.
-        let detecting = !sim.environment_active() && scheduler.phase().is_some();
-        let stop_name = &self.stop_name;
-        let make_report = |converged_at: Option<u64>, steps_executed: u64| ConvergenceReport {
-            converged_at,
-            steps_executed,
-            max_steps,
-            check_interval,
-            criterion: std::borrow::Cow::Owned(stop_name.clone()),
+        // (phase `None`, the uniform one included) revisits configurations
+        // by chance constantly — every interaction that happens not to
+        // change any state is a period-1 "recurrence" — so detection is
+        // only meaningful for schedulers with a deterministic phase.
+        let detecting = !run.sim.environment_active()
+            && run.scheduler.as_ref().is_some_and(|s| s.phase().is_some());
+        let (report, recurrence) = if detecting {
+            let mut watch = Recurrence {
+                digest: ConfigDigest::new(run.sim.config().states()),
+                detector: RecurrenceDetector::new(),
+                found: None,
+            };
+            (self.converge(point, &mut run, &mut watch)?, watch.found)
+        } else {
+            (self.converge(point, &mut run, &mut NoObserver)?, None)
         };
+        Ok(DetectedRun {
+            report,
+            recurrence,
+            faults_pending: run.faults.pending() || run.churn.pending(),
+            sim: run.sim,
+        })
+    }
+}
 
-        churn.fire_due(0, &mut sim)?;
-        faults.fire_due(0, &mut sim);
-        faults.fire_triggered(&mut sim);
-        let mut digest = ConfigDigest::new(sim.config().states());
-        let mut detector = RecurrenceDetector::new();
-        if stop(sim.config().states()) {
-            let faults_pending = faults.pending() || churn.pending();
-            telemetry_run_end(0, true);
-            return Ok(DetectedRun {
-                report: make_report(Some(sim.steps()), 0),
-                recurrence: None,
-                faults_pending,
-                sim,
-            });
+/// The simulation every erased run drives.
+type ErasedSim = Simulation<DynProtocol, AnyGraph>;
+
+/// One erased run in progress: the simulation, its step source, its event
+/// schedules and its stop predicate.  [`Scenario::start`] builds it;
+/// [`Run::drive`] advances it.
+struct Run {
+    sim: ErasedSim,
+    /// The custom scheduler choosing every step, or `None` for the uniform
+    /// sampler's burst loop.
+    scheduler: Option<Box<dyn DynScheduler>>,
+    faults: FaultSchedule,
+    churn: ChurnSchedule,
+    stop: DynStop,
+    /// Stamps the run's identity on its telemetry events until it drops.
+    _scope: ssle_telemetry::RunScope,
+}
+
+impl Run {
+    /// The discrete-event segment loop: the next segment ends at the
+    /// earliest of the next multiple of `every` (capped at `horizon`), the
+    /// next fault or churn event and the next Byzantine window edge.  After
+    /// each segment the due churn, fault and trigger events fire, `observer`
+    /// is re-seeded if the segment fired anything or ran inside a window, and
+    /// on the grid (and at `horizon`) `boundary` runs.  `boundary` also runs
+    /// once before the first step; `true` from it ends the run as converged.
+    ///
+    /// Returns the steps executed and whether the run converged, after
+    /// emitting the `converged` and `run_end` telemetry events.
+    fn drive<O: Watch>(
+        &mut self,
+        observer: &mut O,
+        every: u64,
+        horizon: u64,
+        mut boundary: impl FnMut(&mut Run, &O) -> bool,
+    ) -> Result<(u64, bool)> {
+        let mut converged = boundary(self, observer);
+        // The simulation starts at step 0, so its step counter is the run's.
+        let mut done = self.sim.steps();
+        while !converged && done < horizon {
+            let next = (done / every + 1).saturating_mul(every).min(horizon);
+            let target = self.churn.clip(done, self.faults.clip(done, next));
+            let window = self.faults.byzantine_active(done);
+            // Segment-constant: `clip` ends every segment at the next event
+            // or window edge, and events fire only between segments.
+            let settled = !self.faults.pending() && !self.churn.pending();
+            let ended = self.segment(target - done, window, settled, observer)?;
+            done = self.sim.steps();
+            if ended {
+                break;
+            }
+            let mut rewritten = self.churn.fire_due(done, &mut self.sim)? | window;
+            rewritten |= self.faults.fire_due(done, &mut self.sim);
+            rewritten |= self.faults.fire_triggered(&mut self.sim);
+            if rewritten {
+                observer.reseed(&self.sim);
+            }
+            if done.is_multiple_of(every) || done == horizon {
+                converged = boundary(self, observer);
+            }
         }
-        let mut executed = 0u64;
-        let mut recurrence = None;
-        'run: while executed < max_steps {
-            let next_check = ((executed / check_interval) + 1) * check_interval;
-            let target = churn.clip(executed, faults.clip(executed, next_check.min(max_steps)));
-            // A recurrence confirmed while fault events are still pending
-            // proves nothing — a future fault would perturb the cycle — so
-            // the detector stays disarmed until the schedule is exhausted
-            // and only the fault-free suffix is ever searched.  Pending
-            // status covers unfired triggered events and an unelapsed
-            // Byzantine window too (both could still perturb a cycle), and
-            // is segment-constant: `clip` ends every segment at the next
-            // fault step or window edge, and events fire only between
-            // segments.
-            let armed = detecting && !faults.pending() && !churn.pending();
-            let in_window = faults.byzantine_active(executed);
-            for _ in executed..target {
-                if in_window {
-                    // The digest goes stale across adversarial rewrites, but
-                    // the window keeps the detector disarmed; the digest is
-                    // resynced when the window elapses (`fire_due` reports
-                    // the edge as a fired event).
-                    if detecting {
-                        faults.byzantine_step(&mut sim, Some(&mut *scheduler), &mut digest)?;
-                    } else {
-                        faults.byzantine_step(&mut sim, Some(&mut *scheduler), &mut NoObserver)?;
-                    }
-                } else if detecting {
-                    sim.step_chosen_by_observed(&mut digest, |g, c, rng| {
-                        scheduler.schedule(g, c.states(), rng)
-                    })?;
-                    if armed {
-                        if let Some(candidate) = detector.observe(
-                            digest.value(),
-                            scheduler.phase(),
-                            sim.steps(),
-                            sim.config(),
-                        ) {
-                            if stop(sim.config().states()) {
-                                // The recurrent configuration satisfies the
-                                // stop predicate: the run converged between
-                                // two check boundaries (a stable fixed point
-                                // "recurs" trivially).  Let the boundary
-                                // check report it exactly like the plain run
-                                // would.
-                                detector.reset();
-                            } else {
-                                if ssle_telemetry::enabled() {
-                                    ssle_telemetry::metrics::well_known::RECURRENCES.incr();
-                                    ssle_telemetry::emit(
-                                        ssle_telemetry::Event::new("recurrence_candidate")
-                                            .count("step", candidate.entry_step)
-                                            .count("period", candidate.period),
-                                    );
-                                }
-                                recurrence = Some(candidate);
-                                executed = sim.steps();
-                                break 'run;
-                            }
-                        }
-                    }
-                } else {
-                    sim.step_chosen_by(|g, c, rng| scheduler.schedule(g, c.states(), rng))?;
+        if converged && ssle_telemetry::enabled() {
+            ssle_telemetry::emit(ssle_telemetry::Event::new("converged").count("step", done));
+        }
+        telemetry_run_end(done, converged);
+        Ok((done, converged))
+    }
+
+    /// Runs `k` steps from the step source: the uniform burst, per-step
+    /// scheduler dispatch, or — inside a Byzantine window — adversarial
+    /// steps, which bypass `observer` (the driver re-seeds it after the
+    /// segment).  Returns `true` if the observer ended the run early.
+    fn segment<O: Watch>(
+        &mut self,
+        k: u64,
+        window: bool,
+        settled: bool,
+        observer: &mut O,
+    ) -> Result<bool> {
+        let Run {
+            sim,
+            scheduler,
+            faults,
+            stop,
+            ..
+        } = self;
+        let (mut ran, mut ended) = (k, false);
+        if window {
+            for _ in 0..k {
+                faults.byzantine_step(sim, scheduler)?;
+            }
+        } else if let Some(sched) = scheduler {
+            for step in 0..k {
+                sim.step_chosen_by_observed(observer, |g, c, rng| {
+                    sched.schedule(g, c.states(), rng)
+                })?;
+                if observer.after_step(sim, &**sched, settled, stop) {
+                    (ran, ended) = (step + 1, true);
+                    break;
                 }
             }
-            executed = target;
-            let churned = churn.fire_due(executed, &mut sim)?;
-            let fired = faults.fire_due(executed, &mut sim);
-            let fired = faults.fire_triggered(&mut sim) || fired;
-            if (fired || churned) && detecting {
-                digest.resync(sim.config().states());
-                detector.reset();
-            }
-            let at_boundary = executed == next_check || executed == max_steps;
-            if at_boundary && stop(sim.config().states()) {
-                let faults_pending = faults.pending() || churn.pending();
-                telemetry_run_end(executed, true);
-                return Ok(DetectedRun {
-                    report: make_report(Some(sim.steps()), executed),
-                    recurrence: None,
-                    faults_pending,
-                    sim,
-                });
-            }
+        } else {
+            // The uniform burst counts its steps in `hot_steps` itself.
+            sim.run_steps_observed(k, observer);
+            return Ok(false);
         }
-        let faults_pending = faults.pending() || churn.pending();
-        telemetry_run_end(executed, false);
-        Ok(DetectedRun {
-            report: make_report(None, executed),
-            recurrence,
-            faults_pending,
-            sim,
-        })
+        // Every other step is counted here, once per segment.
+        let counter = if scheduler.is_some() {
+            &ssle_telemetry::metrics::well_known::SCHEDULED_STEPS
+        } else {
+            &ssle_telemetry::metrics::well_known::HOT_STEPS
+        };
+        counter.add(ran);
+        Ok(ended)
+    }
+}
+
+/// What a [`Run`] feeds every step outside Byzantine windows.  Plain runs
+/// use [`NoObserver`], whose hooks compile away.
+trait Watch: StepObserver<DynProtocol> {
+    /// Re-seeds from the configuration after a segment that rewrote states
+    /// out of band: a fired fault, trigger or churn event, or a Byzantine
+    /// window.
+    fn reseed(&mut self, _sim: &ErasedSim) {}
+
+    /// Inspects the run after each scheduled step; `true` ends it.
+    /// `settled` is `true` when no fault or churn event can still fire.
+    fn after_step(
+        &mut self,
+        _sim: &ErasedSim,
+        _scheduler: &dyn DynScheduler,
+        _settled: bool,
+        _stop: &mut DynStop,
+    ) -> bool {
+        false
+    }
+}
+
+impl Watch for NoObserver {}
+
+impl Watch for LeaderCounter {
+    fn reseed(&mut self, sim: &ErasedSim) {
+        self.resync(sim.protocol(), sim.config().states());
+    }
+}
+
+/// The observer of [`Scenario::try_run_detecting`]: an incremental
+/// configuration digest feeding a Brent-schedule recurrence detector.
+struct Recurrence {
+    digest: ConfigDigest,
+    detector: RecurrenceDetector,
+    found: Option<RecurrenceCandidate>,
+}
+
+impl StepObserver<DynProtocol> for Recurrence {
+    fn pre_interaction(&mut self, p: &DynProtocol, i: Interaction, a: &DynState, b: &DynState) {
+        self.digest.pre_interaction(p, i, a, b);
+    }
+
+    fn post_interaction(&mut self, p: &DynProtocol, i: Interaction, a: &DynState, b: &DynState) {
+        self.digest.post_interaction(p, i, a, b);
+    }
+}
+
+impl Watch for Recurrence {
+    fn reseed(&mut self, sim: &ErasedSim) {
+        self.digest.resync(sim.config().states());
+        self.detector.reset();
+    }
+
+    fn after_step(
+        &mut self,
+        sim: &ErasedSim,
+        scheduler: &dyn DynScheduler,
+        settled: bool,
+        stop: &mut DynStop,
+    ) -> bool {
+        // A recurrence confirmed while events are still pending proves
+        // nothing — a future fault, trigger, window or churn event would
+        // perturb the cycle — so the detector stays disarmed until the
+        // schedules are exhausted and only the event-free suffix is
+        // searched.
+        if !settled {
+            return false;
+        }
+        let Some(candidate) = self.detector.observe(
+            self.digest.value(),
+            scheduler.phase(),
+            sim.steps(),
+            sim.config(),
+        ) else {
+            return false;
+        };
+        if stop(sim.config().states()) {
+            // The recurrent configuration satisfies the stop predicate: the
+            // run converged between two check boundaries (a stable fixed
+            // point "recurs" trivially).  Let the boundary check report it
+            // exactly like the plain run would.
+            self.detector.reset();
+            return false;
+        }
+        if ssle_telemetry::enabled() {
+            ssle_telemetry::metrics::well_known::RECURRENCES.incr();
+            ssle_telemetry::emit(
+                ssle_telemetry::Event::new("recurrence_candidate")
+                    .count("step", candidate.entry_step)
+                    .count("period", candidate.period),
+            );
+        }
+        self.found = Some(candidate);
+        true
     }
 }
 
@@ -1856,9 +1877,9 @@ const BYZANTINE_SEED_SALT: u64 = 0x42595A41_4E54494E; // "BYZANTIN"
 
 /// The pending half of a fault plan during a run: which step events are
 /// still due, which triggered events have not fired, the active Byzantine
-/// window, and the corruption machinery that fires them.  All erased run
-/// loops (convergence, trajectory, detection) share this, so faults fire at
-/// identical steps in all of them.
+/// window, and the corruption machinery that fires them.  Every run owns one
+/// (see [`Run`]), so faults fire at identical steps whichever entry point
+/// drives the run.
 struct FaultSchedule {
     events: Vec<FaultEvent>,
     /// Unfired trigger-coupled events, each carrying its trigger name (for
@@ -1997,7 +2018,7 @@ impl FaultSchedule {
 
     /// Applies one fault kind to the simulation's configuration, routing
     /// targeted kinds through the target predicate.
-    fn inject_kind(&mut self, kind: FaultKind, sim: &mut Simulation<DynProtocol, AnyGraph>) {
+    fn inject_kind(&mut self, kind: FaultKind, sim: &mut ErasedSim) {
         let Some((corrupt, injector)) = self.driver.as_mut() else {
             return;
         };
@@ -2032,7 +2053,7 @@ impl FaultSchedule {
     /// `true` if anything fired or the window elapsed (states were — or may
     /// have been — rewritten out-of-band, so incremental observers must
     /// re-seed).
-    fn fire_due(&mut self, executed: u64, sim: &mut Simulation<DynProtocol, AnyGraph>) -> bool {
+    fn fire_due(&mut self, executed: u64, sim: &mut ErasedSim) -> bool {
         let mut fired = false;
         while self.next < self.events.len() && self.events[self.next].at_step <= executed {
             let kind = self.events[self.next].kind;
@@ -2058,15 +2079,16 @@ impl FaultSchedule {
 
     /// Evaluates every unfired trigger predicate against the current
     /// configuration and fires the coupled faults for those that hold
-    /// (removing them: each triggered event fires at most once).  Called at
-    /// burst boundaries — every stop-check/sample boundary and immediately
-    /// after any step event — right after [`FaultSchedule::fire_due`] and
-    /// *before* the boundary's stop check, so a trigger like "a unique
+    /// (removing them: each triggered event fires at most once).  Called
+    /// after every segment — at every stop-check/sample boundary and
+    /// immediately after any step event — right after
+    /// [`FaultSchedule::fire_due`] and *before* the boundary's stop
+    /// check, so a trigger like "a unique
     /// leader emerged" corrupts the configuration before convergence is
     /// declared.  Returns `true` if anything fired.  A plan without
     /// triggered events returns immediately, and a never-firing predicate
     /// only reads the configuration — neither perturbs the run.
-    fn fire_triggered(&mut self, sim: &mut Simulation<DynProtocol, AnyGraph>) -> bool {
+    fn fire_triggered(&mut self, sim: &mut ErasedSim) -> bool {
         if self.triggered.is_empty() {
             return false;
         }
@@ -2093,17 +2115,17 @@ impl FaultSchedule {
     }
 
     /// Advances one step inside an active Byzantine window: the interaction
-    /// executes normally through the observer seam, then each interacting
-    /// agent in the window's set has its post-interaction state rewritten by
-    /// the adversary (from the dedicated Byzantine RNG stream).  Returns
-    /// `true` if a rewrite happened, so incremental observers can re-seed at
-    /// the segment boundary.
-    fn byzantine_step<O: StepObserver<DynProtocol>>(
+    /// executes normally (from `scheduler`, or the uniform sampler when it
+    /// is `None`), then each interacting agent in the window's set has its
+    /// post-interaction state rewritten by the adversary (from the dedicated
+    /// Byzantine RNG stream).  The rewrites bypass the observer seam, so
+    /// window segments run unobserved and the driver re-seeds its observer
+    /// after them.
+    fn byzantine_step(
         &mut self,
-        sim: &mut Simulation<DynProtocol, AnyGraph>,
-        scheduler: Option<&mut dyn DynScheduler>,
-        observer: &mut O,
-    ) -> Result<bool> {
+        sim: &mut ErasedSim,
+        scheduler: &mut Option<Box<dyn DynScheduler>>,
+    ) -> Result<()> {
         if !self.byz_open_emitted {
             self.byz_open_emitted = true;
             if ssle_telemetry::enabled() {
@@ -2114,15 +2136,12 @@ impl FaultSchedule {
             }
         }
         let interaction = match scheduler {
-            None => sim.step_observed(observer),
-            Some(sched) => sim.step_chosen_by_observed(observer, |g, c, rng| {
-                sched.schedule(g, c.states(), rng)
-            })?,
+            None => sim.step(),
+            Some(sched) => sim.step_chosen_by(|g, c, rng| sched.schedule(g, c.states(), rng))?,
         };
         let (Some(window), Some(rewrite)) = (&self.window, self.rewrite.as_mut()) else {
-            return Ok(false);
+            return Ok(());
         };
-        let mut rewrote = false;
         for agent in [
             interaction.initiator().index(),
             interaction.responder().index(),
@@ -2130,10 +2149,9 @@ impl FaultSchedule {
             if window.contains(agent) {
                 let state = rewrite(&mut self.byz_rng, agent, &sim.config()[agent]);
                 sim.config_mut()[agent] = state;
-                rewrote = true;
             }
         }
-        Ok(rewrote)
+        Ok(())
     }
 }
 
@@ -2155,9 +2173,9 @@ fn churn_kind_label(kind: ChurnKind) -> &'static str {
 
 /// The pending half of a churn plan during a run: which topology events are
 /// still due and the machinery that fires them.  The churn sibling of
-/// [`FaultSchedule`]; all erased run loops share it, so topology changes
-/// apply at identical steps in all of them.  An empty schedule is inert: it
-/// clips nothing, fires nothing, and consumes no RNG.
+/// [`FaultSchedule`], owned by every [`Run`] alike, so topology changes apply
+/// at identical steps whichever entry point drives the run.  An empty
+/// schedule is inert: it clips nothing, fires nothing, and consumes no RNG.
 struct ChurnSchedule {
     events: Vec<ChurnEvent>,
     /// The scenario's pristine graph family: [`ChurnKind::Heal`] rebuilds it
@@ -2223,11 +2241,7 @@ impl ChurnSchedule {
     /// [`PopulationError::PopulationTooSmall`] when a leave would drop the
     /// population below 2, and any error of the family's own constructor at
     /// the new size.
-    fn fire_due(
-        &mut self,
-        executed: u64,
-        sim: &mut Simulation<DynProtocol, AnyGraph>,
-    ) -> Result<bool> {
+    fn fire_due(&mut self, executed: u64, sim: &mut ErasedSim) -> Result<bool> {
         let mut fired = false;
         while self.next < self.events.len() && self.events[self.next].at_step <= executed {
             let kind = self.events[self.next].kind;
@@ -2246,11 +2260,7 @@ impl ChurnSchedule {
     }
 
     /// Applies one churn kind to the simulation.
-    fn apply(
-        &mut self,
-        kind: ChurnKind,
-        sim: &mut Simulation<DynProtocol, AnyGraph>,
-    ) -> Result<()> {
+    fn apply(&mut self, kind: ChurnKind, sim: &mut ErasedSim) -> Result<()> {
         let n = sim.num_agents();
         match kind {
             ChurnKind::Rewire { count } => {
@@ -2368,161 +2378,6 @@ fn telemetry_run_end(steps: u64, converged: bool) {
                 .field("converged", converged),
         );
     }
-}
-
-/// The fault-injecting run loop: identical check semantics to
-/// [`Simulation::run_until`] (an initial check, then one check every
-/// `check_interval` steps and at the budget boundary), with fault and churn
-/// events fired at their exact steps.  Events scheduled at step 0 fire
-/// before the initial check.  The random fast path keeps its burst-advance
-/// (`run_steps`, no per-step indirection), preserving the bit-identical
-/// pinning in `scenario_equivalence`.
-fn run_with_faults(
-    sim: &mut Simulation<DynProtocol, AnyGraph>,
-    stop: &mut DynStop,
-    check_interval: u64,
-    max_steps: u64,
-    faults: &mut FaultSchedule,
-    churn: &mut ChurnSchedule,
-) -> Result<ConvergenceReport> {
-    run_checked_bursts(
-        sim,
-        stop,
-        check_interval,
-        max_steps,
-        faults,
-        churn,
-        |sim, k, byz| {
-            match byz {
-                None => sim.run_steps(k),
-                Some(faults) => {
-                    for _ in 0..k {
-                        faults.byzantine_step(sim, None, &mut NoObserver)?;
-                    }
-                }
-            }
-            Ok(())
-        },
-    )
-}
-
-/// The custom-scheduler run loop: identical check and fault semantics to
-/// [`run_with_faults`], but every interaction is chosen by the
-/// [`DynScheduler`] instead of the inlined uniform sampler.  Scheduler
-/// errors — deterministic exhaustion, non-arc choices — abort the run and
-/// surface as typed errors.
-fn run_scheduled(
-    sim: &mut Simulation<DynProtocol, AnyGraph>,
-    scheduler: &mut dyn DynScheduler,
-    stop: &mut DynStop,
-    check_interval: u64,
-    max_steps: u64,
-    faults: &mut FaultSchedule,
-    churn: &mut ChurnSchedule,
-) -> Result<ConvergenceReport> {
-    run_checked_bursts(
-        sim,
-        stop,
-        check_interval,
-        max_steps,
-        faults,
-        churn,
-        |sim, k, byz| {
-            match byz {
-                None => {
-                    for _ in 0..k {
-                        sim.step_chosen_by(|g, c, rng| scheduler.schedule(g, c.states(), rng))?;
-                    }
-                }
-                Some(faults) => {
-                    for _ in 0..k {
-                        faults.byzantine_step(sim, Some(&mut *scheduler), &mut NoObserver)?;
-                    }
-                }
-            }
-            ssle_telemetry::metrics::well_known::SCHEDULED_STEPS.add(k);
-            Ok(())
-        },
-    )
-}
-
-/// The one checked-burst loop behind both erased run paths: an initial stop
-/// check after step-0 churn/fault events and trigger evaluation, then bursts
-/// clipped to the next check boundary, pending fault or churn event or
-/// Byzantine window edge, advanced by `advance(sim, k, byzantine)` (the uniform
-/// sampler's `run_steps` on the fast path, per-step scheduler dispatch on
-/// the custom path, per-step rewriting via [`FaultSchedule::byzantine_step`]
-/// whenever `byzantine` is `Some`), with fault events fired at their exact
-/// steps, trigger predicates evaluated at every burst boundary, and one stop
-/// check per boundary and at the budget.
-fn run_checked_bursts(
-    sim: &mut Simulation<DynProtocol, AnyGraph>,
-    stop: &mut DynStop,
-    check_interval: u64,
-    max_steps: u64,
-    faults: &mut FaultSchedule,
-    churn: &mut ChurnSchedule,
-    mut advance: impl FnMut(
-        &mut Simulation<DynProtocol, AnyGraph>,
-        u64,
-        Option<&mut FaultSchedule>,
-    ) -> Result<()>,
-) -> Result<ConvergenceReport> {
-    const PREDICATE: std::borrow::Cow<'static, str> = std::borrow::Cow::Borrowed("predicate");
-    let mut executed = 0u64;
-    churn.fire_due(0, sim)?;
-    faults.fire_due(0, sim);
-    faults.fire_triggered(sim);
-    if stop(sim.config().states()) {
-        if ssle_telemetry::enabled() {
-            ssle_telemetry::emit(
-                ssle_telemetry::Event::new("converged").count("step", sim.steps()),
-            );
-        }
-        return Ok(ConvergenceReport {
-            converged_at: Some(sim.steps()),
-            steps_executed: 0,
-            max_steps,
-            check_interval,
-            criterion: PREDICATE,
-        });
-    }
-    while executed < max_steps {
-        let next_check = ((executed / check_interval) + 1) * check_interval;
-        let target = churn.clip(executed, faults.clip(executed, next_check.min(max_steps)));
-        let byzantine = faults.byzantine_active(executed);
-        advance(
-            sim,
-            target - executed,
-            if byzantine { Some(&mut *faults) } else { None },
-        )?;
-        executed = target;
-        churn.fire_due(executed, sim)?;
-        faults.fire_due(executed, sim);
-        faults.fire_triggered(sim);
-        let at_boundary = executed == next_check || executed == max_steps;
-        if at_boundary && stop(sim.config().states()) {
-            if ssle_telemetry::enabled() {
-                ssle_telemetry::emit(
-                    ssle_telemetry::Event::new("converged").count("step", sim.steps()),
-                );
-            }
-            return Ok(ConvergenceReport {
-                converged_at: Some(sim.steps()),
-                steps_executed: executed,
-                max_steps,
-                check_interval,
-                criterion: PREDICATE,
-            });
-        }
-    }
-    Ok(ConvergenceReport {
-        converged_at: None,
-        steps_executed: executed,
-        max_steps,
-        check_interval,
-        criterion: PREDICATE,
-    })
 }
 
 /// Typed, declarative builder for [`Scenario`]s.
@@ -3005,6 +2860,7 @@ mod tests {
     use super::*;
     use crate::batch::BatchRunner;
     use crate::convergence::Predicate;
+    use crate::scheduler::RandomScheduler;
 
     /// Classic pairwise leader elimination.
     #[derive(Clone, Debug)]
@@ -4146,6 +4002,22 @@ mod tests {
                 &crate::explore::ExploreLimits::default()
             ),
             Err(PopulationError::OracleUnsupported { .. })
+        ));
+    }
+
+    #[test]
+    fn explore_reports_a_mismatched_initial_override_as_a_typed_error() {
+        let scenario =
+            fratricide_scenario().with_initial(Configuration::uniform(4, DynState::new(true)));
+        assert!(matches!(
+            scenario.explore(
+                &SweepPoint::new(3, 0),
+                &crate::explore::ExploreLimits::default()
+            ),
+            Err(PopulationError::ConfigurationSizeMismatch {
+                configuration: 4,
+                graph: 3,
+            })
         ));
     }
 

@@ -253,10 +253,12 @@ impl Histogram {
 pub mod well_known {
     use super::{Counter, Histogram};
 
-    /// Steps executed by the uniform-sampler burst loop
-    /// (`Simulation::run_steps`), counted once per burst.
+    /// Steps drawn by the uniform sampler (`Simulation::run_steps`, and the
+    /// uniform segments of scenario runs, Byzantine-window steps included),
+    /// counted once per burst.
     pub static HOT_STEPS: Counter = Counter::new("hot_steps");
-    /// Steps executed under explicit per-step scheduler dispatch.
+    /// Steps chosen by a custom scenario scheduler (per-step dispatch,
+    /// Byzantine-window steps included), counted once per segment.
     pub static SCHEDULED_STEPS: Counter = Counter::new("scheduled_steps");
     /// Erased scenario runs started.
     pub static RUNS: Counter = Counter::new("runs");
