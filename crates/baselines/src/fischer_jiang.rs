@@ -10,10 +10,13 @@
 //! ## Reconstruction notes (see `DESIGN.md` §4)
 //!
 //! * **Oracle.**  The oracle is simulated exactly the way the `Θ(n³)` bound
-//!   assumes: the environment hook inspects the global configuration every
-//!   step and sets each agent's `oracle_no_leader` flag to "there is no
-//!   leader anywhere".  An agent whose flag is set becomes a leader at its
-//!   next interaction.
+//!   assumes: before every interaction each agent's `oracle_no_leader` flag
+//!   holds "there is no leader anywhere".  An agent whose flag is set
+//!   becomes a leader at its next interaction.  The simulation keeps the
+//!   oracle's two answers as counts of leaders and of bullets, updated from
+//!   the two touched agents of each step, and rewrites every agent only
+//!   when an answer changes — the same configurations as a full scan before
+//!   every step, at `O(1)` amortized cost.
 //! * **Elimination.**  Leaders fight with live/dummy bullets and shields as
 //!   in Algorithm 5, but *without* the bullet-absence signal `signal_B`
 //!   (that signal is the 2021/2023 refinement): the oracle also reports
@@ -102,7 +105,7 @@ impl FischerJiang {
 impl Protocol for FischerJiang {
     type State = FjState;
 
-    /// The oracle `Ω?` runs through the environment hook every step.
+    /// The oracle `Ω?` is active on every step.
     const HAS_ENVIRONMENT: bool = true;
 
     fn interact(&self, l: &mut FjState, r: &mut FjState) {
@@ -148,17 +151,19 @@ impl Protocol for FischerJiang {
         }
     }
 
-    fn environment(&self, states: &mut [FjState]) {
-        // The ideal oracle Ω?: report instantly to every agent whether a
-        // leader exists anywhere, and whether any bullet is still in flight
-        // (the firing gate that replaces the 2021/2023 signal_B mechanism).
-        let no_leader = !states.iter().any(|s| s.leader);
-        let no_bullet = states.iter().all(|s| s.bullet == bullet::NONE);
-        for s in states.iter_mut() {
-            s.oracle_no_leader = no_leader;
-            if no_bullet {
-                s.may_fire = true;
-            }
+    /// The ideal oracle `Ω?` asks two questions: is there a leader anywhere
+    /// (bit 0), and is any bullet still in flight (bit 1, the firing gate
+    /// that replaces the 2021/2023 `signal_B` mechanism).
+    fn oracle_marks(&self, s: &FjState) -> u8 {
+        u8::from(s.leader) | (u8::from(s.bullet != bullet::NONE) << 1)
+    }
+
+    /// Reports both answers instantly: the `oracle_no_leader` flag, and a
+    /// fire permission once no bullet is in flight.
+    fn oracle_apply(&self, view: u8, s: &mut FjState) {
+        s.oracle_no_leader = view & 1 == 0;
+        if view & 2 == 0 {
+            s.may_fire = true;
         }
     }
 

@@ -125,7 +125,8 @@ pub fn downcast_boxed_config<S: Any + Clone>(
 /// `DynLeaderElection`, specialized to the boxed representation).
 trait BoxedLe: Send + Sync {
     fn interact_dyn(&self, initiator: &mut BoxedState, responder: &mut BoxedState);
-    fn environment_dyn(&self, states: &mut [BoxedState]);
+    fn oracle_marks_dyn(&self, state: &BoxedState) -> u8;
+    fn oracle_apply_dyn(&self, view: u8, state: &mut BoxedState);
     fn uses_oracle_dyn(&self) -> bool;
     fn is_leader_dyn(&self, state: &BoxedState) -> bool;
     fn protocol_name(&self) -> &'static str;
@@ -134,39 +135,41 @@ trait BoxedLe: Send + Sync {
 /// Erasure wrapper over a typed leader-election protocol.
 struct ErasedLe<P>(P);
 
+impl<P> ErasedLe<P>
+where
+    P: LeaderElection,
+    P::State: Any,
+{
+    fn typed<'a>(&self, state: &'a BoxedState) -> &'a P::State {
+        state
+            .downcast_ref()
+            .unwrap_or_else(|| panic!("state does not belong to protocol {}", self.0.name()))
+    }
+
+    fn typed_mut<'a>(&self, state: &'a mut BoxedState) -> &'a mut P::State {
+        state
+            .downcast_mut()
+            .unwrap_or_else(|| panic!("state does not belong to protocol {}", self.0.name()))
+    }
+}
+
 impl<P> BoxedLe for ErasedLe<P>
 where
     P: LeaderElection + 'static,
     P::State: Any,
 {
     fn interact_dyn(&self, initiator: &mut BoxedState, responder: &mut BoxedState) {
-        let name = self.0.name();
-        let i = initiator
-            .downcast_mut::<P::State>()
-            .unwrap_or_else(|| panic!("initiator state does not belong to protocol {name}"));
-        let r = responder
-            .downcast_mut::<P::State>()
-            .unwrap_or_else(|| panic!("responder state does not belong to protocol {name}"));
+        let i = self.typed_mut(initiator);
+        let r = self.typed_mut(responder);
         self.0.interact(i, r);
     }
 
-    fn environment_dyn(&self, states: &mut [BoxedState]) {
-        if self.0.uses_oracle() {
-            let mut typed: Vec<P::State> = states
-                .iter()
-                .map(|s| {
-                    s.downcast_ref::<P::State>()
-                        .unwrap_or_else(|| {
-                            panic!("state does not belong to protocol {}", self.0.name())
-                        })
-                        .clone()
-                })
-                .collect();
-            self.0.environment(&mut typed);
-            for (slot, value) in states.iter_mut().zip(typed) {
-                *slot.downcast_mut::<P::State>().expect("checked above") = value;
-            }
-        }
+    fn oracle_marks_dyn(&self, state: &BoxedState) -> u8 {
+        self.0.oracle_marks(self.typed(state))
+    }
+
+    fn oracle_apply_dyn(&self, view: u8, state: &mut BoxedState) {
+        self.0.oracle_apply(view, self.typed_mut(state));
     }
 
     fn uses_oracle_dyn(&self) -> bool {
@@ -223,8 +226,12 @@ impl Protocol for BoxedProtocol {
         self.inner.interact_dyn(initiator, responder);
     }
 
-    fn environment(&self, states: &mut [BoxedState]) {
-        self.inner.environment_dyn(states);
+    fn oracle_marks(&self, state: &BoxedState) -> u8 {
+        self.inner.oracle_marks_dyn(state)
+    }
+
+    fn oracle_apply(&self, view: u8, state: &mut BoxedState) {
+        self.inner.oracle_apply_dyn(view, state);
     }
 
     fn uses_oracle(&self) -> bool {

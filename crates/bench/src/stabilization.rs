@@ -2353,6 +2353,59 @@ mod tests {
         assert_eq!(doomed, 21_941);
     }
 
+    /// The explorer covers the one oracle protocol: every step it walks is
+    /// the oracle's broadcast followed by the interaction, exactly the step
+    /// the simulation takes.  Fischer–Jiang on the directed 3-ring has at
+    /// most 48³ configurations, so the walk is exhaustive.
+    #[test]
+    fn explorer_pins_fischer_jiang_on_the_three_ring() {
+        let kind = ProtocolKind::FischerJiang;
+        let graph = GridGraph::Ring;
+        let n = 3;
+        let budget = stab_budget(kind, n, true);
+        let explored = stab_scenario(kind, graph, 0, budget)
+            .explore(
+                &SweepPoint::new(n, 0xE6),
+                &population::ExploreLimits::default(),
+            )
+            .expect("tiny oracle cell explores");
+        let population::ExploreVerdict::Stabilizes {
+            exact_worst_steps,
+            worst_config,
+        } = explored.verdict
+        else {
+            panic!(
+                "fischer-jiang on the 3-ring must stabilize, got {:?}",
+                explored.verdict
+            );
+        };
+        // Deterministic properties of the protocol and its oracle on the
+        // directed 3-ring from this start: 152 reachable configurations,
+        // 74 of them stable, worst-case optimal recovery in 6 interactions.
+        assert_eq!(explored.reachable, 152);
+        assert_eq!(explored.stop_configs, 74);
+        assert_eq!(exact_worst_steps, 6);
+        // Sampled runs agree: a fair run converges from the start, and from
+        // the worst reachable configuration it converges no sooner than the
+        // exact bound allows.
+        let fair = evaluate(kind, graph, n, budget, &Candidate::baseline(0xE6));
+        assert!(fair.converged, "a fair run of a stabilizing cell converges");
+        let from_worst = stab_scenario(kind, graph, 0, budget)
+            .with_initial(worst_config)
+            .try_run(&SweepPoint::new(n, 0xE6))
+            .expect("the worst configuration runs");
+        assert!(
+            from_worst.converged(),
+            "every reachable configuration recovers"
+        );
+        assert!(
+            from_worst.steps_executed >= exact_worst_steps,
+            "a fair run ({}) cannot undercut the optimal-recovery bound \
+             ({exact_worst_steps})",
+            from_worst.steps_executed
+        );
+    }
+
     /// The adaptive escalation, pinned with synthetic evaluators so each
     /// regime is exercised deterministically and without simulation cost.
     #[test]

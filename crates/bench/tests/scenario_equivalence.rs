@@ -337,9 +337,8 @@ fn inline_slot_path_matches_the_boxed_reference_bit_for_bit() {
 // ---------------------------------------------------------------------------
 
 /// One protocol's incremental-vs-recount check: `run_tracking_leader_changes`
-/// (incremental `LeaderCounter` path for pure protocols, recount fallback
-/// for oracle ones) against a from-scratch recount loop on an identical
-/// simulation.
+/// (the incremental `LeaderCounter` path) against a from-scratch recount
+/// loop on an identical simulation.
 fn assert_incremental_tracking_matches<P>(
     protocol: P,
     config: Configuration<P::State>,
@@ -398,8 +397,7 @@ fn assert_incremental_tracking_matches<P>(
 
 /// The incremental leader-count path is bit-identical to the recount
 /// reference for all four Table 1 protocols × 2 sizes × 2 seeds (the oracle
-/// baseline exercises the recount fallback; the pure ones the incremental
-/// observer).
+/// baseline included: its broadcast never changes a leader output).
 #[test]
 fn incremental_leader_tracking_matches_the_recount_reference() {
     const STEPS: u64 = 20_000;
@@ -681,6 +679,147 @@ fn entry_points_agree_under_every_scheduler_and_plan() {
                     );
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Fischer–Jiang's oracle
+// ---------------------------------------------------------------------------
+
+/// Fischer–Jiang's transition with no oracle: the reference below runs the
+/// oracle itself, out of band.
+#[derive(Clone, Debug)]
+struct OracleFreeFj;
+
+impl population::Protocol for OracleFreeFj {
+    type State = FjState;
+
+    fn interact(&self, initiator: &mut FjState, responder: &mut FjState) {
+        population::Protocol::interact(&FischerJiang::new(), initiator, responder);
+    }
+}
+
+/// The oracle `Ω?` as a full scan of the configuration and a broadcast to
+/// every agent, the way it ran before every interaction when it was first
+/// written.
+fn scan_and_broadcast(states: &mut [FjState]) {
+    use ssle_core::state::bullet;
+    let no_leader = !states.iter().any(|s| s.leader);
+    let no_bullet = states.iter().all(|s| s.bullet == bullet::NONE);
+    for s in states.iter_mut() {
+        s.oracle_no_leader = no_leader;
+        if no_bullet {
+            s.may_fire = true;
+        }
+    }
+}
+
+/// One reference step: the scan-and-broadcast oracle through `config_mut`,
+/// then an oracle-free interaction drawn from the simulation's own seeded
+/// stream (uniformly, or by `scheduler`).
+fn scan_reference_step(
+    sim: &mut Simulation<OracleFreeFj, DirectedRing>,
+    scheduler: Option<&mut LowInitiator>,
+) {
+    scan_and_broadcast(sim.config_mut().states_mut());
+    match scheduler {
+        Some(s) => {
+            sim.step_with_scheduler(s).expect("ring arcs");
+        }
+        None => {
+            sim.step();
+        }
+    }
+}
+
+/// How the oracle pin drives both simulations.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum FjDrive {
+    /// Uniform `run_steps` bursts.
+    Uniform,
+    /// `step_with_scheduler` under [`LowInitiator`].
+    Scheduled,
+    /// Uniform bursts, each followed by a `config_mut` rewrite of a random
+    /// agent.
+    Rewritten,
+}
+
+/// The typed `Simulation<FischerJiang, _>` runs exactly the process of the
+/// per-step scan: for n ∈ {3, 8, 64} × 4 seeds, under uniform bursts, a
+/// custom scheduler and out-of-band rewrites, the configurations agree after
+/// every burst; and the erased `Scenario` run converges at exactly the
+/// reference's step.
+#[test]
+fn fischer_jiang_oracle_matches_the_per_step_scan() {
+    use rand::Rng;
+    const BURSTS: usize = 40;
+    const BURST: u64 = 97;
+    for n in [3usize, 8, 64] {
+        for seed in [1u64, 7, 42, 1_000_003] {
+            let ring = DirectedRing::new(n).expect("n >= 2");
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let init = Configuration::from_fn(n, |_| FjState::sample_uniform(&mut rng));
+            for drive in [FjDrive::Uniform, FjDrive::Scheduled, FjDrive::Rewritten] {
+                let mut typed = Simulation::new(FischerJiang::new(), ring, init.clone(), seed);
+                let mut reference = Simulation::new(OracleFreeFj, ring, init.clone(), seed);
+                let mut faults = ChaCha8Rng::seed_from_u64(seed ^ 0xFA17);
+                for burst in 0..BURSTS {
+                    if drive == FjDrive::Scheduled {
+                        for _ in 0..BURST {
+                            typed
+                                .step_with_scheduler(&mut LowInitiator)
+                                .expect("ring arcs");
+                            scan_reference_step(&mut reference, Some(&mut LowInitiator));
+                        }
+                    } else {
+                        typed.run_steps(BURST);
+                        for _ in 0..BURST {
+                            scan_reference_step(&mut reference, None);
+                        }
+                    }
+                    assert_eq!(
+                        typed.config(),
+                        reference.config(),
+                        "n={n} seed={seed} {drive:?}: diverged in burst {burst}"
+                    );
+                    if drive == FjDrive::Rewritten {
+                        let agent = faults.gen_range(0..n);
+                        let state = FjState::sample_uniform(&mut faults);
+                        typed.config_mut()[agent] = state;
+                        reference.config_mut()[agent] = state;
+                    }
+                }
+            }
+
+            // The erased Scenario run: same start, same stream, same checks.
+            let kind = ProtocolKind::FischerJiang;
+            let (check, budget) = (check_interval(n), kind.trial_budget(n));
+            let mut reference = Simulation::new(OracleFreeFj, ring, init.clone(), seed);
+            let converged = |sim: &Simulation<OracleFreeFj, DirectedRing>| {
+                ssle_baselines::fischer_jiang::has_stable_unique_leader(sim.config())
+            };
+            let mut converged_at = converged(&reference).then_some(0);
+            while converged_at.is_none() && reference.steps() < budget {
+                for _ in 0..check.min(budget - reference.steps()) {
+                    scan_reference_step(&mut reference, None);
+                }
+                converged_at = converged(&reference).then_some(reference.steps());
+            }
+            assert!(converged_at.is_some(), "n={n} seed={seed}: vacuous pin");
+            let run = kind
+                .scenario()
+                .try_run_full(&SweepPoint::new(n, seed))
+                .expect("fischer-jiang runs");
+            assert_eq!(
+                run.report.converged_at, converged_at,
+                "n={n} seed={seed}: scenario convergence step"
+            );
+            assert_eq!(
+                downcast_config::<FjState>(run.sim.config()).expect("FjState states"),
+                *reference.config(),
+                "n={n} seed={seed}: scenario final states"
+            );
         }
     }
 }

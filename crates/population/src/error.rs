@@ -57,12 +57,6 @@ pub enum PopulationError {
     /// A non-empty fault plan was attached to a scenario that has no
     /// corruption function, so its fault events could never be executed.
     MissingCorruption,
-    /// The operation requires a pure protocol, but the protocol registers an
-    /// environment (oracle) hook that mutates states between interactions.
-    OracleUnsupported {
-        /// The operation that cannot run under an oracle.
-        operation: &'static str,
-    },
     /// A fault event with extent zero (`count == 0` / `limit == 0`) was added
     /// to a plan.  Such an event can never corrupt anything, so a plan
     /// containing one is always a bug, not a boundary case.
@@ -163,11 +157,6 @@ impl fmt::Display for PopulationError {
                 "scenario has a non-empty fault plan but no corruption function: \
                  call `ScenarioBuilder::corruption` (or `faults`) before running"
             ),
-            PopulationError::OracleUnsupported { operation } => write!(
-                f,
-                "`{operation}` requires a pure protocol: the environment (oracle) hook \
-                 mutates states between interactions"
-            ),
             PopulationError::DegenerateFault { at } => write!(
                 f,
                 "fault event at {at} has extent 0 and can never corrupt anything: \
@@ -263,12 +252,6 @@ mod tests {
                 "init",
             ),
             (PopulationError::MissingCorruption, "corruption"),
-            (
-                PopulationError::OracleUnsupported {
-                    operation: "explore",
-                },
-                "oracle",
-            ),
             (
                 PopulationError::DegenerateFault {
                     at: "step 10".to_string(),

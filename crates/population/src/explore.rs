@@ -49,14 +49,30 @@ fn config_key(config: &Configuration<DynState>) -> String {
     key
 }
 
-/// Applies one interaction arc to a copy of `config` and returns the
-/// successor configuration.
+/// `config` after the oracle's broadcast ([`Protocol::environment`]), which
+/// precedes every interaction of an oracle protocol; `None` when the
+/// broadcast leaves `config` as it is (always, for pure protocols).
+fn broadcast(
+    protocol: &DynProtocol,
+    config: &Configuration<DynState>,
+) -> Option<Configuration<DynState>> {
+    if !protocol.uses_oracle() {
+        return None;
+    }
+    let mut next = config.clone();
+    protocol.environment(next.states_mut());
+    (next != *config).then_some(next)
+}
+
+/// Applies one step over `arc` — the oracle's broadcast, then the
+/// interaction — to a copy of `config` and returns the successor
+/// configuration.
 fn apply_arc(
     protocol: &DynProtocol,
     config: &Configuration<DynState>,
     arc: Interaction,
 ) -> Configuration<DynState> {
-    let mut next = config.clone();
+    let mut next = broadcast(protocol, config).unwrap_or_else(|| config.clone());
     let (i, j) = (arc.initiator().index(), arc.responder().index());
     debug_assert_ne!(i, j, "interaction arcs join distinct agents");
     let states = next.states_mut();
@@ -504,16 +520,23 @@ pub fn phase_closure(
                 if phases.groups()[group].is_empty() {
                     out.push(cid);
                 }
+                // An oracle's broadcast precedes every interaction; when it
+                // changes the configuration, no arc leaves it unchanged.
+                let broadcast = broadcast(protocol, &configs[cid]);
                 for &arc in &phases.groups()[group] {
                     let (i, j) = (arc.initiator().index(), arc.responder().index());
-                    let states = configs[cid].states();
+                    let from = broadcast.as_ref().unwrap_or(&configs[cid]);
+                    let states = from.states();
                     let mut initiator = states[i].clone();
                     let mut responder = states[j].clone();
                     protocol.interact(&mut initiator, &mut responder);
-                    let nid = if initiator == states[i] && responder == states[j] {
+                    let nid = if broadcast.is_none()
+                        && initiator == states[i]
+                        && responder == states[j]
+                    {
                         cid
                     } else {
-                        let mut next = configs[cid].clone();
+                        let mut next = from.clone();
                         next.states_mut()[i] = initiator;
                         next.states_mut()[j] = responder;
                         match intern(

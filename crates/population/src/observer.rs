@@ -18,11 +18,12 @@
 //! `Simulation::run_tracking_leader_changes` and
 //! `Scenario::leader_trajectory`.
 //!
-//! Incremental observation is only sound when interactions are the *only*
-//! thing mutating states between hooks.  Oracle protocols
-//! ([`Protocol::HAS_ENVIRONMENT`]) mutate arbitrary states through the
-//! environment hook, so the callers above fall back to full recounts for
-//! them (see [`crate::simulation::Simulation::environment_active`]).
+//! Incremental observation is sound for a statistic as long as nothing
+//! between hooks changes what it folds.  An oracle's broadcast
+//! ([`Protocol::oracle_apply`]) rewrites agents outside the interacting pair
+//! but never their leader outputs, so [`LeaderCounter`] is exact for oracle
+//! protocols too; out-of-band rewrites (faults, churn) re-seed it with
+//! [`LeaderCounter::resync`].
 
 use crate::protocol::{LeaderElection, Protocol};
 use crate::schedule::Interaction;
@@ -93,7 +94,7 @@ impl LeaderCounter {
     }
 
     /// Re-seeds the counter after out-of-band state mutation (fault
-    /// injection, oracle hooks, direct `config_mut` edits).
+    /// injection, direct `config_mut` edits).
     pub fn resync<P: LeaderElection>(&mut self, protocol: &P, states: &[P::State]) {
         self.count = protocol.count_leaders(states);
         self.changed = false;

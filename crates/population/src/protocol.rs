@@ -47,18 +47,18 @@ pub trait Protocol: Clone + Send + Sync {
     /// The per-agent state type (the finite set `Q`).
     type State: Clone + PartialEq + std::fmt::Debug + Send + Sync;
 
-    /// `true` iff this protocol type may override [`Protocol::environment`].
+    /// `true` iff this protocol type may have an oracle
+    /// ([`Protocol::oracle_marks`] and [`Protocol::oracle_apply`]).
     ///
-    /// The simulation's hot loop calls the environment hook once per step;
-    /// for the overwhelmingly common pure protocols that call is a wasted
-    /// virtual dispatch under type erasure.  This associated constant lets
-    /// [`crate::simulation::Simulation`] compile the call out entirely for
-    /// pure protocol types and gate it behind one cached boolean for erased
-    /// ones.
+    /// For the overwhelmingly common pure protocols the simulation's oracle
+    /// bookkeeping would be wasted work on every step.  This associated
+    /// constant lets [`crate::simulation::Simulation`] compile it out
+    /// entirely for pure protocol types and gate it behind one cached
+    /// boolean for erased ones.
     ///
-    /// Any protocol that overrides [`Protocol::environment`] **must** set
-    /// this to `true` (and override [`Protocol::uses_oracle`]); otherwise
-    /// its oracle is silently never invoked.
+    /// Any protocol that overrides the oracle methods **must** set this to
+    /// `true` (and override [`Protocol::uses_oracle`]); otherwise its oracle
+    /// is silently never invoked.
     const HAS_ENVIRONMENT: bool = false;
 
     /// The transition function `T`.
@@ -68,32 +68,54 @@ pub trait Protocol: Clone + Send + Sync {
     /// roles are simply the arc's tail and head.
     fn interact(&self, initiator: &mut Self::State, responder: &mut Self::State);
 
-    /// An environment hook invoked by the simulation once per step *before*
-    /// the scheduled interaction, with mutable access to the whole
-    /// configuration.
+    /// One agent's contribution to the oracle's global view: bit `k` set
+    /// means this agent has property `k`, so it contributes to "some agent
+    /// has property `k`".
     ///
-    /// The default implementation does nothing.  This hook exists solely to
-    /// model *oracles* such as Fischer–Jiang's `Ω?` eventual leader detector:
-    /// the oracle observes the global configuration and feeds a flag back
-    /// into agent states.  Protocols that do not use an oracle (including the
-    /// paper's `P_PL`) must leave this as the no-op default so that the
-    /// simulated model is the plain population-protocol model.
-    ///
-    /// Overriding this hook requires also setting
-    /// [`Protocol::HAS_ENVIRONMENT`] to `true` and overriding
-    /// [`Protocol::uses_oracle`]; the simulation only invokes the hook when
-    /// both report an oracle.
-    fn environment(&self, _states: &mut [Self::State]) {}
+    /// Oracles such as Fischer–Jiang's `Ω?` eventual leader detector answer
+    /// questions of exactly that shape ("is there a leader anywhere?"), so
+    /// the simulation keeps one count per mark, updated from the two
+    /// touched agents of each step, instead of scanning the configuration.
+    /// The default (no marks) is the plain population-protocol model.
+    fn oracle_marks(&self, _state: &Self::State) -> u8 {
+        0
+    }
 
-    /// Returns `true` if this protocol overrides [`Protocol::environment`]
-    /// with a non-trivial oracle.
+    /// The oracle's broadcast to one agent: bit `k` of `view` is set iff some
+    /// agent carries mark `k` (see [`Protocol::oracle_marks`]).
     ///
-    /// Any protocol that overrides [`Protocol::environment`] **must** also
-    /// override this to return `true`: reporting code uses it to label
-    /// oracle assumptions in generated tables, and the simulation skips the
-    /// per-step environment hook entirely when it returns `false`
-    /// (see [`Protocol::HAS_ENVIRONMENT`]), so an inconsistent
-    /// implementation would silently lose its oracle.
+    /// Contract: the broadcast is idempotent, and it never changes the
+    /// agent's marks or its leader output.  The simulation relies on both:
+    /// an agent that already received `view` is left alone until the view
+    /// changes or an interaction touches it, and incremental leader
+    /// counting stays exact.  The default does nothing.
+    fn oracle_apply(&self, _view: u8, _state: &mut Self::State) {}
+
+    /// The oracle's full broadcast over a configuration: folds every agent's
+    /// [`Protocol::oracle_marks`] into the view and applies it to every
+    /// agent with [`Protocol::oracle_apply`].
+    ///
+    /// This is the reference semantics of an oracle step — the simulation
+    /// behaves as if it ran this before every interaction, and the
+    /// explorer does run it.  It is derived from the two methods above and
+    /// not meant to be overridden.
+    fn environment(&self, states: &mut [Self::State]) {
+        let view = states
+            .iter()
+            .fold(0, |view, state| view | self.oracle_marks(state));
+        for state in states {
+            self.oracle_apply(view, state);
+        }
+    }
+
+    /// Returns `true` if this protocol has a non-trivial oracle
+    /// ([`Protocol::oracle_marks`] / [`Protocol::oracle_apply`]).
+    ///
+    /// Any protocol with an oracle **must** override this to return `true`:
+    /// reporting code uses it to label oracle assumptions in generated
+    /// tables, and the simulation skips its oracle bookkeeping entirely
+    /// when it returns `false` (see [`Protocol::HAS_ENVIRONMENT`]), so an
+    /// inconsistent implementation would silently lose its oracle.
     ///
     /// Unlike the compile-time [`Protocol::HAS_ENVIRONMENT`], this is a
     /// runtime property: the erased [`crate::scenario::DynProtocol`] must

@@ -41,8 +41,8 @@ use crate::slot::DynState;
 /// so a digest match is a candidate only — confirm with `==`.
 ///
 /// As a [`StepObserver`] this is only sound for **pure** protocols: an
-/// environment (oracle) hook rewrites states out-of-band before
-/// `pre_interaction` fires, which would silently desynchronize the sum.
+/// oracle's broadcast rewrites agents outside the interacting pair, which
+/// the observer never sees, so the sum would silently desynchronize.
 /// Callers gate on [`Simulation::environment_active`] and call
 /// [`ConfigDigest::resync`] after any out-of-band rewrite they control
 /// (fault injection).

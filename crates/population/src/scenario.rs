@@ -117,7 +117,7 @@ pub fn downcast_config<S: SlotState>(config: &Configuration<DynState>) -> Option
 /// The object-safe face of a (leader-election) protocol: boxed states in,
 /// boxed states out.
 ///
-/// Implemented by the private wrappers behind [`DynProtocol::erase`] (for
+/// Implemented by the private wrapper behind [`DynProtocol::erase`] (for
 /// [`LeaderElection`] protocols) and [`DynProtocol::erase_protocol`] (for
 /// protocols without a leader output, whose `is_leader_dyn` is always
 /// `false`).
@@ -130,8 +130,11 @@ pub trait DynLeaderElection: Send + Sync {
     /// (mixing states of different protocols in one configuration).
     fn interact_dyn(&self, initiator: &mut DynState, responder: &mut DynState);
 
-    /// The environment (oracle) hook on erased states.
-    fn environment_dyn(&self, states: &mut [DynState]);
+    /// See [`Protocol::oracle_marks`].
+    fn oracle_marks_dyn(&self, state: &DynState) -> u8;
+
+    /// See [`Protocol::oracle_apply`].
+    fn oracle_apply_dyn(&self, view: u8, state: &mut DynState);
 
     /// See [`Protocol::uses_oracle`].
     fn uses_oracle_dyn(&self) -> bool;
@@ -143,110 +146,62 @@ pub trait DynLeaderElection: Send + Sync {
     fn protocol_name(&self) -> &'static str;
 }
 
-/// Erasure wrapper for protocols with a leader output.
-struct ErasedLe<P>(P);
-
-/// Erasure wrapper for protocols without a leader output.
-struct ErasedPlain<P>(P);
-
-fn downcast_pair<'a, S: SlotState>(
-    initiator: &'a mut DynState,
-    responder: &'a mut DynState,
-    name: &str,
-) -> (&'a mut S, &'a mut S) {
-    let i = initiator
-        .downcast_mut::<S>()
-        .unwrap_or_else(|| panic!("initiator state does not belong to protocol {name}"));
-    let r = responder
-        .downcast_mut::<S>()
-        .unwrap_or_else(|| panic!("responder state does not belong to protocol {name}"));
-    (i, r)
+/// Erasure wrapper: the typed protocol and its leader output, which is
+/// constantly `false` for protocols without one.
+struct Erased<P: Protocol> {
+    protocol: P,
+    is_leader: fn(&P, &P::State) -> bool,
 }
 
-/// Applies a typed environment hook to a slice of erased states by copying
-/// the states out and back.  Only called for protocols that declare the hook
-/// via [`Protocol::uses_oracle`] (which every `environment` override must —
-/// see its contract), so pure population protocols pay nothing per step.
-/// Oracle protocols pay one `Vec` allocation plus `n` clones per step under
-/// erasure — a known constant-factor cost of keeping the hook's contiguous
-/// `&mut [State]` signature; their states are `O(1)`-sized, and the typed
-/// `Simulation` remains available where that overhead matters.
-fn environment_via_copy<P>(protocol: &P, states: &mut [DynState])
+impl<P> Erased<P>
 where
     P: Protocol,
     P::State: Any,
 {
-    let mut typed: Vec<P::State> = states
-        .iter()
-        .map(|s| {
-            s.downcast_ref::<P::State>()
-                .unwrap_or_else(|| panic!("state does not belong to protocol {}", protocol.name()))
-                .clone()
-        })
-        .collect();
-    protocol.environment(&mut typed);
-    for (slot, value) in states.iter_mut().zip(typed) {
-        *slot.downcast_mut::<P::State>().expect("checked above") = value;
-    }
-}
-
-impl<P> DynLeaderElection for ErasedLe<P>
-where
-    P: LeaderElection + 'static,
-    P::State: Any,
-{
-    fn interact_dyn(&self, initiator: &mut DynState, responder: &mut DynState) {
-        let (i, r) = downcast_pair::<P::State>(initiator, responder, self.0.name());
-        self.0.interact(i, r);
-    }
-
-    fn environment_dyn(&self, states: &mut [DynState]) {
-        if self.0.uses_oracle() {
-            environment_via_copy(&self.0, states);
-        }
-    }
-
-    fn uses_oracle_dyn(&self) -> bool {
-        self.0.uses_oracle()
-    }
-
-    fn is_leader_dyn(&self, state: &DynState) -> bool {
+    fn typed<'a>(&self, state: &'a DynState) -> &'a P::State {
         state
-            .downcast_ref::<P::State>()
-            .is_some_and(|s| self.0.is_leader(s))
+            .downcast_ref()
+            .unwrap_or_else(|| panic!("state does not belong to protocol {}", self.protocol.name()))
     }
 
-    fn protocol_name(&self) -> &'static str {
-        self.0.name()
+    fn typed_mut<'a>(&self, state: &'a mut DynState) -> &'a mut P::State {
+        state
+            .downcast_mut()
+            .unwrap_or_else(|| panic!("state does not belong to protocol {}", self.protocol.name()))
     }
 }
 
-impl<P> DynLeaderElection for ErasedPlain<P>
+impl<P> DynLeaderElection for Erased<P>
 where
     P: Protocol + 'static,
     P::State: Any,
 {
     fn interact_dyn(&self, initiator: &mut DynState, responder: &mut DynState) {
-        let (i, r) = downcast_pair::<P::State>(initiator, responder, self.0.name());
-        self.0.interact(i, r);
+        let i = self.typed_mut(initiator);
+        let r = self.typed_mut(responder);
+        self.protocol.interact(i, r);
     }
 
-    fn environment_dyn(&self, states: &mut [DynState]) {
-        if self.0.uses_oracle() {
-            environment_via_copy(&self.0, states);
-        }
+    fn oracle_marks_dyn(&self, state: &DynState) -> u8 {
+        self.protocol.oracle_marks(self.typed(state))
+    }
+
+    fn oracle_apply_dyn(&self, view: u8, state: &mut DynState) {
+        self.protocol.oracle_apply(view, self.typed_mut(state));
     }
 
     fn uses_oracle_dyn(&self) -> bool {
-        self.0.uses_oracle()
+        self.protocol.uses_oracle()
     }
 
-    fn is_leader_dyn(&self, _state: &DynState) -> bool {
-        false
+    fn is_leader_dyn(&self, state: &DynState) -> bool {
+        state
+            .downcast_ref::<P::State>()
+            .is_some_and(|s| (self.is_leader)(&self.protocol, s))
     }
 
     fn protocol_name(&self) -> &'static str {
-        self.0.name()
+        self.protocol.name()
     }
 }
 
@@ -267,7 +222,10 @@ impl DynProtocol {
         P::State: Any,
     {
         DynProtocol {
-            inner: Arc::new(ErasedLe(protocol)),
+            inner: Arc::new(Erased {
+                protocol,
+                is_leader: P::is_leader,
+            }),
         }
     }
 
@@ -279,7 +237,10 @@ impl DynProtocol {
         P::State: Any,
     {
         DynProtocol {
-            inner: Arc::new(ErasedPlain(protocol)),
+            inner: Arc::new(Erased {
+                protocol,
+                is_leader: |_, _| false,
+            }),
         }
     }
 
@@ -303,15 +264,19 @@ impl Protocol for DynProtocol {
     /// Conservatively `true`: whether the erased protocol actually has an
     /// oracle is a runtime property, reported by
     /// [`Protocol::uses_oracle`] and cached once per run by the simulation
-    /// — pure protocols under erasure still skip the per-step hook.
+    /// — pure protocols under erasure still skip the oracle bookkeeping.
     const HAS_ENVIRONMENT: bool = true;
 
     fn interact(&self, initiator: &mut DynState, responder: &mut DynState) {
         self.inner.interact_dyn(initiator, responder);
     }
 
-    fn environment(&self, states: &mut [DynState]) {
-        self.inner.environment_dyn(states);
+    fn oracle_marks(&self, state: &DynState) -> u8 {
+        self.inner.oracle_marks_dyn(state)
+    }
+
+    fn oracle_apply(&self, view: u8, state: &mut DynState) {
+        self.inner.oracle_apply_dyn(view, state);
     }
 
     fn uses_oracle(&self) -> bool {
@@ -1457,10 +1422,10 @@ impl Scenario {
     /// differ from the run loop's stop-check boundaries — and the scenario's
     /// scheduler family drives the steps exactly as it does there too.
     ///
-    /// For pure protocols the leader count is maintained incrementally by a
-    /// [`LeaderCounter`] observer (O(1) amortized per step, re-seeded only
-    /// when a fault rewrites states out-of-band); oracle protocols recount
-    /// at each sample boundary.
+    /// The leader count is maintained incrementally by a [`LeaderCounter`]
+    /// observer (O(1) amortized per step, re-seeded only when a fault
+    /// rewrites states out-of-band; an oracle's broadcast never changes
+    /// leader outputs).
     ///
     /// # Panics
     ///
@@ -1494,20 +1459,11 @@ impl Scenario {
         let mut out = Vec::new();
         // A trajectory has no stop predicate: its boundary action samples
         // and never ends the run.
-        if run.sim.environment_active() {
-            // An oracle's environment hook rewrites states inside every
-            // step, so the count cannot be kept incrementally.
-            run.drive(&mut NoObserver, every, total_steps, |run, _| {
-                out.push((run.sim.steps(), run.sim.count_leaders()));
-                false
-            })?;
-        } else {
-            let mut counter = LeaderCounter::new(run.sim.protocol(), run.sim.config().states());
-            run.drive(&mut counter, every, total_steps, |run, counter| {
-                out.push((run.sim.steps(), counter.count()));
-                false
-            })?;
-        }
+        let mut counter = LeaderCounter::new(run.sim.protocol(), run.sim.config().states());
+        run.drive(&mut counter, every, total_steps, |run, counter| {
+            out.push((run.sim.steps(), counter.count()));
+            false
+        })?;
         Ok(out)
     }
 
@@ -1542,10 +1498,7 @@ impl Scenario {
     ///
     /// Propagates graph-construction errors and a
     /// [`Scenario::with_initial`] override of the wrong size
-    /// ([`PopulationError::ConfigurationSizeMismatch`]), and returns
-    /// [`PopulationError::OracleUnsupported`] for protocols with an
-    /// environment hook (the explorer models interactions only, so an
-    /// oracle's out-of-band mutations would make its verdict unsound).
+    /// ([`PopulationError::ConfigurationSizeMismatch`]).
     pub fn explore(
         &self,
         point: &SweepPoint,
@@ -1557,11 +1510,6 @@ impl Scenario {
             mut stop,
             ..
         } = self.prepared_run(point)?;
-        if protocol.uses_oracle() {
-            return Err(PopulationError::OracleUnsupported {
-                operation: "Scenario::explore",
-            });
-        }
         let graph = self.graph.build(point.n)?;
         Ok(crate::explore::explore(
             &protocol,
@@ -1599,8 +1547,9 @@ impl Scenario {
     /// [`DynScheduler::phase`]: memoryless schedulers revisit configurations
     /// by chance at almost every step (any interaction that changes no state
     /// is a period-1 "recurrence"), so a candidate would be meaningless
-    /// there.  For protocols with an environment hook the digest cannot be
-    /// maintained incrementally, so detection is likewise disabled.  In both
+    /// there.  An oracle's broadcast rewrites agents outside the interacting
+    /// pair, which the incremental digest cannot see, so detection is
+    /// likewise disabled for oracle protocols.  In both
     /// cases `recurrence` is always `None` and the run itself is unaffected.
     ///
     /// # Errors
@@ -1608,8 +1557,8 @@ impl Scenario {
     /// See [`Scenario::try_run`].
     pub fn try_run_detecting(&self, point: &SweepPoint) -> Result<DetectedRun> {
         let mut run = self.start(point)?;
-        // Detection needs two preconditions.  The environment hook rewrites
-        // states out-of-band inside each step, so the incremental digest is
+        // Detection needs two preconditions.  An oracle's broadcast rewrites
+        // states outside the interacting pair, so the incremental digest is
         // only sound for pure protocols.  And a memoryless scheduler
         // (phase `None`, the uniform one included) revisits configurations
         // by chance constantly — every interaction that happens not to
@@ -2882,7 +2831,7 @@ mod tests {
         }
     }
 
-    /// An oracle protocol: the environment hook counts leaders globally and
+    /// An oracle protocol: the oracle asks whether any agent is a leader and
     /// marks every agent with the verdict; the transition promotes marked
     /// followers.
     #[derive(Clone, Debug)]
@@ -2900,11 +2849,11 @@ mod tests {
             }
         }
         const HAS_ENVIRONMENT: bool = true;
-        fn environment(&self, states: &mut [OracleState]) {
-            let none = !states.iter().any(|s| s.leader);
-            for s in states {
-                s.no_leader = none;
-            }
+        fn oracle_marks(&self, s: &OracleState) -> u8 {
+            u8::from(s.leader)
+        }
+        fn oracle_apply(&self, view: u8, s: &mut OracleState) {
+            s.no_leader = view == 0;
         }
         fn uses_oracle(&self) -> bool {
             true
@@ -2983,7 +2932,7 @@ mod tests {
     }
 
     #[test]
-    fn oracle_protocols_work_through_the_erased_environment_hook() {
+    fn oracle_protocols_work_through_the_erased_oracle() {
         let scenario = ScenarioBuilder::new("oracle-spawner", |_pt: &SweepPoint| OracleSpawner)
             .graph(GraphFamily::Complete)
             .init(|_p, pt| {
@@ -3978,7 +3927,10 @@ mod tests {
             } => assert_eq!(exact_worst_steps, 2),
             ref other => panic!("expected Stabilizes, got {other:?}"),
         }
-        // Oracle protocols are rejected with a typed error.
+    }
+
+    #[test]
+    fn scenario_explore_broadcasts_the_oracle_before_each_interaction() {
         let oracle = ScenarioBuilder::new("oracle", |_pt: &SweepPoint| OracleSpawner)
             .graph(GraphFamily::Complete)
             .init(|_p, pt| {
@@ -3996,13 +3948,23 @@ mod tests {
             .step_budget(|_pt| 1_000)
             .build()
             .unwrap();
-        assert!(matches!(
-            oracle.explore(
+        let result = oracle
+            .explore(
                 &SweepPoint::new(3, 0),
-                &crate::explore::ExploreLimits::default()
-            ),
-            Err(PopulationError::OracleUnsupported { .. })
-        ));
+                &crate::explore::ExploreLimits::default(),
+            )
+            .unwrap();
+        // The first step's broadcast tells everyone there is no leader, so
+        // its initiator (one of 3) promotes itself; the next broadcast
+        // clears every flag and nothing changes after that: 1 + 3 + 3.
+        assert_eq!(result.reachable, 7);
+        assert_eq!(result.stop_configs, 6);
+        match result.verdict {
+            crate::explore::ExploreVerdict::Stabilizes {
+                exact_worst_steps, ..
+            } => assert_eq!(exact_worst_steps, 1),
+            ref other => panic!("expected Stabilizes, got {other:?}"),
+        }
     }
 
     #[test]

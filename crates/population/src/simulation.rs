@@ -35,10 +35,111 @@ pub struct Simulation<P: Protocol, G: InteractionGraph> {
     stats: RunStats,
     trace: Trace,
     /// Cached `protocol.uses_oracle()` (behind [`Protocol::HAS_ENVIRONMENT`]):
-    /// whether the per-step environment hook must run.  Computed once at
-    /// construction so the hot loop never pays the (virtual, under erasure)
-    /// `uses_oracle` call.
+    /// whether the oracle must be kept.  Computed once at construction so
+    /// the hot loop never pays the (virtual, under erasure) `uses_oracle`
+    /// call.
     env_active: bool,
+    /// The oracle's view, maintained from the two touched agents per step.
+    oracle: OracleFold,
+}
+
+/// The oracle's global view as a maintained fold: one count per mark
+/// ([`Protocol::oracle_marks`]), updated from the two touched agents of each
+/// step, so that no step scans the configuration.
+///
+/// Before each interaction the simulation must leave every agent as the
+/// full broadcast ([`Protocol::environment`]) would.  Agents that received
+/// the current view and were not touched since are already fixed points of
+/// the idempotent broadcast, so it rewrites all `n` agents only when the
+/// view changes or the configuration was rewritten out of band, and
+/// otherwise just the previous step's two agents.
+///
+/// All of a step's oracle work happens in [`OracleFold::before_interaction`]:
+/// the interacting pair is counted out there and counted back in, with its
+/// new marks, at the next step, so the step loop branches on the oracle once.
+#[derive(Clone, Debug)]
+struct OracleFold {
+    /// Number of agents carrying each mark bit, the previous step's pair
+    /// left out.
+    counts: [usize; 8],
+    /// The view last broadcast to every agent.
+    view: u8,
+    /// The previous step's two agents: the only ones an interaction may
+    /// have moved off the broadcast, and not yet counted back in.
+    last: (usize, usize),
+    /// `true` when `counts` no longer describe the configuration: at
+    /// construction and after `config_mut` or `resize`.
+    stale: bool,
+}
+
+impl OracleFold {
+    fn new() -> Self {
+        OracleFold {
+            counts: [0; 8],
+            view: 0,
+            last: (0, 0),
+            stale: true,
+        }
+    }
+
+    /// Counts one agent's marks in.
+    fn add(&mut self, mut marks: u8) {
+        // Most agents carry no mark, so walk only the set bits.
+        while marks != 0 {
+            self.counts[marks.trailing_zeros() as usize] += 1;
+            marks &= marks - 1;
+        }
+    }
+
+    /// Counts one agent's marks out.
+    fn remove(&mut self, mut marks: u8) {
+        while marks != 0 {
+            self.counts[marks.trailing_zeros() as usize] -= 1;
+            marks &= marks - 1;
+        }
+    }
+
+    /// The view the counts describe: bit `k` set iff some agent has mark `k`.
+    fn current(&self) -> u8 {
+        self.counts
+            .iter()
+            .enumerate()
+            .fold(0, |view, (k, &c)| view | u8::from(c > 0) << k)
+    }
+
+    /// Brings `states` to what the full broadcast would leave before the
+    /// interaction of agents `i` and `j`, and counts that pair out.
+    fn before_interaction<P: Protocol>(
+        &mut self,
+        protocol: &P,
+        states: &mut [P::State],
+        (i, j): (usize, usize),
+    ) {
+        let (a, b) = self.last;
+        if self.stale {
+            self.counts = [0; 8];
+            for state in states.iter() {
+                self.add(protocol.oracle_marks(state));
+            }
+        } else {
+            self.add(protocol.oracle_marks(&states[a]));
+            self.add(protocol.oracle_marks(&states[b]));
+        }
+        let view = self.current();
+        if self.stale || view != self.view {
+            self.stale = false;
+            self.view = view;
+            for state in states.iter_mut() {
+                protocol.oracle_apply(view, state);
+            }
+        } else {
+            protocol.oracle_apply(view, &mut states[a]);
+            protocol.oracle_apply(view, &mut states[b]);
+        }
+        self.remove(protocol.oracle_marks(&states[i]));
+        self.remove(protocol.oracle_marks(&states[j]));
+        self.last = (i, j);
+    }
 }
 
 impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
@@ -63,10 +164,9 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     /// # Panics
     ///
     /// Panics if the protocol reports [`Protocol::uses_oracle`] without its
-    /// type setting [`Protocol::HAS_ENVIRONMENT`]: the environment hook
-    /// would be compiled out of the step loop and the oracle silently never
-    /// invoked, which is a bug in the protocol implementation, not a
-    /// runtime condition.
+    /// type setting [`Protocol::HAS_ENVIRONMENT`]: the oracle would be
+    /// compiled out of the step loop and silently never invoked, which is a
+    /// bug in the protocol implementation, not a runtime condition.
     pub fn try_new(
         protocol: P,
         graph: G,
@@ -82,7 +182,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
         assert!(
             P::HAS_ENVIRONMENT || !protocol.uses_oracle(),
             "protocol {:?} reports uses_oracle() but its type does not set \
-             Protocol::HAS_ENVIRONMENT, so its environment hook would never run",
+             Protocol::HAS_ENVIRONMENT, so its oracle would never run",
             protocol.name()
         );
         let n = graph.num_agents();
@@ -96,14 +196,17 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
             stats: RunStats::new(n),
             trace: Trace::disabled(),
             env_active,
+            oracle: OracleFold::new(),
         })
     }
 
-    /// `true` if the per-step environment (oracle) hook is active for this
-    /// run — i.e. the protocol declared [`Protocol::HAS_ENVIRONMENT`] and
-    /// reports [`Protocol::uses_oracle`].  When `false`, interactions are
-    /// the only thing mutating states, which is what makes incremental
-    /// observers ([`crate::observer`]) sound.
+    /// `true` if the oracle is active for this run — i.e. the protocol
+    /// declared [`Protocol::HAS_ENVIRONMENT`] and reports
+    /// [`Protocol::uses_oracle`].  When `true`, the oracle's broadcast
+    /// rewrites agents other than the two interacting ones, so observers
+    /// that fold whole states ([`crate::recurrence::ConfigDigest`]) are not
+    /// exact; the broadcast never changes leader outputs, so
+    /// [`LeaderCounter`] stays exact either way.
     pub fn environment_active(&self) -> bool {
         self.env_active
     }
@@ -125,7 +228,9 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
 
     /// Mutable access to the current configuration (used by fault injection
     /// and by tests that construct specific intermediate configurations).
+    /// The oracle recounts its view before the next step.
     pub fn config_mut(&mut self) -> &mut Configuration<P::State> {
+        self.oracle.stale = true;
         &mut self.config
     }
 
@@ -167,6 +272,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
         self.stats.resize(config.len());
         self.graph = graph;
         self.config = config;
+        self.oracle.stale = true;
         Ok(())
     }
 
@@ -308,10 +414,11 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
             "interaction {interaction} out of range for population of {}",
             self.config.len()
         );
-        // Environment hook (oracles).  Compiled out entirely for pure
-        // protocol types; one predicted branch for erased ones.
+        // Oracles.  Compiled out entirely for pure protocol types; one
+        // predicted branch for erased ones.
         if P::HAS_ENVIRONMENT && self.env_active {
-            self.protocol.environment(self.config.states_mut());
+            self.oracle
+                .before_interaction(&self.protocol, self.config.states_mut(), (i, j));
         }
 
         // Split-borrow the two interacting states.
@@ -471,16 +578,11 @@ where
     /// This powers the [`crate::convergence::StableOutputs`] estimator for
     /// baseline protocols without a structural safe-configuration checker.
     ///
-    /// For pure protocols an interaction can only change the leader bits of
-    /// the two touched agents, so changes are detected incrementally from a
-    /// [`LeaderCounter`] observer in O(1) per step (the old implementation
-    /// recomputed — and allocated — the full leader-index vector every
-    /// step).  Oracle protocols ([`Simulation::environment_active`]) can
-    /// mutate any agent per step and keep the O(n) recount path.
+    /// An interaction can only change the leader bits of the two touched
+    /// agents (an oracle's broadcast never changes leader outputs), so
+    /// changes are detected incrementally from a [`LeaderCounter`] observer
+    /// in O(1) per step.
     pub fn run_tracking_leader_changes(&mut self, max_steps: u64) -> Vec<u64> {
-        if self.env_active {
-            return self.run_tracking_leader_changes_recount(max_steps);
-        }
         let mut changes = Vec::new();
         let mut counter = LeaderCounter::new(&self.protocol, self.config.states());
         for _ in 0..max_steps {
@@ -494,32 +596,6 @@ where
                         leaders,
                     });
                 }
-            }
-        }
-        changes
-    }
-
-    /// The O(n)-per-step fallback of
-    /// [`Simulation::run_tracking_leader_changes`], kept for oracle
-    /// protocols whose environment hook may silently retarget leadership
-    /// between interactions.
-    fn run_tracking_leader_changes_recount(&mut self, max_steps: u64) -> Vec<u64> {
-        let mut changes = Vec::new();
-        let mut current = self.protocol.leader_indices(self.config.states());
-        for _ in 0..max_steps {
-            self.step();
-            let now = self.protocol.leader_indices(self.config.states());
-            if now != current {
-                changes.push(self.steps);
-                // The clone of the index vector is only paid when the trace
-                // actually records it.
-                if self.trace.is_enabled() {
-                    self.trace.record(Event::LeaderSetChanged {
-                        step: self.steps,
-                        leaders: now.clone(),
-                    });
-                }
-                current = now;
             }
         }
         changes
@@ -641,14 +717,14 @@ mod tests {
     #[should_panic(expected = "HAS_ENVIRONMENT")]
     fn oracle_without_has_environment_is_rejected_at_construction() {
         /// Claims an oracle at runtime but forgot the compile-time opt-in:
-        /// its environment hook would silently never run.
+        /// its broadcast would silently never run.
         #[derive(Clone, Debug)]
         struct Misconfigured;
         impl Protocol for Misconfigured {
             type State = bool;
             fn interact(&self, _i: &mut bool, _r: &mut bool) {}
-            fn environment(&self, states: &mut [bool]) {
-                states.fill(true);
+            fn oracle_apply(&self, _view: u8, state: &mut bool) {
+                *state = true;
             }
             fn uses_oracle(&self) -> bool {
                 true
