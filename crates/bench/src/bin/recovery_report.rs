@@ -1,14 +1,14 @@
-//! Recovery-degradation bench report: for the four Table 1 protocols ×
-//! {ring, complete} × n, replays recovery from a **safe** configuration
-//! (the end state of a converged fault-free run) after a transient fault —
-//! one random agent, a random quarter, a contiguous block, the current
-//! leader, or the whole population — once under the uniformly random
-//! scheduler and once under the **worst-case scheduler certificate** the
-//! island search committed for the cell's protocol × graph in
-//! `BENCH_stabilization.json`.  The tracked metric is the per-fault
-//! **degradation ratio** (hostile mean recovery steps / uniform mean);
-//! censored trials are counted at the budget and flagged.  Results go to
-//! `BENCH_recovery.json` (at the current directory; run from the
+//! Recovery-degradation bench report: for the four Table 1 protocols × the
+//! report grid's graphs × n, replays recovery from a **safe**
+//! configuration (the end state of a converged fault-free run) after a
+//! transient fault — one random agent, a random quarter, a contiguous
+//! block, the current leader, or the whole population — once under the
+//! uniformly random scheduler and once under the **worst-case scheduler
+//! certificate** the island search committed for the cell's protocol ×
+//! graph in `BENCH_stabilization.json`.  The tracked metric is the
+//! per-fault **degradation ratio** (hostile mean recovery steps / uniform
+//! mean); censored trials are counted at the budget and flagged.  Results
+//! go to `BENCH_recovery.json` (at the current directory; run from the
 //! repository root).
 //!
 //! ```text
@@ -21,310 +21,19 @@
 //! the output is **bit-identical for any `--threads` value** (every trial
 //! seed derives from the cell coordinates and the trial index, never from
 //! scheduling order; pinned by workspace tests).  `--fabric N` runs the
-//! same grid across N worker *subprocesses* (this binary re-invoked with
-//! `--worker`) through the `ssle-fabric` coordinator — per-unit timeouts,
-//! crash retry, and a content-addressed result cache under
-//! `.fabric-cache/` — and the output is byte-identical to the in-process
-//! path by construction.  `--resume` reuses cached cells, so a warm rerun
-//! executes zero units and an interrupted run only re-executes what it had
-//! not finished.
+//! same grid across N worker subprocesses (this binary re-invoked with
+//! `--worker`) with crash retry and a content-addressed result cache under
+//! `.fabric-cache/`; the output is byte-identical to the in-process path,
+//! and `--resume` makes a warm rerun execute zero units.
 //!
-//! Flags:
-//!
-//! ```text
-//! --quick         reduced budgets/trials (CI smoke); same cell grid and schema
-//! --threads N     worker threads (default: all cores); never changes results
-//! --fabric N      run the grid across N worker subprocesses
-//! --resume        with --fabric: reuse cached cell results
-//! --cache-dir P   with --fabric: cache directory (default .fabric-cache)
-//! --worker        run as a fabric worker (stdin/stdout line protocol)
-//! --out PATH      output file (default: BENCH_recovery.json)
-//! --json          also print the JSON document to stdout
-//! --help          print usage
-//! ```
-//!
-//! The binary self-validates: after writing, it re-reads the file, parses
-//! it with `analysis::json` and checks it against the `recovery-bench/v1`
-//! schema — grid completeness, summary ranges, censoring consistency, and
+//! The binary is `ssle_bench::recovery::Report` driven by
+//! `ssle_bench::tracked`, which owns the flags (`--help` prints them; no
+//! `--islands` here) and the self-validation: after writing, the file is
+//! re-read, parsed and checked against the `recovery-bench/v2` schema —
+//! grid completeness, summary ranges, censoring consistency, and
 //! degradation-ratio arithmetic for every cell — exiting non-zero on any
 //! mismatch.
 
-use ssle_bench::fabric::{recovery_handler, run_recovery_fabric, FabricConfig};
-use ssle_bench::recovery::{self, RunOptions};
-use ssle_fabric::{worker_loop, WorkerCommand};
-
-const USAGE: &str = "\
-options:
-  --quick        reduced budgets and trial counts (CI smoke); same cell grid
-                 and schema
-  --threads N    worker threads (default: all cores); output is bit-identical
-                 for any value
-  --fabric N     run the grid across N worker subprocesses (coordinator mode);
-                 output is byte-identical to the in-process path
-  --resume       with --fabric: reuse cached cell results (warm reruns execute
-                 zero units)
-  --cache-dir P  with --fabric: result-cache directory (default .fabric-cache)
-  --worker       run as a fabric worker: read work units on stdin, write
-                 results on stdout (used by --fabric; honours --threads)
-  --out PATH     output file (default: BENCH_recovery.json, or
-                 BENCH_recovery.quick.json under --quick so a local smoke run
-                 never clobbers the committed full-mode report)
-  --json         also print the JSON document to stdout
-  --telemetry    write an ssle-telemetry/v1 NDJSON trace alongside the
-                 report (default file: recovery_report.trace.ndjson)
-  --telemetry-out PATH
-                 telemetry trace file (implies --telemetry)
-  --help         print this message";
-
-/// Parsed flags of one invocation.
-#[derive(Debug, Default, PartialEq, Eq)]
-struct Args {
-    quick: bool,
-    json: bool,
-    out: Option<String>,
-    threads: Option<usize>,
-    worker: bool,
-    fabric: Option<usize>,
-    resume: bool,
-    cache_dir: Option<String>,
-    telemetry: bool,
-    telemetry_out: Option<String>,
-}
-
-/// Parses the command line.  `Ok(None)` means `--help` was requested.
-fn parse_args<I>(args: I) -> Result<Option<Args>, String>
-where
-    I: IntoIterator<Item = String>,
-{
-    let mut out = Args::default();
-    let mut iter = args.into_iter();
-    let value_of = |flag: &str, iter: &mut dyn Iterator<Item = String>| {
-        iter.next()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => out.quick = true,
-            "--json" => out.json = true,
-            "--worker" => out.worker = true,
-            "--resume" => out.resume = true,
-            "--out" => out.out = Some(value_of("--out", &mut iter)?),
-            "--cache-dir" => out.cache_dir = Some(value_of("--cache-dir", &mut iter)?),
-            "--telemetry" => out.telemetry = true,
-            "--telemetry-out" => {
-                out.telemetry_out = Some(value_of("--telemetry-out", &mut iter)?);
-                out.telemetry = true;
-            }
-            "--threads" => match value_of("--threads", &mut iter)?.parse() {
-                // 0 would silently clamp to one thread downstream; reject
-                // the degenerate request instead.
-                Ok(t) if t >= 1 => out.threads = Some(t),
-                _ => return Err("--threads requires a number >= 1".to_string()),
-            },
-            "--fabric" => match value_of("--fabric", &mut iter)?.parse() {
-                Ok(w) if w >= 1 => out.fabric = Some(w),
-                _ => return Err("--fabric requires a number >= 1".to_string()),
-            },
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-    if out.worker && (out.fabric.is_some() || out.json || out.out.is_some() || out.telemetry) {
-        return Err("--worker is a pure stdin/stdout mode; it takes only --threads".to_string());
-    }
-    if out.resume && out.fabric.is_none() {
-        return Err("--resume only applies to --fabric runs".to_string());
-    }
-    if out.cache_dir.is_some() && out.fabric.is_none() {
-        return Err("--cache-dir only applies to --fabric runs".to_string());
-    }
-    Ok(Some(out))
-}
-
 fn main() {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!("{USAGE}");
-            return;
-        }
-        Err(message) => {
-            eprintln!("error: {message}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-
-    if args.worker {
-        // Fabric worker: speak the line protocol until EOF.  The unit specs
-        // carry every semantic knob; only the inner thread count is local.
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let handler = recovery_handler(args.threads.unwrap_or(1));
-        if let Err(e) = worker_loop(stdin.lock(), stdout.lock(), handler) {
-            eprintln!("recovery_report --worker: {e}");
-            std::process::exit(2);
-        }
-        return;
-    }
-
-    let trace = ssle_bench::trace::TraceGuard::start(
-        args.telemetry,
-        args.telemetry_out.as_deref(),
-        "recovery_report",
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-
-    let out = args.out.clone().unwrap_or_else(|| {
-        String::from(if args.quick {
-            "BENCH_recovery.quick.json"
-        } else {
-            "BENCH_recovery.json"
-        })
-    });
-
-    let mut options = RunOptions::new(args.quick);
-    options.threads = args.threads;
-
-    let (text, markdown, summary) = match args.fabric {
-        None => {
-            let report = recovery::run(&options);
-            let markdown = report.to_markdown();
-            let summary = format!(
-                "{} cells; {} trials per (fault x scheduler)",
-                report.cells.len(),
-                report.trials,
-            );
-            (report.to_json_value().to_json(), markdown, summary)
-        }
-        Some(workers) => {
-            let mut config = FabricConfig::new(workers, args.quick);
-            config.resume = args.resume;
-            if let Some(dir) = &args.cache_dir {
-                config.cache_dir = dir.into();
-            }
-            // Each worker subprocess inherits the requested inner thread
-            // count (default 1: the subprocesses are the parallelism).
-            let inner = args.threads.unwrap_or(1).to_string();
-            let command = WorkerCommand::current_exe(&["--worker", "--threads", &inner])
-                .unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                });
-            let (json, stats) =
-                run_recovery_fabric(&command, &options, &config).unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                });
-            let summary = format!("fabric: workers={workers} {stats}");
-            (json.to_json(), String::new(), summary)
-        }
-    };
-
-    if let Err(e) = std::fs::write(&out, &text) {
-        eprintln!("error: cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-
-    // Self-validation: what we wrote must parse and match the schema.
-    let reread = std::fs::read_to_string(&out).expect("just wrote the report file");
-    let parsed = match analysis::json::JsonValue::parse(&reread) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {out} does not parse as JSON: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = recovery::validate_report(&parsed) {
-        eprintln!("error: {out} violates the {} schema: {e}", recovery::SCHEMA);
-        std::process::exit(1);
-    }
-
-    println!(
-        "# Recovery degradation ({} mode)\n",
-        if args.quick { "quick" } else { "full" }
-    );
-    if !markdown.is_empty() {
-        println!("{markdown}");
-    }
-    println!("wrote {out} ({summary})");
-    match recovery::max_degradation(&parsed) {
-        Some(best) => println!("max degradation ratio (hostile/uniform): {best:.3}"),
-        None => println!(
-            "note: no cell carries a degradation ratio in this run \
-             (no hostile certificate applied, or uniform recovery was instant)"
-        ),
-    }
-    if args.json {
-        println!("{text}");
-    }
-    trace.finish();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn parse(line: &[&str]) -> Result<Option<Args>, String> {
-        parse_args(line.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn telemetry_out_implies_telemetry() {
-        let args = parse(&["--telemetry"]).unwrap().unwrap();
-        assert!(args.telemetry && args.telemetry_out.is_none());
-        let args = parse(&["--telemetry-out", "t.ndjson"]).unwrap().unwrap();
-        assert!(args.telemetry);
-        assert_eq!(args.telemetry_out.as_deref(), Some("t.ndjson"));
-    }
-
-    #[test]
-    fn flags_parse() {
-        let args = parse(&["--quick", "--json", "--threads", "4"])
-            .unwrap()
-            .unwrap();
-        assert!(args.quick && args.json);
-        assert_eq!(args.threads, Some(4));
-        assert!(!args.worker && args.fabric.is_none() && !args.resume);
-        assert_eq!(parse(&["--help"]).unwrap(), None);
-
-        let args = parse(&[
-            "--quick",
-            "--fabric",
-            "2",
-            "--resume",
-            "--cache-dir",
-            "/tmp/c",
-        ])
-        .unwrap()
-        .unwrap();
-        assert_eq!(args.fabric, Some(2));
-        assert!(args.resume);
-        assert_eq!(args.cache_dir.as_deref(), Some("/tmp/c"));
-        let worker = parse(&["--worker", "--threads", "2"]).unwrap().unwrap();
-        assert!(worker.worker);
-        assert_eq!(worker.threads, Some(2));
-    }
-
-    #[test]
-    fn degenerate_and_contradictory_lines_are_rejected() {
-        for bad in [
-            vec!["--threads", "0"],
-            vec!["--fabric", "0"],
-            vec!["--threads", "x"],
-            vec!["--fabric"],
-            vec!["--resume"],
-            vec!["--cache-dir", "/tmp/c"],
-            vec!["--worker", "--fabric", "2"],
-            vec!["--worker", "--json"],
-            vec!["--worker", "--out", "f.json"],
-            vec!["--worker", "--telemetry"],
-            vec!["--telemetry-out"],
-            vec!["--unknown"],
-        ] {
-            assert!(parse(&bad).is_err(), "{bad:?} should be rejected");
-        }
-    }
+    ssle_bench::tracked::main::<ssle_bench::recovery::Report>();
 }

@@ -1,17 +1,16 @@
 //! Worst-case stabilization bench report: for the four Table 1 protocols ×
 //! the report grid's graphs (ring and complete at n ∈ {64, 256}; the
 //! generated torus and small-world families at the smallest size), measures
-//! the mean stabilization time of
-//! a random-scheduler trial pool, the worst case found by the
-//! `ssle-adversary` island annealing search (over init variants, seeds,
-//! scheduler-zoo parameters and mid-run crash schedules), and the
-//! **adaptive** stabilization-rate curve of each worst-case certificate
-//! (fraction of fresh-seed replays converged at the base 1×/2×/4× budget
-//! multipliers, escalating geometrically to 8×/16× while the curve stays
-//! flat 0).  Censored epoch-partition cells additionally run the livelock
-//! certifier: a configuration-recurrence detection replay plus a phase
-//! closure walk, recorded as the cell's `certified` field.  Results —
-//! including the reproducible certificates — go to
+//! the mean stabilization time of a random-scheduler trial pool, the worst
+//! case found by the `ssle-adversary` island annealing search (over init
+//! variants, seeds, scheduler-zoo parameters and mid-run crash schedules),
+//! and the **adaptive** stabilization-rate curve of each worst-case
+//! certificate (fraction of fresh-seed replays converged at the base
+//! 1×/2×/4× budget multipliers, escalating geometrically to 8×/16× while
+//! the curve stays flat 0).  Censored epoch-partition cells additionally
+//! run the livelock certifier: a configuration-recurrence detection replay
+//! plus a phase closure walk, recorded as the cell's `certified` field.
+//! Results — including the reproducible certificates — go to
 //! `BENCH_stabilization.json` (at the current directory; run from the
 //! repository root).
 //!
@@ -23,337 +22,21 @@
 //!
 //! Grid cells, per-cell trial pools, annealing islands and rate replays are
 //! all sharded over the worker threads; the output is **bit-identical for
-//! any `--threads` value** at a fixed `--islands` count (islands have
-//! disjoint deterministic seed streams and a best-of merge; pinned by
+//! any `--threads` value** at a fixed `--islands` count (default 4; islands
+//! have disjoint deterministic seed streams and a best-of merge; pinned by
 //! workspace tests).  `--fabric N` runs the same grid across N worker
-//! *subprocesses* (this binary re-invoked with `--worker`) through the
-//! `ssle-fabric` coordinator — per-unit timeouts, crash retry, and a
-//! content-addressed result cache under `.fabric-cache/` — and the output
-//! is byte-identical to the in-process path (pinned by workspace tests).
-//! `--resume` reuses cached cells, so a warm rerun executes zero units and
-//! an interrupted run only re-executes what it had not finished.
+//! subprocesses (this binary re-invoked with `--worker`) with crash retry
+//! and a content-addressed result cache under `.fabric-cache/`; the output
+//! is byte-identical to the in-process path, and `--resume` makes a warm
+//! rerun execute zero units.
 //!
-//! Flags:
-//!
-//! ```text
-//! --quick         reduced budgets/trials (CI smoke); same cell grid and schema
-//! --threads N     worker threads (default: all cores); never changes results
-//! --islands N     annealing islands per cell (default 4); changes results
-//! --fabric N      run the grid across N worker subprocesses
-//! --resume        with --fabric: reuse cached cell results
-//! --cache-dir P   with --fabric: cache directory (default .fabric-cache)
-//! --worker        run as a fabric worker (stdin/stdout line protocol)
-//! --out PATH      output file (default: BENCH_stabilization.json)
-//! --json          also print the JSON document to stdout
-//! --telemetry     write an ssle-telemetry/v1 NDJSON trace alongside
-//! --telemetry-out trace file (implies --telemetry)
-//! --help          print usage
-//! ```
-//!
-//! The binary self-validates: after writing, it re-reads the file, parses it
-//! with `analysis::json` and checks it against the `stabilization-bench/v4`
-//! schema — including `worst ≥ mean`, a well-formed adaptive rate curve and
-//! a consistent `certified` field for every cell — exiting non-zero on any
-//! mismatch.
-
-use ssle_bench::fabric::{run_stabilization_fabric, stabilization_handler, FabricConfig};
-use ssle_bench::stabilization::{self, RunOptions};
-use ssle_fabric::{worker_loop, WorkerCommand};
-
-const USAGE: &str = "\
-options:
-  --quick        reduced budgets and trial counts (CI smoke); same cell grid
-                 and schema
-  --threads N    worker threads (default: all cores); output is bit-identical
-                 for any value at a fixed island count
-  --islands N    annealing islands per cell (default 4); part of the result's
-                 identity
-  --fabric N     run the grid across N worker subprocesses (coordinator mode);
-                 output is byte-identical to the in-process path
-  --resume       with --fabric: reuse cached cell results (warm reruns execute
-                 zero units)
-  --cache-dir P  with --fabric: result-cache directory (default .fabric-cache)
-  --worker       run as a fabric worker: read work units on stdin, write
-                 results on stdout (used by --fabric; honours --threads)
-  --out PATH     output file (default: BENCH_stabilization.json, or
-                 BENCH_stabilization.quick.json under --quick so a local
-                 smoke run never clobbers the committed full-mode report)
-  --json         also print the JSON document to stdout
-  --telemetry    write an ssle-telemetry/v1 NDJSON trace alongside the
-                 report (default file: stabilization_report.trace.ndjson)
-  --telemetry-out PATH
-                 telemetry trace file (implies --telemetry)
-  --help         print this message";
-
-/// Parsed flags of one invocation.
-#[derive(Debug, Default, PartialEq, Eq)]
-struct Args {
-    quick: bool,
-    json: bool,
-    out: Option<String>,
-    threads: Option<usize>,
-    islands: Option<u32>,
-    worker: bool,
-    fabric: Option<usize>,
-    resume: bool,
-    cache_dir: Option<String>,
-    telemetry: bool,
-    telemetry_out: Option<String>,
-}
-
-/// Parses the command line.  `Ok(None)` means `--help` was requested.
-fn parse_args<I>(args: I) -> Result<Option<Args>, String>
-where
-    I: IntoIterator<Item = String>,
-{
-    let mut out = Args::default();
-    let mut iter = args.into_iter();
-    let value_of = |flag: &str, iter: &mut dyn Iterator<Item = String>| {
-        iter.next()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--quick" => out.quick = true,
-            "--json" => out.json = true,
-            "--worker" => out.worker = true,
-            "--resume" => out.resume = true,
-            "--out" => out.out = Some(value_of("--out", &mut iter)?),
-            "--cache-dir" => out.cache_dir = Some(value_of("--cache-dir", &mut iter)?),
-            "--telemetry" => out.telemetry = true,
-            "--telemetry-out" => {
-                out.telemetry_out = Some(value_of("--telemetry-out", &mut iter)?);
-                out.telemetry = true;
-            }
-            "--threads" => match value_of("--threads", &mut iter)?.parse() {
-                // 0 would silently clamp to one thread downstream; reject
-                // the degenerate request instead.
-                Ok(t) if t >= 1 => out.threads = Some(t),
-                _ => return Err("--threads requires a number >= 1".to_string()),
-            },
-            "--islands" => match value_of("--islands", &mut iter)?.parse() {
-                Ok(i) if i >= 1 => out.islands = Some(i),
-                _ => return Err("--islands requires a number >= 1".to_string()),
-            },
-            "--fabric" => match value_of("--fabric", &mut iter)?.parse() {
-                Ok(w) if w >= 1 => out.fabric = Some(w),
-                _ => return Err("--fabric requires a number >= 1".to_string()),
-            },
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-    if out.worker && (out.fabric.is_some() || out.json || out.out.is_some() || out.telemetry) {
-        return Err("--worker is a pure stdin/stdout mode; it takes only --threads".to_string());
-    }
-    if out.resume && out.fabric.is_none() {
-        return Err("--resume only applies to --fabric runs".to_string());
-    }
-    if out.cache_dir.is_some() && out.fabric.is_none() {
-        return Err("--cache-dir only applies to --fabric runs".to_string());
-    }
-    Ok(Some(out))
-}
+//! The binary is `ssle_bench::stabilization::Report` driven by
+//! `ssle_bench::tracked`, which owns the flags (`--help` prints them) and
+//! the self-validation: after writing, the file is re-read, parsed and
+//! checked against the `stabilization-bench/v4` schema — including
+//! `worst ≥ mean`, a well-formed adaptive rate curve and a consistent
+//! `certified` field for every cell — exiting non-zero on any mismatch.
 
 fn main() {
-    let args = match parse_args(std::env::args().skip(1)) {
-        Ok(Some(args)) => args,
-        Ok(None) => {
-            println!("{USAGE}");
-            return;
-        }
-        Err(message) => {
-            eprintln!("error: {message}\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-
-    if args.worker {
-        // Fabric worker: speak the line protocol until EOF.  The unit specs
-        // carry every semantic knob; only the inner thread count is local.
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let handler = stabilization_handler(args.threads.unwrap_or(1));
-        if let Err(e) = worker_loop(stdin.lock(), stdout.lock(), handler) {
-            eprintln!("stabilization_report --worker: {e}");
-            std::process::exit(2);
-        }
-        return;
-    }
-
-    let trace = ssle_bench::trace::TraceGuard::start(
-        args.telemetry,
-        args.telemetry_out.as_deref(),
-        "stabilization_report",
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-
-    let out = args.out.clone().unwrap_or_else(|| {
-        String::from(if args.quick {
-            "BENCH_stabilization.quick.json"
-        } else {
-            "BENCH_stabilization.json"
-        })
-    });
-
-    let mut options = RunOptions::new(args.quick);
-    options.threads = args.threads;
-    if let Some(islands) = args.islands {
-        options.islands = islands;
-    }
-
-    let (text, fabric_summary) = match args.fabric {
-        None => {
-            let report = stabilization::run(&options);
-            let markdown = report.to_markdown();
-            let summary = format!(
-                "{} cells; {} trials, {} islands x {} iterations, {} rate replays each",
-                report.cells.len(),
-                report.trials,
-                report.islands,
-                report.island_iterations,
-                report.replays,
-            );
-            (report.to_json_value().to_json(), (markdown, summary, None))
-        }
-        Some(workers) => {
-            let mut config = FabricConfig::new(workers, args.quick);
-            config.resume = args.resume;
-            if let Some(dir) = &args.cache_dir {
-                config.cache_dir = dir.into();
-            }
-            // Each worker subprocess inherits the requested inner thread
-            // count (default 1: the subprocesses are the parallelism).
-            let inner = args.threads.unwrap_or(1).to_string();
-            let command = WorkerCommand::current_exe(&["--worker", "--threads", &inner])
-                .unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                });
-            let (json, stats) = run_stabilization_fabric(&command, &options, &config)
-                .unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                });
-            let summary = format!("fabric: workers={workers} {stats}");
-            (json.to_json(), (String::new(), summary, Some(stats)))
-        }
-    };
-    let (markdown, summary, _stats) = fabric_summary;
-
-    if let Err(e) = std::fs::write(&out, &text) {
-        eprintln!("error: cannot write {out}: {e}");
-        std::process::exit(1);
-    }
-
-    // Self-validation: what we wrote must parse and match the schema.
-    let reread = std::fs::read_to_string(&out).expect("just wrote the report file");
-    let parsed = match analysis::json::JsonValue::parse(&reread) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {out} does not parse as JSON: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = stabilization::validate_report(&parsed) {
-        eprintln!(
-            "error: {out} violates the {} schema: {e}",
-            stabilization::SCHEMA
-        );
-        std::process::exit(1);
-    }
-
-    println!(
-        "# Worst-case stabilization ({} mode)\n",
-        if args.quick { "quick" } else { "full" }
-    );
-    if !markdown.is_empty() {
-        println!("{markdown}");
-    }
-    println!("wrote {out} ({summary})");
-    if !stabilization::has_nondegenerate_rate(&parsed) {
-        println!(
-            "note: every rate curve is degenerate (all-0 or all-1) in this run; \
-             the full-mode tracked report is expected to discriminate"
-        );
-    }
-    if args.json {
-        println!("{text}");
-    }
-    trace.finish();
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn parse(line: &[&str]) -> Result<Option<Args>, String> {
-        parse_args(line.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn telemetry_out_implies_telemetry() {
-        let args = parse(&["--telemetry"]).unwrap().unwrap();
-        assert!(args.telemetry && args.telemetry_out.is_none());
-        let args = parse(&["--telemetry-out", "t.ndjson"]).unwrap().unwrap();
-        assert!(args.telemetry);
-        assert_eq!(args.telemetry_out.as_deref(), Some("t.ndjson"));
-    }
-
-    #[test]
-    fn the_existing_flags_still_parse() {
-        let args = parse(&["--quick", "--json", "--threads", "4", "--islands", "2"])
-            .unwrap()
-            .unwrap();
-        assert!(args.quick && args.json);
-        assert_eq!(args.threads, Some(4));
-        assert_eq!(args.islands, Some(2));
-        assert!(!args.worker && args.fabric.is_none() && !args.resume);
-        assert_eq!(parse(&["--help"]).unwrap(), None);
-    }
-
-    #[test]
-    fn fabric_flags_parse() {
-        let args = parse(&[
-            "--quick",
-            "--fabric",
-            "2",
-            "--resume",
-            "--cache-dir",
-            "/tmp/c",
-        ])
-        .unwrap()
-        .unwrap();
-        assert_eq!(args.fabric, Some(2));
-        assert!(args.resume);
-        assert_eq!(args.cache_dir.as_deref(), Some("/tmp/c"));
-        let worker = parse(&["--worker", "--threads", "2"]).unwrap().unwrap();
-        assert!(worker.worker);
-        assert_eq!(worker.threads, Some(2));
-    }
-
-    #[test]
-    fn degenerate_and_contradictory_lines_are_rejected() {
-        for bad in [
-            // Regression: 0 used to parse and silently clamp downstream.
-            vec!["--threads", "0"],
-            vec!["--islands", "0"],
-            vec!["--fabric", "0"],
-            vec!["--threads", "x"],
-            vec!["--fabric"],
-            vec!["--resume"],
-            vec!["--cache-dir", "/tmp/c"],
-            vec!["--worker", "--fabric", "2"],
-            vec!["--worker", "--json"],
-            vec!["--worker", "--out", "f.json"],
-            vec!["--worker", "--telemetry"],
-            vec!["--telemetry-out"],
-            vec!["--unknown"],
-        ] {
-            assert!(parse(&bad).is_err(), "{bad:?} should be rejected");
-        }
-    }
+    ssle_bench::tracked::main::<ssle_bench::stabilization::Report>();
 }

@@ -17,9 +17,10 @@
 //!   recorded so the report carries the baseline's realistic range rather
 //!   than only its degraded end.
 //!
-//! The `hotloop_report` binary writes the results to `BENCH_hotloop.json`
-//! at the repository root so that later changes have a perf trajectory to
-//! compare against; `benches/hotloop.rs` exposes the same grid to
+//! The `hotloop_report` binary ([`Report`], driven by [`crate::tracked`])
+//! writes the results to `BENCH_hotloop.json` at the repository root so
+//! that later changes have a perf trajectory to compare against;
+//! `benches/hotloop.rs` exposes the same grid to
 //! `cargo bench`.  CI runs the binary in `--quick` mode and validates the
 //! emitted JSON against [`validate_report`] — a schema smoke, deliberately
 //! not a flaky threshold gate.
@@ -28,11 +29,13 @@ use std::time::Instant;
 
 use analysis::json::JsonValue;
 use population::{
-    Configuration, DynProtocol, DynState, GraphFamily, InteractionGraph, LeaderElection, Protocol,
-    Simulation,
+    BatchRunner, Configuration, DynProtocol, DynState, GraphFamily, InteractionGraph,
+    LeaderElection, Protocol, Simulation,
 };
+use ssle_fabric::WorkError;
 
 use crate::baseline_boxed::{BoxedProtocol, BoxedState};
+use crate::tracked::{point_spec, Spec, TrackedReport};
 use crate::{ProtocolKind, Table1Visitor};
 
 /// Schema identifier of `BENCH_hotloop.json`.
@@ -117,18 +120,6 @@ impl CaseResult {
     pub fn speedup_compact(&self) -> f64 {
         self.steps_per_sec / self.steps_per_sec_boxed_compact.max(f64::MIN_POSITIVE)
     }
-}
-
-/// A full hot-loop measurement: one [`CaseResult`] per
-/// protocol × graph × size.
-#[derive(Clone, Debug)]
-pub struct HotloopReport {
-    /// `true` if this was a quick (CI smoke) run with a reduced time budget.
-    pub quick: bool,
-    /// Timed-stretch budget per measurement, in seconds.
-    pub budget_secs: f64,
-    /// The measured cases, in grid order.
-    pub cases: Vec<CaseResult>,
 }
 
 /// Builds the timed erased simulation of one case and measures steps/second
@@ -293,102 +284,115 @@ pub fn budget_secs(quick: bool) -> f64 {
     }
 }
 
-/// The grid's case descriptors, **in report order** — shared by [`run`]
-/// and the fabric's work-unit builder so a distributed run assembles its
-/// cases in exactly the order the in-process report emits them.
-pub fn grid() -> Vec<(ProtocolKind, HotloopGraph, usize)> {
-    let mut cases = Vec::with_capacity(ProtocolKind::ALL.len() * HotloopGraph::ALL.len() * 2);
-    for kind in ProtocolKind::ALL {
-        for graph in HotloopGraph::ALL {
-            for n in SIZES {
-                cases.push((kind, graph, n));
-            }
+/// The hot-loop throughput report (`hotloop_report`, `BENCH_hotloop.json`)
+/// as a [`TrackedReport`].  Its options are the `quick` flag.  Cases are
+/// wall-clock timings, so a distributed report is *schema*-identical but
+/// not byte-identical to an in-process rerun.
+#[derive(Clone, Copy, Debug)]
+pub struct Report;
+
+impl TrackedReport for Report {
+    const PRODUCER: &'static str = "hotloop_report";
+    const TITLE: &'static str = "Hot-loop throughput";
+    const SCHEMA: &'static str = SCHEMA;
+    const JOB: &'static str = "hotloop-case";
+    const STEM: &'static str = "BENCH_hotloop";
+    const THREADS: bool = false;
+    const ISLANDS: bool = false;
+
+    type Options = bool;
+    type Point = (ProtocolKind, HotloopGraph, usize);
+    type Cell = CaseResult;
+
+    fn options(quick: bool, _threads: Option<usize>, _islands: Option<u32>) -> bool {
+        quick
+    }
+
+    /// The same grid in both modes, so quick and full reports share one
+    /// schema.
+    fn grid(_quick: &bool) -> Vec<Self::Point> {
+        ProtocolKind::ALL
+            .into_iter()
+            .flat_map(|kind| {
+                HotloopGraph::ALL
+                    .into_iter()
+                    .flat_map(move |graph| SIZES.map(move |n| (kind, graph, n)))
+            })
+            .collect()
+    }
+
+    fn unit_spec((kind, graph, n): Self::Point, &quick: &bool) -> JsonValue {
+        point_spec::<Self>(kind, graph.key(), n, quick)
+    }
+
+    fn from_spec(spec: Spec<'_>, _threads: usize) -> Result<(Self::Point, bool), WorkError> {
+        let graph_from_key = |key: &str| HotloopGraph::ALL.into_iter().find(|g| g.key() == key);
+        Ok((spec.point(graph_from_key)?, spec.flag("quick")?))
+    }
+
+    /// Measures one case: `quick` takes a single short sample (CI smoke);
+    /// full mode reports the median of three samples per representation to
+    /// damp scheduler noise.
+    fn run_cell((kind, graph, n): Self::Point, &quick: &bool, _runner: &BatchRunner) -> CaseResult {
+        let budget = budget_secs(quick);
+        let samples = if quick { 1 } else { 3 };
+        let median = |repr: Repr| {
+            let mut rates: Vec<f64> = (0..samples)
+                .map(|_| measure(kind, graph, n, repr, budget))
+                .collect();
+            rates.sort_by(f64::total_cmp);
+            rates[rates.len() / 2]
+        };
+        CaseResult {
+            protocol: kind.key(),
+            graph: graph.key(),
+            n,
+            steps_per_sec: median(Repr::Inline),
+            steps_per_sec_boxed: median(Repr::Boxed),
+            steps_per_sec_boxed_compact: median(Repr::BoxedCompact),
         }
     }
-    cases
-}
 
-/// Measures one case of the grid: `quick` takes a single short sample (CI
-/// smoke); full mode reports the median of three samples per
-/// representation to damp scheduler noise.
-pub fn run_case(kind: ProtocolKind, graph: HotloopGraph, n: usize, quick: bool) -> CaseResult {
-    let budget = budget_secs(quick);
-    let samples = if quick { 1 } else { 3 };
-    let median = |repr: Repr| {
-        let mut rates: Vec<f64> = (0..samples)
-            .map(|_| measure(kind, graph, n, repr, budget))
-            .collect();
-        rates.sort_by(f64::total_cmp);
-        rates[rates.len() / 2]
-    };
-    CaseResult {
-        protocol: kind.key(),
-        graph: graph.key(),
-        n,
-        steps_per_sec: median(Repr::Inline),
-        steps_per_sec_boxed: median(Repr::Boxed),
-        steps_per_sec_boxed_compact: median(Repr::BoxedCompact),
-    }
-}
-
-/// Runs the whole measurement grid ([`run_case`] per [`grid`] entry).  The
-/// grid — and hence the report schema — is identical in both modes.
-pub fn run(quick: bool) -> HotloopReport {
-    HotloopReport {
-        quick,
-        budget_secs: budget_secs(quick),
-        cases: grid()
-            .into_iter()
-            .map(|(kind, graph, n)| run_case(kind, graph, n, quick))
-            .collect(),
-    }
-}
-
-/// Serializes one measured case to its report JSON object.  Single
-/// definition shared by [`HotloopReport::to_json_value`] and the fabric
-/// workers (same pattern as `stabilization::cell_to_json`; unlike the
-/// stabilization cells the measurements are wall-clock timings, so a
-/// distributed hot-loop report is *schema*-identical but not byte-identical
-/// to an in-process rerun).
-pub fn case_to_json(c: &CaseResult) -> JsonValue {
-    JsonValue::object()
-        .with("protocol", c.protocol)
-        .with("graph", c.graph)
-        .with("n", c.n)
-        .with("steps_per_sec", c.steps_per_sec)
-        .with("steps_per_sec_boxed", c.steps_per_sec_boxed)
-        .with("steps_per_sec_boxed_compact", c.steps_per_sec_boxed_compact)
-        .with("speedup", c.speedup())
-        .with("speedup_compact", c.speedup_compact())
-}
-
-/// Assembles the full report JSON from pre-serialized case objects, in
-/// [`grid`] order.
-pub fn report_json_from_cases(quick: bool, cases: Vec<JsonValue>) -> JsonValue {
-    JsonValue::object()
-        .with("schema", SCHEMA)
-        .with("quick", quick)
-        .with("budget_secs", budget_secs(quick))
-        .with("cases", JsonValue::Array(cases))
-}
-
-impl HotloopReport {
-    /// Serializes to the `BENCH_hotloop.json` schema (see [`SCHEMA`]):
-    /// [`case_to_json`] per case inside the [`report_json_from_cases`]
-    /// shell.
-    pub fn to_json_value(&self) -> JsonValue {
-        report_json_from_cases(self.quick, self.cases.iter().map(case_to_json).collect())
+    fn cell_to_json(c: &CaseResult) -> JsonValue {
+        JsonValue::object()
+            .with("protocol", c.protocol)
+            .with("graph", c.graph)
+            .with("n", c.n)
+            .with("steps_per_sec", c.steps_per_sec)
+            .with("steps_per_sec_boxed", c.steps_per_sec_boxed)
+            .with("steps_per_sec_boxed_compact", c.steps_per_sec_boxed_compact)
+            .with("speedup", c.speedup())
+            .with("speedup_compact", c.speedup_compact())
     }
 
-    /// Renders a human-readable markdown table of the grid (`boxed` is the
-    /// aged-heap baseline, `boxed-compact` the pristine-heap one).
-    pub fn to_markdown(&self) -> String {
+    fn assemble(&quick: &bool, cases: Vec<JsonValue>) -> JsonValue {
+        JsonValue::object()
+            .with("schema", SCHEMA)
+            .with("quick", quick)
+            .with("budget_secs", budget_secs(quick))
+            .with("cases", JsonValue::Array(cases))
+    }
+
+    fn validate(json: &JsonValue) -> Result<(), String> {
+        validate_report(json)
+    }
+
+    fn summary(&quick: &bool, cases: usize) -> String {
+        format!(
+            "{cases} cases, {:.2}s timed budget each",
+            budget_secs(quick)
+        )
+    }
+
+    /// The markdown table (`boxed` is the aged-heap baseline,
+    /// `boxed-compact` the pristine-heap one).
+    fn markdown(cases: &[CaseResult]) -> String {
         let mut out = String::from(
             "| protocol | graph | n | inline steps/s | boxed steps/s | boxed-compact steps/s \
              | speedup | speedup-compact |\n\
              |---|---|---:|---:|---:|---:|---:|---:|\n",
         );
-        for c in &self.cases {
+        for c in cases {
             out.push_str(&format!(
                 "| {} | {} | {} | {:.0} | {:.0} | {:.0} | {:.2}x | {:.2}x |\n",
                 c.protocol,
@@ -497,17 +501,13 @@ mod tests {
                     })
                 })
             })
-            .collect();
-        let report = HotloopReport {
-            quick: true,
-            budget_secs: 0.05,
-            cases,
-        };
-        let text = report.to_json_value().to_json();
+            .collect::<Vec<_>>();
+        let json = Report::assemble(&true, cases.iter().map(Report::cell_to_json).collect());
+        let text = json.to_json();
         let parsed = analysis::json::JsonValue::parse(&text).expect("emitted JSON parses");
         validate_report(&parsed).expect("schema validates");
-        assert!(report.to_markdown().contains("| ppl | ring | 256 |"));
-        assert!((report.cases[0].speedup() - 2.0).abs() < 1e-12);
+        assert!(Report::markdown(&cases).contains("| ppl | ring | 256 |"));
+        assert!((cases[0].speedup() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -28,12 +28,12 @@
 
 pub mod baseline_boxed;
 pub mod cli;
-pub mod fabric;
 pub mod hotloop;
 pub mod recovery;
 pub mod report;
 pub mod stabilization;
 pub mod trace;
+pub mod tracked;
 
 use population::{
     BatchRunner, BatchSummary, Configuration, ConvergenceReport, Scenario, ScenarioBuilder,

@@ -22,7 +22,8 @@
 //! bit-identical at any thread count), and cells serialize through one
 //! [`cell_to_json`] definition shared with the fabric workers — so
 //! `--fabric N` reports are byte-identical to in-process ones by
-//! construction, exactly like the stabilization report.
+//! construction, exactly like the stabilization report.  The
+//! `recovery_report` binary is [`Report`], driven by [`crate::tracked`].
 //!
 //! Cells whose fault-free preparation run does not converge within the
 //! budget (ring protocols on the complete graph, by design) are flagged
@@ -39,12 +40,14 @@ use population::{
 use ssle_adversary::{GraphSpec, SchedulerSpec};
 use ssle_baselines::{AngluinModK, FischerJiang, FjState, ModKState, YokotaLinear, YokotaState};
 use ssle_core::{InitialCondition, Params, Ppl, PplState};
+use ssle_fabric::WorkError;
 
 use crate::stabilization::{
     dyn_protocol, graph_spec_from_json, graph_spec_to_json, leader_delta_scorer, spec_from_json,
     spec_to_json,
 };
-use crate::stabilization::{stab_budget, GridGraph, SCHEMA as STABILIZATION_SCHEMA};
+use crate::stabilization::{grid_points, stab_budget, GridGraph, SCHEMA as STABILIZATION_SCHEMA};
+use crate::tracked::{point_spec, Spec, TrackedReport};
 use crate::{
     angluin_builder, fischer_jiang_builder, ppl_builder, ppl_builder_with_params, yokota_builder,
     ProtocolKind,
@@ -175,14 +178,6 @@ impl RunOptions {
             threads: None,
         }
     }
-
-    /// The batch runner of this run.
-    pub fn runner(&self) -> BatchRunner {
-        match self.threads {
-            Some(t) => BatchRunner::with_threads(t),
-            None => BatchRunner::new(),
-        }
-    }
 }
 
 /// Recovery-time summary of one trial pool.  Censored (non-converged)
@@ -247,19 +242,6 @@ pub struct RecoveryCell {
     /// The fault rows, in [`FaultRow::ALL`] order (empty when
     /// `safe_start` is `false`).
     pub rows: Vec<RecoveryRow>,
-}
-
-/// A full recovery-degradation measurement.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RecoveryReport {
-    /// `true` for the reduced CI-smoke budgets.
-    pub quick: bool,
-    /// Replay trials per (fault row × scheduler).
-    pub trials: usize,
-    /// The grid sizes this report ran.
-    pub sizes: Vec<usize>,
-    /// The measured cells, in grid order.
-    pub cells: Vec<RecoveryCell>,
 }
 
 /// The recovery scenario of one protocol × graph: the Table 1 stop criteria
@@ -425,23 +407,6 @@ fn summarize(outcomes: &[(u64, bool)]) -> RecoverySummary {
     }
 }
 
-/// The grid's cell descriptors, **in report order** — shared by [`run`] and
-/// the fabric's work-unit builder, exactly like the stabilization grid.
-pub fn grid_cells(options: &RunOptions) -> Vec<(ProtocolKind, GridGraph, usize)> {
-    ProtocolKind::ALL
-        .iter()
-        .flat_map(|&kind| {
-            GridGraph::ALL.iter().flat_map(move |&graph| {
-                graph
-                    .sizes(&options.sizes)
-                    .iter()
-                    .map(move |&n| (kind, graph, n))
-                    .collect::<Vec<_>>()
-            })
-        })
-        .collect()
-}
-
 /// Measures one cell: the preparation run, then — per fault row — the
 /// uniform trial pool and (when a certificate was lifted) the hostile trial
 /// pool, each sharded over the runner.  Every seed derives from the cell
@@ -509,25 +474,6 @@ pub fn run_cell(
     }
 }
 
-/// Runs the whole grid: independent cells sharded over the runner, trial
-/// pools sharded over an inner runner sized to keep the total worker count
-/// at the requested thread budget (the stabilization report's layout).
-pub fn run(options: &RunOptions) -> RecoveryReport {
-    let runner = options.runner();
-    let cells = grid_cells(options);
-    let threads = runner.num_threads();
-    let inner = BatchRunner::with_threads((threads / threads.min(cells.len().max(1))).max(1));
-    let cells = runner.run_map(&cells, |&(kind, graph, n)| {
-        run_cell(kind, graph, n, options, &inner)
-    });
-    RecoveryReport {
-        quick: options.quick,
-        trials: options.trials,
-        sizes: options.sizes.clone(),
-        cells,
-    }
-}
-
 fn summary_to_json(s: &RecoverySummary) -> JsonValue {
     JsonValue::object()
         .with("mean_steps", s.mean_steps)
@@ -538,7 +484,7 @@ fn summary_to_json(s: &RecoverySummary) -> JsonValue {
 
 /// Serializes one measured cell to its report JSON object — the **single
 /// definition** of the cell encoding, called by both the in-process
-/// [`RecoveryReport::to_json_value`] path and the fabric workers, so
+/// [`crate::tracked::run`] path and the fabric workers, so
 /// `--fabric N` reports are byte-identical by construction.
 pub fn cell_to_json(c: &RecoveryCell) -> JsonValue {
     JsonValue::object()
@@ -592,50 +538,117 @@ pub fn cell_to_json(c: &RecoveryCell) -> JsonValue {
         )
 }
 
-/// Assembles the full report JSON from pre-serialized cell objects, in
-/// [`grid_cells`] order — the shell both the in-process path and the
-/// `--fabric` coordinator plug their cells into.
-pub fn report_json_from_cells(options: &RunOptions, cells: Vec<JsonValue>) -> JsonValue {
-    JsonValue::object()
-        .with("schema", SCHEMA)
-        .with("quick", options.quick)
-        .with("trials", options.trials)
-        .with(
-            "sizes",
-            JsonValue::Array(
-                options
-                    .sizes
-                    .iter()
-                    .map(|&n| JsonValue::Number(n as f64))
-                    .collect(),
-            ),
-        )
-        .with(
-            "fault_rows",
-            JsonValue::Array(FaultRow::ALL.iter().map(|r| r.key().into()).collect()),
-        )
-        .with("cells", JsonValue::Array(cells))
-}
+/// The recovery-degradation report (`recovery_report`,
+/// `BENCH_recovery.json`) as a [`TrackedReport`].
+#[derive(Clone, Copy, Debug)]
+pub struct Report;
 
-impl RecoveryReport {
-    /// Serializes to the `BENCH_recovery.json` schema (see [`SCHEMA`]).
-    pub fn to_json_value(&self) -> JsonValue {
-        let options = RunOptions {
-            quick: self.quick,
-            sizes: self.sizes.clone(),
-            trials: self.trials,
-            threads: None,
-        };
-        report_json_from_cells(&options, self.cells.iter().map(cell_to_json).collect())
+impl TrackedReport for Report {
+    const PRODUCER: &'static str = "recovery_report";
+    const TITLE: &'static str = "Recovery degradation";
+    const SCHEMA: &'static str = SCHEMA;
+    const JOB: &'static str = "recovery-cell";
+    const STEM: &'static str = "BENCH_recovery";
+    const THREADS: bool = true;
+    const ISLANDS: bool = false;
+
+    type Options = RunOptions;
+    type Point = (ProtocolKind, GridGraph, usize);
+    type Cell = RecoveryCell;
+
+    fn options(quick: bool, threads: Option<usize>, _islands: Option<u32>) -> RunOptions {
+        RunOptions {
+            threads,
+            ..RunOptions::new(quick)
+        }
     }
 
-    /// Renders a human-readable markdown table of the grid.
-    pub fn to_markdown(&self) -> String {
+    fn threads(options: &RunOptions) -> Option<usize> {
+        options.threads
+    }
+
+    fn grid(options: &RunOptions) -> Vec<Self::Point> {
+        grid_points(&options.sizes)
+    }
+
+    /// The cell coordinates plus the knobs that are part of the result's
+    /// identity (`threads` excluded, so the cache key is
+    /// thread-count-invariant).
+    fn unit_spec((kind, graph, n): Self::Point, options: &RunOptions) -> JsonValue {
+        point_spec::<Self>(kind, graph.key(), n, options.quick).with("trials", options.trials)
+    }
+
+    fn from_spec(spec: Spec<'_>, threads: usize) -> Result<(Self::Point, RunOptions), WorkError> {
+        let point = spec.point(GridGraph::from_key)?;
+        let options = RunOptions {
+            quick: spec.flag("quick")?,
+            sizes: vec![point.2],
+            trials: spec.count("trials")?,
+            threads: Some(threads),
+        };
+        Ok((point, options))
+    }
+
+    fn run_cell(
+        (kind, graph, n): Self::Point,
+        options: &RunOptions,
+        runner: &BatchRunner,
+    ) -> RecoveryCell {
+        run_cell(kind, graph, n, options, runner)
+    }
+
+    fn cell_to_json(cell: &RecoveryCell) -> JsonValue {
+        cell_to_json(cell)
+    }
+
+    fn assemble(options: &RunOptions, cells: Vec<JsonValue>) -> JsonValue {
+        JsonValue::object()
+            .with("schema", SCHEMA)
+            .with("quick", options.quick)
+            .with("trials", options.trials)
+            .with(
+                "sizes",
+                JsonValue::Array(
+                    options
+                        .sizes
+                        .iter()
+                        .map(|&n| JsonValue::Number(n as f64))
+                        .collect(),
+                ),
+            )
+            .with(
+                "fault_rows",
+                JsonValue::Array(FaultRow::ALL.iter().map(|r| r.key().into()).collect()),
+            )
+            .with("cells", JsonValue::Array(cells))
+    }
+
+    fn validate(json: &JsonValue) -> Result<(), String> {
+        validate_report(json)
+    }
+
+    fn summary(options: &RunOptions, cells: usize) -> String {
+        format!(
+            "{cells} cells; {} trials per (fault x scheduler)",
+            options.trials
+        )
+    }
+
+    fn closing_note(json: &JsonValue) -> Option<String> {
+        Some(match max_degradation(json) {
+            Some(best) => format!("max degradation ratio (hostile/uniform): {best:.3}"),
+            None => "note: no cell carries a degradation ratio in this run \
+                     (no hostile certificate applied, or uniform recovery was instant)"
+                .to_string(),
+        })
+    }
+
+    fn markdown(cells: &[RecoveryCell]) -> String {
         let mut out = String::from(
             "| protocol | graph | n | fault | extent | uniform mean | hostile mean \
              | degradation | censored |\n|---|---|---|---|---|---|---|---|---|\n",
         );
-        for c in &self.cells {
+        for c in cells {
             if !c.safe_start {
                 out.push_str(&format!(
                     "| {} | {} | {} | - | - | - | - | - | no safe configuration |\n",
@@ -730,8 +743,7 @@ pub fn validate_report(json: &JsonValue) -> Result<(), String> {
     if json.get("schema").and_then(JsonValue::as_str) != Some(SCHEMA) {
         return Err(format!("missing or wrong schema tag (want {SCHEMA:?})"));
     }
-    let quick = json
-        .get("quick")
+    json.get("quick")
         .and_then(JsonValue::as_bool)
         .ok_or("quick missing")?;
     let trials = json
@@ -749,12 +761,7 @@ pub fn validate_report(json: &JsonValue) -> Result<(), String> {
         .map(|v| v.as_f64().map(|x| x as usize))
         .collect::<Option<_>>()
         .ok_or("sizes must be numbers")?;
-    let expected = grid_cells(&RunOptions {
-        quick,
-        sizes,
-        trials: trials as usize,
-        threads: None,
-    });
+    let expected = grid_points(&sizes);
     let cells = json
         .get("cells")
         .and_then(JsonValue::as_array)
@@ -911,6 +918,7 @@ pub fn max_degradation(json: &JsonValue) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tracked::run;
 
     fn tiny_options(threads: usize) -> RunOptions {
         RunOptions {
@@ -974,7 +982,7 @@ mod tests {
             trials,
             threads: None,
         };
-        let runner = options.runner();
+        let runner = BatchRunner::new();
         let cell = run_cell(kind, graph, n, &options, &runner);
         assert_eq!(
             cell_to_json(&cell).to_json(),
@@ -1038,7 +1046,7 @@ mod tests {
         let kind = ProtocolKind::Yokota;
         let graph = GridGraph::Ring;
         let options = tiny_options(1);
-        let runner = options.runner();
+        let runner = BatchRunner::with_threads(1);
         let a = run_cell(kind, graph, 8, &options, &runner);
         let b = run_cell(kind, graph, 8, &options, &runner);
         assert_eq!(a, b, "cells must be deterministic");
@@ -1046,8 +1054,8 @@ mod tests {
         assert_eq!(a.rows.len(), FaultRow::ALL.len());
         assert!(a.hostile_spec.is_some(), "ring cells lift a certificate");
 
-        let serial = run(&tiny_options(1)).to_json_value().to_json();
-        let parallel = run(&tiny_options(4)).to_json_value().to_json();
+        let serial = run::<Report>(&tiny_options(1)).0.to_json();
+        let parallel = run::<Report>(&tiny_options(4)).0.to_json();
         assert_eq!(serial, parallel, "--threads must never change the report");
         let parsed = JsonValue::parse(&serial).unwrap();
         validate_report(&parsed).expect("tiny report validates");
@@ -1056,21 +1064,15 @@ mod tests {
     #[test]
     fn validator_rejects_inconsistent_reports() {
         let options = tiny_options(1);
-        let runner = options.runner();
+        let runner = BatchRunner::with_threads(1);
         let cell = run_cell(ProtocolKind::Yokota, GridGraph::Ring, 8, &options, &runner);
-        let report = RecoveryReport {
-            quick: true,
-            trials: options.trials,
-            sizes: vec![8],
-            cells: vec![cell],
-        };
+        let report = Report::assemble(&options, vec![cell_to_json(&cell)]);
         // One cell cannot satisfy the full grid enumeration.
-        let err = validate_report(&report.to_json_value()).unwrap_err();
+        let err = validate_report(&report).unwrap_err();
         assert!(err.contains("cells"), "{err}");
 
         // A full tiny report validates; corrupting it is caught.
-        let good = run(&options);
-        let json = good.to_json_value();
+        let (json, _) = run::<Report>(&options);
         validate_report(&json).expect("tiny report validates");
         let text = json.to_json();
         let broken = text.replacen("\"censored\":false", "\"censored\":true", 1);

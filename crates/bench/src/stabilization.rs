@@ -39,9 +39,9 @@
 //! outright (no certificate) when the walk proves a converging schedule
 //! exists.  A certified cell skips the escalation entirely.
 //!
-//! The `stabilization_report` binary writes the results to
-//! `BENCH_stabilization.json` at the repository root (schema
-//! [`SCHEMA`] = `stabilization-bench/v3`); CI runs it in `--quick` mode and
+//! The `stabilization_report` binary ([`Report`], driven by
+//! [`crate::tracked`]) writes the results to `BENCH_stabilization.json` at
+//! the repository root (schema [`SCHEMA`]); CI runs it in `--quick` mode and
 //! validates the emitted JSON against [`validate_report`].  Worst cases are
 //! reported as reproducible certificates: the variant, seed, scheduler spec
 //! and fault-plan spec pin down a deterministic re-run ([`evaluate`]), which
@@ -73,6 +73,9 @@ use ssle_baselines::{
 use ssle_core::segments::segments;
 use ssle_core::{InitialCondition, Params, Ppl, PplState};
 
+use ssle_fabric::WorkError;
+
+use crate::tracked::{point_spec, Spec, TrackedReport};
 use crate::{
     angluin_builder, fischer_jiang_builder, pick_k, ppl_builder, ppl_builder_with_params,
     yokota_builder, ProtocolKind,
@@ -600,14 +603,6 @@ impl RunOptions {
         }
     }
 
-    /// The batch runner of this run.
-    pub fn runner(&self) -> BatchRunner {
-        match self.threads {
-            Some(t) => BatchRunner::with_threads(t),
-            None => BatchRunner::new(),
-        }
-    }
-
     /// The per-run step ceiling of the adaptive machinery (rate escalation
     /// and certification detection): [`ESCALATION_STEP_CEILING`] for the
     /// tracked report, a sixteenth of it under `--quick` so the CI smoke
@@ -622,21 +617,20 @@ impl RunOptions {
     }
 }
 
-/// A full worst-case stabilization measurement.
-#[derive(Clone, Debug)]
-pub struct StabilizationReport {
-    /// `true` for the reduced CI-smoke budgets.
-    pub quick: bool,
-    /// Random-scheduler trials per cell.
-    pub trials: usize,
-    /// Annealing islands per cell.
-    pub islands: u32,
-    /// Annealing iterations per island.
-    pub island_iterations: u32,
-    /// Rate-curve replays per cell.
-    pub replays: usize,
-    /// The measured cells, in grid order.
-    pub cells: Vec<CellResult>,
+/// The report grid at the given sizes, **in report order**: every
+/// protocol × [`GridGraph::ALL`] × the graph's [`GridGraph::sizes`].  The
+/// stabilization and recovery reports share it, and their fabric units
+/// follow it, so a distributed run assembles its cells in exactly the
+/// order the in-process report emits them.
+pub fn grid_points(sizes: &[usize]) -> Vec<(ProtocolKind, GridGraph, usize)> {
+    ProtocolKind::ALL
+        .iter()
+        .flat_map(|&kind| {
+            GridGraph::ALL
+                .iter()
+                .flat_map(move |&graph| graph.sizes(sizes).iter().map(move |&n| (kind, graph, n)))
+        })
+        .collect()
 }
 
 /// The deterministic base seed of one grid cell.  The graph index comes
@@ -652,52 +646,6 @@ fn cell_seed(kind: ProtocolKind, graph: GridGraph, n: usize) -> u64 {
         .position(|g| *g == graph)
         .expect("every grid graph is in ALL") as u64;
     0x5AB1 ^ (ki << 8) ^ (gi << 16) ^ ((n as u64) << 24)
-}
-
-/// Runs the whole grid: independent cells sharded over the runner, and —
-/// inside each cell — the trial pool, the annealing islands and the rate
-/// replays sharded over an inner runner sized so the *total* worker count
-/// stays at the requested thread budget (cells × inner ≈ threads, never a
-/// threads² oversubscription).  Bit-identical for any thread count (pinned
-/// by workspace tests): every seed derives from the cell, the island index
-/// or the replay index, never from scheduling order.
-pub fn run(options: &RunOptions) -> StabilizationReport {
-    let runner = options.runner();
-    let cells = grid_cells(options);
-    // At most min(threads, cells) cell workers run at once; give each an
-    // equal share of the remaining budget for its pool/island/replay stages.
-    let threads = runner.num_threads();
-    let inner = BatchRunner::with_threads((threads / threads.min(cells.len().max(1))).max(1));
-    let cells = runner.run_map(&cells, |&(kind, graph, n)| {
-        run_cell(kind, graph, n, options, &inner)
-    });
-    StabilizationReport {
-        quick: options.quick,
-        trials: options.trials,
-        islands: options.islands,
-        island_iterations: options.island_iterations,
-        replays: options.replays,
-        cells,
-    }
-}
-
-/// The grid's cell descriptors, **in report order** — the single
-/// definition of the cell enumeration, shared by [`run`] and the fabric's
-/// work-unit builder so a distributed run assembles its cells in exactly
-/// the order the in-process report emits them.
-pub fn grid_cells(options: &RunOptions) -> Vec<(ProtocolKind, GridGraph, usize)> {
-    ProtocolKind::ALL
-        .iter()
-        .flat_map(|&kind| {
-            GridGraph::ALL.iter().flat_map(move |&graph| {
-                graph
-                    .sizes(&options.sizes)
-                    .iter()
-                    .map(move |&n| (kind, graph, n))
-                    .collect::<Vec<_>>()
-            })
-        })
-        .collect()
 }
 
 /// Measures one cell: the random pool for the mean, the island search
@@ -908,8 +856,8 @@ pub fn rate_curve_with(
 
 /// Serializes one measured cell to its report JSON object (an element of
 /// the report's `cells` array).  This is the **single definition** of the
-/// cell encoding: the in-process [`StabilizationReport::to_json_value`]
-/// path and the fabric workers both call it, so a report assembled from
+/// cell encoding: the in-process [`crate::tracked::run`] path and the
+/// fabric workers both call it, so a report assembled from
 /// worker-returned cell JSON is byte-identical to the in-process one by
 /// construction.
 pub fn cell_to_json(c: &CellResult) -> JsonValue {
@@ -974,49 +922,115 @@ pub fn cell_to_json(c: &CellResult) -> JsonValue {
         )
 }
 
-/// Assembles the full report JSON from pre-serialized cell objects, in the
-/// given order (which must be the [`grid_cells`] order).  The other half of
-/// the byte-identity argument: both the in-process path and the `--fabric`
-/// coordinator plug their cells into this one shell.
-pub fn report_json_from_cells(options: &RunOptions, cells: Vec<JsonValue>) -> JsonValue {
-    JsonValue::object()
-        .with("schema", SCHEMA)
-        .with("quick", options.quick)
-        .with("trials", options.trials)
-        .with("islands", options.islands as usize)
-        .with("island_iterations", options.island_iterations as usize)
-        .with("replays", options.replays)
-        .with(
-            "rate_multipliers",
-            JsonValue::Array(
-                RATE_MULTIPLIERS
-                    .iter()
-                    .map(|&m| JsonValue::Number(m as f64))
-                    .collect(),
-            ),
-        )
-        .with("cells", JsonValue::Array(cells))
-}
+/// The worst-case stabilization report (`stabilization_report`,
+/// `BENCH_stabilization.json`) as a [`TrackedReport`].
+#[derive(Clone, Copy, Debug)]
+pub struct Report;
 
-impl StabilizationReport {
-    /// Serializes to the `BENCH_stabilization.json` schema (see [`SCHEMA`]):
-    /// [`cell_to_json`] per cell inside the [`report_json_from_cells`]
-    /// shell.
-    pub fn to_json_value(&self) -> JsonValue {
-        let options = RunOptions {
-            quick: self.quick,
-            sizes: Vec::new(), // shell fields only; the grid is already run
-            trials: self.trials,
-            islands: self.islands,
-            island_iterations: self.island_iterations,
-            replays: self.replays,
-            threads: None,
-        };
-        report_json_from_cells(&options, self.cells.iter().map(cell_to_json).collect())
+impl TrackedReport for Report {
+    const PRODUCER: &'static str = "stabilization_report";
+    const TITLE: &'static str = "Worst-case stabilization";
+    const SCHEMA: &'static str = SCHEMA;
+    const JOB: &'static str = "stabilization-cell";
+    const STEM: &'static str = "BENCH_stabilization";
+    const THREADS: bool = true;
+    const ISLANDS: bool = true;
+
+    type Options = RunOptions;
+    type Point = (ProtocolKind, GridGraph, usize);
+    type Cell = CellResult;
+
+    fn options(quick: bool, threads: Option<usize>, islands: Option<u32>) -> RunOptions {
+        let mut options = RunOptions::new(quick);
+        options.threads = threads;
+        options.islands = islands.unwrap_or(options.islands);
+        options
     }
 
-    /// Renders a human-readable markdown table of the grid.
-    pub fn to_markdown(&self) -> String {
+    fn threads(options: &RunOptions) -> Option<usize> {
+        options.threads
+    }
+
+    fn grid(options: &RunOptions) -> Vec<Self::Point> {
+        grid_points(&options.sizes)
+    }
+
+    /// Every [`RunOptions`] knob that is part of the result's identity;
+    /// `threads` is absent, so the cache key is thread-count-invariant.
+    fn unit_spec((kind, graph, n): Self::Point, options: &RunOptions) -> JsonValue {
+        point_spec::<Self>(kind, graph.key(), n, options.quick)
+            .with("trials", options.trials)
+            .with("islands", options.islands as usize)
+            .with("island_iterations", options.island_iterations as usize)
+            .with("replays", options.replays)
+    }
+
+    fn from_spec(spec: Spec<'_>, threads: usize) -> Result<(Self::Point, RunOptions), WorkError> {
+        let point = spec.point(GridGraph::from_key)?;
+        let options = RunOptions {
+            quick: spec.flag("quick")?,
+            sizes: vec![point.2],
+            trials: spec.count("trials")?,
+            islands: spec.count("islands")? as u32,
+            island_iterations: spec.uint("island_iterations")? as u32,
+            replays: spec.uint("replays")?,
+            threads: Some(threads),
+        };
+        Ok((point, options))
+    }
+
+    fn run_cell(
+        (kind, graph, n): Self::Point,
+        options: &RunOptions,
+        runner: &BatchRunner,
+    ) -> CellResult {
+        run_cell(kind, graph, n, options, runner)
+    }
+
+    fn cell_to_json(cell: &CellResult) -> JsonValue {
+        cell_to_json(cell)
+    }
+
+    fn assemble(options: &RunOptions, cells: Vec<JsonValue>) -> JsonValue {
+        JsonValue::object()
+            .with("schema", SCHEMA)
+            .with("quick", options.quick)
+            .with("trials", options.trials)
+            .with("islands", options.islands as usize)
+            .with("island_iterations", options.island_iterations as usize)
+            .with("replays", options.replays)
+            .with(
+                "rate_multipliers",
+                JsonValue::Array(
+                    RATE_MULTIPLIERS
+                        .iter()
+                        .map(|&m| JsonValue::Number(m as f64))
+                        .collect(),
+                ),
+            )
+            .with("cells", JsonValue::Array(cells))
+    }
+
+    fn validate(json: &JsonValue) -> Result<(), String> {
+        validate_report(json)
+    }
+
+    fn summary(options: &RunOptions, cells: usize) -> String {
+        format!(
+            "{cells} cells; {} trials, {} islands x {} iterations, {} rate replays each",
+            options.trials, options.islands, options.island_iterations, options.replays,
+        )
+    }
+
+    fn closing_note(json: &JsonValue) -> Option<String> {
+        (!has_nondegenerate_rate(json)).then(|| {
+            "note: every rate curve is degenerate (all-0 or all-1) in this run; \
+             the full-mode tracked report is expected to discriminate"
+                .to_string()
+        })
+    }
+
+    fn markdown(cells: &[CellResult]) -> String {
         let rate_header = RATE_MULTIPLIERS
             .iter()
             .map(|m| format!("{m}x"))
@@ -1027,7 +1041,7 @@ impl StabilizationReport {
              | rate@{rate_header}+ | livelock | worst scheduler | worst faults | worst init |\n\
              |---|---|---:|---:|---:|---:|---:|---:|---|---|---|---|---|\n",
         );
-        for c in &self.cells {
+        for c in cells {
             let rate = c
                 .rate
                 .fractions
@@ -1714,6 +1728,7 @@ pub fn has_nondegenerate_rate(json: &JsonValue) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tracked::run;
 
     /// Tiny-grid options for tests: the full pipeline (pool, islands, rate
     /// replays, JSON) at test-affordable budgets.
@@ -1926,21 +1941,23 @@ mod tests {
                     })
                 })
             })
-            .collect();
-        let report = StabilizationReport {
-            quick: true,
+            .collect::<Vec<_>>();
+        // The report shell of these hand-built cells.
+        let shell = RunOptions {
             trials: 5,
-            islands: 4,
             island_iterations: 5,
-            replays: 4,
-            cells,
+            ..RunOptions::new(true)
         };
-        let text = report.to_json_value().to_json();
+        let to_json = |cells: &[CellResult]| {
+            Report::assemble(&shell, cells.iter().map(cell_to_json).collect())
+        };
+        let report = cells;
+        let text = to_json(&report).to_json();
         let parsed = JsonValue::parse(&text).expect("emitted JSON parses");
         validate_report(&parsed).expect("schema validates");
         assert!(has_nondegenerate_rate(&parsed));
-        assert!(report.to_markdown().contains("| ppl | ring | 64 |"));
-        assert!(report.to_markdown().contains("0.25/0.50/1.00"));
+        assert!(Report::markdown(&report).contains("| ppl | ring | 64 |"));
+        assert!(Report::markdown(&report).contains("0.25/0.50/1.00"));
 
         // The full-width seed and the fault spec round-trip exactly through
         // the JSON text.
@@ -1966,38 +1983,38 @@ mod tests {
         // Violations are caught.
         assert!(validate_report(&JsonValue::object()).is_err());
         let mut broken = report.clone();
-        broken.cells[0].worst_steps = 1; // below the mean
-        let parsed = JsonValue::parse(&broken.to_json_value().to_json()).unwrap();
+        broken[0].worst_steps = 1; // below the mean
+        let parsed = JsonValue::parse(&to_json(&broken).to_json()).unwrap();
         let err = validate_report(&parsed).unwrap_err();
         assert!(err.contains("below mean_steps"), "{err}");
         let mut broken = report.clone();
-        broken.cells[0].rate.fractions = vec![0.5, 0.25, 1.0]; // decreasing
-        let parsed = JsonValue::parse(&broken.to_json_value().to_json()).unwrap();
+        broken[0].rate.fractions = vec![0.5, 0.25, 1.0]; // decreasing
+        let parsed = JsonValue::parse(&to_json(&broken).to_json()).unwrap();
         let err = validate_report(&parsed).unwrap_err();
         assert!(err.contains("non-decreasing"), "{err}");
         let mut broken = report.clone();
-        broken.cells[0].rate.fractions = vec![0.5]; // wrong length
-        let parsed = JsonValue::parse(&broken.to_json_value().to_json()).unwrap();
+        broken[0].rate.fractions = vec![0.5]; // wrong length
+        let parsed = JsonValue::parse(&to_json(&broken).to_json()).unwrap();
         assert!(validate_report(&parsed).is_err());
 
         // An escalated cell carries its own multipliers (base + doublings)
         // and one fraction per multiplier.
         let mut escalated = report.clone();
-        escalated.cells[0].worst_converged = false;
-        escalated.cells[0].worst_steps = 1_000_000;
-        escalated.cells[0].rate.multipliers = vec![1, 2, 4, 8, 16];
-        escalated.cells[0].rate.fractions = vec![0.0, 0.0, 0.0, 0.0, 0.5];
-        let parsed = JsonValue::parse(&escalated.to_json_value().to_json()).unwrap();
+        escalated[0].worst_converged = false;
+        escalated[0].worst_steps = 1_000_000;
+        escalated[0].rate.multipliers = vec![1, 2, 4, 8, 16];
+        escalated[0].rate.fractions = vec![0.0, 0.0, 0.0, 0.0, 0.5];
+        let parsed = JsonValue::parse(&to_json(&escalated).to_json()).unwrap();
         validate_report(&parsed).expect("escalated multipliers validate");
         // ... but a non-doubling or over-cap escalation is rejected.
         let mut bad = escalated.clone();
-        bad.cells[0].rate.multipliers = vec![1, 2, 4, 12, 16];
-        let parsed = JsonValue::parse(&bad.to_json_value().to_json()).unwrap();
+        bad[0].rate.multipliers = vec![1, 2, 4, 12, 16];
+        let parsed = JsonValue::parse(&to_json(&bad).to_json()).unwrap();
         assert!(validate_report(&parsed).unwrap_err().contains("double"));
         let mut bad = escalated.clone();
-        bad.cells[0].rate.multipliers = vec![1, 2, 4, 8, 16, 32];
-        bad.cells[0].rate.fractions = vec![0.0; 6];
-        let parsed = JsonValue::parse(&bad.to_json_value().to_json()).unwrap();
+        bad[0].rate.multipliers = vec![1, 2, 4, 8, 16, 32];
+        bad[0].rate.fractions = vec![0.0; 6];
+        let parsed = JsonValue::parse(&to_json(&bad).to_json()).unwrap();
         assert!(validate_report(&parsed).unwrap_err().contains("cap"));
 
         // A certified livelock round-trips exactly and is cross-checked
@@ -2011,18 +2028,18 @@ mod tests {
             closure_configs: 39,
         };
         let mut with_cert = report.clone();
-        with_cert.cells[0].worst_converged = false;
-        with_cert.cells[0].worst_steps = 1_000_000;
-        with_cert.cells[0].certified = Some(cert);
-        let parsed = JsonValue::parse(&with_cert.to_json_value().to_json()).unwrap();
+        with_cert[0].worst_converged = false;
+        with_cert[0].worst_steps = 1_000_000;
+        with_cert[0].certified = Some(cert);
+        let parsed = JsonValue::parse(&to_json(&with_cert).to_json()).unwrap();
         validate_report(&parsed).expect("certified cell validates");
         let cell_json = &parsed.get("cells").and_then(JsonValue::as_array).unwrap()[0];
         let round = certified_from_json(cell_json.get("worst").unwrap().get("certified").unwrap())
             .expect("well-formed certificate");
         assert_eq!(round, Some(cert), "full-width digest survives the text");
         let mut contradicted = with_cert.clone();
-        contradicted.cells[0].worst_converged = true;
-        let parsed = JsonValue::parse(&contradicted.to_json_value().to_json()).unwrap();
+        contradicted[0].worst_converged = true;
+        let parsed = JsonValue::parse(&to_json(&contradicted).to_json()).unwrap();
         let err = validate_report(&parsed).unwrap_err();
         assert!(err.contains("contradicts"), "{err}");
 
@@ -2034,19 +2051,19 @@ mod tests {
             ..cert
         };
         let mut recurrence_only = with_cert.clone();
-        recurrence_only.cells[0].certified = Some(recurrence_tier);
-        let parsed = JsonValue::parse(&recurrence_only.to_json_value().to_json()).unwrap();
+        recurrence_only[0].certified = Some(recurrence_tier);
+        let parsed = JsonValue::parse(&to_json(&recurrence_only).to_json()).unwrap();
         validate_report(&parsed).expect("recurrence-tier cell validates");
         let cell_json = &parsed.get("cells").and_then(JsonValue::as_array).unwrap()[0];
         let round = certified_from_json(cell_json.get("worst").unwrap().get("certified").unwrap())
             .expect("well-formed certificate");
         assert_eq!(round, Some(recurrence_tier));
         let mut mismatched = with_cert.clone();
-        mismatched.cells[0].certified = Some(CertifiedLivelock {
+        mismatched[0].certified = Some(CertifiedLivelock {
             exhaustive: false,
             ..cert
         });
-        let parsed = JsonValue::parse(&mismatched.to_json_value().to_json()).unwrap();
+        let parsed = JsonValue::parse(&to_json(&mismatched).to_json()).unwrap();
         let err = validate_report(&parsed).unwrap_err();
         assert!(err.contains("iff exhaustive"), "{err}");
     }
@@ -2192,7 +2209,7 @@ mod tests {
         let graph = GridGraph::Ring;
         let n = 8;
         let options = tiny_options(1);
-        let runner = options.runner();
+        let runner = BatchRunner::with_threads(1);
         let cell = run_cell(kind, graph, n, &options, &runner);
         assert!(cell.worst_steps as f64 >= cell.mean_steps);
         assert_eq!(cell.trials, 2);
@@ -2209,15 +2226,8 @@ mod tests {
         // rebuild the candidate, evaluate.
         let budget = cell.budget;
         let worst_steps = cell.worst_steps;
-        let report = StabilizationReport {
-            quick: true,
-            trials: 2,
-            islands: options.islands,
-            island_iterations: options.island_iterations,
-            replays: options.replays,
-            cells: vec![cell],
-        };
-        let parsed = JsonValue::parse(&report.to_json_value().to_json()).unwrap();
+        let report = Report::assemble(&options, vec![cell_to_json(&cell)]);
+        let parsed = JsonValue::parse(&report.to_json()).unwrap();
         let cell_json = &parsed.get("cells").and_then(JsonValue::as_array).unwrap()[0];
         let candidate =
             certificate_candidate(kind, cell_json).expect("certificate rebuilds from JSON");
@@ -2273,7 +2283,7 @@ mod tests {
              ({exact_worst_steps})",
             fair.steps
         );
-        let runner = options.runner();
+        let runner = BatchRunner::with_threads(1);
         let cell = run_cell(kind, graph, n, &options, &runner);
         assert!(
             cell.worst_steps >= exact_worst_steps,
@@ -2322,7 +2332,7 @@ mod tests {
         assert_eq!(exact_worst_steps, 2);
         // The sampled search on the same cell cannot undercut the exact
         // optimal-recovery bound.
-        let runner = options.runner();
+        let runner = BatchRunner::with_threads(1);
         let cell = run_cell(kind, graph, n, &options, &runner);
         assert!(
             cell.worst_steps >= exact_worst_steps,
@@ -2506,8 +2516,8 @@ mod tests {
     /// text under 1 worker thread and 4, at a fixed island count.
     #[test]
     fn report_json_is_bit_identical_across_thread_counts() {
-        let serial = run(&tiny_options(1)).to_json_value().to_json();
-        let parallel = run(&tiny_options(4)).to_json_value().to_json();
+        let serial = run::<Report>(&tiny_options(1)).0.to_json();
+        let parallel = run::<Report>(&tiny_options(4)).0.to_json();
         assert_eq!(
             serial, parallel,
             "--threads must never change the report at a fixed island count"

@@ -15,8 +15,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use ssle_bench::fabric::{run_stabilization_fabric, FabricConfig};
-use ssle_bench::stabilization::{self, RunOptions};
+use ssle_bench::stabilization::{Report, RunOptions};
+use ssle_bench::tracked::{run, run_fabric, FabricConfig, TrackedReport};
 use ssle_fabric::{WorkerCommand, CRASH_ONCE_ENV};
 
 fn tiny_options() -> RunOptions {
@@ -53,7 +53,7 @@ fn config(dir: &Path, resume: bool) -> FabricConfig {
 
 /// The in-process reference bytes of [`tiny_options`].
 fn in_process_bytes(options: &RunOptions) -> String {
-    stabilization::run(options).to_json_value().to_json()
+    run::<Report>(options).0.to_json()
 }
 
 #[test]
@@ -61,14 +61,14 @@ fn fabric_report_is_byte_identical_to_in_process() {
     let options = tiny_options();
     let reference = in_process_bytes(&options);
     let dir = scratch_dir("identity");
-    let (json, stats) = run_stabilization_fabric(&worker_command(), &options, &config(&dir, false))
+    let (json, stats) = run_fabric::<Report>(&worker_command(), &options, &config(&dir, false))
         .expect("fabric run succeeds");
     assert_eq!(
         json.to_json(),
         reference,
         "--fabric output must be byte-identical to the in-process report"
     );
-    let expected_units = stabilization::grid_cells(&options).len();
+    let expected_units = Report::grid(&options).len();
     assert_eq!(stats.executed, expected_units);
     assert_eq!(stats.cached, 0);
     let _ = fs::remove_dir_all(&dir);
@@ -85,7 +85,7 @@ fn killed_worker_unit_is_retried_without_changing_the_report() {
     // once, enforced by the create-new sentinel); the coordinator must
     // respawn and retry without altering a byte of the final report.
     let command = worker_command().env(CRASH_ONCE_ENV, sentinel.to_str().unwrap());
-    let (json, stats) = run_stabilization_fabric(&command, &options, &config(&dir, false))
+    let (json, stats) = run_fabric::<Report>(&command, &options, &config(&dir, false))
         .expect("the run must survive the injected crash");
     assert!(sentinel.exists(), "the injected crash must have fired");
     assert!(
@@ -106,16 +106,16 @@ fn warm_cache_resume_executes_zero_units_and_is_byte_identical() {
     let dir = scratch_dir("resume");
 
     let (cold_json, cold_stats) =
-        run_stabilization_fabric(&worker_command(), &options, &config(&dir, true))
+        run_fabric::<Report>(&worker_command(), &options, &config(&dir, true))
             .expect("cold run succeeds");
-    let expected_units = stabilization::grid_cells(&options).len();
+    let expected_units = Report::grid(&options).len();
     assert_eq!(
         (cold_stats.executed, cold_stats.cached),
         (expected_units, 0)
     );
 
     let (warm_json, warm_stats) =
-        run_stabilization_fabric(&worker_command(), &options, &config(&dir, true))
+        run_fabric::<Report>(&worker_command(), &options, &config(&dir, true))
             .expect("warm run succeeds");
     assert_eq!(
         (warm_stats.executed, warm_stats.cached),
