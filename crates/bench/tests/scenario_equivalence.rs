@@ -858,3 +858,99 @@ fn churned_runs_are_bit_identical_across_thread_counts() {
         );
     }
 }
+
+/// `run_steps(k)` against `k` calls of `step()`, from clones of `sim`: for
+/// every burst length in a sequence that crosses the uniform burst's block
+/// size, the configuration, statistics, step count and enabled trace agree,
+/// and after a `config_mut` rewrite between bursts so do the next ones.  At
+/// the end both simulations draw the same next RNG word.
+fn assert_burst_matches_single_steps<P, G>(label: &str, sim: Simulation<P, G>)
+where
+    P: population::Protocol,
+    G: population::InteractionGraph + Clone,
+{
+    use rand::RngCore;
+    let (mut burst, mut single) = (sim.clone(), sim);
+    burst.set_tracing(true);
+    single.set_tracing(true);
+    let n = burst.num_agents();
+    for (round, k) in [0u64, 1, 63, 64, 65, 1000].into_iter().enumerate() {
+        burst.run_steps(k);
+        for _ in 0..k {
+            single.step();
+        }
+        assert!(
+            burst.config() == single.config(),
+            "{label}: burst of {k} left a different configuration"
+        );
+        assert_eq!(burst.stats(), single.stats(), "{label}: burst of {k}");
+        assert_eq!(burst.steps(), single.steps(), "{label}: burst of {k}");
+        assert_eq!(burst.trace(), single.trace(), "{label}: burst of {k}");
+        // An out-of-band rewrite: copy one agent's state over another.
+        for sim in [&mut burst, &mut single] {
+            let states = sim.config_mut().states_mut();
+            states[round % n] = states[(7 * round + 3) % n].clone();
+        }
+    }
+    let next_word = |sim: &mut Simulation<P, G>| {
+        let mut word = 0;
+        sim.step_chosen_by(|graph, _, rng| {
+            word = rng.next_u64();
+            Ok(graph.sample(rng))
+        })
+        .expect("a sampled arc is an arc");
+        word
+    };
+    assert_eq!(
+        next_word(&mut burst),
+        next_word(&mut single),
+        "{label}: RNG"
+    );
+}
+
+/// The uniform burst hands blocks of sampled arcs to the protocol at once;
+/// it must run exactly the process of single steps, for every Table 1
+/// protocol, typed and erased (Fischer–Jiang's oracle fold included).
+#[test]
+fn uniform_bursts_match_single_steps() {
+    struct Pin {
+        n: usize,
+        label: String,
+    }
+    impl Table1Visitor for Pin {
+        type Output = ();
+        fn visit<P, F>(self, protocol: P, config: Configuration<P::State>, _stop: F)
+        where
+            P: LeaderElection + 'static,
+            P::State: std::any::Any,
+            F: Fn(&P, &Configuration<P::State>) -> bool + Send + Sync + 'static,
+        {
+            let ring = DirectedRing::new(self.n).expect("n >= 2");
+            let erased: Configuration<DynState> =
+                config.states().iter().cloned().map(DynState::new).collect();
+            let any_ring = population::GraphFamily::DirectedRing
+                .build(self.n)
+                .expect("n >= 2");
+            let seed = self.n as u64 ^ 0xB10C;
+            assert_burst_matches_single_steps(
+                &format!("{} typed", self.label),
+                Simulation::new(protocol.clone(), ring, config, seed),
+            );
+            assert_burst_matches_single_steps(
+                &format!("{} erased", self.label),
+                Simulation::new(
+                    population::DynProtocol::erase(protocol),
+                    any_ring,
+                    erased,
+                    seed,
+                ),
+            );
+        }
+    }
+    for kind in ProtocolKind::ALL {
+        for (n, seed) in [(8usize, 3u64), (64, 1_000_001)] {
+            let label = format!("{} n={n} seed={seed}", kind.key());
+            kind.with_table1_setup(n, seed, Pin { n, label });
+        }
+    }
+}

@@ -12,6 +12,9 @@
 //! protocol-specific inspection functions in their own crates.
 
 use crate::config::Configuration;
+use crate::observer::NoObserver;
+use crate::schedule::Interaction;
+use crate::simulation::{transition, OracleFold};
 
 /// Output alphabet of a leader-election protocol: `L` (leader) or `F`
 /// (follower).
@@ -67,6 +70,28 @@ pub trait Protocol: Clone + Send + Sync {
     /// and `responder` is `r` (the right agent).  On non-ring graphs the
     /// roles are simply the arc's tail and head.
     fn interact(&self, initiator: &mut Self::State, responder: &mut Self::State);
+
+    /// Runs the steps of a block of arcs, in order, on `states`: for each,
+    /// the oracle's broadcast, then [`Protocol::interact`].  This is how
+    /// [`Simulation::run_steps`] hands a uniform burst to the protocol; the
+    /// simulation does the bookkeeping afterwards.
+    ///
+    /// The default loops over the arcs.  Protocols that dispatch each call
+    /// dynamically override it to dispatch once per block — the erased
+    /// [`crate::scenario::DynProtocol`] does — and must run exactly the
+    /// default's process.
+    ///
+    /// [`Simulation::run_steps`]: crate::simulation::Simulation::run_steps
+    fn interact_block(
+        &self,
+        states: &mut [Self::State],
+        oracle: &mut OracleFold,
+        arcs: &[Interaction],
+    ) {
+        for &arc in arcs {
+            transition(self, states, oracle, arc, &mut NoObserver);
+        }
+    }
 
     /// One agent's contribution to the oracle's global view: bit `k` set
     /// means this agent has property `k`, so it contributes to "some agent

@@ -90,7 +90,7 @@ use crate::protocol::{LeaderElection, Protocol};
 use crate::recurrence::{ConfigDigest, RecurrenceCandidate, RecurrenceDetector};
 use crate::schedule::Interaction;
 use crate::scheduler::Scheduler;
-use crate::simulation::Simulation;
+use crate::simulation::{oracle_in_use, OracleFold, Simulation};
 use crate::sweep::{SweepGrid, SweepPoint};
 
 // ---------------------------------------------------------------------------
@@ -136,6 +136,19 @@ pub trait DynLeaderElection: Send + Sync {
     /// See [`Protocol::oracle_apply`].
     fn oracle_apply_dyn(&self, view: u8, state: &mut DynState);
 
+    /// See [`Protocol::interact_block`]: a whole block of steps in one
+    /// virtual call.  The default runs the block through the per-step
+    /// methods above; the wrapper behind [`DynProtocol::erase`] overrides it
+    /// with the block loop monomorphized for the typed protocol.
+    fn interact_block_dyn(
+        &self,
+        states: &mut [DynState],
+        oracle: &mut OracleFold,
+        arcs: &[Interaction],
+    ) {
+        PerCall(self).interact_block(states, oracle, arcs);
+    }
+
     /// See [`Protocol::uses_oracle`].
     fn uses_oracle_dyn(&self) -> bool;
 
@@ -146,8 +159,43 @@ pub trait DynLeaderElection: Send + Sync {
     fn protocol_name(&self) -> &'static str;
 }
 
+/// A [`DynLeaderElection`] as a [`Protocol`], one virtual call per hook: the
+/// block loop behind the default [`DynLeaderElection::interact_block_dyn`].
+/// Only the hooks that loop calls are forwarded.
+struct PerCall<'a, T: ?Sized>(&'a T);
+
+impl<T: ?Sized> Clone for PerCall<'_, T> {
+    fn clone(&self) -> Self {
+        PerCall(self.0)
+    }
+}
+
+impl<T: DynLeaderElection + ?Sized> Protocol for PerCall<'_, T> {
+    type State = DynState;
+    const HAS_ENVIRONMENT: bool = true;
+
+    fn interact(&self, initiator: &mut DynState, responder: &mut DynState) {
+        self.0.interact_dyn(initiator, responder);
+    }
+
+    fn oracle_marks(&self, state: &DynState) -> u8 {
+        self.0.oracle_marks_dyn(state)
+    }
+
+    fn oracle_apply(&self, view: u8, state: &mut DynState) {
+        self.0.oracle_apply_dyn(view, state);
+    }
+}
+
 /// Erasure wrapper: the typed protocol and its leader output, which is
 /// constantly `false` for protocols without one.
+///
+/// It is also `P`'s static slot view: a [`Protocol`] over [`DynState`] that
+/// downcasts and calls `P` directly.  Its block loop
+/// ([`Protocol::interact_block`]) is therefore monomorphized for `P`, oracle
+/// fold included, behind the one virtual call of
+/// [`DynLeaderElection::interact_block_dyn`].
+#[derive(Clone)]
 struct Erased<P: Protocol> {
     protocol: P,
     is_leader: fn(&P, &P::State) -> bool,
@@ -171,27 +219,68 @@ where
     }
 }
 
+impl<P> Protocol for Erased<P>
+where
+    P: Protocol,
+    P::State: Any,
+{
+    type State = DynState;
+    const HAS_ENVIRONMENT: bool = P::HAS_ENVIRONMENT;
+
+    fn interact(&self, initiator: &mut DynState, responder: &mut DynState) {
+        let i = self.typed_mut(initiator);
+        let r = self.typed_mut(responder);
+        self.protocol.interact(i, r);
+    }
+
+    fn oracle_marks(&self, state: &DynState) -> u8 {
+        self.protocol.oracle_marks(self.typed(state))
+    }
+
+    fn oracle_apply(&self, view: u8, state: &mut DynState) {
+        self.protocol.oracle_apply(view, self.typed_mut(state));
+    }
+
+    /// Panics, as the typed [`Simulation::try_new`] does, if `P` reports an
+    /// oracle without setting [`Protocol::HAS_ENVIRONMENT`]: the block loop
+    /// would compile its oracle out.
+    fn uses_oracle(&self) -> bool {
+        oracle_in_use(&self.protocol)
+    }
+
+    fn name(&self) -> &'static str {
+        self.protocol.name()
+    }
+}
+
 impl<P> DynLeaderElection for Erased<P>
 where
     P: Protocol + 'static,
     P::State: Any,
 {
     fn interact_dyn(&self, initiator: &mut DynState, responder: &mut DynState) {
-        let i = self.typed_mut(initiator);
-        let r = self.typed_mut(responder);
-        self.protocol.interact(i, r);
+        self.interact(initiator, responder);
     }
 
     fn oracle_marks_dyn(&self, state: &DynState) -> u8 {
-        self.protocol.oracle_marks(self.typed(state))
+        self.oracle_marks(state)
     }
 
     fn oracle_apply_dyn(&self, view: u8, state: &mut DynState) {
-        self.protocol.oracle_apply(view, self.typed_mut(state));
+        self.oracle_apply(view, state);
+    }
+
+    fn interact_block_dyn(
+        &self,
+        states: &mut [DynState],
+        oracle: &mut OracleFold,
+        arcs: &[Interaction],
+    ) {
+        self.interact_block(states, oracle, arcs);
     }
 
     fn uses_oracle_dyn(&self) -> bool {
-        self.protocol.uses_oracle()
+        self.uses_oracle()
     }
 
     fn is_leader_dyn(&self, state: &DynState) -> bool {
@@ -201,7 +290,7 @@ where
     }
 
     fn protocol_name(&self) -> &'static str {
-        self.protocol.name()
+        self.name()
     }
 }
 
@@ -277,6 +366,15 @@ impl Protocol for DynProtocol {
 
     fn oracle_apply(&self, view: u8, state: &mut DynState) {
         self.inner.oracle_apply_dyn(view, state);
+    }
+
+    fn interact_block(
+        &self,
+        states: &mut [DynState],
+        oracle: &mut OracleFold,
+        arcs: &[Interaction],
+    ) {
+        self.inner.interact_block_dyn(states, oracle, arcs);
     }
 
     fn uses_oracle(&self) -> bool {
@@ -1688,7 +1786,7 @@ impl Run {
             }
         } else {
             // The uniform burst counts its steps in `hot_steps` itself.
-            sim.run_steps_observed(k, observer);
+            observer.burst(sim, k);
             return Ok(false);
         }
         // Every other step is counted here, once per segment.
@@ -1704,7 +1802,12 @@ impl Run {
 
 /// What a [`Run`] feeds every step outside Byzantine windows.  Plain runs
 /// use [`NoObserver`], whose hooks compile away.
-trait Watch: StepObserver<DynProtocol> {
+trait Watch: StepObserver<DynProtocol> + Sized {
+    /// Runs `k` uniform steps, observed one by one.
+    fn burst(&mut self, sim: &mut ErasedSim, k: u64) {
+        sim.run_steps_observed(k, self);
+    }
+
     /// Re-seeds from the configuration after a segment that rewrote states
     /// out of band: a fired fault, trigger or churn event, or a Byzantine
     /// window.
@@ -1723,7 +1826,12 @@ trait Watch: StepObserver<DynProtocol> {
     }
 }
 
-impl Watch for NoObserver {}
+/// Nothing to observe, so the burst runs in blocks, one virtual call each.
+impl Watch for NoObserver {
+    fn burst(&mut self, sim: &mut ErasedSim, k: u64) {
+        sim.run_steps(k);
+    }
+}
 
 impl Watch for LeaderCounter {
     fn reseed(&mut self, sim: &ErasedSim) {
@@ -2956,6 +3064,73 @@ mod tests {
         // The oracle fires before the very first interaction, so one step
         // suffices.
         assert_eq!(report.steps_executed, 1);
+    }
+
+    /// An implementation that forwards only the per-step hooks, so its
+    /// uniform bursts take the default per-call block loop: it runs exactly
+    /// the monomorphized block of [`DynProtocol::erase`].
+    #[test]
+    fn the_per_call_block_default_runs_the_typed_block() {
+        struct PerStep(Arc<dyn DynLeaderElection>);
+        impl DynLeaderElection for PerStep {
+            fn interact_dyn(&self, initiator: &mut DynState, responder: &mut DynState) {
+                self.0.interact_dyn(initiator, responder);
+            }
+            fn oracle_marks_dyn(&self, state: &DynState) -> u8 {
+                self.0.oracle_marks_dyn(state)
+            }
+            fn oracle_apply_dyn(&self, view: u8, state: &mut DynState) {
+                self.0.oracle_apply_dyn(view, state);
+            }
+            fn uses_oracle_dyn(&self) -> bool {
+                self.0.uses_oracle_dyn()
+            }
+            fn is_leader_dyn(&self, state: &DynState) -> bool {
+                self.0.is_leader_dyn(state)
+            }
+            fn protocol_name(&self) -> &'static str {
+                self.0.protocol_name()
+            }
+        }
+        let typed = DynProtocol::erase(OracleSpawner);
+        let per_step = DynProtocol::from_dyn(Arc::new(PerStep(typed.inner.clone())));
+        let follower = OracleState {
+            leader: false,
+            no_leader: false,
+        };
+        let start = Configuration::uniform(9, DynState::new(follower));
+        let graph = GraphFamily::Complete.build(9).unwrap();
+        let mut a = Simulation::new(typed, graph.clone(), start.clone(), 5);
+        let mut b = Simulation::new(per_step, graph, start, 5);
+        for burst in 0..20 {
+            a.run_steps(burst * 7);
+            b.run_steps(burst * 7);
+            assert_eq!(a.config(), b.config(), "burst {burst}");
+            assert_eq!(a.stats(), b.stats(), "burst {burst}");
+            // Demote one agent out of band, so the oracle's view can flip.
+            for sim in [&mut a, &mut b] {
+                sim.config_mut()[burst as usize % 9] = DynState::new(follower);
+            }
+        }
+    }
+
+    /// Erasure keeps the typed simulation's check: an oracle without
+    /// [`Protocol::HAS_ENVIRONMENT`] would be compiled out of the block loop.
+    #[test]
+    #[should_panic(expected = "HAS_ENVIRONMENT")]
+    fn erased_oracle_without_has_environment_is_rejected_at_construction() {
+        #[derive(Clone, Debug)]
+        struct Misconfigured;
+        impl Protocol for Misconfigured {
+            type State = bool;
+            fn interact(&self, _i: &mut bool, _r: &mut bool) {}
+            fn uses_oracle(&self) -> bool {
+                true
+            }
+        }
+        let graph = GraphFamily::Complete.build(4).unwrap();
+        let config = Configuration::uniform(4, DynState::new(false));
+        let _ = Simulation::new(DynProtocol::erase_protocol(Misconfigured), graph, config, 0);
     }
 
     #[test]

@@ -34,14 +34,16 @@ pub struct Simulation<P: Protocol, G: InteractionGraph> {
     steps: u64,
     stats: RunStats,
     trace: Trace,
-    /// Cached `protocol.uses_oracle()` (behind [`Protocol::HAS_ENVIRONMENT`]):
-    /// whether the oracle must be kept.  Computed once at construction so
-    /// the hot loop never pays the (virtual, under erasure) `uses_oracle`
-    /// call.
-    env_active: bool,
     /// The oracle's view, maintained from the two touched agents per step.
     oracle: OracleFold,
 }
+
+/// How many arcs the uniform burst samples ahead and hands to
+/// [`Protocol::interact_block`] in one call.  Sampling depends only on the
+/// graph and the RNG, never on states, so drawing a block first keeps the
+/// stream, while an erased protocol pays one virtual call per block instead
+/// of one (or, with an oracle, seven) per step.
+const BLOCK: usize = 64;
 
 /// The oracle's global view as a maintained fold: one count per mark
 /// ([`Protocol::oracle_marks`]), updated from the two touched agents of each
@@ -54,11 +56,18 @@ pub struct Simulation<P: Protocol, G: InteractionGraph> {
 /// view changes or the configuration was rewritten out of band, and
 /// otherwise just the previous step's two agents.
 ///
-/// All of a step's oracle work happens in [`OracleFold::before_interaction`]:
+/// All of a step's oracle work happens in `OracleFold::before_interaction`:
 /// the interacting pair is counted out there and counted back in, with its
 /// new marks, at the next step, so the step loop branches on the oracle once.
+///
+/// The fold belongs to a [`Simulation`] and is opaque outside it:
+/// [`Protocol::interact_block`] only passes it on to each step.
 #[derive(Clone, Debug)]
-struct OracleFold {
+pub struct OracleFold {
+    /// Cached `protocol.uses_oracle()` (behind [`Protocol::HAS_ENVIRONMENT`]):
+    /// whether the oracle runs at all.  Computed once at construction so the
+    /// hot loop never pays the (virtual, under erasure) `uses_oracle` call.
+    active: bool,
     /// Number of agents carrying each mark bit, the previous step's pair
     /// left out.
     counts: [usize; 8],
@@ -73,8 +82,9 @@ struct OracleFold {
 }
 
 impl OracleFold {
-    fn new() -> Self {
+    fn new(active: bool) -> Self {
         OracleFold {
+            active,
             counts: [0; 8],
             view: 0,
             last: (0, 0),
@@ -142,6 +152,66 @@ impl OracleFold {
     }
 }
 
+/// [`Protocol::uses_oracle`], checked against [`Protocol::HAS_ENVIRONMENT`].
+///
+/// # Panics
+///
+/// Panics if the protocol reports an oracle its type does not declare: the
+/// oracle would be compiled out of the step loop and silently never invoked.
+pub(crate) fn oracle_in_use<P: Protocol>(protocol: &P) -> bool {
+    let uses = protocol.uses_oracle();
+    assert!(
+        P::HAS_ENVIRONMENT || !uses,
+        "protocol {:?} reports uses_oracle() but its type does not set \
+         Protocol::HAS_ENVIRONMENT, so its oracle would never run",
+        protocol.name()
+    );
+    uses
+}
+
+/// One transition `C →e C'`: the oracle fold (when active), then
+/// `interact` on the split-borrowed pair between `observer`'s hooks.  Every
+/// step runs through here — single steps from [`Simulation::apply_observed`]
+/// and uniform bursts from [`Protocol::interact_block`] — so the order is
+/// written once.
+///
+/// # Panics
+///
+/// Panics if the interaction references agents outside the population.
+#[inline]
+pub(crate) fn transition<P: Protocol, O: StepObserver<P>>(
+    protocol: &P,
+    states: &mut [P::State],
+    oracle: &mut OracleFold,
+    interaction: Interaction,
+    observer: &mut O,
+) {
+    let i = interaction.initiator().index();
+    let j = interaction.responder().index();
+    assert!(
+        i < states.len() && j < states.len() && i != j,
+        "interaction {interaction} out of range for population of {}",
+        states.len()
+    );
+    // Oracles.  Compiled out entirely for pure protocol types; one
+    // predicted branch for erased ones.
+    if P::HAS_ENVIRONMENT && oracle.active {
+        oracle.before_interaction(protocol, states, (i, j));
+    }
+
+    // Split-borrow the two interacting states.
+    let (a, b) = if i < j {
+        let (lo, hi) = states.split_at_mut(j);
+        (&mut lo[i], &mut hi[0])
+    } else {
+        let (lo, hi) = states.split_at_mut(i);
+        (&mut hi[0], &mut lo[j])
+    };
+    observer.pre_interaction(protocol, interaction, a, b);
+    protocol.interact(a, b);
+    observer.post_interaction(protocol, interaction, a, b);
+}
+
 impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     /// Creates a simulation from a protocol, graph, initial configuration and
     /// RNG seed.
@@ -179,14 +249,8 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
                 graph: graph.num_agents(),
             });
         }
-        assert!(
-            P::HAS_ENVIRONMENT || !protocol.uses_oracle(),
-            "protocol {:?} reports uses_oracle() but its type does not set \
-             Protocol::HAS_ENVIRONMENT, so its oracle would never run",
-            protocol.name()
-        );
         let n = graph.num_agents();
-        let env_active = P::HAS_ENVIRONMENT && protocol.uses_oracle();
+        let oracle = OracleFold::new(oracle_in_use(&protocol));
         Ok(Simulation {
             protocol,
             graph,
@@ -195,8 +259,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
             steps: 0,
             stats: RunStats::new(n),
             trace: Trace::disabled(),
-            env_active,
-            oracle: OracleFold::new(),
+            oracle,
         })
     }
 
@@ -208,7 +271,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     /// exact; the broadcast never changes leader outputs, so
     /// [`LeaderCounter`] stays exact either way.
     pub fn environment_active(&self) -> bool {
-        self.env_active
+        self.oracle.active
     }
 
     /// The protocol being executed.
@@ -407,34 +470,23 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
         interaction: Interaction,
         observer: &mut O,
     ) {
-        let i = interaction.initiator().index();
-        let j = interaction.responder().index();
-        assert!(
-            i < self.config.len() && j < self.config.len() && i != j,
-            "interaction {interaction} out of range for population of {}",
-            self.config.len()
+        transition(
+            &self.protocol,
+            self.config.states_mut(),
+            &mut self.oracle,
+            interaction,
+            observer,
         );
-        // Oracles.  Compiled out entirely for pure protocol types; one
-        // predicted branch for erased ones.
-        if P::HAS_ENVIRONMENT && self.env_active {
-            self.oracle
-                .before_interaction(&self.protocol, self.config.states_mut(), (i, j));
-        }
+        self.record(interaction);
+    }
 
-        // Split-borrow the two interacting states.
-        let states = self.config.states_mut();
-        let (a, b) = if i < j {
-            let (lo, hi) = states.split_at_mut(j);
-            (&mut lo[i], &mut hi[0])
-        } else {
-            let (lo, hi) = states.split_at_mut(i);
-            (&mut hi[0], &mut lo[j])
-        };
-        observer.pre_interaction(&self.protocol, interaction, a, b);
-        self.protocol.interact(a, b);
-        observer.post_interaction(&self.protocol, interaction, a, b);
-
-        self.stats.record_interaction(i, j);
+    /// The bookkeeping of one applied interaction: statistics, trace and
+    /// the step counter.
+    fn record(&mut self, interaction: Interaction) {
+        self.stats.record_interaction(
+            interaction.initiator().index(),
+            interaction.responder().index(),
+        );
         self.trace.record(Event::Interaction {
             step: self.steps,
             interaction,
@@ -443,9 +495,25 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     }
 
     /// Runs exactly `k` steps under the uniformly random scheduler.
+    ///
+    /// The steps go in blocks: up to 64 arcs are sampled first, then
+    /// the protocol runs the whole block in one [`Protocol::interact_block`]
+    /// call.  The RNG stream and the execution are those of `k` calls to
+    /// [`Simulation::step`].
     pub fn run_steps(&mut self, k: u64) {
-        for _ in 0..k {
-            self.step();
+        let mut arcs = [Interaction::new(0, 0); BLOCK];
+        let mut left = k;
+        while left > 0 {
+            let block = &mut arcs[..left.min(BLOCK as u64) as usize];
+            for arc in block.iter_mut() {
+                *arc = self.graph.sample(&mut self.rng);
+            }
+            self.protocol
+                .interact_block(self.config.states_mut(), &mut self.oracle, block);
+            for &arc in block.iter() {
+                self.record(arc);
+            }
+            left -= block.len() as u64;
         }
         // One counter update per burst, never per step: the hot loop pays
         // exactly one relaxed load here when telemetry is disabled.
