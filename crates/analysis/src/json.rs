@@ -147,16 +147,18 @@ impl JsonValue {
     /// # Errors
     ///
     /// Returns a human-readable message (with a byte offset) on malformed
-    /// input or trailing garbage.
+    /// input, trailing garbage, or arrays and objects nested more than 128
+    /// deep.
     pub fn parse(input: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
-            bytes: input.as_bytes(),
+            text: input,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(format!("trailing characters at byte {}", p.pos));
         }
         Ok(value)
@@ -227,22 +229,27 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deeply [`JsonValue::parse`] lets arrays and objects nest, so hostile
+/// input is an error rather than a stack overflow.  Committed artifacts nest
+/// at most 6 deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects open at the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -255,7 +262,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -269,11 +276,28 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected character at byte {}", self.pos)),
         }
+    }
+
+    /// Parses an array or object one level deeper, up to [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -305,7 +329,7 @@ impl Parser<'_> {
                             let c = if (0xD800..0xDC00).contains(&code) {
                                 // High surrogate: must be followed by a low
                                 // surrogate escape; combine the pair.
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                                if !self.text[self.pos..].starts_with("\\u") {
                                     return Err(format!(
                                         "lone high surrogate at byte {}",
                                         self.pos
@@ -334,13 +358,12 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-decode the UTF-8 sequence starting at this byte.
-                    let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = s.chars().next().unwrap();
-                    self.pos = start + c.len_utf8();
-                    out.push(c);
+                    // Copy the unescaped run up to the next quote or
+                    // backslash as one slice (linear in the string's length).
+                    let run = &self.text[self.pos - 1..];
+                    let run = &run[..run.find(['"', '\\']).unwrap_or(run.len())];
+                    self.pos += run.len() - 1;
+                    out.push_str(run);
                 }
             }
         }
@@ -349,11 +372,10 @@ impl Parser<'_> {
     /// Reads the four hex digits of a `\uXXXX` escape (cursor already past
     /// the `\u`).
     fn hex_escape(&mut self) -> Result<u32, String> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err("truncated \\u escape".to_string());
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| "invalid \\u escape".to_string())?;
+        let hex = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| "truncated or invalid \\u escape".to_string())?;
         let code = u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape".to_string())?;
         self.pos += 4;
         Ok(code)
@@ -370,7 +392,7 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| format!("invalid number {text:?} at byte {start}"))
@@ -521,6 +543,30 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    /// Nesting is bounded: 128 levels parse, one more (or a 10⁵-deep
+    /// input, which used to overflow the stack) is an error with an offset.
+    #[test]
+    fn nesting_deeper_than_the_limit_is_an_error() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(JsonValue::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("at byte 128"), "{err}");
+        assert!(JsonValue::parse(&nested(100_000)).is_err());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(JsonValue::parse(&objects).is_err());
+    }
+
+    /// A long string mixing ASCII and multi-byte characters round-trips
+    /// (string parsing is linear in its length).
+    #[test]
+    fn long_mixed_strings_round_trip() {
+        let s: String = (0..100_000)
+            .map(|i| ['a', 'κ', '"', '😀', '\\', 'z', '\n'][i % 7])
+            .collect();
+        let v = JsonValue::from(s.as_str());
+        assert_eq!(JsonValue::parse(&v.to_json()).unwrap(), v);
     }
 
     #[test]

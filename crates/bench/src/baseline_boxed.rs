@@ -1,18 +1,14 @@
-//! The pre-inline-slot erased-state representation, preserved as a
-//! measurement and test baseline.
+//! The pre-inline-slot erased-state representation, preserved as a test
+//! reference.
 //!
 //! Before `population::slot`, the erased run path stored every agent state
 //! as a `Box<dyn ErasedState>`: each access chased a heap pointer, each
 //! interaction two of them, and the population's states were scattered
 //! across the allocator.  This module is a faithful reproduction of that
 //! representation ([`BoxedState`] + [`BoxedProtocol`]), used by
-//!
-//! * the hot-loop benchmarks ([`crate::hotloop`], `benches/hotloop.rs`) to
-//!   quantify what the inline slots buy — `BENCH_hotloop.json` records both
-//!   representations side by side;
-//! * `tests/scenario_equivalence.rs` to pin that the inline-slot path
-//!   produces **bit-identical** reports and final states to the boxed
-//!   reference for every Table 1 protocol.
+//! `tests/scenario_equivalence.rs` to pin that the inline-slot path produces
+//! **bit-identical** reports and final states to the boxed reference for
+//! every Table 1 protocol.
 //!
 //! It is *not* part of the production run path; `population`'s scenario
 //! layer always uses the inline representation.
@@ -121,7 +117,7 @@ pub fn downcast_boxed_config<S: Any + Clone>(
     Some(Configuration::from_states(states))
 }
 
-/// Object-safe protocol face over [`BoxedState`] (the old
+/// Object-safe protocol face over [`BoxedState`] (the scenario layer's
 /// `DynLeaderElection`, specialized to the boxed representation).
 trait BoxedLe: Send + Sync {
     fn interact_dyn(&self, initiator: &mut BoxedState, responder: &mut BoxedState);

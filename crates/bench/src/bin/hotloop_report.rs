@@ -1,6 +1,5 @@
 //! Hot-loop bench report: measures the erased run path's steps/second for
-//! the four Table 1 protocols × {ring, complete} × n ∈ {256, 4096}, in both
-//! the inline-slot representation and the pre-inline boxed baseline, and
+//! the four Table 1 protocols × {ring, complete} × n ∈ {256, 4096} and
 //! writes the results to `BENCH_hotloop.json` (at the current directory —
 //! run from the repository root) so later changes have a perf trajectory.
 //!
@@ -19,7 +18,7 @@
 //!
 //! The binary is `ssle_bench::hotloop::Report` driven by
 //! `ssle_bench::tracked`, which owns the flags (`--help` prints them) and
-//! the self-validation against the `hotloop-bench/v1` schema, exiting
+//! the self-validation against the `hotloop-bench/v2` schema, exiting
 //! non-zero on any mismatch.
 
 fn main() {

@@ -6,8 +6,9 @@
 //! stop-criterion bundles from `population::scenario` — for the paper's
 //! protocol and every Table 1 baseline; each experiment is a binary in
 //! `src/bin/` that sweeps the relevant parameters over those scenarios and
-//! prints the table or figure data, and the Criterion benches in `benches/`
-//! track the raw simulation performance.
+//! prints the table or figure data, and the tracked reports
+//! (`hotloop_report`, `stabilization_report`, `recovery_report`) persist
+//! their measurements as `BENCH_*.json` artifacts.
 //!
 //! Run an experiment with, e.g.:
 //!

@@ -715,7 +715,8 @@ mod tests {
     /// The cache keys of each report's first and last quick-grid unit,
     /// pinned to the values the per-report unit builders produced before
     /// the reports shared one driver: existing `.fabric-cache/` entries stay
-    /// valid, and the spec encoding cannot drift silently.
+    /// valid, and the spec encoding cannot drift silently.  The spec embeds
+    /// the schema tag, so the hotloop pair is that of `hotloop-bench/v2`.
     #[test]
     fn quick_grid_cache_keys_are_pinned() {
         fn ends<R: TrackedReport>() -> [String; 2] {
@@ -739,8 +740,8 @@ mod tests {
         assert_eq!(
             ends::<hotloop::Report>(),
             [
-                "32b1083b6521d4c52035957bcd0e5505",
-                "f496907716c3f5de2c2c6d48a4a7ddd5"
+                "32b759f3ab21d4c52035957da11ad61a",
+                "f49e03a79cc3f5de2c2c6d4aef2e80aa"
             ]
         );
     }

@@ -117,9 +117,8 @@ pub mod prelude {
     pub use crate::recurrence::{ConfigDigest, RecurrenceCandidate, RecurrenceDetector};
     pub use crate::scenario::{
         downcast_config, AnyGraph, ByzantineWindow, ChurnEvent, ChurnKind, ChurnPlan, DetectedRun,
-        DynLeaderElection, DynProtocol, DynScheduler, DynState, DynStop, FaultEvent, FaultPlan,
-        GraphFamily, PreparedScenario, Scenario, ScenarioBuilder, ScenarioRun, SchedulerFamily,
-        TriggeredFault,
+        DynProtocol, DynScheduler, DynState, DynStop, FaultEvent, FaultPlan, GraphFamily,
+        PreparedScenario, Scenario, ScenarioBuilder, ScenarioRun, SchedulerFamily, TriggeredFault,
     };
     pub use crate::schedule::{Interaction, InteractionSeq};
     pub use crate::scheduler::{

@@ -8,11 +8,11 @@
 //! monomorphized copy of that plumbing; this module provides **one** run path
 //! for all of them:
 //!
-//! * [`DynState`] / [`DynLeaderElection`] / [`DynProtocol`] — type erasure for
-//!   protocols and their per-agent states, so heterogeneous protocols flow
-//!   through a single `Simulation<DynProtocol, AnyGraph>`.  Erasure does not
-//!   change the execution: the scheduler, RNG stream and transition function
-//!   are exactly those of the typed path, so reports are bit-identical.
+//! * [`DynState`] / [`DynProtocol`] — type erasure for protocols and their
+//!   per-agent states, so heterogeneous protocols flow through a single
+//!   `Simulation<DynProtocol, AnyGraph>`.  Erasure does not change the
+//!   execution: the scheduler, RNG stream and transition function are
+//!   exactly those of the typed path, so reports are bit-identical.
 //!   Erased states live in fixed-size **inline slots** ([`crate::slot`]), so
 //!   the erased configuration is one contiguous buffer and the per-step cost
 //!   matches static dispatch — no per-agent heap boxes.
@@ -114,14 +114,12 @@ pub fn downcast_config<S: SlotState>(config: &Configuration<DynState>) -> Option
 // Protocol erasure
 // ---------------------------------------------------------------------------
 
-/// The object-safe face of a (leader-election) protocol: boxed states in,
-/// boxed states out.
-///
-/// Implemented by the private wrapper behind [`DynProtocol::erase`] (for
-/// [`LeaderElection`] protocols) and [`DynProtocol::erase_protocol`] (for
-/// protocols without a leader output, whose `is_leader_dyn` is always
+/// The object-safe face of a (leader-election) protocol over [`DynState`]
+/// slots.  Its one implementer is [`Erased`], behind [`DynProtocol::erase`]
+/// (for [`LeaderElection`] protocols) and [`DynProtocol::erase_protocol`]
+/// (for protocols without a leader output, whose `is_leader_dyn` is always
 /// `false`).
-pub trait DynLeaderElection: Send + Sync {
+trait DynLeaderElection: Send + Sync {
     /// The transition function on erased states.
     ///
     /// # Panics
@@ -137,17 +135,14 @@ pub trait DynLeaderElection: Send + Sync {
     fn oracle_apply_dyn(&self, view: u8, state: &mut DynState);
 
     /// See [`Protocol::interact_block`]: a whole block of steps in one
-    /// virtual call.  The default runs the block through the per-step
-    /// methods above; the wrapper behind [`DynProtocol::erase`] overrides it
-    /// with the block loop monomorphized for the typed protocol.
+    /// virtual call, into the block loop monomorphized for the typed
+    /// protocol.
     fn interact_block_dyn(
         &self,
         states: &mut [DynState],
         oracle: &mut OracleFold,
         arcs: &[Interaction],
-    ) {
-        PerCall(self).interact_block(states, oracle, arcs);
-    }
+    );
 
     /// See [`Protocol::uses_oracle`].
     fn uses_oracle_dyn(&self) -> bool;
@@ -157,34 +152,6 @@ pub trait DynLeaderElection: Send + Sync {
 
     /// See [`Protocol::name`].
     fn protocol_name(&self) -> &'static str;
-}
-
-/// A [`DynLeaderElection`] as a [`Protocol`], one virtual call per hook: the
-/// block loop behind the default [`DynLeaderElection::interact_block_dyn`].
-/// Only the hooks that loop calls are forwarded.
-struct PerCall<'a, T: ?Sized>(&'a T);
-
-impl<T: ?Sized> Clone for PerCall<'_, T> {
-    fn clone(&self) -> Self {
-        PerCall(self.0)
-    }
-}
-
-impl<T: DynLeaderElection + ?Sized> Protocol for PerCall<'_, T> {
-    type State = DynState;
-    const HAS_ENVIRONMENT: bool = true;
-
-    fn interact(&self, initiator: &mut DynState, responder: &mut DynState) {
-        self.0.interact_dyn(initiator, responder);
-    }
-
-    fn oracle_marks(&self, state: &DynState) -> u8 {
-        self.0.oracle_marks_dyn(state)
-    }
-
-    fn oracle_apply(&self, view: u8, state: &mut DynState) {
-        self.0.oracle_apply_dyn(view, state);
-    }
 }
 
 /// Erasure wrapper: the typed protocol and its leader output, which is
@@ -331,11 +298,6 @@ impl DynProtocol {
                 is_leader: |_, _| false,
             }),
         }
-    }
-
-    /// Wraps an already-erased implementation.
-    pub fn from_dyn(inner: Arc<dyn DynLeaderElection>) -> Self {
-        DynProtocol { inner }
     }
 }
 
@@ -3064,54 +3026,6 @@ mod tests {
         // The oracle fires before the very first interaction, so one step
         // suffices.
         assert_eq!(report.steps_executed, 1);
-    }
-
-    /// An implementation that forwards only the per-step hooks, so its
-    /// uniform bursts take the default per-call block loop: it runs exactly
-    /// the monomorphized block of [`DynProtocol::erase`].
-    #[test]
-    fn the_per_call_block_default_runs_the_typed_block() {
-        struct PerStep(Arc<dyn DynLeaderElection>);
-        impl DynLeaderElection for PerStep {
-            fn interact_dyn(&self, initiator: &mut DynState, responder: &mut DynState) {
-                self.0.interact_dyn(initiator, responder);
-            }
-            fn oracle_marks_dyn(&self, state: &DynState) -> u8 {
-                self.0.oracle_marks_dyn(state)
-            }
-            fn oracle_apply_dyn(&self, view: u8, state: &mut DynState) {
-                self.0.oracle_apply_dyn(view, state);
-            }
-            fn uses_oracle_dyn(&self) -> bool {
-                self.0.uses_oracle_dyn()
-            }
-            fn is_leader_dyn(&self, state: &DynState) -> bool {
-                self.0.is_leader_dyn(state)
-            }
-            fn protocol_name(&self) -> &'static str {
-                self.0.protocol_name()
-            }
-        }
-        let typed = DynProtocol::erase(OracleSpawner);
-        let per_step = DynProtocol::from_dyn(Arc::new(PerStep(typed.inner.clone())));
-        let follower = OracleState {
-            leader: false,
-            no_leader: false,
-        };
-        let start = Configuration::uniform(9, DynState::new(follower));
-        let graph = GraphFamily::Complete.build(9).unwrap();
-        let mut a = Simulation::new(typed, graph.clone(), start.clone(), 5);
-        let mut b = Simulation::new(per_step, graph, start, 5);
-        for burst in 0..20 {
-            a.run_steps(burst * 7);
-            b.run_steps(burst * 7);
-            assert_eq!(a.config(), b.config(), "burst {burst}");
-            assert_eq!(a.stats(), b.stats(), "burst {burst}");
-            // Demote one agent out of band, so the oracle's view can flip.
-            for sim in [&mut a, &mut b] {
-                sim.config_mut()[burst as usize % 9] = DynState::new(follower);
-            }
-        }
     }
 
     /// Erasure keeps the typed simulation's check: an oracle without
