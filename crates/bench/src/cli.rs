@@ -39,7 +39,7 @@ options:
 pub enum ParseError {
     /// A count flag was given the value `0`, which downstream code would
     /// silently clamp or degenerate on (`BatchRunner::with_threads(0)`
-    /// quietly runs single-threaded; a 0-island search evaluates nothing).
+    /// quietly runs single-threaded; zero trials print an empty report).
     ZeroCount {
         /// The offending flag, e.g. `--threads`.
         flag: &'static str,
@@ -176,9 +176,15 @@ impl BenchArgs {
                 }
                 "--trials" => {
                     let raw = value("--trials")?;
-                    out.trials = Some(raw.parse().map_err(|_| {
+                    let trials: usize = raw.parse().map_err(|_| {
                         ParseError::malformed(format!("--trials: cannot parse {raw:?}"))
-                    })?);
+                    })?;
+                    // Zero trials would run nothing and still exit 0 with
+                    // an empty report.
+                    if trials == 0 {
+                        return Err(ParseError::ZeroCount { flag: "--trials" });
+                    }
+                    out.trials = Some(trials);
                 }
                 "--seed" => {
                     let raw = value("--seed")?;
@@ -327,23 +333,31 @@ mod tests {
     }
 
     #[test]
-    fn zero_thread_counts_are_rejected_with_a_typed_error() {
+    fn zero_thread_and_trial_counts_are_rejected_with_a_typed_error() {
         // Regression: `--threads 0` used to parse and then silently run
-        // single-threaded (`BatchRunner::with_threads(0)` clamps to 1).
-        for line in [vec!["--threads", "0"], vec!["--threads=0"]] {
+        // single-threaded (`BatchRunner::with_threads(0)` clamps to 1), and
+        // `--trials 0` to print an empty report with exit status 0.
+        for (flag, line) in [
+            ("--threads", vec!["--threads", "0"]),
+            ("--threads", vec!["--threads=0"]),
+            ("--trials", vec!["--trials", "0"]),
+            ("--trials", vec!["--trials=0"]),
+        ] {
             let err = BenchArgs::try_parse(line.iter().map(|s| s.to_string())).unwrap_err();
             assert_eq!(
                 err,
-                ParseError::ZeroCount { flag: "--threads" },
+                ParseError::ZeroCount { flag },
                 "{line:?} must be the typed zero-count rejection"
             );
             assert!(
-                err.to_string().contains("--threads must be at least 1"),
+                err.to_string()
+                    .contains(&format!("{flag} must be at least 1")),
                 "message must name the flag and the floor: {err}"
             );
         }
-        // The boundary value stays accepted.
+        // The boundary values stay accepted.
         assert_eq!(parse(&["--threads", "1"]).threads, Some(1));
+        assert_eq!(parse(&["--trials", "1"]).trials, Some(1));
     }
 
     #[test]

@@ -63,6 +63,6 @@ pub mod tokens;
 pub use init::InitialCondition;
 pub use params::Params;
 pub use protocol::Ppl;
-pub use safety::{in_c_dl, in_c_pb, in_s_pl, SafeConfiguration};
+pub use safety::{in_c_dl, in_c_pb, in_s_pl};
 pub use segments::{is_perfect, perfect_configuration};
 pub use state::{Mode, PplState, Token, TokenKind};

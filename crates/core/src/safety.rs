@@ -188,31 +188,6 @@ pub fn in_s_pl(config: &Configuration<PplState>, params: &Params) -> bool {
         && canonical_segment_ids_consecutive(config, params)
 }
 
-/// A convergence criterion wrapping [`in_s_pl`], for use with
-/// `population::Simulation::run_criterion`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SafeConfiguration {
-    params: Params,
-}
-
-impl SafeConfiguration {
-    /// Creates the criterion for the given parameters.
-    pub fn new(params: Params) -> Self {
-        SafeConfiguration { params }
-    }
-}
-
-impl population::Criterion<crate::protocol::Ppl> for SafeConfiguration {
-    fn name(&self) -> &str {
-        "S_PL (structural safe configuration)"
-    }
-
-    fn is_satisfied(&self, _protocol: &crate::protocol::Ppl, states: &[PplState]) -> bool {
-        let config = Configuration::from_states(states.to_vec());
-        in_s_pl(&config, &self.params)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,19 +408,5 @@ mod tests {
                 "the unique leader moved or was duplicated"
             );
         }
-    }
-
-    #[test]
-    fn safe_configuration_criterion_wrapper() {
-        use population::Criterion;
-        let n = 12;
-        let p = Params::for_ring(n);
-        let criterion = SafeConfiguration::new(p);
-        let protocol = Ppl::new(p);
-        let good = perfect_configuration(n, &p, 0, 0);
-        assert!(criterion.is_satisfied(&protocol, good.states()));
-        let bad = Configuration::uniform(n, PplState::follower());
-        assert!(!criterion.is_satisfied(&protocol, bad.states()));
-        assert!(criterion.name().contains("S_PL"));
     }
 }

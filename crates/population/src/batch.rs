@@ -227,30 +227,6 @@ impl BatchRunner {
             report: run_one(point),
         })
     }
-
-    /// Runs every trial through `run_one`, in parallel, and returns the
-    /// outcomes ordered exactly like the input trials.
-    pub fn run<F>(&self, trials: &[Trial], run_one: F) -> Vec<TrialOutcome>
-    where
-        F: Fn(Trial) -> ConvergenceReport + Send + Sync,
-    {
-        self.run_points(trials, |t: &Trial| run_one(*t))
-            .into_iter()
-            .map(|o| TrialOutcome {
-                trial: o.point,
-                report: o.report,
-            })
-            .collect()
-    }
-
-    /// Runs all trials and groups the outcomes by population size, preserving
-    /// the order in which sizes first appear in the trial list.
-    pub fn run_grouped<F>(&self, trials: &[Trial], run_one: F) -> Vec<BatchSummary>
-    where
-        F: Fn(Trial) -> ConvergenceReport + Send + Sync,
-    {
-        group_by_size(self.run(trials, run_one))
-    }
 }
 
 /// Groups trial outcomes into one [`BatchSummary`] per population size in a
@@ -276,6 +252,21 @@ pub fn group_by_size(outcomes: Vec<TrialOutcome>) -> Vec<BatchSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `trials` through `run_one` and pairs each report with its trial.
+    fn run_trials<F>(runner: &BatchRunner, trials: &[Trial], run_one: F) -> Vec<TrialOutcome>
+    where
+        F: Fn(Trial) -> ConvergenceReport + Send + Sync,
+    {
+        runner
+            .run_points(trials, |t| run_one(*t))
+            .into_iter()
+            .map(|o| TrialOutcome {
+                trial: o.point,
+                report: o.report,
+            })
+            .collect()
+    }
 
     fn fake_report(converged_at: Option<u64>) -> ConvergenceReport {
         ConvergenceReport {
@@ -303,10 +294,10 @@ mod tests {
         let trials: Vec<Trial> = (0..50).map(|i| Trial::new(4, i)).collect();
         let runner = BatchRunner::with_threads(4);
         assert_eq!(runner.num_threads(), 4);
-        let outcomes = runner.run(&trials, |t| fake_report(Some(t.seed * 10)));
+        let outcomes = runner.run_points(&trials, |t| fake_report(Some(t.seed * 10)));
         assert_eq!(outcomes.len(), 50);
         for (i, o) in outcomes.iter().enumerate() {
-            assert_eq!(o.trial.seed, i as u64);
+            assert_eq!(o.point.seed, i as u64);
             assert_eq!(o.report.converged_at, Some(i as u64 * 10));
         }
     }
@@ -314,7 +305,7 @@ mod tests {
     #[test]
     fn empty_trial_list_is_fine() {
         let runner = BatchRunner::with_threads(2);
-        let outcomes = runner.run(&[], |_| fake_report(None));
+        let outcomes = runner.run_points(&[] as &[Trial], |_| fake_report(None));
         assert!(outcomes.is_empty());
     }
 
@@ -322,7 +313,9 @@ mod tests {
     fn grouping_by_population_size() {
         let trials = Trial::grid(&[8, 16], 3, 0);
         let runner = BatchRunner::with_threads(2);
-        let groups = runner.run_grouped(&trials, |t| fake_report(Some(t.n as u64 * 100)));
+        let groups = group_by_size(run_trials(&runner, &trials, |t| {
+            fake_report(Some(t.n as u64 * 100))
+        }));
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].n, 8);
         assert_eq!(groups[1].n, 16);
@@ -387,9 +380,10 @@ mod tests {
     #[test]
     fn outcomes_are_seed_deterministic_regardless_of_thread_count() {
         let trials = Trial::grid(&[8, 16, 32], 20, 99);
-        let serial = BatchRunner::with_threads(1).run(&trials, seeded_report);
+        let run = |t: &Trial| seeded_report(*t);
+        let serial = BatchRunner::with_threads(1).run_points(&trials, run);
         for threads in [2, 3, 8, 64] {
-            let parallel = BatchRunner::with_threads(threads).run(&trials, seeded_report);
+            let parallel = BatchRunner::with_threads(threads).run_points(&trials, run);
             assert_eq!(
                 serial, parallel,
                 "outcomes changed with {threads} worker threads"
@@ -400,7 +394,11 @@ mod tests {
     #[test]
     fn grouped_aggregation_matches_a_serial_run() {
         let trials = Trial::grid(&[8, 16], 10, 7);
-        let groups = BatchRunner::with_threads(4).run_grouped(&trials, seeded_report);
+        let groups = group_by_size(run_trials(
+            &BatchRunner::with_threads(4),
+            &trials,
+            seeded_report,
+        ));
 
         // Aggregate the same trials by hand, without the runner.
         for group in &groups {

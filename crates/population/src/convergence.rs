@@ -1,126 +1,14 @@
-//! Convergence criteria and reports.
+//! Convergence reports.
 //!
 //! Self-stabilization is defined via *safe configurations* (Definition 2.1):
 //! the convergence time of a run is the number of steps until the first safe
 //! configuration.  Protocol crates provide structural checkers for their safe
-//! sets (e.g. `S_PL` for the paper's protocol); this module provides the
-//! plumbing — the [`Criterion`] trait, generic criteria and the
-//! [`ConvergenceReport`] returned by measurement runs.
+//! sets (e.g. `S_PL` for the paper's protocol), which runs take as stop
+//! predicates; this module holds the [`ConvergenceReport`] those runs return.
 
 use std::borrow::Cow;
 
 use serde::{Deserialize, Serialize};
-
-use crate::config::Configuration;
-use crate::protocol::{LeaderElection, Protocol};
-
-/// A convergence criterion evaluated against a configuration.
-///
-/// Criteria should be *monotone along executions* for the measured value to
-/// be a genuine convergence time (the paper's safe sets are closed, hence
-/// monotone).  Non-monotone criteria (such as [`UniqueLeader`]) are still
-/// useful as necessary conditions and for protocols without a structural
-/// safe-set checker; see [`StableOutputs`] for the stability-based fallback.
-pub trait Criterion<P: Protocol>: Send + Sync {
-    /// Short name used in traces and reports.
-    fn name(&self) -> &str;
-
-    /// Returns `true` if the configuration satisfies the criterion.
-    fn is_satisfied(&self, protocol: &P, states: &[P::State]) -> bool;
-}
-
-/// Criterion: exactly one agent outputs `L`.
-///
-/// This is a *necessary* condition for a safe configuration of any SS-LE
-/// protocol but not a sufficient one (the configuration might still create or
-/// kill leaders later).  Use the structural checkers in the protocol crates
-/// when available.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct UniqueLeader;
-
-impl<P: LeaderElection> Criterion<P> for UniqueLeader {
-    fn name(&self) -> &str {
-        "unique-leader"
-    }
-
-    fn is_satisfied(&self, protocol: &P, states: &[P::State]) -> bool {
-        protocol.has_unique_leader(states)
-    }
-}
-
-/// Criterion defined by an arbitrary predicate over the configuration.
-pub struct Predicate<P: Protocol, F> {
-    name: String,
-    predicate: F,
-    _marker: std::marker::PhantomData<fn(&P)>,
-}
-
-impl<P: Protocol, F> std::fmt::Debug for Predicate<P, F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Predicate")
-            .field("name", &self.name)
-            .finish()
-    }
-}
-
-impl<P, F> Predicate<P, F>
-where
-    P: Protocol,
-    F: Fn(&P, &[P::State]) -> bool + Send + Sync,
-{
-    /// Creates a named predicate criterion.
-    pub fn new(name: impl Into<String>, predicate: F) -> Self {
-        Predicate {
-            name: name.into(),
-            predicate,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<P, F> Criterion<P> for Predicate<P, F>
-where
-    P: Protocol,
-    F: Fn(&P, &[P::State]) -> bool + Send + Sync,
-{
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn is_satisfied(&self, protocol: &P, states: &[P::State]) -> bool {
-        (self.predicate)(protocol, states)
-    }
-}
-
-/// Post-hoc convergence estimation for protocols without a structural safe
-/// set: the convergence step is estimated as the last step at which the
-/// leader set changed, provided the leader set then stayed fixed for a long
-/// stability window.
-///
-/// This matches how empirical studies of leader-election protocols usually
-/// report convergence.  It *underestimates* the true convergence-to-safety
-/// time in general, which is acceptable for baseline comparisons and noted in
-/// `EXPERIMENTS.md`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StableOutputs {
-    /// Number of trailing steps during which the leader set must not change.
-    pub stability_window: u64,
-}
-
-impl StableOutputs {
-    /// Creates a stability-based estimator with the given window.
-    pub fn new(stability_window: u64) -> Self {
-        StableOutputs { stability_window }
-    }
-}
-
-impl Default for StableOutputs {
-    fn default() -> Self {
-        StableOutputs {
-            stability_window: 10_000,
-        }
-    }
-}
 
 /// The result of a convergence-measurement run.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -165,71 +53,9 @@ impl ConvergenceReport {
     }
 }
 
-/// Helper for [`StableOutputs`]-style post-hoc estimation: given the list of
-/// steps at which the leader set changed and the total run length, returns
-/// the estimated convergence step if the final stretch was stable for at
-/// least `stability_window` steps.
-pub fn estimate_stable_convergence(
-    leader_change_steps: &[u64],
-    total_steps: u64,
-    stability_window: u64,
-) -> Option<u64> {
-    let last_change = leader_change_steps.last().copied().unwrap_or(0);
-    if total_steps >= last_change && total_steps - last_change >= stability_window {
-        Some(last_change)
-    } else {
-        None
-    }
-}
-
-/// Checks the closure half of self-stabilization empirically: evaluates a
-/// predicate over evenly spaced checkpoints of the execution suffix and
-/// returns `true` only if it holds at every checkpoint.
-pub fn holds_at_checkpoints<P, F>(
-    protocol: &P,
-    checkpoints: &[Configuration<P::State>],
-    predicate: F,
-) -> bool
-where
-    P: Protocol,
-    F: Fn(&P, &[P::State]) -> bool,
-{
-    checkpoints.iter().all(|c| predicate(protocol, c.states()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[derive(Clone, Debug)]
-    struct Dummy;
-    impl Protocol for Dummy {
-        type State = u8;
-        fn interact(&self, _i: &mut u8, _r: &mut u8) {}
-    }
-    impl LeaderElection for Dummy {
-        fn is_leader(&self, state: &u8) -> bool {
-            *state == 1
-        }
-    }
-
-    #[test]
-    fn unique_leader_criterion() {
-        let c = UniqueLeader;
-        assert_eq!(Criterion::<Dummy>::name(&c), "unique-leader");
-        assert!(c.is_satisfied(&Dummy, &[0, 1, 0]));
-        assert!(!c.is_satisfied(&Dummy, &[1, 1, 0]));
-        assert!(!c.is_satisfied(&Dummy, &[0, 0, 0]));
-    }
-
-    #[test]
-    fn predicate_criterion() {
-        let p = Predicate::<Dummy, _>::new("all-zero", |_p, s: &[u8]| s.iter().all(|&x| x == 0));
-        assert_eq!(p.name(), "all-zero");
-        assert!(p.is_satisfied(&Dummy, &[0, 0]));
-        assert!(!p.is_satisfied(&Dummy, &[0, 2]));
-        assert!(format!("{p:?}").contains("all-zero"));
-    }
 
     #[test]
     fn report_accessors() {
@@ -266,36 +92,5 @@ mod tests {
             criterion: "x".into(),
         };
         nr.convergence_step();
-    }
-
-    #[test]
-    fn stable_convergence_estimation() {
-        assert_eq!(
-            estimate_stable_convergence(&[5, 100], 10_200, 10_000),
-            Some(100)
-        );
-        assert_eq!(estimate_stable_convergence(&[5, 100], 5_000, 10_000), None);
-        // Never changed: converged at step 0 once the window has elapsed.
-        assert_eq!(estimate_stable_convergence(&[], 10_000, 10_000), Some(0));
-        assert_eq!(estimate_stable_convergence(&[], 9_999, 10_000), None);
-    }
-
-    #[test]
-    fn stable_outputs_default_window() {
-        assert_eq!(StableOutputs::default().stability_window, 10_000);
-        assert_eq!(StableOutputs::new(5).stability_window, 5);
-    }
-
-    #[test]
-    fn checkpoint_closure_check() {
-        let configs = vec![
-            Configuration::from_states(vec![0u8, 1, 0]),
-            Configuration::from_states(vec![0u8, 1, 0]),
-        ];
-        assert!(holds_at_checkpoints(&Dummy, &configs, |p, s| {
-            p.has_unique_leader(s)
-        }));
-        let bad = vec![Configuration::from_states(vec![1u8, 1, 0])];
-        assert!(!holds_at_checkpoints(&Dummy, &bad, |p, s| p.has_unique_leader(s)));
     }
 }

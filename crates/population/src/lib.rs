@@ -16,9 +16,9 @@
 //!   schedulers reproduce the `seq_R`/`seq_L` interaction sequences used in
 //!   the paper's proofs ([`schedule`]);
 //! * the **execution engine** ([`simulation::Simulation`]) advances a
-//!   configuration under a scheduler, measures convergence against arbitrary
-//!   criteria ([`convergence`]), records traces ([`trace`]), injects faults
-//!   ([`faults`]) and runs batches of trials in parallel ([`batch`]);
+//!   configuration under a scheduler and runs until a predicate holds
+//!   ([`convergence::ConvergenceReport`]); faults are injected with
+//!   [`faults`] and batches of trials run in parallel with [`batch`];
 //! * the **scenario layer** ([`scenario`]) composes any protocol (type-erased
 //!   behind [`scenario::DynProtocol`]), any graph family, an initial-condition
 //!   generator, an optional fault plan, a stop criterion and a step budget
@@ -79,7 +79,6 @@ pub mod error;
 pub mod explore;
 pub mod faults;
 pub mod graph;
-pub mod init;
 pub mod observer;
 pub mod protocol;
 pub mod recurrence;
@@ -88,9 +87,7 @@ pub mod schedule;
 pub mod scheduler;
 pub mod simulation;
 pub mod slot;
-pub mod stats;
 pub mod sweep;
-pub mod trace;
 
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
@@ -99,7 +96,7 @@ pub mod prelude {
         group_by_size, BatchRunner, BatchSummary, Outcome, Trial, TrialOutcome,
     };
     pub use crate::config::Configuration;
-    pub use crate::convergence::{ConvergenceReport, Criterion, StableOutputs};
+    pub use crate::convergence::ConvergenceReport;
     pub use crate::error::{PopulationError, Result};
     pub use crate::explore::{
         explore, phase_closure, ArcPhases, ClosureLimits, ClosureOutcome, ExploreLimits,
@@ -111,8 +108,7 @@ pub mod prelude {
         torus, torus_dims, weak_reach, weakly_connected, ArbitraryGraph, CompleteGraph,
         DirectedRing, InteractionGraph, UndirectedRing,
     };
-    pub use crate::init::Initializer;
-    pub use crate::observer::{LeaderCounter, NoObserver, Recorded, StepObserver};
+    pub use crate::observer::{LeaderCounter, NoObserver, StepObserver};
     pub use crate::protocol::{LeaderElection, LeaderOutput, Protocol};
     pub use crate::recurrence::{ConfigDigest, RecurrenceCandidate, RecurrenceDetector};
     pub use crate::scenario::{
@@ -125,9 +121,7 @@ pub mod prelude {
         RandomScheduler, RoundRobinScheduler, Scheduler, SequenceScheduler,
     };
     pub use crate::simulation::Simulation;
-    pub use crate::stats::RunStats;
     pub use crate::sweep::{SweepAxis, SweepGrid, SweepPoint};
-    pub use crate::trace::{Event, Trace};
 }
 
 pub use prelude::*;

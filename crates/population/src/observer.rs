@@ -111,69 +111,6 @@ impl LeaderCounter {
     }
 }
 
-/// An observer adapter that additionally records **which** interaction the
-/// last observed step executed, forwarding both hooks to the inner observer.
-///
-/// Single-step entry points return the interaction, but the burst APIs
-/// ([`crate::simulation::Simulation::run_steps_observed`]) discard it;
-/// wrapping the burst's real observer in `Recorded` recovers the last
-/// scheduled pair — e.g. to know which agents an adversary should rewrite at
-/// a segment boundary — without switching the burst to per-step dispatch.
-#[derive(Clone, Copy, Debug)]
-pub struct Recorded<O> {
-    inner: O,
-    last: Option<Interaction>,
-}
-
-impl<O> Recorded<O> {
-    /// Wraps `inner`, with no interaction recorded yet.
-    pub fn new(inner: O) -> Self {
-        Recorded { inner, last: None }
-    }
-
-    /// The interaction of the most recent observed step, if any.
-    pub fn last_interaction(&self) -> Option<Interaction> {
-        self.last
-    }
-
-    /// The wrapped observer.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// The wrapped observer, mutably (e.g. to resync a [`LeaderCounter`]).
-    pub fn inner_mut(&mut self) -> &mut O {
-        &mut self.inner
-    }
-}
-
-impl<P: Protocol, O: StepObserver<P>> StepObserver<P> for Recorded<O> {
-    #[inline]
-    fn pre_interaction(
-        &mut self,
-        protocol: &P,
-        interaction: Interaction,
-        initiator: &P::State,
-        responder: &P::State,
-    ) {
-        self.inner
-            .pre_interaction(protocol, interaction, initiator, responder);
-    }
-
-    #[inline]
-    fn post_interaction(
-        &mut self,
-        protocol: &P,
-        interaction: Interaction,
-        initiator: &P::State,
-        responder: &P::State,
-    ) {
-        self.last = Some(interaction);
-        self.inner
-            .post_interaction(protocol, interaction, initiator, responder);
-    }
-}
-
 impl<P: LeaderElection> StepObserver<P> for LeaderCounter {
     #[inline]
     fn pre_interaction(
@@ -265,24 +202,6 @@ mod tests {
         counter.post_interaction(&p, Interaction::new(0, 1), &true, &false);
         assert!(!counter.last_step_changed());
         assert_eq!(counter.count(), 1);
-    }
-
-    #[test]
-    fn recorded_exposes_the_last_interaction_and_forwards_hooks() {
-        let p = Toggle;
-        let mut rec = Recorded::new(LeaderCounter::new(&p, &[false, true]));
-        assert_eq!(rec.last_interaction(), None);
-        let (a, b) = (false, true);
-        rec.pre_interaction(&p, Interaction::new(0, 1), &a, &b);
-        let (mut a, mut b) = (a, b);
-        p.interact(&mut a, &mut b);
-        rec.post_interaction(&p, Interaction::new(0, 1), &a, &b);
-        assert_eq!(rec.last_interaction(), Some(Interaction::new(0, 1)));
-        // The inner counter saw the same step.
-        assert_eq!(rec.inner().count(), 1);
-        assert!(rec.inner().last_step_changed());
-        rec.inner_mut().resync(&p, &[false, false]);
-        assert_eq!(rec.inner().count(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The execution engine.
 //!
 //! [`Simulation`] owns a protocol, an interaction graph, the current
-//! configuration, a seeded RNG and run statistics, and advances the
+//! configuration, a seeded RNG and a step counter, and advances the
 //! configuration one interaction at a time.  By default each step samples the
 //! uniformly random scheduler; deterministic interaction sequences can be
 //! applied directly with [`Simulation::apply_sequence`] (used by tests that
@@ -14,15 +14,13 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::config::Configuration;
-use crate::convergence::{ConvergenceReport, Criterion};
+use crate::convergence::ConvergenceReport;
 use crate::error::{PopulationError, Result};
 use crate::graph::InteractionGraph;
 use crate::observer::{LeaderCounter, NoObserver, StepObserver};
 use crate::protocol::{LeaderElection, Protocol};
 use crate::schedule::{Interaction, InteractionSeq};
 use crate::scheduler::Scheduler;
-use crate::stats::RunStats;
-use crate::trace::{Event, Trace};
 
 /// A running execution `Ξ_P(C_0, Γ)` of a protocol on an interaction graph.
 #[derive(Clone, Debug)]
@@ -32,8 +30,6 @@ pub struct Simulation<P: Protocol, G: InteractionGraph> {
     config: Configuration<P::State>,
     rng: ChaCha8Rng,
     steps: u64,
-    stats: RunStats,
-    trace: Trace,
     /// The oracle's view, maintained from the two touched agents per step.
     oracle: OracleFold,
 }
@@ -249,7 +245,6 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
                 graph: graph.num_agents(),
             });
         }
-        let n = graph.num_agents();
         let oracle = OracleFold::new(oracle_in_use(&protocol));
         Ok(Simulation {
             protocol,
@@ -257,8 +252,6 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
             config,
             rng: ChaCha8Rng::seed_from_u64(seed),
             steps: 0,
-            stats: RunStats::new(n),
-            trace: Trace::disabled(),
             oracle,
         })
     }
@@ -298,7 +291,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     }
 
     /// Replaces the interaction graph with a same-sized one, keeping the
-    /// configuration and all counters.  This is the substrate for topology
+    /// configuration and the step counter.  This is the substrate for topology
     /// churn (edge rewiring, partition/heal events).
     ///
     /// # Errors
@@ -316,10 +309,8 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
         Ok(())
     }
 
-    /// Replaces both the graph and the configuration, resizing the per-agent
-    /// statistics buffers (counts of surviving agents are preserved; the step
-    /// counter keeps running).  This is the substrate for agent join/leave
-    /// churn.
+    /// Replaces both the graph and the configuration; the step counter
+    /// keeps running.  This is the substrate for agent join/leave churn.
     ///
     /// # Errors
     ///
@@ -332,7 +323,6 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
                 graph: graph.num_agents(),
             });
         }
-        self.stats.resize(config.len());
         self.graph = graph;
         self.config = config;
         self.oracle.stale = true;
@@ -347,26 +337,6 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     /// Number of agents.
     pub fn num_agents(&self) -> usize {
         self.graph.num_agents()
-    }
-
-    /// Run statistics accumulated so far.
-    pub fn stats(&self) -> &RunStats {
-        &self.stats
-    }
-
-    /// The execution trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable access to the trace (e.g. to add annotations).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
-    }
-
-    /// Enables or disables trace recording (disabled by default).
-    pub fn set_tracing(&mut self, enabled: bool) {
-        self.trace.set_enabled(enabled);
     }
 
     /// Executes one step under the uniformly random scheduler.
@@ -477,20 +447,6 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
             interaction,
             observer,
         );
-        self.record(interaction);
-    }
-
-    /// The bookkeeping of one applied interaction: statistics, trace and
-    /// the step counter.
-    fn record(&mut self, interaction: Interaction) {
-        self.stats.record_interaction(
-            interaction.initiator().index(),
-            interaction.responder().index(),
-        );
-        self.trace.record(Event::Interaction {
-            step: self.steps,
-            interaction,
-        });
         self.steps += 1;
     }
 
@@ -510,9 +466,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
             }
             self.protocol
                 .interact_block(self.config.states_mut(), &mut self.oracle, block);
-            for &arc in block.iter() {
-                self.record(arc);
-            }
+            self.steps += block.len() as u64;
             left -= block.len() as u64;
         }
         // One counter update per burst, never per step: the hot loop pays
@@ -553,8 +507,8 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
         F: FnMut(&P, &Configuration<P::State>) -> bool,
     {
         // The placeholder name is a borrowed `'static` so this function
-        // allocates nothing per invocation; named callers (`run_criterion`,
-        // the scenario layer) overwrite it once.
+        // allocates nothing per invocation; named callers (the scenario
+        // layer) overwrite it once.
         const PREDICATE: Cow<'static, str> = Cow::Borrowed("predicate");
         let check_interval = check_interval.max(1);
         let start = self.steps;
@@ -573,12 +527,6 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
             self.run_steps(burst);
             executed += burst;
             if predicate(&self.protocol, &self.config) {
-                if self.trace.is_enabled() {
-                    self.trace.record(Event::Converged {
-                        step: self.steps,
-                        criterion: "predicate".into(),
-                    });
-                }
                 if ssle_telemetry::enabled() {
                     ssle_telemetry::emit(
                         ssle_telemetry::Event::new("converged").count("step", self.steps),
@@ -601,31 +549,6 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
             criterion: PREDICATE,
         }
     }
-
-    /// Like [`Simulation::run_until`] but driven by a named [`Criterion`].
-    pub fn run_criterion<C>(
-        &mut self,
-        criterion: &C,
-        check_interval: u64,
-        max_steps: u64,
-    ) -> ConvergenceReport
-    where
-        C: Criterion<P>,
-    {
-        let name = criterion.name().to_string();
-        let mut report = self.run_until(
-            |p, c| criterion.is_satisfied(p, c.states()),
-            check_interval,
-            max_steps,
-        );
-        report.criterion = Cow::Owned(name);
-        report
-    }
-
-    /// Consumes the simulation and returns the final configuration.
-    pub fn into_config(self) -> Configuration<P::State> {
-        self.config
-    }
 }
 
 impl<P, G> Simulation<P, G>
@@ -639,12 +562,8 @@ where
     }
 
     /// Runs under the uniformly random scheduler for `max_steps` steps while
-    /// recording every change of the leader set (into the trace too, when
-    /// tracing is enabled).  Returns the steps at which the leader set
-    /// changed.
-    ///
-    /// This powers the [`crate::convergence::StableOutputs`] estimator for
-    /// baseline protocols without a structural safe-configuration checker.
+    /// recording every change of the leader set.  Returns the steps at which
+    /// the leader set changed.
     ///
     /// An interaction can only change the leader bits of the two touched
     /// agents (an oracle's broadcast never changes leader outputs), so
@@ -657,13 +576,6 @@ where
             self.step_observed(&mut counter);
             if counter.last_step_changed() {
                 changes.push(self.steps);
-                if self.trace.is_enabled() {
-                    let leaders = self.protocol.leader_indices(self.config.states());
-                    self.trace.record(Event::LeaderSetChanged {
-                        step: self.steps,
-                        leaders,
-                    });
-                }
             }
         }
         changes
@@ -673,7 +585,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convergence::UniqueLeader;
     use crate::graph::{CompleteGraph, DirectedRing};
 
     /// Classic pairwise leader elimination on a complete graph.
@@ -722,10 +633,9 @@ mod tests {
         let g = CompleteGraph::new(16);
         let c = Configuration::uniform(16, true);
         let mut sim = Simulation::new(Fratricide, g, c, 11);
-        let report = sim.run_criterion(&UniqueLeader, 1, 200_000);
+        let report = sim.run_until(|p, c| p.has_unique_leader(c.states()), 1, 200_000);
         assert!(report.converged());
         assert_eq!(sim.count_leaders(), 1);
-        assert_eq!(report.criterion, "unique-leader");
         // Leaders never increase, so the criterion keeps holding.
         sim.run_steps(10_000);
         assert_eq!(sim.count_leaders(), 1);
@@ -736,7 +646,7 @@ mod tests {
         let g = CompleteGraph::new(4);
         let c = Configuration::from_states(vec![true, false, false, false]);
         let mut sim = Simulation::new(Fratricide, g, c, 0);
-        let report = sim.run_criterion(&UniqueLeader, 100, 1000);
+        let report = sim.run_until(|p, c| p.has_unique_leader(c.states()), 100, 1000);
         assert!(report.converged());
         assert_eq!(report.steps_executed, 0);
         assert_eq!(sim.steps(), 0);
@@ -748,7 +658,7 @@ mod tests {
         let c = Configuration::uniform(4, false);
         let mut sim = Simulation::new(Fratricide, g, c, 0);
         // No leader will ever appear; the run must stop at the budget.
-        let report = sim.run_criterion(&UniqueLeader, 7, 100);
+        let report = sim.run_until(|p, c| p.has_unique_leader(c.states()), 7, 100);
         assert!(!report.converged());
         assert_eq!(report.steps_executed, 100);
         assert_eq!(sim.steps(), 100);
@@ -768,17 +678,78 @@ mod tests {
     }
 
     #[test]
-    fn apply_records_stats_and_trace() {
+    fn apply_counts_steps() {
         let g = DirectedRing::new(4).unwrap();
-        let mut sim = Simulation::new(Broadcast, g, Configuration::uniform(4, 0u32), 5);
-        sim.set_tracing(true);
+        let states = vec![0u32, 7, 0, 0];
+        let mut sim = Simulation::new(Broadcast, g, Configuration::from_states(states), 5);
         sim.apply(Interaction::new(1, 2));
         sim.apply(Interaction::new(2, 3));
-        assert_eq!(sim.stats().steps(), 2);
-        assert_eq!(sim.stats().interactions_of(2), 2);
-        assert_eq!(sim.trace().len(), 2);
+        assert_eq!(sim.steps(), 2);
+        assert_eq!(sim.config().states(), &[0, 7, 7, 7]);
         assert_eq!(sim.num_agents(), 4);
         assert!(sim.graph().is_arc(1, 2));
+    }
+
+    /// An order-sensitive toy: each interaction mixes both states with a
+    /// non-commutative hash.  On three agents every two arcs share an
+    /// agent, so swapping any two distinct interactions changes the
+    /// configuration (up to a 64-bit hash collision).
+    #[derive(Clone, Debug)]
+    struct Mix;
+    impl Protocol for Mix {
+        type State = u64;
+        fn interact(&self, initiator: &mut u64, responder: &mut u64) {
+            let (a, b) = (*initiator, *responder);
+            *initiator = (a ^ b.rotate_left(17)).wrapping_mul(0x9E37_79B9_7F4A_7C15) + 1;
+            *responder = (b ^ a.rotate_left(29)).wrapping_mul(0xC2B2_AE3D_27D4_EB4F) + 2;
+        }
+    }
+
+    /// `run_steps(k)` against `k` calls of `step()`, from clones of `sim`,
+    /// for burst lengths around the block size: the burst must apply each
+    /// block's arcs in the order they were sampled.
+    fn assert_burst_keeps_arc_order<P: Protocol, G: InteractionGraph + Clone>(
+        label: &str,
+        sim: Simulation<P, G>,
+    ) where
+        P::State: PartialEq,
+    {
+        let (mut burst, mut single) = (sim.clone(), sim);
+        for k in [0u64, 1, 63, 64, 65, 1000] {
+            burst.run_steps(k);
+            for _ in 0..k {
+                single.step();
+            }
+            assert!(
+                burst.config() == single.config(),
+                "{label}: a burst of {k} applied its arcs out of order"
+            );
+            assert_eq!(burst.steps(), single.steps(), "{label}: burst of {k}");
+        }
+    }
+
+    #[test]
+    fn bursts_apply_arcs_in_sample_order() {
+        use crate::scenario::{DynProtocol, DynState};
+        let states: Vec<u64> = vec![1, 2, 3];
+        assert_burst_keeps_arc_order(
+            "typed",
+            Simulation::new(
+                Mix,
+                CompleteGraph::new(3),
+                Configuration::from_states(states.clone()),
+                21,
+            ),
+        );
+        assert_burst_keeps_arc_order(
+            "erased",
+            Simulation::new(
+                DynProtocol::erase_protocol(Mix),
+                CompleteGraph::new(3),
+                states.into_iter().map(DynState::new).collect(),
+                21,
+            ),
+        );
     }
 
     #[test]
@@ -854,19 +825,12 @@ mod tests {
     }
 
     #[test]
-    fn into_config_returns_final_states() {
-        let g = DirectedRing::new(3).unwrap();
-        let sim = Simulation::new(Broadcast, g, Configuration::from_states(vec![1, 2, 3]), 0);
-        assert_eq!(sim.into_config().into_states(), vec![1, 2, 3]);
-    }
-
-    #[test]
     fn reports_reflect_check_interval_granularity() {
         let g = CompleteGraph::new(32);
         let c = Configuration::uniform(32, true);
         let mut sim = Simulation::new(Fratricide, g, c, 17);
         let interval = 500;
-        let report = sim.run_criterion(&UniqueLeader, interval, 5_000_000);
+        let report = sim.run_until(|p, c| p.has_unique_leader(c.states()), interval, 5_000_000);
         assert!(report.converged());
         assert_eq!(report.convergence_step() % interval, 0);
     }

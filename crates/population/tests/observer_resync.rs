@@ -1,7 +1,6 @@
-//! Integration coverage of the observation layer: execution traces toggling
-//! mid-run, agreement between [`population::Trace`] and the incremental
-//! [`population::LeaderCounter`], observer hook ordering through
-//! [`population::Recorded`], and — the case the unit tests cannot reach —
+//! Integration coverage of the observation layer: agreement between the
+//! incremental [`population::LeaderCounter`] and a full recount after every
+//! step, observer hook ordering, and — the case the unit tests cannot reach —
 //! the **fault-boundary resync** of the scenario trajectory loop: a
 //! [`population::FaultKind::CorruptTargets`] strike rewrites states behind
 //! the incremental counter's back, and only the boundary resync keeps the
@@ -31,99 +30,65 @@ impl LeaderElection for Fratricide {
 }
 
 #[test]
-fn tracing_toggles_mid_run_and_records_convergence() {
-    // Disabled by default: running records nothing.
-    let config = Configuration::uniform(8, true);
-    let mut sim = Simulation::new(Fratricide, CompleteGraph::new(8), config, 7);
-    assert!(!sim.trace().is_enabled());
-    sim.run_steps(100);
-    assert!(sim.trace().is_empty());
-
-    // Enabled on a fresh run (8 leaders, so the stop predicate cannot pass
-    // before any step executes): every interaction lands in the trace, and
-    // the first passing stop check appends a convergence event at the
-    // reported step.
-    let config = Configuration::uniform(8, true);
-    let mut sim = Simulation::new(Fratricide, CompleteGraph::new(8), config, 7);
-    sim.set_tracing(true);
-    let report = sim.run_until(|p, c| p.has_unique_leader(c.states()), 16, 100_000);
-    let converged_at = report.converged_at.expect("fratricide converges");
-    let interactions = sim
-        .trace()
-        .events()
-        .iter()
-        .filter(|e| matches!(e, Event::Interaction { .. }))
-        .count() as u64;
-    assert_eq!(interactions, sim.steps());
-    assert_eq!(
-        sim.trace().first_convergence(),
-        Some((converged_at, "predicate"))
-    );
-
-    // Disabled again: further steps leave the trace untouched.
-    sim.set_tracing(false);
-    let len = sim.trace().len();
-    sim.run_steps(50);
-    assert_eq!(sim.trace().len(), len);
-}
-
-#[test]
-fn trace_and_incremental_counter_agree_on_leader_changes() {
+fn leader_change_tracking_agrees_with_a_full_recount_after_every_step() {
     // `run_tracking_leader_changes` detects changes through the O(1)
-    // LeaderCounter observer and mirrors them into the trace; the two views
-    // must be the same sequence of steps.
+    // LeaderCounter observer; a clone stepped one step at a time, with the
+    // leader set recounted from scratch after each step, must see the same
+    // sequence of change steps and end in the same configuration.
     let config = Configuration::uniform(8, true);
     let mut sim = Simulation::new(Fratricide, CompleteGraph::new(8), config, 11);
-    sim.set_tracing(true);
+    let mut reference = sim.clone();
     let changes = sim.run_tracking_leader_changes(500);
     assert!(
         !changes.is_empty(),
         "8 leaders on a complete graph must collide within 500 steps"
     );
-    assert_eq!(sim.trace().leader_change_steps(), changes);
-    // The final recorded leader set matches a fresh full recount.
-    let last = sim
-        .trace()
-        .events()
-        .iter()
-        .rev()
-        .find_map(|e| match e {
-            Event::LeaderSetChanged { leaders, .. } => Some(leaders.clone()),
-            _ => None,
-        })
-        .expect("changes were recorded");
-    assert_eq!(last, sim.protocol().leader_indices(sim.config().states()));
+    let mut recounted = Vec::new();
+    let mut leaders = reference
+        .protocol()
+        .leader_indices(reference.config().states());
+    for _ in 0..500 {
+        reference.step();
+        let now = reference
+            .protocol()
+            .leader_indices(reference.config().states());
+        if now != leaders {
+            recounted.push(reference.steps());
+            leaders = now;
+        }
+    }
+    assert_eq!(changes, recounted);
+    assert_eq!(sim.config().states(), reference.config().states());
 }
 
-/// An observer that logs each hook invocation with the states it saw.
+/// An observer that logs each hook invocation with the interaction and the
+/// states it saw.
 #[derive(Debug, Default)]
 struct Probe {
-    calls: Vec<(&'static str, bool, bool)>,
+    calls: Vec<(&'static str, Interaction, bool, bool)>,
 }
 
 impl StepObserver<Fratricide> for Probe {
-    fn pre_interaction(&mut self, _: &Fratricide, _: Interaction, a: &bool, b: &bool) {
-        self.calls.push(("pre", *a, *b));
+    fn pre_interaction(&mut self, _: &Fratricide, e: Interaction, a: &bool, b: &bool) {
+        self.calls.push(("pre", e, *a, *b));
     }
-    fn post_interaction(&mut self, _: &Fratricide, _: Interaction, a: &bool, b: &bool) {
-        self.calls.push(("post", *a, *b));
+    fn post_interaction(&mut self, _: &Fratricide, e: Interaction, a: &bool, b: &bool) {
+        self.calls.push(("post", e, *a, *b));
     }
 }
 
 #[test]
 fn observer_hooks_fire_pre_then_post_around_the_transition() {
     // Two leaders meet: pre must see the original pair, post the demoted
-    // responder — and the Recorded wrapper forwards both hooks while
-    // capturing which interaction ran.
+    // responder, and both hooks see the interaction that ran.
     let config = Configuration::uniform(2, true);
     let mut sim = Simulation::new(Fratricide, CompleteGraph::new(2), config, 0);
-    let mut rec = Recorded::new(Probe::default());
-    assert_eq!(rec.last_interaction(), None);
-    sim.apply_observed(Interaction::new(0, 1), &mut rec);
-    assert_eq!(rec.last_interaction(), Some(Interaction::new(0, 1)));
+    let mut probe = Probe::default();
+    let e = Interaction::new(0, 1);
+    sim.apply_observed(e, &mut probe);
     assert_eq!(
-        rec.inner().calls,
-        vec![("pre", true, true), ("post", true, false)]
+        probe.calls,
+        vec![("pre", e, true, true), ("post", e, true, false)]
     );
     assert_eq!(sim.config().states(), &[true, false]);
 }

@@ -75,7 +75,7 @@ pub mod prelude {
     pub use ssle_baselines::{AngluinModK, FischerJiang, YokotaLinear};
     pub use ssle_core::{
         in_c_dl, in_c_pb, in_s_pl, is_perfect, perfect_configuration, InitialCondition, Mode,
-        Params, Ppl, PplState, SafeConfiguration, Token, TokenKind,
+        Params, Ppl, PplState, Token, TokenKind,
     };
 }
 
