@@ -17,8 +17,12 @@
 //! property-tested in the workspace), which is what makes fault-bearing
 //! [`crate::WorstCase`] certificates replayable through `Scenario`'s fault
 //! path.
+//!
+//! The module also holds the topology axis's mirrors ([`GraphSpec`],
+//! [`ChurnPlanSpec`]) and the domain that gates each axis
+//! ([`FaultDomain`], [`GraphDomain`], [`ChurnDomain`]).
 
-use population::{ByzantineWindow, ChurnKind, ChurnPlan, FaultKind, FaultPlan, GraphFamily};
+use population::{ChurnKind, ChurnPlan, FaultKind, FaultPlan, GraphFamily};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
@@ -107,77 +111,6 @@ impl FaultPlacementSpec {
     }
 }
 
-/// One predicate-coupled event of a fault plan: the burst fires when the
-/// scenario predicate registered under `trigger` first holds (at most once),
-/// instead of at a fixed step.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct TriggeredEventSpec {
-    /// The scenario trigger name (`ScenarioBuilder::trigger`) that arms the
-    /// burst.
-    pub trigger: String,
-    /// Which agents the burst corrupts when it fires.
-    pub placement: FaultPlacementSpec,
-}
-
-/// A bounded Byzantine window: the agents whose interaction outputs the
-/// scenario's `byzantine` rewrite function may rewrite, over the step range
-/// `[from_step, until_step)`.
-///
-/// Agents are kept sorted and deduplicated (matching
-/// [`population::ByzantineWindow`]), so two specs describing the same window
-/// compare equal.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct ByzantineWindowSpec {
-    agents: Vec<u32>,
-    from_step: u64,
-    until_step: u64,
-}
-
-impl ByzantineWindowSpec {
-    /// Builds a window spec (agents are sorted and deduplicated).
-    pub fn new(agents: impl IntoIterator<Item = u32>, from_step: u64, until_step: u64) -> Self {
-        let mut agents: Vec<u32> = agents.into_iter().collect();
-        agents.sort_unstable();
-        agents.dedup();
-        ByzantineWindowSpec {
-            agents,
-            from_step,
-            until_step,
-        }
-    }
-
-    /// The Byzantine agent set, sorted and deduplicated.
-    pub fn agents(&self) -> &[u32] {
-        &self.agents
-    }
-
-    /// First step of the window (inclusive).
-    pub fn from_step(&self) -> u64 {
-        self.from_step
-    }
-
-    /// End of the window (exclusive).
-    pub fn until_step(&self) -> u64 {
-        self.until_step
-    }
-
-    /// `true` when the window can never rewrite anything (no agents or an
-    /// empty step range) — [`FaultPlanSpec::with_byzantine`] drops such
-    /// windows, exactly like [`population::FaultPlan::with_byzantine`].
-    pub fn is_inert(&self) -> bool {
-        self.agents.is_empty() || self.from_step >= self.until_step
-    }
-
-    /// The [`population::ByzantineWindow`] this spec describes.
-    fn window(&self) -> ByzantineWindow {
-        ByzantineWindow::new(
-            self.agents.iter().map(|&a| a as usize),
-            self.from_step,
-            self.until_step,
-        )
-    }
-}
-
 /// One crash event of a fault plan: a step and a placement.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct FaultEventSpec {
@@ -189,17 +122,13 @@ pub struct FaultEventSpec {
 }
 
 /// A value-level description of a whole crash schedule (possibly empty):
-/// timed bursts, predicate-coupled (triggered) bursts and an optional
-/// Byzantine window.
+/// a list of timed bursts.
 ///
-/// Events are kept sorted by step and triggered events by trigger name
-/// (matching [`FaultPlan`]'s ordering for timed events), so two specs
-/// describing the same schedule compare equal.
+/// Events are kept sorted by step (matching [`FaultPlan`]'s ordering), so
+/// two specs describing the same schedule compare equal.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct FaultPlanSpec {
     events: Vec<FaultEventSpec>,
-    triggered: Vec<TriggeredEventSpec>,
-    byzantine: Option<ByzantineWindowSpec>,
 }
 
 impl FaultPlanSpec {
@@ -214,11 +143,7 @@ impl FaultPlanSpec {
     /// [`FaultPlan::at`]).
     pub fn new(mut events: Vec<FaultEventSpec>) -> Self {
         events.sort_by_key(|e| e.at_step);
-        FaultPlanSpec {
-            events,
-            triggered: Vec::new(),
-            byzantine: None,
-        }
+        FaultPlanSpec { events }
     }
 
     /// Schedules one more timed burst (builder-style).
@@ -228,92 +153,34 @@ impl FaultPlanSpec {
         self
     }
 
-    /// Couples one more burst to a scenario trigger (builder-style).
-    /// Triggered events are kept sorted by trigger name (stable, so
-    /// same-name events keep their given order).
-    pub fn with_triggered(
-        mut self,
-        trigger: impl Into<String>,
-        placement: FaultPlacementSpec,
-    ) -> Self {
-        self.triggered.push(TriggeredEventSpec {
-            trigger: trigger.into(),
-            placement,
-        });
-        self.triggered.sort_by(|a, b| a.trigger.cmp(&b.trigger));
-        self
-    }
-
-    /// Attaches a Byzantine window (builder-style).  Inert windows are
-    /// dropped, exactly like [`FaultPlan::with_byzantine`], so a spec with a
-    /// do-nothing window equals the spec without it.
-    pub fn with_byzantine(mut self, window: ByzantineWindowSpec) -> Self {
-        self.byzantine = (!window.is_inert()).then_some(window);
-        self
-    }
-
     /// The scheduled timed events, sorted by step.
     pub fn events(&self) -> &[FaultEventSpec] {
         &self.events
     }
 
-    /// The predicate-coupled events, sorted by trigger name.
-    pub fn triggered(&self) -> &[TriggeredEventSpec] {
-        &self.triggered
-    }
-
-    /// The Byzantine window, if one is attached (never inert).
-    pub fn byzantine(&self) -> Option<&ByzantineWindowSpec> {
-        self.byzantine.as_ref()
-    }
-
-    /// `true` when no fault is scheduled: no timed events, no triggered
-    /// events and no Byzantine window.
+    /// `true` when no fault is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.triggered.is_empty() && self.byzantine.is_none()
+        self.events.is_empty()
     }
 
     /// A compact, stable key for reports and JSON output (`"none"` for the
-    /// empty schedule).  Purely timed schedules keep the exact key format of
-    /// earlier report versions.
+    /// empty schedule).
     pub fn key(&self) -> String {
         if self.is_empty() {
             return "none".to_string();
         }
-        let mut parts: Vec<String> = self
-            .events
+        self.events
             .iter()
             .map(|e| format!("{}@{}", e.placement.key(), e.at_step))
-            .collect();
-        parts.extend(
-            self.triggered
-                .iter()
-                .map(|t| format!("{}?{}", t.placement.key(), t.trigger)),
-        );
-        if let Some(w) = &self.byzantine {
-            let agents: Vec<String> = w.agents.iter().map(|a| a.to_string()).collect();
-            parts.push(format!(
-                "byz(agents={},from={},until={})",
-                agents.join("."),
-                w.from_step,
-                w.until_step
-            ));
-        }
-        parts.join("+")
+            .collect::<Vec<_>>()
+            .join("+")
     }
 
     /// Builds the [`FaultPlan`] this spec describes.
     pub fn plan(&self) -> FaultPlan {
-        let plan = self.events.iter().fold(FaultPlan::new(), |plan, e| {
+        self.events.iter().fold(FaultPlan::new(), |plan, e| {
             plan.at(e.at_step, e.placement.kind())
-        });
-        let plan = self.triggered.iter().fold(plan, |plan, t| {
-            plan.when(t.trigger.clone(), t.placement.kind())
-        });
-        match &self.byzantine {
-            Some(w) => plan.with_byzantine(w.window()),
-            None => plan,
-        }
+        })
     }
 
     /// Recovers the spec of a [`FaultPlan`] — the inverse of
@@ -334,30 +201,8 @@ impl FaultPlanSpec {
                 placement: FaultPlacementSpec::from_kind(e.kind),
             })
             .collect();
-        let mut triggered: Vec<TriggeredEventSpec> = plan
-            .triggered()
-            .iter()
-            .map(|t| TriggeredEventSpec {
-                trigger: t.trigger.clone(),
-                placement: FaultPlacementSpec::from_kind(t.kind),
-            })
-            .collect();
-        triggered.sort_by(|a, b| a.trigger.cmp(&b.trigger));
-        let byzantine = plan.byzantine().map(|w| {
-            ByzantineWindowSpec::new(
-                w.agents()
-                    .iter()
-                    .map(|&a| u32::try_from(a).expect("agent index fits u32")),
-                w.from_step(),
-                w.until_step(),
-            )
-        });
-        // Timed events are already sorted: FaultPlan keeps them by step.
-        FaultPlanSpec {
-            events,
-            triggered,
-            byzantine,
-        }
+        // Already sorted: FaultPlan keeps its events by step.
+        FaultPlanSpec { events }
     }
 }
 
@@ -441,13 +286,8 @@ impl FaultDomain {
             .with_event(rng.gen_range(0..=self.max_step), self.sample_placement(rng))
     }
 
-    /// Proposes a perturbation of `spec`'s timed events: add/drop a burst,
-    /// shift a burst's timing (half/double), or redraw a burst's placement.
-    /// Triggered events and Byzantine windows are scenario-coupled (they
-    /// reference trigger names and rewrite functions the search cannot
-    /// invent), so they pass through proposals **verbatim**: a seed
-    /// candidate carrying them keeps them while the search mutates the
-    /// timed axes around them.
+    /// Proposes a perturbation of `spec`: add/drop a burst, shift a burst's
+    /// timing (half/double), or redraw a burst's placement.
     pub(crate) fn tweak(&self, spec: &FaultPlanSpec, rng: &mut ChaCha8Rng) -> FaultPlanSpec {
         if !self.enabled {
             return FaultPlanSpec::none();
@@ -456,19 +296,6 @@ impl FaultDomain {
             return self.sample(rng);
         }
         let mut events = spec.events.clone();
-        if events.is_empty() {
-            // Only scenario-coupled parts so far: propose a first timed
-            // burst alongside them.
-            events.push(FaultEventSpec {
-                at_step: rng.gen_range(0..=self.max_step),
-                placement: self.sample_placement(rng),
-            });
-            return FaultPlanSpec {
-                events,
-                triggered: spec.triggered.clone(),
-                byzantine: spec.byzantine.clone(),
-            };
-        }
         match rng.gen_range(0..4u8) {
             // Drop one burst (possibly back to the fault-free plan).
             0 => {
@@ -501,11 +328,7 @@ impl FaultDomain {
             }
         }
         events.sort_by_key(|e| e.at_step);
-        FaultPlanSpec {
-            events,
-            triggered: spec.triggered.clone(),
-            byzantine: spec.byzantine.clone(),
-        }
+        FaultPlanSpec { events }
     }
 }
 
@@ -1073,38 +896,12 @@ mod tests {
 
     #[test]
     fn hostile_specs_build_plans_and_round_trip() {
-        let spec = FaultPlanSpec::none()
-            .with_event(50, FaultPlacementSpec::Targeted { limit: 1 })
-            .with_triggered("on-elect", FaultPlacementSpec::All)
-            .with_triggered("on-elect", FaultPlacementSpec::Random { count: 2 })
-            .with_byzantine(ByzantineWindowSpec::new([7, 3, 3, 0], 10, 500));
+        let spec = FaultPlanSpec::none().with_event(50, FaultPlacementSpec::Targeted { limit: 1 });
         assert!(!spec.is_empty());
-        assert_eq!(spec.triggered().len(), 2);
-        let w = spec.byzantine().expect("window attached");
-        assert_eq!(w.agents(), &[0, 3, 7], "agents sorted and deduplicated");
         let plan = spec.plan();
-        assert_eq!(plan.len(), 3, "one timed + two triggered events");
-        assert!(plan.byzantine().is_some());
+        assert_eq!(plan.len(), 1);
         assert_eq!(FaultPlanSpec::from_plan(&plan), spec);
-        assert_eq!(
-            spec.key(),
-            "targeted(limit=1)@50+all?on-elect+random(count=2)?on-elect\
-             +byz(agents=0.3.7,from=10,until=500)"
-        );
-    }
-
-    #[test]
-    fn inert_byzantine_windows_are_dropped_from_specs() {
-        let spec =
-            FaultPlanSpec::none().with_byzantine(ByzantineWindowSpec::new(Vec::new(), 0, 100));
-        assert!(spec.byzantine().is_none());
-        assert!(spec.is_empty());
-        assert_eq!(spec.key(), "none");
-        let closed = FaultPlanSpec::none().with_byzantine(ByzantineWindowSpec::new([1], 5, 5));
-        assert!(closed.is_empty(), "empty step ranges are inert too");
-        // A triggered-only spec is non-empty even with zero timed events.
-        let triggered = FaultPlanSpec::none().with_triggered("t", FaultPlacementSpec::All);
-        assert!(!triggered.is_empty());
+        assert_eq!(spec.key(), "targeted(limit=1)@50");
     }
 
     #[test]
@@ -1306,24 +1103,5 @@ mod tests {
             }
         }
         assert_eq!(families.len(), 4, "all generated families are explored");
-    }
-
-    #[test]
-    fn tweaks_preserve_scenario_coupled_parts_verbatim() {
-        let domain = FaultDomain::bursts(1_000, 8);
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let mut spec = FaultPlanSpec::none()
-            .with_triggered("on-elect", FaultPlacementSpec::All)
-            .with_byzantine(ByzantineWindowSpec::new([0, 1], 0, 256));
-        let (triggered, byzantine) = (spec.triggered().to_vec(), spec.byzantine().cloned());
-        for _ in 0..200 {
-            spec = domain.tweak(&spec, &mut rng);
-            assert_eq!(spec.triggered(), triggered.as_slice());
-            assert_eq!(spec.byzantine(), byzantine.as_ref());
-        }
-        assert!(
-            !spec.events().is_empty() || spec.triggered() == triggered.as_slice(),
-            "timed axes mutate around the preserved parts"
-        );
     }
 }

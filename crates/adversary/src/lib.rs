@@ -19,10 +19,9 @@
 //!   under any zoo member via `Scenario::with_scheduler`;
 //! * a serializable **fault-plan description** ([`FaultPlanSpec`]) — an
 //!   integer-exact crash schedule (timing, placement, extent — including
-//!   targeted placements, predicate-coupled [`TriggeredEventSpec`]s and
-//!   bounded [`ByzantineWindowSpec`]s) that builds a
-//!   `population::FaultPlan`, so the search can also crash agents mid-run
-//!   and certificates replay through `Scenario`'s fault path;
+//!   targeted placements) that builds a `population::FaultPlan`, so the
+//!   search can also crash agents mid-run and certificates replay through
+//!   `Scenario`'s fault path;
 //! * serializable **topology descriptions** — [`GraphSpec`] mirrors the
 //!   generated `population::GraphFamily` variants and [`ChurnPlanSpec`] is
 //!   an integer-exact churn schedule that builds a `population::ChurnPlan`,
@@ -64,8 +63,8 @@ pub mod weighted;
 pub use certify::{certify_livelock, spec_phases, CertifiedLivelock};
 pub use epoch::{EpochPartitionScheduler, FairnessAuditor, FairnessCertificate};
 pub use faultplan::{
-    ByzantineWindowSpec, ChurnDomain, ChurnEventSpec, ChurnKindSpec, ChurnPlanSpec, FaultDomain,
-    FaultEventSpec, FaultPlacementSpec, FaultPlanSpec, GraphDomain, GraphSpec, TriggeredEventSpec,
+    ChurnDomain, ChurnEventSpec, ChurnKindSpec, ChurnPlanSpec, FaultDomain, FaultEventSpec,
+    FaultPlacementSpec, FaultPlanSpec, GraphDomain, GraphSpec,
 };
 pub use greedy::{ArcScorer, GreedyAdversary};
 pub use search::{

@@ -8,9 +8,7 @@
 use population::{torus_dims, weak_reach, Interaction, InteractionGraph};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use ssle_adversary::{
-    ByzantineWindowSpec, ChurnKindSpec, ChurnPlanSpec, FaultPlacementSpec, FaultPlanSpec, GraphSpec,
-};
+use ssle_adversary::{ChurnKindSpec, ChurnPlanSpec, FaultPlacementSpec, FaultPlanSpec, GraphSpec};
 
 /// The generated (non-lattice parameters drawn from the inputs) families —
 /// the spec variants the worst-case search's `GraphDomain` can propose.
@@ -134,24 +132,13 @@ fn placement(variant: usize, a: u32, b: u32) -> FaultPlacementSpec {
 }
 
 fn fault_plan_strategy() -> impl Strategy<Value = FaultPlanSpec> {
-    (
-        vec((0u64..10_000, 0usize..4, 1u32..9, 0u32..9), 0..4),
-        0usize..3,
-        (vec(0u32..16, 0..4), 0u64..100, 0u64..100),
-    )
-        .prop_map(|(events, triggers, (byz_agents, from, until))| {
-            let spec = events
-                .into_iter()
-                .fold(FaultPlanSpec::none(), |spec, (at, variant, a, b)| {
-                    spec.with_event(at, placement(variant, a, b))
-                });
-            let spec = (0..triggers).fold(spec, |spec, t| {
-                spec.with_triggered(format!("trigger-{t}"), placement(t, 1 + t as u32, 0))
-            });
-            // Inert windows are dropped by the builder on both the spec and
-            // the runtime side, so any (agents, from, until) draw is fair.
-            spec.with_byzantine(ByzantineWindowSpec::new(byz_agents, from, until))
-        })
+    vec((0u64..10_000, 0usize..4, 1u32..9, 0u32..9), 0..4).prop_map(|events| {
+        events
+            .into_iter()
+            .fold(FaultPlanSpec::none(), |spec, (at, variant, a, b)| {
+                spec.with_event(at, placement(variant, a, b))
+            })
+    })
 }
 
 proptest! {
@@ -292,8 +279,7 @@ proptest! {
         prop_assert_eq!(spec.plan().len(), spec.events().len());
     }
 
-    /// FaultPlanSpec ⇄ FaultPlan is lossless (timed, triggered and
-    /// Byzantine halves included).
+    /// FaultPlanSpec ⇄ FaultPlan is lossless.
     #[test]
     fn fault_plan_specs_round_trip(spec in fault_plan_strategy()) {
         prop_assert_eq!(FaultPlanSpec::from_plan(&spec.plan()), spec.clone());

@@ -61,7 +61,6 @@ fn evaluate(kind: ProtocolKind, n: usize, budget: u64, candidate: &Candidate) ->
 
 fn main() {
     let args = BenchArgs::parse();
-    let trace = args.trace_guard("fig_worstcase");
     // Worst-case search re-runs every scenario (trials + iterations) times;
     // default to small rings instead of the sweep preset.
     let sizes = args.sizes.clone().unwrap_or_else(|| vec![16, 24, 32]);
@@ -180,5 +179,4 @@ fn main() {
          grid lives in BENCH_stabilization.json (see `stabilization_report`).",
     );
     report.emit(args.json);
-    trace.finish();
 }

@@ -16,6 +16,7 @@
 
 use population::{BatchRunner, SweepGrid};
 
+use crate::trace::TraceGuard;
 use crate::{sweep_sizes, sweep_trials};
 
 /// Usage text shared by every experiment binary.
@@ -95,8 +96,21 @@ pub struct BenchArgs {
 impl BenchArgs {
     /// Parses `std::env::args()`, printing usage and exiting on `--help` or
     /// on a malformed command line.
+    ///
+    /// Under `--telemetry`/`--telemetry-out` this also opens the trace, with
+    /// the binary's name as producer; [`crate::report::Report::emit`]
+    /// finishes it.  A trace file that cannot be created exits with status 1.
     pub fn parse() -> Self {
-        match Self::try_parse(std::env::args().skip(1)) {
+        let mut argv = std::env::args();
+        let producer = argv
+            .next()
+            .as_deref()
+            .map(std::path::Path::new)
+            .and_then(std::path::Path::file_stem)
+            .and_then(std::ffi::OsStr::to_str)
+            .unwrap_or("ssle-bench")
+            .to_string();
+        let args = match Self::try_parse(argv) {
             Ok(Some(args)) => args,
             Ok(None) => {
                 println!("{USAGE}");
@@ -106,7 +120,15 @@ impl BenchArgs {
                 eprintln!("error: {message}\n{USAGE}");
                 std::process::exit(2);
             }
+        };
+        match TraceGuard::start(args.telemetry, args.telemetry_out.as_deref(), &producer) {
+            Ok(trace) => crate::trace::keep_until_emit(trace),
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            }
         }
+        args
     }
 
     /// Parses an argument iterator.  `Ok(None)` means `--help` was requested.
@@ -241,17 +263,6 @@ impl BenchArgs {
         SweepGrid::new()
             .sizes(&self.sizes())
             .trials(self.trials(), self.seed_or(default_seed))
-    }
-
-    /// Installs the telemetry sink when `--telemetry`/`--telemetry-out`
-    /// was given (see [`crate::trace::TraceGuard`]), exiting with a
-    /// diagnostic when the trace file cannot be created.
-    pub fn trace_guard(&self, producer: &str) -> crate::trace::TraceGuard {
-        crate::trace::TraceGuard::start(self.telemetry, self.telemetry_out.as_deref(), producer)
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            })
     }
 }
 

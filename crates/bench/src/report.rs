@@ -132,13 +132,15 @@ impl Report {
             .with("notes", JsonValue::Array(notes))
     }
 
-    /// Prints the report to stdout in the requested format.
+    /// Prints the report to stdout in the requested format, then finishes
+    /// the telemetry trace `BenchArgs::parse` opened, if any.
     pub fn emit(&self, json: bool) {
         if json {
             println!("{}", self.to_json_value().to_json());
         } else {
             print!("{}", self.to_markdown());
         }
+        crate::trace::finish_kept();
     }
 }
 

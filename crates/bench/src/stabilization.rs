@@ -64,7 +64,7 @@ use ssle_adversary::{
     ChurnDomain, ChurnKindSpec, ChurnPlanSpec, Evaluation, FaultDomain, FaultPlanSpec, GraphDomain,
     GraphSpec, IslandConfig, IslandOutcome, SchedulerSpec, SearchSpace, SpecDomain,
 };
-use ssle_adversary::{ByzantineWindowSpec, FaultEventSpec, FaultPlacementSpec};
+use ssle_adversary::{FaultEventSpec, FaultPlacementSpec};
 use ssle_baselines::{
     angluin_mod_k::{AngluinModK, ModKState},
     fischer_jiang::{FischerJiang, FjState},
@@ -1185,8 +1185,7 @@ pub fn certified_from_json(json: &JsonValue) -> Option<Option<CertifiedLivelock>
     }))
 }
 
-/// Attaches a placement's kind tag and integer parameters to a JSON object
-/// (shared by timed and triggered event serialization).
+/// Attaches a placement's kind tag and integer parameters to a JSON object.
 fn placement_to_json(obj: JsonValue, placement: FaultPlacementSpec) -> JsonValue {
     match placement {
         FaultPlacementSpec::Random { count } => obj
@@ -1221,16 +1220,12 @@ fn placement_from_json(e: &JsonValue) -> Option<FaultPlacementSpec> {
     })
 }
 
-/// Serializes a [`FaultPlanSpec`] structurally.  A purely timed spec — every
-/// committed v3 certificate — stays the (possibly empty) **array** of events
-/// of the original encoding, byte for byte.  A spec carrying triggered
-/// events or a Byzantine window becomes an **object**
-/// `{"events": […], "triggered": […], "byzantine": {…}}` (the hostile keys
-/// only present when non-empty).  Full-width u64s (`at_step`, the window
-/// bounds) are exact decimal strings (JSON numbers are f64 and would round
-/// ≥ 2⁵³, breaking certificate replay).
+/// Serializes a [`FaultPlanSpec`] as the (possibly empty) array of its
+/// timed events.  `at_step` is a full-width u64 and travels as an exact
+/// decimal string (JSON numbers are f64 and would round ≥ 2⁵³, breaking
+/// certificate replay).
 pub fn fault_spec_to_json(spec: &FaultPlanSpec) -> JsonValue {
-    let events = JsonValue::Array(
+    JsonValue::Array(
         spec.events()
             .iter()
             .map(|e| {
@@ -1240,97 +1235,25 @@ pub fn fault_spec_to_json(spec: &FaultPlanSpec) -> JsonValue {
                 )
             })
             .collect(),
-    );
-    if spec.triggered().is_empty() && spec.byzantine().is_none() {
-        return events;
-    }
-    let mut obj = JsonValue::object().with("events", events);
-    if !spec.triggered().is_empty() {
-        obj = obj.with(
-            "triggered",
-            JsonValue::Array(
-                spec.triggered()
-                    .iter()
-                    .map(|t| {
-                        placement_to_json(
-                            JsonValue::object().with("trigger", t.trigger.as_str()),
-                            t.placement,
-                        )
-                    })
-                    .collect(),
-            ),
-        );
-    }
-    if let Some(w) = spec.byzantine() {
-        obj = obj.with(
-            "byzantine",
-            JsonValue::object()
-                .with(
-                    "agents",
-                    JsonValue::Array(
-                        w.agents()
-                            .iter()
-                            .map(|&a| JsonValue::Number(a as f64))
-                            .collect(),
-                    ),
-                )
-                .with("from_step", w.from_step().to_string().as_str())
-                .with("until_step", w.until_step().to_string().as_str()),
-        );
-    }
-    obj
+    )
 }
 
-/// Rebuilds a [`FaultPlanSpec`] from its [`fault_spec_to_json`] form —
-/// either the bare timed-event array or the hostile object shape.  Every
-/// integer parses exactly or not at all (`exact_uint`) — the `v2` `as u32`
-/// casts would silently turn a corrupted `count` of `1e10` or `3.7` into a
-/// different crash schedule instead of rejecting it.
+/// Rebuilds a [`FaultPlanSpec`] from its [`fault_spec_to_json`] array.
+/// Every integer parses exactly or not at all (`exact_uint`) — the `v2`
+/// `as u32` casts would silently turn a corrupted `count` of `1e10` or
+/// `3.7` into a different crash schedule instead of rejecting it.
 pub fn fault_spec_from_json(json: &JsonValue) -> Option<FaultPlanSpec> {
-    let (events, hostile) = match json.as_array() {
-        Some(events) => (events, None),
-        None => (
-            json.get("events")?.as_array()?,
-            Some((json.get("triggered"), json.get("byzantine"))),
-        ),
-    };
-    let mut out = Vec::with_capacity(events.len());
-    for e in events {
-        out.push(FaultEventSpec {
-            at_step: exact_u64_string(e, "at_step")?,
-            placement: placement_from_json(e)?,
-        });
-    }
-    let mut spec = FaultPlanSpec::new(out);
-    let Some((triggered, byzantine)) = hostile else {
-        return Some(spec);
-    };
-    if let Some(triggered) = triggered {
-        for t in triggered.as_array()? {
-            spec = spec.with_triggered(
-                t.get("trigger").and_then(JsonValue::as_str)?,
-                placement_from_json(t)?,
-            );
-        }
-    }
-    if let Some(w) = byzantine {
-        let agents = w
-            .get("agents")?
-            .as_array()?
-            .iter()
-            .map(|a| {
-                let x = a.as_f64()?;
-                (x.is_finite() && x.fract() == 0.0 && x >= 0.0 && x <= u32::MAX as f64)
-                    .then_some(x as u32)
+    let events = json
+        .as_array()?
+        .iter()
+        .map(|e| {
+            Some(FaultEventSpec {
+                at_step: exact_u64_string(e, "at_step")?,
+                placement: placement_from_json(e)?,
             })
-            .collect::<Option<Vec<u32>>>()?;
-        spec = spec.with_byzantine(ByzantineWindowSpec::new(
-            agents,
-            exact_u64_string(w, "from_step")?,
-            exact_u64_string(w, "until_step")?,
-        ));
-    }
-    Some(spec)
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some(FaultPlanSpec::new(events))
 }
 
 /// Serializes a [`GraphSpec`] structurally: a `family` tag plus the
@@ -1996,6 +1919,20 @@ mod tests {
         broken[0].rate.fractions = vec![0.5]; // wrong length
         let parsed = JsonValue::parse(&to_json(&broken).to_json()).unwrap();
         assert!(validate_report(&parsed).is_err());
+        // A fault spec is only the bare event array: an object shape such
+        // as `{"events": [...]}` does not decode.
+        let mut retired = JsonValue::parse(&text).unwrap();
+        let JsonValue::Array(cells) = field_mut(&mut retired, "cells") else {
+            panic!("cells is an array");
+        };
+        let faults = field_mut(field_mut(&mut cells[0], "worst"), "faults");
+        *faults = JsonValue::object().with("events", faults.clone());
+        assert!(certificate_candidate(ProtocolKind::Ppl, &cells[0]).is_none());
+        let name = |key: &str| cells[0].get(key).and_then(JsonValue::as_str).unwrap();
+        let n = cells[0].get("n").and_then(JsonValue::as_f64).unwrap();
+        let cell = format!("cell {}/{}/{n}:", name("protocol"), name("graph"));
+        let err = validate_report(&retired).unwrap_err();
+        assert!(err.starts_with(&cell) && err.contains("faults"), "{err}");
 
         // An escalated cell carries its own multipliers (base + doublings)
         // and one fraction per multiplier.
@@ -2066,6 +2003,18 @@ mod tests {
         let parsed = JsonValue::parse(&to_json(&mismatched).to_json()).unwrap();
         let err = validate_report(&parsed).unwrap_err();
         assert!(err.contains("iff exhaustive"), "{err}");
+    }
+
+    /// The value under `key` of a JSON object, for editing.
+    fn field_mut<'a>(value: &'a mut JsonValue, key: &str) -> &'a mut JsonValue {
+        let JsonValue::Object(entries) = value else {
+            panic!("{key}: not an object");
+        };
+        let (_, v) = entries
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("{key} missing"));
+        v
     }
 
     #[test]
@@ -2167,15 +2116,6 @@ mod tests {
                 .with_event(u64::MAX - 7, FaultPlacementSpec::Random { count: 17 })
                 .with_event(5, FaultPlacementSpec::Block { start: 0, count: 1 }),
             FaultPlanSpec::none().with_event(3, FaultPlacementSpec::Targeted { limit: 2 }),
-            FaultPlanSpec::none()
-                .with_triggered("on-elect", FaultPlacementSpec::All)
-                .with_triggered("on-elect", FaultPlacementSpec::Random { count: 2 }),
-            FaultPlanSpec::none()
-                .with_event(0, FaultPlacementSpec::Targeted { limit: 1 })
-                .with_triggered("late", FaultPlacementSpec::Block { start: 1, count: 3 })
-                // Full-width window bounds: must survive the decimal-string
-                // path exactly.
-                .with_byzantine(ByzantineWindowSpec::new([7, 0, 3], 10, u64::MAX - 2)),
         ] {
             let text = fault_spec_to_json(&spec).to_json();
             let parsed = JsonValue::parse(&text).unwrap();
@@ -2183,20 +2123,10 @@ mod tests {
         }
         assert_eq!(fault_spec_from_json(&JsonValue::object()), None);
 
-        // Purely timed specs keep the original bare-array encoding — the
-        // committed v3 certificates' bytes must not change.
+        // A spec is always the bare array of timed events — the committed
+        // certificates' bytes.
         let timed = FaultPlanSpec::none().with_event(9, FaultPlacementSpec::All);
         assert!(fault_spec_to_json(&timed).to_json().starts_with('['));
-        // Hostile specs take the object encoding, with only the non-empty
-        // hostile keys present.
-        let hostile = timed
-            .clone()
-            .with_byzantine(ByzantineWindowSpec::new([1], 0, 5));
-        let text = fault_spec_to_json(&hostile).to_json();
-        assert!(
-            text.starts_with('{') && !text.contains("triggered"),
-            "{text}"
-        );
     }
 
     /// End to end on a tiny cell: the quick grid machinery produces a cell

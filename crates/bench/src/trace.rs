@@ -14,8 +14,37 @@
 //! file and the completion note to stderr, so stdout stays the report
 //! document and the pinned report JSON is byte-identical with or without
 //! the flag.
+//!
+//! The experiment binaries need no wiring of their own:
+//! [`crate::cli::BenchArgs::parse`] starts their guard and
+//! [`crate::report::Report::emit`] finishes it.  The tracked reports'
+//! driver ([`crate::tracked`]) holds its guard itself.
 
 use std::path::PathBuf;
+use std::sync::Mutex;
+
+/// The trace an experiment binary opened in
+/// [`crate::cli::BenchArgs::parse`], held until [`finish_kept`] closes it.
+static KEPT: Mutex<Option<TraceGuard>> = Mutex::new(None);
+
+/// Holds `trace` until the binary's report is emitted
+/// ([`crate::report::Report::emit`] calls [`finish_kept`]).
+pub(crate) fn keep_until_emit(trace: TraceGuard) {
+    if trace.path.is_some() {
+        *KEPT.lock().unwrap_or_else(|poisoned| poisoned.into_inner()) = Some(trace);
+    }
+}
+
+/// Finishes the trace held by [`keep_until_emit`], if any.
+pub(crate) fn finish_kept() {
+    let kept = KEPT
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+        .take();
+    if let Some(trace) = kept {
+        trace.finish();
+    }
+}
 
 /// Handle on one report binary's telemetry stream (inert when the flags
 /// were not given).

@@ -438,78 +438,6 @@ fn incremental_leader_tracking_matches_the_recount_reference() {
     }
 }
 
-/// Inert hostile plumbing must be invisible: a fault plan whose Byzantine
-/// window covers **zero agents** (dropped at attach time) and a plan whose
-/// triggered event's predicate **never fires** both leave the RNG stream,
-/// the report and the final configuration bit-identical to the plain run —
-/// the inertness contract of the hostile-recovery fault vocabulary, at the
-/// bench layer where the Table 1 scenarios are assembled.
-#[test]
-fn inert_byzantine_windows_and_triggers_leave_runs_bit_identical() {
-    use population::{ByzantineWindow, FaultKind, FaultPlan};
-    use ssle_bench::recovery::recovery_scenario;
-    use ssle_bench::stabilization::GridGraph;
-
-    for kind in ProtocolKind::ALL {
-        for n in SIZES {
-            for seed in SEEDS {
-                let pt = SweepPoint::new(n, seed);
-                let budget = kind.trial_budget(n);
-                let plain = recovery_scenario(kind, GridGraph::Ring, budget).run_full(&pt);
-                let inert = recovery_scenario(kind, GridGraph::Ring, budget)
-                    .with_fault_plan(FaultPlan::new().with_byzantine(ByzantineWindow::new(
-                        [],
-                        0,
-                        budget,
-                    )))
-                    .run_full(&pt);
-                assert_eq!(
-                    plain.report,
-                    inert.report,
-                    "{} n={n} seed={seed}: empty Byzantine window perturbed the report",
-                    kind.key()
-                );
-                assert_eq!(
-                    *plain.sim.config(),
-                    *inert.sim.config(),
-                    "{} n={n} seed={seed}: empty Byzantine window perturbed the final states",
-                    kind.key()
-                );
-            }
-        }
-    }
-
-    // Never-firing trigger: register a predicate that never holds and couple
-    // a CorruptAll event to it — the run must not notice.
-    for n in SIZES {
-        for seed in SEEDS {
-            let pt = SweepPoint::new(n, seed);
-            let budget = ProtocolKind::Ppl.trial_budget(n);
-            let scenario = || {
-                ssle_bench::ppl_builder(InitialCondition::UniformRandom)
-                    .step_budget(move |_pt| budget)
-                    .corruption(|p: &Ppl, rng, _i| PplState::sample_uniform(rng, p.params()))
-                    .trigger("never", |_p: &Ppl, _c| false)
-                    .build()
-                    .expect("complete scenario")
-            };
-            let plain = scenario().run_full(&pt);
-            let inert = scenario()
-                .with_fault_plan(FaultPlan::new().when("never", FaultKind::CorruptAll))
-                .run_full(&pt);
-            assert_eq!(
-                plain.report, inert.report,
-                "ppl n={n} seed={seed}: never-firing trigger perturbed the report"
-            );
-            assert_eq!(
-                *plain.sim.config(),
-                *inert.sim.config(),
-                "ppl n={n} seed={seed}: never-firing trigger perturbed the final states"
-            );
-        }
-    }
-}
-
 /// The static-topology half of the dynamic-topology contract: attaching a
 /// churn plan that never does anything — the empty plan, and a plan whose
 /// only event sits beyond any reachable step — leaves the RNG stream, the
@@ -548,8 +476,7 @@ fn empty_and_unreached_churn_plans_leave_runs_bit_identical() {
 }
 
 /// The Table 1 scenario of `kind`, made hostile-ready: the protocol's
-/// uniform state sampler is both its corruption function and its Byzantine
-/// rewrite.
+/// uniform state sampler is its corruption function.
 fn hostile_ready(kind: ProtocolKind) -> population::Scenario {
     use population::{Protocol, ScenarioBuilder};
     fn ready<P>(
@@ -564,7 +491,6 @@ fn hostile_ready(kind: ProtocolKind) -> population::Scenario {
         builder
             .step_budget(move |pt| kind.trial_budget(pt.n))
             .corruption(move |p, rng, _agent| sample(p, rng))
-            .byzantine(move |p, rng, _agent, _state| sample(p, rng))
             .build()
             .expect("complete scenario")
     }
@@ -610,15 +536,12 @@ impl<G: population::InteractionGraph> population::Scheduler<G> for LowInitiator 
 
 /// The three entry points run one process: for every Table 1 protocol,
 /// under the uniform and a custom phase-less scheduler (so detection stays
-/// off), with no plan, a timed crash burst, a Byzantine window and a churn
-/// plan, the detecting run reports and ends exactly like the plain run, and
+/// off), with no plan, a timed crash burst and a churn plan, the detecting run reports and ends exactly like the plain run, and
 /// a trajectory sampled on the stop-check grid up to the executed steps
 /// ends on the plain run's final leader count.
 #[test]
 fn entry_points_agree_under_every_scheduler_and_plan() {
-    use population::{
-        ByzantineWindow, ChurnKind, ChurnPlan, FaultKind, FaultPlan, SchedulerFamily,
-    };
+    use population::{ChurnKind, ChurnPlan, FaultKind, FaultPlan, SchedulerFamily};
 
     let n = 8;
     let schedulers = [
@@ -626,18 +549,12 @@ fn entry_points_agree_under_every_scheduler_and_plan() {
         SchedulerFamily::custom("low-initiator", |_pt, _graph| Box::new(LowInitiator)),
     ];
     for kind in ProtocolKind::ALL {
-        let plans: [(&str, population::Scenario); 4] = [
+        let plans: [(&str, population::Scenario); 3] = [
             ("empty", hostile_ready(kind)),
             (
                 "crash",
                 hostile_ready(kind).with_fault_plan(
                     FaultPlan::new().at(40, FaultKind::CorruptRandomAgents { count: 3 }),
-                ),
-            ),
-            (
-                "byzantine",
-                hostile_ready(kind).with_fault_plan(
-                    FaultPlan::new().with_byzantine(ByzantineWindow::new([0, 1], 10, 500)),
                 ),
             ),
             (

@@ -57,12 +57,13 @@ fn instrumented_runs_are_bit_identical_to_plain_runs() {
 }
 
 /// Every executed step lands in exactly one step counter — uniform steps in
-/// `hot_steps`, custom-scheduler steps in `scheduled_steps`, Byzantine-window
-/// steps included — whichever entry point drives the run, and every
-/// converged run emits exactly one `converged` event.
+/// `hot_steps`, custom-scheduler steps in `scheduled_steps`, across the
+/// segments that fault events split a run into — whichever entry point
+/// drives the run, and every converged run emits exactly one `converged`
+/// event.
 #[test]
 fn every_step_and_every_convergence_is_counted_once() {
-    use population::{ByzantineWindow, FaultPlan, RandomScheduler, SchedulerFamily};
+    use population::{FaultKind, FaultPlan, RandomScheduler, SchedulerFamily};
     use ssle_core::{InitialCondition, Ppl, PplState};
     use ssle_telemetry::metrics::well_known::{HOT_STEPS, SCHEDULED_STEPS};
 
@@ -75,15 +76,15 @@ fn every_step_and_every_convergence_is_counted_once() {
     for family in [SchedulerFamily::Random, boxed] {
         let scenario = ssle_bench::ppl_builder(InitialCondition::UniformRandom)
             .step_budget(|pt| ProtocolKind::Ppl.trial_budget(pt.n))
-            .byzantine(|p: &Ppl, rng, _agent, _state| PplState::sample_uniform(rng, p.params()))
+            .corruption(|p: &Ppl, rng, _agent| PplState::sample_uniform(rng, p.params()))
             .scheduler(family)
             .build()
             .expect("complete scenario")
-            .with_fault_plan(FaultPlan::new().with_byzantine(ByzantineWindow::new(
-                [0, 1],
-                10,
-                500,
-            )));
+            .with_fault_plan(
+                FaultPlan::new()
+                    .at(10, FaultKind::CorruptBlock { start: 0, count: 2 })
+                    .at(500, FaultKind::CorruptBlock { start: 0, count: 2 }),
+            );
         let name = scenario.scheduler().name().to_string();
 
         let before = counted();

@@ -61,22 +61,13 @@ pub enum PopulationError {
     /// to a plan.  Such an event can never corrupt anything, so a plan
     /// containing one is always a bug, not a boundary case.
     DegenerateFault {
-        /// The step (or trigger name) the no-op event was scheduled at.
-        at: String,
+        /// The step the no-op event was scheduled at.
+        at: u64,
     },
     /// A plan contains a targeted fault (`FaultKind::CorruptTargets`) but the
     /// scenario registered no target predicate, so the event could never
     /// choose its victims.
     MissingTarget,
-    /// A plan carries an active Byzantine window but the scenario registered
-    /// no `byzantine` rewrite function, so the window could never act.
-    MissingByzantine,
-    /// A plan references a trigger name the scenario never registered, so
-    /// the triggered event could never fire.
-    UnknownTrigger {
-        /// The unregistered trigger name.
-        name: String,
-    },
     /// An arc connects an agent to itself.  Population-protocol interactions
     /// are between *distinct* agents (Section 2); a self-loop would either be
     /// silently unreachable or corrupt the split-borrow interaction step, so
@@ -108,13 +99,6 @@ pub enum PopulationError {
     DegenerateChurn {
         /// The step the no-op event was scheduled at.
         at: u64,
-    },
-    /// A churn plan was combined with a scenario feature the churn machinery
-    /// does not support (currently: an active Byzantine window, whose rewrite
-    /// scratch buffers assume a fixed population).
-    ChurnUnsupported {
-        /// The unsupported combination.
-        reason: &'static str,
     },
 }
 
@@ -159,23 +143,13 @@ impl fmt::Display for PopulationError {
             ),
             PopulationError::DegenerateFault { at } => write!(
                 f,
-                "fault event at {at} has extent 0 and can never corrupt anything: \
+                "fault event at step {at} has extent 0 and can never corrupt anything: \
                  a no-op fault in a plan is always a bug"
             ),
             PopulationError::MissingTarget => write!(
                 f,
                 "plan contains a targeted fault but the scenario has no target predicate: \
                  call `ScenarioBuilder::fault_targets` before running"
-            ),
-            PopulationError::MissingByzantine => write!(
-                f,
-                "plan carries an active Byzantine window but the scenario has no rewrite \
-                 function: call `ScenarioBuilder::byzantine` before running"
-            ),
-            PopulationError::UnknownTrigger { name } => write!(
-                f,
-                "plan references the trigger {name:?}, which the scenario never registered: \
-                 call `ScenarioBuilder::trigger({name:?}, ..)` before running"
             ),
             PopulationError::SelfLoopArc { agent } => write!(
                 f,
@@ -195,11 +169,6 @@ impl fmt::Display for PopulationError {
                 f,
                 "churn event at step {at} has extent 0 and can never change the topology: \
                  a no-op churn event in a plan is always a bug"
-            ),
-            PopulationError::ChurnUnsupported { reason } => write!(
-                f,
-                "churn plan cannot run under {reason}: drop the churn plan or the \
-                 conflicting scenario feature"
             ),
         }
     }
@@ -252,20 +221,8 @@ mod tests {
                 "init",
             ),
             (PopulationError::MissingCorruption, "corruption"),
-            (
-                PopulationError::DegenerateFault {
-                    at: "step 10".to_string(),
-                },
-                "extent 0",
-            ),
+            (PopulationError::DegenerateFault { at: 10 }, "extent 0"),
             (PopulationError::MissingTarget, "fault_targets"),
-            (PopulationError::MissingByzantine, "byzantine"),
-            (
-                PopulationError::UnknownTrigger {
-                    name: "on-elect".to_string(),
-                },
-                "on-elect",
-            ),
             (PopulationError::SelfLoopArc { agent: 3 }, "self-loop"),
             (
                 PopulationError::DisconnectedGraph {
@@ -281,12 +238,6 @@ mod tests {
                 "random-regular",
             ),
             (PopulationError::DegenerateChurn { at: 10 }, "extent 0"),
-            (
-                PopulationError::ChurnUnsupported {
-                    reason: "a Byzantine window",
-                },
-                "Byzantine",
-            ),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();

@@ -112,9 +112,9 @@ pub mod prelude {
     pub use crate::protocol::{LeaderElection, LeaderOutput, Protocol};
     pub use crate::recurrence::{ConfigDigest, RecurrenceCandidate, RecurrenceDetector};
     pub use crate::scenario::{
-        downcast_config, AnyGraph, ByzantineWindow, ChurnEvent, ChurnKind, ChurnPlan, DetectedRun,
-        DynProtocol, DynScheduler, DynState, DynStop, FaultEvent, FaultPlan, GraphFamily,
-        PreparedScenario, Scenario, ScenarioBuilder, ScenarioRun, SchedulerFamily, TriggeredFault,
+        downcast_config, AnyGraph, ChurnEvent, ChurnKind, ChurnPlan, DetectedRun, DynProtocol,
+        DynScheduler, DynState, DynStop, FaultEvent, FaultPlan, GraphFamily, PreparedScenario,
+        Scenario, ScenarioBuilder, ScenarioRun, SchedulerFamily,
     };
     pub use crate::schedule::{Interaction, InteractionSeq};
     pub use crate::scheduler::{

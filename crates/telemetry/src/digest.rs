@@ -43,10 +43,6 @@ pub struct TraceDigest {
     pub runs_converged: u64,
     /// Fault events fired by the adversary layer.
     pub faults_fired: u64,
-    /// Trigger activations.
-    pub triggers_fired: u64,
-    /// Byzantine windows opened.
-    pub byzantine_windows: u64,
     /// Recurrence (livelock) candidates reported.
     pub recurrences: u64,
     /// Per-island search summaries, in stream order.
@@ -89,8 +85,6 @@ impl TraceDigest {
             runs_ended: 0,
             runs_converged: 0,
             faults_fired: 0,
-            triggers_fired: 0,
-            byzantine_windows: 0,
             recurrences: 0,
             islands: Vec::new(),
             search_best_steps: None,
@@ -122,8 +116,6 @@ impl TraceDigest {
                     }
                 }
                 "fault_fired" => digest.faults_fired += 1,
-                "trigger_fired" => digest.triggers_fired += 1,
-                "byzantine_open" => digest.byzantine_windows += 1,
                 "recurrence_candidate" => digest.recurrences += 1,
                 "search_island" => digest.islands.push(IslandDigest {
                     island: num_field(&value, "island"),
@@ -185,8 +177,6 @@ impl TraceDigest {
                 "adversary",
                 JsonValue::object()
                     .with("faults_fired", self.faults_fired.to_string())
-                    .with("triggers_fired", self.triggers_fired.to_string())
-                    .with("byzantine_windows", self.byzantine_windows.to_string())
                     .with("recurrences", self.recurrences.to_string()),
             );
         if !self.islands.is_empty() || self.search_best_steps.is_some() {
@@ -240,8 +230,8 @@ impl TraceDigest {
             self.runs_started, self.runs_ended, self.runs_converged
         ));
         out.push_str(&format!(
-            "- adversary: {} faults, {} triggers, {} byzantine windows, {} recurrence candidates\n",
-            self.faults_fired, self.triggers_fired, self.byzantine_windows, self.recurrences
+            "- adversary: {} faults, {} recurrence candidates\n",
+            self.faults_fired, self.recurrences
         ));
         if let Some((executed, cached, restarts)) = self.fabric {
             out.push_str(&format!(
@@ -301,8 +291,6 @@ mod tests {
                     .count("step", 10)
                     .field("kind", "corrupt_all"),
             );
-            crate::emit(Event::new("byzantine_open").count("step", 20));
-            crate::emit(Event::new("byzantine_close").count("step", 30));
             crate::emit(
                 Event::new("run_end")
                     .count("steps", 99)
@@ -347,7 +335,6 @@ mod tests {
         assert_eq!(digest.runs_ended, 1);
         assert_eq!(digest.runs_converged, 1);
         assert_eq!(digest.faults_fired, 1);
-        assert_eq!(digest.byzantine_windows, 1);
         assert_eq!(digest.islands.len(), 1);
         assert_eq!(digest.islands[0].best_steps, 1200);
         assert_eq!(digest.search_best_steps, Some(1200));

@@ -254,22 +254,17 @@ pub mod well_known {
     use super::{Counter, Histogram};
 
     /// Steps drawn by the uniform sampler (`Simulation::run_steps`, and the
-    /// uniform segments of scenario runs, Byzantine-window steps included),
-    /// counted once per burst.
+    /// uniform segments of scenario runs), counted once per burst.
     pub static HOT_STEPS: Counter = Counter::new("hot_steps");
-    /// Steps chosen by a custom scenario scheduler (per-step dispatch,
-    /// Byzantine-window steps included), counted once per segment.
+    /// Steps chosen by a custom scenario scheduler (per-step dispatch),
+    /// counted once per segment.
     pub static SCHEDULED_STEPS: Counter = Counter::new("scheduled_steps");
     /// Erased scenario runs started.
     pub static RUNS: Counter = Counter::new("runs");
     /// Runs that satisfied their stop predicate within budget.
     pub static CONVERGED_RUNS: Counter = Counter::new("converged_runs");
-    /// Fault events fired (step-scheduled and triggered).
+    /// Fault events fired.
     pub static FAULTS_FIRED: Counter = Counter::new("faults_fired");
-    /// Trigger predicates that fired their coupled fault.
-    pub static TRIGGERS_FIRED: Counter = Counter::new("triggers_fired");
-    /// Byzantine windows opened (first adversarial step executed).
-    pub static BYZANTINE_WINDOWS: Counter = Counter::new("byzantine_windows");
     /// Confirmed configuration recurrences.
     pub static RECURRENCES: Counter = Counter::new("recurrences");
     /// Annealing candidate evaluations.
@@ -309,8 +304,6 @@ pub fn registry() -> Registry {
         &w::RUNS,
         &w::CONVERGED_RUNS,
         &w::FAULTS_FIRED,
-        &w::TRIGGERS_FIRED,
-        &w::BYZANTINE_WINDOWS,
         &w::RECURRENCES,
         &w::SEARCH_EVALUATIONS,
         &w::SEARCH_ACCEPTS,

@@ -46,9 +46,6 @@ const TAXONOMY: &[(&str, &[(&str, FieldType)])] = &[
     ("churn_fired", &[("step", U64Str), ("kind", Str)]),
     ("partition_open", &[("step", U64Str), ("blocks", U64Str)]),
     ("partition_heal", &[("step", U64Str)]),
-    ("trigger_fired", &[("step", U64Str), ("trigger", Str)]),
-    ("byzantine_open", &[("step", U64Str)]),
-    ("byzantine_close", &[("step", U64Str)]),
     (
         "recurrence_candidate",
         &[("step", U64Str), ("period", U64Str)],

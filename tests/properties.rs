@@ -314,46 +314,6 @@ proptest! {
         prop_assert_eq!(FaultPlanSpec::from_plan(&plan), spec);
     }
 
-    /// The hostile extensions of `FaultPlanSpec` — predicate-coupled
-    /// triggered events and bounded Byzantine windows — round-trip
-    /// losslessly through the `FaultPlan` they build, exactly like timed
-    /// events: the property that makes hostile worst-case certificates
-    /// replayable from the JSON artifact.
-    #[test]
-    fn hostile_fault_plan_spec_round_trips_through_the_plan(
-        raw_triggers in proptest::collection::vec(
-            (0usize..3, 0u8..4, 0u32..10_000, 0u32..10_000),
-            0..4,
-        ),
-        agents in proptest::collection::vec(0u32..64, 0..8),
-        from_step in any::<u64>(),
-        window_len in 0u64..1_000_000,
-    ) {
-        use ring_ssle::ssle_adversary::{
-            ByzantineWindowSpec, FaultPlacementSpec, FaultPlanSpec,
-        };
-        const TRIGGERS: [&str; 3] = ["on-elect", "on-quiet", "on-split"];
-        let mut spec = FaultPlanSpec::none();
-        for (name, kind, start, count) in raw_triggers {
-            let placement = match kind {
-                0 => FaultPlacementSpec::Random { count: count.max(1) },
-                1 => FaultPlacementSpec::Block { start, count: count.max(1) },
-                2 => FaultPlacementSpec::Targeted { limit: count.max(1) },
-                _ => FaultPlacementSpec::All,
-            };
-            spec = spec.with_triggered(TRIGGERS[name], placement);
-        }
-        // Inert windows (no agents, or an empty step range) are dropped at
-        // attach time on both sides of the round trip.
-        spec = spec.with_byzantine(ByzantineWindowSpec::new(
-            agents,
-            from_step,
-            from_step.saturating_add(window_len),
-        ));
-        let plan = spec.plan();
-        prop_assert_eq!(FaultPlanSpec::from_plan(&plan), spec);
-    }
-
     /// Configuration rotation is a bijection that preserves the multiset of
     /// states and composes additively.
     #[test]
