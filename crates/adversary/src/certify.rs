@@ -61,9 +61,10 @@ pub struct CertifiedLivelock {
     pub entry_step: u64,
     /// Steps between the two confirmed visits.
     pub period: u64,
-    /// Position-salted digest of the recurrent configuration
+    /// Canonical position-salted digest of the recurrent configuration
     /// ([`population::DynState::digest`] summed per
-    /// [`population::ConfigDigest`]).
+    /// [`population::ConfigDigest`]), computed once from the confirmed
+    /// configuration; the detector's per-step filter is never reported.
     pub config_digest: u64,
     /// The scheduler phase (step counter modulo one rotation) at both
     /// visits and at the root of the closure walk.

@@ -15,6 +15,7 @@
 
 use std::any::Any;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use population::{Configuration, LeaderElection, Protocol};
@@ -28,6 +29,8 @@ pub trait BoxedErased: Any + Send + Sync {
     fn eq_dyn(&self, other: &dyn BoxedErased) -> bool;
     /// Debug-formats the underlying state.
     fn debug_dyn(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result;
+    /// Feeds the underlying state's `Hash` stream to `state`.
+    fn hash_dyn(&self, state: &mut dyn Hasher);
     /// Upcast to [`Any`] for downcasting.
     fn as_any(&self) -> &dyn Any;
     /// Mutable upcast to [`Any`] for downcasting.
@@ -36,7 +39,7 @@ pub trait BoxedErased: Any + Send + Sync {
 
 impl<S> BoxedErased for S
 where
-    S: Any + Clone + PartialEq + fmt::Debug + Send + Sync,
+    S: Any + Clone + PartialEq + Hash + fmt::Debug + Send + Sync,
 {
     fn clone_dyn(&self) -> Box<dyn BoxedErased> {
         Box::new(self.clone())
@@ -51,6 +54,10 @@ where
 
     fn debug_dyn(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self:?}")
+    }
+
+    fn hash_dyn(&self, mut state: &mut dyn Hasher) {
+        self.hash(&mut state);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -71,7 +78,7 @@ impl BoxedState {
     /// Boxes a typed state.
     pub fn new<S>(state: S) -> Self
     where
-        S: Any + Clone + PartialEq + fmt::Debug + Send + Sync,
+        S: Any + Clone + PartialEq + Hash + fmt::Debug + Send + Sync,
     {
         BoxedState(Box::new(state))
     }
@@ -96,6 +103,12 @@ impl Clone for BoxedState {
 impl PartialEq for BoxedState {
     fn eq(&self, other: &Self) -> bool {
         self.0.eq_dyn(other.0.as_ref())
+    }
+}
+
+impl Hash for BoxedState {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.hash_dyn(state);
     }
 }
 

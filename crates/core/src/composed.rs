@@ -34,7 +34,7 @@ use crate::protocol::Ppl;
 use crate::state::PplState;
 
 /// Product state: the orientation layer plus the election layer.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CombinedState {
     /// `P_OR` variables (colour, neighbour colours, direction, strength).
     pub orientation: OrState,

@@ -48,7 +48,7 @@ impl std::fmt::Display for LeaderOutput {
 /// protocol into worker threads.
 pub trait Protocol: Clone + Send + Sync {
     /// The per-agent state type (the finite set `Q`).
-    type State: Clone + PartialEq + std::fmt::Debug + Send + Sync;
+    type State: Clone + PartialEq + std::hash::Hash + std::fmt::Debug + Send + Sync;
 
     /// `true` iff this protocol type may have an oracle
     /// ([`Protocol::oracle_marks`] and [`Protocol::oracle_apply`]).

@@ -86,7 +86,7 @@ use crate::faults::{FaultInjector, FaultKind};
 use crate::graph::{ArbitraryGraph, CompleteGraph, DirectedRing, InteractionGraph, UndirectedRing};
 use crate::observer::{LeaderCounter, NoObserver, StepObserver};
 use crate::protocol::{LeaderElection, Protocol};
-use crate::recurrence::{ConfigDigest, RecurrenceCandidate, RecurrenceDetector};
+use crate::recurrence::{FingerprintSum, RecurrenceCandidate, RecurrenceDetector};
 use crate::schedule::Interaction;
 use crate::scheduler::Scheduler;
 use crate::simulation::{oracle_in_use, OracleFold, Simulation};
@@ -1422,7 +1422,8 @@ impl Scenario {
     /// The run has exactly the semantics of [`Scenario::try_run_full`] — the
     /// same scheduler choices, RNG stream, fault events and stop-check
     /// boundaries — except that every step additionally feeds an incremental
-    /// configuration digest into a Brent-schedule [`RecurrenceDetector`].
+    /// sum of state fingerprints ([`DynState::fingerprint`]) into a
+    /// Brent-schedule [`RecurrenceDetector`].
     /// When a configuration provably repeats at the same scheduler
     /// [`DynScheduler::phase`], the run aborts early and the confirmed
     /// [`RecurrenceCandidate`] is returned alongside the (unconverged)
@@ -1444,7 +1445,7 @@ impl Scenario {
     /// by chance at almost every step (any interaction that changes no state
     /// is a period-1 "recurrence"), so a candidate would be meaningless
     /// there.  An oracle's broadcast rewrites agents outside the interacting
-    /// pair, which the incremental digest cannot see, so detection is
+    /// pair, which the incremental sum cannot see, so detection is
     /// likewise disabled for oracle protocols.  In both
     /// cases `recurrence` is always `None` and the run itself is unaffected.
     ///
@@ -1454,7 +1455,7 @@ impl Scenario {
     pub fn try_run_detecting(&self, point: &SweepPoint) -> Result<DetectedRun> {
         let mut run = self.start(point)?;
         // Detection needs two preconditions.  An oracle's broadcast rewrites
-        // states outside the interacting pair, so the incremental digest is
+        // states outside the interacting pair, so the incremental sum is
         // only sound for pure protocols.  And a memoryless scheduler
         // (phase `None`, the uniform one included) revisits configurations
         // by chance constantly — every interaction that happens not to
@@ -1464,7 +1465,7 @@ impl Scenario {
             && run.scheduler.as_ref().is_some_and(|s| s.phase().is_some());
         let (report, recurrence) = if detecting {
             let mut watch = Recurrence {
-                digest: ConfigDigest::new(run.sim.config().states()),
+                sum: FingerprintSum::new(run.sim.config().states()),
                 detector: RecurrenceDetector::new(),
                 found: None,
             };
@@ -1613,26 +1614,26 @@ impl Watch for LeaderCounter {
 }
 
 /// The observer of [`Scenario::try_run_detecting`]: an incremental
-/// configuration digest feeding a Brent-schedule recurrence detector.
+/// fingerprint sum feeding a Brent-schedule recurrence detector.
 struct Recurrence {
-    digest: ConfigDigest,
+    sum: FingerprintSum,
     detector: RecurrenceDetector,
     found: Option<RecurrenceCandidate>,
 }
 
 impl StepObserver<DynProtocol> for Recurrence {
     fn pre_interaction(&mut self, p: &DynProtocol, i: Interaction, a: &DynState, b: &DynState) {
-        self.digest.pre_interaction(p, i, a, b);
+        self.sum.pre_interaction(p, i, a, b);
     }
 
     fn post_interaction(&mut self, p: &DynProtocol, i: Interaction, a: &DynState, b: &DynState) {
-        self.digest.post_interaction(p, i, a, b);
+        self.sum.post_interaction(p, i, a, b);
     }
 }
 
 impl Watch for Recurrence {
     fn reseed(&mut self, sim: &ErasedSim) {
-        self.digest.resync(sim.config().states());
+        self.sum.resync(sim.config().states());
         self.detector.reset();
     }
 
@@ -1652,7 +1653,7 @@ impl Watch for Recurrence {
             return false;
         }
         let Some(candidate) = self.detector.observe(
-            self.digest.value(),
+            self.sum.value(),
             scheduler.phase(),
             sim.steps(),
             sim.config(),
@@ -2456,7 +2457,7 @@ mod tests {
     /// followers.
     #[derive(Clone, Debug)]
     struct OracleSpawner;
-    #[derive(Clone, Copy, Debug, PartialEq)]
+    #[derive(Clone, Copy, Debug, PartialEq, Hash)]
     struct OracleState {
         leader: bool,
         no_leader: bool,
@@ -3793,10 +3794,11 @@ mod tests {
 
     #[test]
     fn detection_runs_under_churn() {
-        // Smoke: the recurrence-detecting path resyncs its digest across a
-        // churn boundary and still converges with nothing pending.  The
-        // rewire fires at step 0 — fratricide on a complete graph converges
-        // long before any later step, which would leave the event pending.
+        // Smoke: the recurrence-detecting path resyncs its fingerprint sum
+        // across a churn boundary and still converges with nothing pending.
+        // The rewire fires at step 0 — fratricide on a complete graph
+        // converges long before any later step, which would leave the event
+        // pending.
         let plan = ChurnPlan::new().at(0, ChurnKind::Rewire { count: 2 });
         let detected = churn_ready_fratricide()
             .with_churn_plan(plan)

@@ -260,7 +260,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     /// declared [`Protocol::HAS_ENVIRONMENT`] and reports
     /// [`Protocol::uses_oracle`].  When `true`, the oracle's broadcast
     /// rewrites agents other than the two interacting ones, so observers
-    /// that fold whole states ([`crate::recurrence::ConfigDigest`]) are not
+    /// that fold whole states (the recurrence fingerprint sum) are not
     /// exact; the broadcast never changes leader outputs, so
     /// [`LeaderCounter`] stays exact either way.
     pub fn environment_active(&self) -> bool {

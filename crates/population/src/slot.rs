@@ -9,16 +9,16 @@
 //!
 //! This module replaces the box with a **fixed-size inline slot**:
 //!
-//! * a [`DynState`] is `{ ops: &'static StateOps, storage: [40 bytes] }` —
-//!   48 bytes total, so a `Configuration<DynState>` is one contiguous,
-//!   cache-friendly buffer;
+//! * a [`DynState`] is `{ ops: &'static StateOps, type_id: TypeId,
+//!   storage: [40 bytes] }` — 64 bytes total, one cache line, so a
+//!   `Configuration<DynState>` is one contiguous, cache-friendly buffer;
 //! * states with `size <= 40` and `align <= 8` (every Table 1 protocol state;
 //!   the largest, `PplState`, is exactly 40 bytes) are stored **in-line** in
 //!   the slot — no heap allocation, no pointer chase;
 //! * oversized or over-aligned states transparently fall back to a boxed
 //!   representation behind the same API ([`DynState::is_inline`] tells which
 //!   path a value took, [`fits_inline`] decides per type at compile time);
-//! * per-type behaviour (clone/drop/eq/debug/type-identity) lives in a
+//! * per-type behaviour (clone/drop/eq/debug/hash) lives in a
 //!   `&'static` ops table — a hand-rolled vtable — so `DynState` itself needs
 //!   no trait object.
 //!
@@ -36,6 +36,7 @@
 
 use std::any::{Any, TypeId};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::mem::{align_of, needs_drop, size_of, MaybeUninit};
 
 /// Number of bytes a state may occupy to be stored in-line.
@@ -62,9 +63,9 @@ pub const fn fits_inline<S>() -> bool {
 /// exactly the [`crate::protocol::Protocol::State`] bounds plus `'static`.
 ///
 /// Blanket-implemented; user code never implements it directly.
-pub trait SlotState: Any + Clone + PartialEq + fmt::Debug + Send + Sync {}
+pub trait SlotState: Any + Clone + PartialEq + Hash + fmt::Debug + Send + Sync {}
 
-impl<S> SlotState for S where S: Any + Clone + PartialEq + fmt::Debug + Send + Sync {}
+impl<S> SlotState for S where S: Any + Clone + PartialEq + Hash + fmt::Debug + Send + Sync {}
 
 /// Either the state value itself (inline) or a pointer to its heap box.
 ///
@@ -101,6 +102,9 @@ struct StateOps {
     /// FNV-1a digest of the stored value's `Debug` byte stream, salted.
     /// Safety: `storage` must hold a live value of this type.
     digest: unsafe fn(&Storage, u64) -> u64,
+    /// Word-at-a-time hash of the stored value's `Hash` stream, salted.
+    /// Safety: `storage` must hold a live value of this type.
+    fingerprint: unsafe fn(&Storage, u64) -> u64,
 }
 
 /// Per-type ops-table factory: `&Ops::<S>::TABLE` is the promoted `'static`
@@ -116,6 +120,7 @@ impl<S: SlotState> Ops<S> {
         eq: eq_storage::<S>,
         debug: debug_storage::<S>,
         digest: digest_storage::<S>,
+        fingerprint: fingerprint_storage::<S>,
     };
 }
 
@@ -234,11 +239,86 @@ unsafe fn digest_storage<S: SlotState>(storage: &Storage, salt: u64) -> u64 {
     writer.hash
 }
 
+/// A multiply-rotate hasher that mixes one word per `write_*` call (the
+/// integer writes a derived `Hash` makes), behind the `fingerprint` op.
+struct WordHasher {
+    hash: u64,
+}
+
+/// The 64-bit golden-ratio constant, odd, so the multiply is a bijection.
+const WORD_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl WordHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(23) ^ word).wrapping_mul(WORD_MUL);
+    }
+}
+
+impl Hasher for WordHasher {
+    /// Avalanches the state (the MurmurHash3 finalizer), so that the sums of
+    /// fingerprints over nearby salts do not cancel.
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut h = self.hash;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+
+    /// Mixes the bytes as zero-padded little-endian words.
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.mix(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.mix(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.mix(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
+}
+
+/// Ops-table entry: fingerprint.  Safety contract as on
+/// [`StateOps::fingerprint`].
+unsafe fn fingerprint_storage<S: SlotState>(storage: &Storage, salt: u64) -> u64 {
+    let mut hasher = WordHasher {
+        hash: salt.wrapping_mul(WORD_MUL),
+    };
+    // SAFETY: the storage holds a live `S` per the contract.
+    unsafe { &*value_ptr::<S>(storage) }.hash(&mut hasher);
+    hasher.finish()
+}
+
 /// A type-erased per-agent state with inline small-state storage.
 ///
 /// Satisfies the [`crate::protocol::Protocol::State`] bounds, so
 /// `Configuration<DynState>` plugs into the ordinary
-/// [`crate::simulation::Simulation`] engine — as one flat 48-bytes-per-agent
+/// [`crate::simulation::Simulation`] engine — as one flat 64-bytes-per-agent
 /// buffer rather than a vector of heap pointers.
 ///
 /// # Invariants (maintained by every constructor and upheld by the unsafe
@@ -301,18 +381,32 @@ impl DynState {
         }
     }
 
-    /// A salted 64-bit digest of the stored value, computed by streaming its
-    /// `Debug` output through an FNV-1a hasher (no allocation).
+    /// The canonical salted 64-bit digest of the stored value, computed by
+    /// streaming its `Debug` output through an FNV-1a hasher (no
+    /// allocation).
     ///
-    /// Equal states always produce equal digests (derived `Debug` output is a
-    /// deterministic function of the value); unequal states *may* collide, so
-    /// digests are recurrence **candidates** only — callers must confirm with
-    /// `==` before trusting a match.  The digest is meaningful only when the
-    /// state's `Debug` representation is injective, which every
-    /// `#[derive(Debug)]` state satisfies.
+    /// This is the digest that reports and certificates persist
+    /// ([`crate::recurrence::ConfigDigest`]), so its values are frozen.  It
+    /// costs a `Debug` formatting pass per call; per-step filtering uses the
+    /// cheaper [`DynState::fingerprint`] instead.  Equal states always
+    /// produce equal digests (derived `Debug` output is a deterministic
+    /// function of the value); unequal states *may* collide.
     pub fn digest(&self, salt: u64) -> u64 {
         // SAFETY: the storage holds a live value of the ops table's type.
         unsafe { (self.ops.digest)(&self.storage, salt) }
+    }
+
+    /// A salted 64-bit hash of the stored value's `Hash` stream, mixed one
+    /// word at a time (no allocation, no formatting).
+    ///
+    /// Equal states give equal fingerprints at the same salt, as `Hash`
+    /// requires; unequal states *may* collide, so a fingerprint match is a
+    /// candidate only — confirm with `==`.  Fingerprints are a filter: they
+    /// are never persisted or reported, so their values may change.
+    #[inline]
+    pub fn fingerprint(&self, salt: u64) -> u64 {
+        // SAFETY: the storage holds a live value of the ops table's type.
+        unsafe { (self.ops.fingerprint)(&self.storage, salt) }
     }
 
     /// Mutably borrows the underlying state if it has type `S`.
@@ -357,6 +451,13 @@ impl PartialEq for DynState {
     }
 }
 
+/// Hashes the stored value's fingerprint, so equal states hash equally.
+impl Hash for DynState {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint(0));
+    }
+}
+
 impl fmt::Debug for DynState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // SAFETY: the storage holds a live value of the ops table's type.
@@ -371,7 +472,7 @@ mod tests {
     use std::sync::Arc;
 
     /// A state that is far too big for the slot: exercises the boxed path.
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Clone, Debug, PartialEq, Hash)]
     struct Big([u64; 16]);
 
     /// A small state with a non-trivial drop: exercises inline drop.
@@ -381,6 +482,12 @@ mod tests {
     impl PartialEq for Counting {
         fn eq(&self, other: &Self) -> bool {
             Arc::ptr_eq(&self.0, &other.0)
+        }
+    }
+
+    impl Hash for Counting {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            Arc::as_ptr(&self.0).hash(state);
         }
     }
 
@@ -405,31 +512,27 @@ mod tests {
     }
 
     #[test]
-    fn digests_agree_for_equal_states_and_salt_is_load_bearing() {
-        // Inline path.
-        assert_eq!(
-            DynState::new(42u32).digest(7),
-            DynState::new(42u32).digest(7)
-        );
-        assert_ne!(
-            DynState::new(42u32).digest(7),
-            DynState::new(43u32).digest(7)
-        );
-        assert_ne!(
-            DynState::new(42u32).digest(0),
-            DynState::new(42u32).digest(1),
-            "the salt must perturb the digest"
-        );
-        // Boxed path.
-        let big = Big([3; 16]);
-        assert_eq!(
-            DynState::new(big.clone()).digest(9),
-            DynState::new(big.clone()).digest(9)
-        );
-        assert_ne!(
-            DynState::new(big).digest(9),
-            DynState::new(Big([4; 16])).digest(9)
-        );
+    fn digests_and_fingerprints_agree_for_equal_states_and_salt_is_load_bearing() {
+        type SaltedHash = fn(&DynState, u64) -> u64;
+        let hashes: [(&str, SaltedHash); 2] = [
+            ("digest", DynState::digest),
+            ("fingerprint", DynState::fingerprint),
+        ];
+        for (name, hash) in hashes {
+            // Inline path.
+            let (a, b) = (DynState::new(42u32), DynState::new(42u32));
+            assert_eq!(hash(&a, 7), hash(&b, 7), "{name}");
+            assert_ne!(hash(&a, 7), hash(&DynState::new(43u32), 7), "{name}");
+            assert_ne!(hash(&a, 0), hash(&a, 1), "{name}: the salt must perturb it");
+            // Boxed path.
+            let big = DynState::new(Big([3; 16]));
+            assert_eq!(hash(&big, 9), hash(&big.clone(), 9), "{name}");
+            assert_ne!(
+                hash(&big, 9),
+                hash(&DynState::new(Big([4; 16])), 9),
+                "{name}"
+            );
+        }
     }
 
     #[test]
@@ -498,6 +601,10 @@ mod tests {
                 true
             }
         }
+        /// Every value is equal, so every value hashes alike.
+        impl Hash for BigCounting {
+            fn hash<H: Hasher>(&self, _: &mut H) {}
+        }
         impl Drop for BigCounting {
             fn drop(&mut self) {
                 self.1.fetch_add(1, Ordering::SeqCst);
@@ -527,7 +634,7 @@ mod tests {
 
     #[test]
     fn over_aligned_states_fall_back_to_the_box() {
-        #[derive(Clone, Debug, PartialEq)]
+        #[derive(Clone, Debug, PartialEq, Hash)]
         #[repr(align(16))]
         struct Wide(u8);
         assert!(
