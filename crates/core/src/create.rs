@@ -1,11 +1,20 @@
 //! `CreateLeader()` — Algorithm 2 — and its helpers `DetermineMode()`
 //! (Algorithm 4) and `MoveToken()` (Algorithm 3).
 //!
-//! Each function is a line-by-line transliteration of the corresponding
-//! pseudocode; the comments cite the paper's line numbers so the code can be
-//! audited against the paper.  The two agents of an interaction are always
-//! called `l` (initiator, left neighbour) and `r` (responder, right
-//! neighbour), as in the paper.
+//! Each function keeps the pseudocode's line order, and the comments cite the
+//! paper's line numbers so the code can be audited against the paper.  The
+//! code is arranged to compile to straight-line code: `move_token` is inlined
+//! once per token colour, so the colour is a constant and no token access
+//! dispatches on it, the moduli are conditional subtractions, and a step that
+//! moves no token of a colour skips that colour's Lines 14–33.  The verbatim
+//! transliteration lives on as the reference of
+//! `tests/transition_reference.rs`, which pins this code to it.  The two
+//! agents of an interaction are always called `l` (initiator, left
+//! neighbour) and `r` (responder, right neighbour), as in the paper.
+//!
+//! The functions expect states with [`PplState::in_domain`]; every
+//! production path (the initial-condition families, `sample_uniform`
+//! corruption and the transition itself) produces only such states.
 
 use crate::params::Params;
 use crate::state::{bullet, Mode, PplState, Token, TokenKind};
@@ -20,11 +29,15 @@ pub fn create_leader(params: &Params, l: &mut PplState, r: &mut PplState) {
     // Line 3.
     determine_mode(params, l, r);
 
-    // Line 4: the responder's distance to its nearest left leader, mod 2ψ.
+    // Line 4: the responder's distance to its nearest left leader, mod 2ψ
+    // (`l.dist + 1 ≤ 2ψ`, so one conditional subtraction reduces it).
+    let next = l.dist + 1;
     let tmp = if r.leader {
         0
+    } else if next >= params.two_psi() {
+        next - params.two_psi()
     } else {
-        (l.dist + 1) % params.two_psi()
+        next
     };
 
     // Lines 5–6: a detection-mode responder that disagrees with the computed
@@ -103,17 +116,26 @@ pub fn determine_mode(params: &Params, l: &mut PplState, r: &mut PplState) {
     }
 
     // Lines 49–50: the mode is a function of the clock.
-    for v in [&mut *l, &mut *r] {
-        v.mode = if v.clock == kappa_max {
-            Mode::Detect
-        } else {
-            Mode::Construct
-        };
+    l.mode = mode_of(l.clock, kappa_max);
+    r.mode = mode_of(r.clock, kappa_max);
+}
+
+/// Lines 49–50: detection mode exactly when the clock is at `κ_max`.
+fn mode_of(clock: u32, kappa_max: u32) -> Mode {
+    if clock == kappa_max {
+        Mode::Detect
+    } else {
+        Mode::Construct
     }
 }
 
 /// Algorithm 3, `MoveToken(token, d)`, applied to the token variable selected
 /// by `kind` (black ⇒ `d = 0`, white ⇒ `d = ψ`).
+///
+/// Expects states with [`PplState::in_domain`] (see the module docs).  It is
+/// always inlined, so at each call site `kind` is a constant and every token
+/// access goes straight to its field.
+#[inline(always)]
 pub fn move_token(params: &Params, l: &mut PplState, r: &mut PplState, kind: TokenKind) {
     let psi = params.psi() as i32;
     let d = kind.offset(params);
@@ -128,6 +150,11 @@ pub fn move_token(params: &Params, l: &mut PplState, r: &mut PplState, kind: Tok
             value: !l.b,
             carry: l.b,
         });
+    }
+
+    // Lines 14–33 act only on tokens of this colour at `l` or `r`.
+    if l.token(kind).is_none() && r.token(kind).is_none() {
+        return;
     }
 
     // Lines 14–15: a token at the initiator is destroyed if the responder
@@ -199,10 +226,11 @@ pub fn move_token(params: &Params, l: &mut PplState, r: &mut PplState, kind: Tok
     // Lines 32–33: delete tokens sitting in the last segment and tokens that
     // are outside their trajectory (which includes a token that has just
     // been relayed away from its final destination).
-    for v in [&mut *l, &mut *r] {
-        if v.token(kind).is_some() && (v.last || token_is_invalid(v, kind, params)) {
-            *v.token_mut(kind) = None;
-        }
+    if l.last || token_is_invalid(l, kind, params) {
+        *l.token_mut(kind) = None;
+    }
+    if r.last || token_is_invalid(r, kind, params) {
+        *r.token_mut(kind) = None;
     }
 }
 

@@ -95,6 +95,7 @@ mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
+    use crate::init::{generate, InitialCondition};
     use crate::state::Mode;
 
     fn sim_from(
@@ -123,31 +124,34 @@ mod tests {
         assert!(!p.is_leader(&PplState::follower()));
     }
 
+    /// The transition keeps every family's states in their domains, which
+    /// the division-free reductions in `create` and `tokens` rely on.
     #[test]
     fn states_stay_in_domain_during_execution() {
         let n = 16;
-        let protocol = Ppl::for_ring(n);
-        let params = *protocol.params();
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let config = Configuration::from_fn(n, |_| PplState::sample_uniform(&mut rng, &params));
-        let mut sim = sim_from(n, config, 5);
-        for _ in 0..200 {
-            sim.run_steps(100);
-            for s in sim.config().states() {
-                assert!(s.in_domain(&params), "state escaped its domain: {s:?}");
-                // Lines 49–50 keep mode consistent with clock for every agent
-                // that has interacted at least once; after enough steps all
-                // have.
+        let params = *Ppl::for_ring(n).params();
+        for (seed, condition) in (3u64..).zip(InitialCondition::ALL) {
+            let mut sim = sim_from(n, generate(condition, n, &params, seed), 5);
+            for _ in 0..200 {
+                sim.run_steps(100);
+                for s in sim.config().states() {
+                    assert!(
+                        s.in_domain(&params),
+                        "{}: state escaped its domain: {s:?}",
+                        condition.name()
+                    );
+                }
             }
-        }
-        // After many interactions every agent's mode agrees with its clock.
-        for s in sim.config().states() {
-            let expected = if s.clock == params.kappa_max() {
-                Mode::Detect
-            } else {
-                Mode::Construct
-            };
-            assert_eq!(s.mode, expected);
+            // Lines 49–50 keep mode consistent with clock for every agent
+            // that has interacted at least once; after 20000 steps all have.
+            for s in sim.config().states() {
+                let expected = if s.clock == params.kappa_max() {
+                    Mode::Detect
+                } else {
+                    Mode::Construct
+                };
+                assert_eq!(s.mode, expected, "{}", condition.name());
+            }
         }
     }
 

@@ -28,15 +28,26 @@ use crate::state::{PplState, Token, TokenKind};
 /// `d = ψ` for white tokens.  For a valid token this is the target's `dist`
 /// expressed in the *black* frame (white targets are shifted by `ψ` so both
 /// kinds can be checked with one rule).
+///
+/// Expects an in-domain `dist ∈ [0, 2ψ−1]` and token offset (see
+/// [`PplState::in_domain`]): the sum then lies in `[1−ψ, 4ψ−1]`, so one
+/// `± 2ψ` fix-up reduces it without a division.
+#[inline]
 pub fn normalized_target_dist(
     agent_dist: u32,
     token: &Token,
     kind: TokenKind,
     params: &Params,
 ) -> u32 {
-    let two_psi = params.two_psi() as i64;
-    let d = kind.offset(params) as i64;
-    (agent_dist as i64 + token.target_offset as i64 + d).rem_euclid(two_psi) as u32
+    let two_psi = params.two_psi() as i32;
+    let sum = agent_dist as i32 + token.target_offset + kind.offset(params) as i32;
+    if sum < 0 {
+        (sum + two_psi) as u32
+    } else if sum >= two_psi {
+        (sum - two_psi) as u32
+    } else {
+        sum as u32
+    }
 }
 
 /// Definition 3.3 (corrected, see module docs): a token is *invalid* if it is
@@ -50,6 +61,10 @@ pub fn normalized_target_dist(
 ///   the first segment, at normalised distances `[1, ψ−1]`; a left-moving
 ///   token whose normalised target is `ψ` has just been relayed from the
 ///   final destination `u_{iψ+2ψ−1}` and must disappear).
+///
+/// Expects an agent with [`PplState::in_domain`], like
+/// [`normalized_target_dist`].
+#[inline]
 pub fn token_is_invalid(agent: &PplState, kind: TokenKind, params: &Params) -> bool {
     let Some(token) = agent.token(kind) else {
         return false;
