@@ -1,7 +1,8 @@
 //! Content digests over canonical JSON.
 //!
-//! The experiment fabric (`ssle-fabric`) caches work-unit results under a
-//! **content address**: the digest of the unit's exact JSON spec.  Two
+//! The tracked reports' `--resume` cache (`ssle-fabric`) stores cell
+//! results under a **content address**: the digest of the cell's exact
+//! JSON spec.  Two
 //! producers must therefore agree on the digested *bytes*, not just on the
 //! JSON *value* — [`JsonValue`] objects are insertion-ordered, so the same
 //! logical object can serialize to different texts.  [`canonical_json`]
@@ -23,7 +24,7 @@ const FNV128_PRIME: u128 = 0x0000000001000000000000000000013b;
 ///
 /// FNV-1a folds each byte into the running hash with XOR then multiplies by
 /// the FNV prime; the 128-bit variant uses wrapping `u128` arithmetic.  It
-/// is *not* collision-resistant against an adversary — the fabric cache is a
+/// is *not* collision-resistant against an adversary — the cell cache is a
 /// local performance layer, not an integrity boundary.
 pub fn fnv1a_128(bytes: &[u8]) -> u128 {
     let mut hash = FNV128_OFFSET;
@@ -71,7 +72,7 @@ fn canonicalize(value: &JsonValue) -> JsonValue {
 /// The content digest of a JSON value: the 128-bit FNV-1a of its
 /// [`canonical_json`] text, rendered as 32 lowercase hex digits.
 ///
-/// This is the fabric's cache key: insensitive to object-key order,
+/// This is the cell cache's key: insensitive to object-key order,
 /// sensitive to every semantic detail of the value (including the
 /// exact-decimal-string encoding full-width integers use).
 pub fn content_digest(value: &JsonValue) -> String {

@@ -16,7 +16,7 @@
 //!   machine-readable `--json` output (the offline build cannot use
 //!   `serde_json`);
 //! * [`digest`] — canonical-JSON content digests (128-bit FNV-1a), the
-//!   cache keys of the `ssle-fabric` experiment fabric.
+//!   keys of the tracked reports' `--resume` cell cache (`ssle-fabric`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

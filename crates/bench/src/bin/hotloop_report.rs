@@ -6,15 +6,15 @@
 //! ```text
 //! cargo run --release -p ssle-bench --bin hotloop_report
 //! cargo run --release -p ssle-bench --bin hotloop_report -- --quick --json
-//! cargo run --release -p ssle-bench --bin hotloop_report -- --quick --fabric 2 --resume
+//! cargo run --release -p ssle-bench --bin hotloop_report -- --quick --resume
 //! ```
 //!
 //! Cases are wall-clock timings, so they run one at a time on the calling
-//! thread (no `--threads`, no `--islands`).  `--fabric N` runs the case
-//! grid across N worker subprocesses with crash retry and a
-//! content-addressed result cache under `.fabric-cache/`; a fabric run is
-//! *schema*-identical but not byte-identical to an in-process rerun, and
-//! the cache is what makes interrupted measurement campaigns resumable.
+//! thread (no `--threads`, no `--islands`).  `--resume` stores every
+//! measured case in a content-addressed cache under `.fabric-cache/` and
+//! answers cached cases from it, so an interrupted measurement campaign
+//! resumes; a resumed report *reuses earlier timings*, whatever build took
+//! them, so clear the cache to measure a change.
 //!
 //! The binary is `ssle_bench::hotloop::Report` driven by
 //! `ssle_bench::tracked`, which owns the flags (`--help` prints them) and

@@ -14,17 +14,18 @@
 //! ```text
 //! cargo run --release -p ssle-bench --bin recovery_report
 //! cargo run --release -p ssle-bench --bin recovery_report -- --quick --threads 4 --json
-//! cargo run --release -p ssle-bench --bin recovery_report -- --quick --fabric 2 --resume
+//! cargo run --release -p ssle-bench --bin recovery_report -- --quick --resume
 //! ```
 //!
 //! Grid cells and per-row trial pools are sharded over the worker threads;
 //! the output is **bit-identical for any `--threads` value** (every trial
 //! seed derives from the cell coordinates and the trial index, never from
-//! scheduling order; pinned by workspace tests).  `--fabric N` runs the
-//! same grid across N worker subprocesses (this binary re-invoked with
-//! `--worker`) with crash retry and a content-addressed result cache under
-//! `.fabric-cache/`; the output is byte-identical to the in-process path,
-//! and `--resume` makes a warm rerun execute zero units.
+//! scheduling order; pinned by workspace tests).  `--resume` stores every
+//! measured cell in a content-addressed cache under `.fabric-cache/` and
+//! answers cached cells from it, so an interrupted run picks up where it
+//! stopped and a warm rerun executes zero cells; the output is
+//! byte-identical to a plain run.  The cache key names the cell, not the
+//! build: clear the cache after a change that moves a cell's result.
 //!
 //! The binary is `ssle_bench::recovery::Report` driven by
 //! `ssle_bench::tracked`, which owns the flags (`--help` prints them; no

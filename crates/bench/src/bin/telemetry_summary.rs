@@ -1,7 +1,7 @@
 //! Digests an `ssle-telemetry/v1` NDJSON trace into a human-readable
 //! summary: validate the stream against the full event taxonomy, fold it
 //! into a [`TraceDigest`] (runs, convergence, faults, search islands,
-//! fabric utilization, final metrics snapshot), and print the digest as
+//! final metrics snapshot), and print the digest as
 //! markdown (default) or JSON.
 //!
 //! ```text

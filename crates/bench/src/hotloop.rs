@@ -22,10 +22,9 @@ use population::{
     BatchRunner, Configuration, DynProtocol, DynState, InteractionGraph, LeaderElection, Protocol,
     Simulation,
 };
-use ssle_fabric::WorkError;
 
 use crate::stabilization::GridGraph;
-use crate::tracked::{point_spec, Spec, TrackedReport};
+use crate::tracked::{point_spec, TrackedReport};
 use crate::{ProtocolKind, Table1Visitor};
 
 /// Schema identifier of `BENCH_hotloop.json`.
@@ -189,11 +188,6 @@ impl TrackedReport for Report {
 
     fn unit_spec((kind, graph, n): Self::Point, &quick: &bool) -> JsonValue {
         point_spec::<Self>(kind, graph.key(), n, quick)
-    }
-
-    fn from_spec(spec: Spec<'_>, _threads: usize) -> Result<(Self::Point, bool), WorkError> {
-        let graph_from_key = |key: &str| GRAPHS.into_iter().find(|g| g.key() == key);
-        Ok((spec.point(graph_from_key)?, spec.flag("quick")?))
     }
 
     /// Measures one case: `quick` takes a single short sample (CI smoke);

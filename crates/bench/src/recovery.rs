@@ -20,9 +20,9 @@
 //! The grid is [`crate::ProtocolKind::ALL`] × [`GridGraph::ALL`] ×
 //! [`sizes`], every measurement is deterministic per seed (reports are
 //! bit-identical at any thread count), and cells serialize through one
-//! [`cell_to_json`] definition shared with the fabric workers — so
-//! `--fabric N` reports are byte-identical to in-process ones by
-//! construction, exactly like the stabilization report.  The
+//! [`cell_to_json`] definition whose output the `--resume` cache stores —
+//! so resumed reports are byte-identical to plain ones by construction,
+//! exactly like the stabilization report.  The
 //! `recovery_report` binary is [`Report`], driven by [`crate::tracked`].
 //!
 //! Cells whose fault-free preparation run does not converge within the
@@ -40,14 +40,13 @@ use population::{
 use ssle_adversary::{GraphSpec, SchedulerSpec};
 use ssle_baselines::{AngluinModK, FischerJiang, FjState, ModKState, YokotaLinear, YokotaState};
 use ssle_core::{InitialCondition, Params, Ppl, PplState};
-use ssle_fabric::WorkError;
 
 use crate::stabilization::{
     dyn_protocol, graph_spec_from_json, graph_spec_to_json, leader_delta_scorer, spec_from_json,
     spec_to_json,
 };
 use crate::stabilization::{grid_points, stab_budget, GridGraph, SCHEMA as STABILIZATION_SCHEMA};
-use crate::tracked::{point_spec, Spec, TrackedReport};
+use crate::tracked::{point_spec, TrackedReport};
 use crate::{
     angluin_builder, fischer_jiang_builder, ppl_builder, ppl_builder_with_params, yokota_builder,
     ProtocolKind,
@@ -483,9 +482,9 @@ fn summary_to_json(s: &RecoverySummary) -> JsonValue {
 }
 
 /// Serializes one measured cell to its report JSON object — the **single
-/// definition** of the cell encoding, called by both the in-process
-/// [`crate::tracked::run`] path and the fabric workers, so
-/// `--fabric N` reports are byte-identical by construction.
+/// definition** of the cell encoding, called by [`crate::tracked::run`]
+/// for every measured cell, cached or not, so `--resume` reports are
+/// byte-identical by construction.
 pub fn cell_to_json(c: &RecoveryCell) -> JsonValue {
     JsonValue::object()
         .with("protocol", c.protocol)
@@ -576,17 +575,6 @@ impl TrackedReport for Report {
     /// thread-count-invariant).
     fn unit_spec((kind, graph, n): Self::Point, options: &RunOptions) -> JsonValue {
         point_spec::<Self>(kind, graph.key(), n, options.quick).with("trials", options.trials)
-    }
-
-    fn from_spec(spec: Spec<'_>, threads: usize) -> Result<(Self::Point, RunOptions), WorkError> {
-        let point = spec.point(GridGraph::from_key)?;
-        let options = RunOptions {
-            quick: spec.flag("quick")?,
-            sizes: vec![point.2],
-            trials: spec.count("trials")?,
-            threads: Some(threads),
-        };
-        Ok((point, options))
     }
 
     fn run_cell(
@@ -1054,8 +1042,14 @@ mod tests {
         assert_eq!(a.rows.len(), FaultRow::ALL.len());
         assert!(a.hostile_spec.is_some(), "ring cells lift a certificate");
 
-        let serial = run::<Report>(&tiny_options(1)).0.to_json();
-        let parallel = run::<Report>(&tiny_options(4)).0.to_json();
+        let serial = run::<Report>(&tiny_options(1), None)
+            .unwrap()
+            .json
+            .to_json();
+        let parallel = run::<Report>(&tiny_options(4), None)
+            .unwrap()
+            .json
+            .to_json();
         assert_eq!(serial, parallel, "--threads must never change the report");
         let parsed = JsonValue::parse(&serial).unwrap();
         validate_report(&parsed).expect("tiny report validates");
@@ -1072,7 +1066,7 @@ mod tests {
         assert!(err.contains("cells"), "{err}");
 
         // A full tiny report validates; corrupting it is caught.
-        let (json, _) = run::<Report>(&options);
+        let json = run::<Report>(&options, None).unwrap().json;
         validate_report(&json).expect("tiny report validates");
         let text = json.to_json();
         let broken = text.replacen("\"censored\":false", "\"censored\":true", 1);

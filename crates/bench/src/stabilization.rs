@@ -73,9 +73,7 @@ use ssle_baselines::{
 use ssle_core::segments::segments;
 use ssle_core::{InitialCondition, Params, Ppl, PplState};
 
-use ssle_fabric::WorkError;
-
-use crate::tracked::{point_spec, Spec, TrackedReport};
+use crate::tracked::{point_spec, TrackedReport};
 use crate::{
     angluin_builder, fischer_jiang_builder, pick_k, ppl_builder, ppl_builder_with_params,
     yokota_builder, ProtocolKind,
@@ -151,11 +149,6 @@ impl GridGraph {
             GridGraph::Torus => "torus",
             GridGraph::SmallWorld => "small-world",
         }
-    }
-
-    /// The grid graph with the given report key, if any.
-    pub fn from_key(key: &str) -> Option<Self> {
-        GridGraph::ALL.into_iter().find(|g| g.key() == key)
     }
 
     /// The integer-exact spec of this grid graph — serialized per cell as
@@ -619,9 +612,7 @@ impl RunOptions {
 
 /// The report grid at the given sizes, **in report order**: every
 /// protocol × [`GridGraph::ALL`] × the graph's [`GridGraph::sizes`].  The
-/// stabilization and recovery reports share it, and their fabric units
-/// follow it, so a distributed run assembles its cells in exactly the
-/// order the in-process report emits them.
+/// stabilization and recovery reports share it.
 pub fn grid_points(sizes: &[usize]) -> Vec<(ProtocolKind, GridGraph, usize)> {
     ProtocolKind::ALL
         .iter()
@@ -856,10 +847,9 @@ pub fn rate_curve_with(
 
 /// Serializes one measured cell to its report JSON object (an element of
 /// the report's `cells` array).  This is the **single definition** of the
-/// cell encoding: the in-process [`crate::tracked::run`] path and the
-/// fabric workers both call it, so a report assembled from
-/// worker-returned cell JSON is byte-identical to the in-process one by
-/// construction.
+/// cell encoding: [`crate::tracked::run`] calls it for every measured
+/// cell, cached or not, so a report assembled from `--resume` cache
+/// entries is byte-identical to a plain one by construction.
 pub fn cell_to_json(c: &CellResult) -> JsonValue {
     let mut worst = JsonValue::object()
         .with("steps", c.worst_steps as f64)
@@ -963,20 +953,6 @@ impl TrackedReport for Report {
             .with("islands", options.islands as usize)
             .with("island_iterations", options.island_iterations as usize)
             .with("replays", options.replays)
-    }
-
-    fn from_spec(spec: Spec<'_>, threads: usize) -> Result<(Self::Point, RunOptions), WorkError> {
-        let point = spec.point(GridGraph::from_key)?;
-        let options = RunOptions {
-            quick: spec.flag("quick")?,
-            sizes: vec![point.2],
-            trials: spec.count("trials")?,
-            islands: spec.count("islands")? as u32,
-            island_iterations: spec.uint("island_iterations")? as u32,
-            replays: spec.uint("replays")?,
-            threads: Some(threads),
-        };
-        Ok((point, options))
     }
 
     fn run_cell(
@@ -1700,7 +1676,10 @@ mod tests {
                 .iter()
                 .find(|k| k.key() == key("protocol"))
                 .unwrap();
-            let graph = GridGraph::from_key(&key("graph")).unwrap();
+            let graph = GridGraph::ALL
+                .into_iter()
+                .find(|g| g.key() == key("graph"))
+                .unwrap();
             let n = cell.get("n").and_then(JsonValue::as_f64).unwrap() as usize;
             let budget = cell.get("budget").and_then(JsonValue::as_f64).unwrap() as u64;
             let candidate = certificate_candidate(kind, cell).expect("candidate rebuilds");
@@ -2446,8 +2425,14 @@ mod tests {
     /// text under 1 worker thread and 4, at a fixed island count.
     #[test]
     fn report_json_is_bit_identical_across_thread_counts() {
-        let serial = run::<Report>(&tiny_options(1)).0.to_json();
-        let parallel = run::<Report>(&tiny_options(4)).0.to_json();
+        let serial = run::<Report>(&tiny_options(1), None)
+            .unwrap()
+            .json
+            .to_json();
+        let parallel = run::<Report>(&tiny_options(4), None)
+            .unwrap()
+            .json
+            .to_json();
         assert_eq!(
             serial, parallel,
             "--threads must never change the report at a fixed island count"

@@ -9,7 +9,7 @@
 //!
 //! [`TraceGuard::start`] installs the global file sink (enabling telemetry
 //! everywhere down the stack — scenario runs, the worst-case search, the
-//! fabric coordinator) and [`TraceGuard::finish`] finalizes the stream:
+//! `--resume` cache) and [`TraceGuard::finish`] finalizes the stream:
 //! metrics snapshot, `stream_end` marker, flush.  The trace goes to a side
 //! file and the completion note to stderr, so stdout stays the report
 //! document and the pinned report JSON is byte-identical with or without

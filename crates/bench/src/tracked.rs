@@ -5,36 +5,32 @@
 //! A report says *what* a grid cell is and computes — its grid, its unit
 //! spec, `run_cell`, the cell and report JSON encodings, the validator and
 //! the markdown table.  This module owns *how* a report is driven: the
-//! command line, the in-process run ([`run`]), the distributed run across
-//! `ssle-fabric` worker subprocesses ([`units`], [`handler`],
-//! [`run_fabric`]), and the write / re-read / self-validate step.
+//! command line, the run ([`run`]), the `--resume` cell cache around each
+//! cell, and the write / re-read / self-validate step.
 //!
-//! Both paths execute the identical per-cell code and plug the identical
-//! cell encodings into the identical [`TrackedReport::assemble`] shell, and
-//! the coordinator merges results in submission order — so a `--fabric N`
-//! report is byte-identical to the in-process one **by construction**
-//! (pinned end-to-end by `tests/fabric_equivalence.rs`).  Hot-loop cells
-//! are wall-clock timings: they run one at a time on the calling thread,
-//! and a distributed run is schema-identical, not byte-identical.
+//! Every cell runs through the same `run_cell` → `cell_to_json` →
+//! [`TrackedReport::assemble`] path whether or not a cache is attached; the
+//! cache only looks each cell up by [`ssle_fabric::cache_key`] before
+//! running it and stores its JSON after.  A `--resume` report is therefore
+//! byte-identical to a plain one **by construction** (pinned end-to-end by
+//! `tests/resume_equivalence.rs`).  Hot-loop cells are wall-clock timings:
+//! they run one at a time on the calling thread, and a resumed hot-loop
+//! report reuses the timings of earlier runs.
 //!
 //! A unit spec carries the cell's *semantic identity* — schema, protocol,
 //! graph, size and every run knob that affects the result — and nothing
-//! run-local: thread counts, timeouts and worker counts cannot change a
-//! deterministic cell's result, so they must not change its cache key.
+//! run-local: thread counts cannot change a deterministic cell's result,
+//! so they must not change its cache key.
 //!
 //! Every report takes the flags of one usage text (`--help`); `--threads`
 //! and `--islands` only where [`TrackedReport::THREADS`] and
 //! [`TrackedReport::ISLANDS`] say so.
 
-use std::path::PathBuf;
 use std::str::FromStr;
-use std::time::Duration;
 
 use analysis::json::JsonValue;
 use population::BatchRunner;
-use ssle_fabric::{
-    run_units, worker_loop, CoordinatorOptions, ResultCache, WorkError, WorkUnit, WorkerCommand,
-};
+use ssle_fabric::{cache_key, ResultCache, DEFAULT_CACHE_DIR};
 
 use crate::trace::TraceGuard;
 use crate::ProtocolKind;
@@ -42,13 +38,13 @@ use crate::ProtocolKind;
 /// A tracked report: a grid of deterministic (or, for the hot loop, timed)
 /// cells written to one self-validated `BENCH_*.json` artifact.
 pub trait TrackedReport {
-    /// Binary name: the telemetry producer and the worker's error prefix.
+    /// Binary name: the telemetry producer.
     const PRODUCER: &'static str;
     /// Heading of the stdout summary (`# TITLE (quick mode)`).
     const TITLE: &'static str;
     /// Schema tag of the artifact, embedded in every unit spec too.
     const SCHEMA: &'static str;
-    /// Fabric job kind of one grid cell.
+    /// Job kind of one grid cell, part of its cache key.
     const JOB: &'static str;
     /// Default output stem: `STEM.json`, or `STEM.quick.json` under
     /// `--quick` so a local smoke run never clobbers the committed report.
@@ -69,19 +65,15 @@ pub trait TrackedReport {
     /// The tracked-grid options of the mode, with the command line's
     /// overrides (`None` keeps the default).
     fn options(quick: bool, threads: Option<usize>, islands: Option<u32>) -> Self::Options;
-    /// Worker threads of an in-process run (`None` = all cores).
+    /// Worker threads of a run (`None` = all cores).
     fn threads(_options: &Self::Options) -> Option<usize> {
         None
     }
     /// The grid, **in report order**.
     fn grid(options: &Self::Options) -> Vec<Self::Point>;
-    /// The unit spec of one grid point (see [`point_spec`]).
+    /// The unit spec of one grid point (see [`point_spec`]): the content
+    /// its cache key digests.
     fn unit_spec(point: Self::Point, options: &Self::Options) -> JsonValue;
-    /// Rebuilds a point and its options from a unit spec whose job and
-    /// schema are already checked; `threads` is the worker's inner thread
-    /// count.
-    fn from_spec(spec: Spec<'_>, threads: usize)
-        -> Result<(Self::Point, Self::Options), WorkError>;
     /// Measures one cell, sharding its inner stages over `runner`.
     fn run_cell(point: Self::Point, options: &Self::Options, runner: &BatchRunner) -> Self::Cell;
     /// The cell's JSON object (an element of the report's cell array).
@@ -92,8 +84,7 @@ pub trait TrackedReport {
     fn validate(json: &JsonValue) -> Result<(), String>;
     /// The human-readable markdown table of measured cells.
     fn markdown(cells: &[Self::Cell]) -> String;
-    /// What an in-process run of `cells` cells measured, for the `wrote`
-    /// line.
+    /// What a run of `cells` cells measured, for the `wrote` line.
     fn summary(options: &Self::Options, cells: usize) -> String;
     /// A line printed after the `wrote` line, derived from the artifact.
     fn closing_note(_json: &JsonValue) -> Option<String> {
@@ -117,223 +108,84 @@ pub fn point_spec<R: TrackedReport>(
         .with("quick", quick)
 }
 
-/// Typed reads of one unit spec: every missing or malformed field is a
-/// [`WorkError::BadSpec`], never a panic.
-#[derive(Clone, Copy, Debug)]
-pub struct Spec<'a>(pub &'a JsonValue);
-
-fn bad_spec(detail: String) -> WorkError {
-    WorkError::BadSpec { detail }
+/// The cache key of one grid cell.
+fn cell_key<R: TrackedReport>(point: R::Point, options: &R::Options) -> String {
+    cache_key(R::JOB, &R::unit_spec(point, options))
 }
 
-impl Spec<'_> {
-    /// An exact small unsigned integer.  Spec values are far below 2⁵³, so
-    /// they travel as plain JSON numbers; fractions and negatives are
-    /// rejected, not truncated.
-    pub fn uint(self, name: &str) -> Result<usize, WorkError> {
-        let x = self
-            .0
-            .get(name)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| bad_spec(format!("{name} missing or not a number")))?;
-        if x.is_finite() && x.fract() == 0.0 && x >= 0.0 && x <= u32::MAX as f64 {
-            Ok(x as usize)
-        } else {
-            Err(bad_spec(format!(
-                "{name} is not an exact small unsigned integer: {x}"
-            )))
-        }
-    }
-
-    /// [`Spec::uint`] that must be at least 1: a pool size or shard count
-    /// the cell divides by or shards over.
-    pub fn count(self, name: &str) -> Result<usize, WorkError> {
-        match self.uint(name)? {
-            0 => Err(bad_spec(format!("{name} must be at least 1"))),
-            x => Ok(x),
-        }
-    }
-
-    /// A boolean field.
-    pub fn flag(self, name: &str) -> Result<bool, WorkError> {
-        self.0
-            .get(name)
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| bad_spec(format!("{name} missing or not a boolean")))
-    }
-
-    /// The grid point written by [`point_spec`]: protocol, graph (looked up
-    /// by its key) and a size of at least the model's minimum of 2.
-    pub fn point<G>(
-        self,
-        graph_from_key: impl Fn(&str) -> Option<G>,
-    ) -> Result<(ProtocolKind, G, usize), WorkError> {
-        let key = |name: &str| self.0.get(name).and_then(JsonValue::as_str);
-        let protocol = key("protocol")
-            .and_then(|k| ProtocolKind::ALL.into_iter().find(|p| p.key() == k))
-            .ok_or_else(|| bad_spec("protocol missing or unknown".to_string()))?;
-        let graph = key("graph")
-            .and_then(graph_from_key)
-            .ok_or_else(|| bad_spec("graph missing or unknown".to_string()))?;
-        match self.uint("n")? {
-            n if n < 2 => Err(bad_spec(format!(
-                "population size {n} is below the model's minimum of 2"
-            ))),
-            n => Ok((protocol, graph, n)),
-        }
-    }
+/// What one report run produced.
+#[derive(Debug)]
+pub struct Outcome {
+    /// The report JSON.
+    pub json: JsonValue,
+    /// The markdown table of the cells; empty under a cache, whose hits
+    /// exist only as JSON.
+    pub markdown: String,
+    /// Cells measured by this run.
+    pub executed: usize,
+    /// Cells answered from the cache.
+    pub cached: usize,
 }
 
-/// Runs the whole grid in-process and returns the report JSON and its
-/// markdown table.  Independent cells are sharded over the report's
-/// threads, and each cell's inner stages over an inner runner sized so the
-/// *total* worker count stays at the thread budget (cells × inner ≈
-/// threads, never a threads² oversubscription).  Reports without
-/// `--threads` run their cells one at a time on the calling thread.
-pub fn run<R: TrackedReport>(options: &R::Options) -> (JsonValue, String) {
+/// Runs the whole grid in-process and assembles the report.  Independent
+/// cells are claimed from a shared index by the report's threads, and each
+/// cell's inner stages run on an inner runner sized so the *total* worker
+/// count stays at the thread budget (cells × inner ≈ threads, never a
+/// threads² oversubscription).  Reports without `--threads` run their
+/// cells one at a time on the calling thread.
+///
+/// With a `cache`, each cell is first looked up by its key; a miss is
+/// measured and stored *before* the cell counts as done, so a run killed
+/// after k cells leaves k valid entries for the next one.
+///
+/// # Errors
+///
+/// A failed cache store; the entries stored before it stay valid.
+pub fn run<R: TrackedReport>(
+    options: &R::Options,
+    cache: Option<&ResultCache>,
+) -> Result<Outcome, String> {
+    // One cell's JSON, and the measured cell unless the cache held it.
+    let cell = |point: R::Point, runner: &BatchRunner| {
+        let key = cache.map(|c| (c, cell_key::<R>(point, options)));
+        if let Some(json) = key.as_ref().and_then(|(c, key)| c.load(key, R::JOB)) {
+            return Ok((json, None));
+        }
+        let cell = R::run_cell(point, options, runner);
+        let json = R::cell_to_json(&cell);
+        if let Some((c, key)) = &key {
+            c.store(key, R::JOB, &json)?;
+        }
+        Ok::<_, String>((json, Some(cell)))
+    };
     let grid = R::grid(options);
-    let cells: Vec<R::Cell> = if R::THREADS {
+    let cells: Vec<(JsonValue, Option<R::Cell>)> = if R::THREADS {
         let runner = R::threads(options).map_or_else(BatchRunner::new, BatchRunner::with_threads);
         // At most min(threads, cells) cell workers run at once; each gets
         // an equal share of the remaining budget.
         let threads = runner.num_threads();
         let inner = BatchRunner::with_threads((threads / threads.min(grid.len().max(1))).max(1));
-        runner.run_map(&grid, |&point| R::run_cell(point, options, &inner))
+        let cells = runner.run_map(&grid, |&point| cell(point, &inner));
+        cells.into_iter().collect::<Result<_, _>>()?
     } else {
         let runner = BatchRunner::with_threads(1);
         grid.into_iter()
-            .map(|point| R::run_cell(point, options, &runner))
-            .collect()
+            .map(|point| cell(point, &runner))
+            .collect::<Result<_, _>>()?
     };
-    let json = R::assemble(options, cells.iter().map(R::cell_to_json).collect());
-    (json, R::markdown(&cells))
-}
-
-/// The grid as work units, in [`TrackedReport::grid`] (= report) order.
-pub fn units<R: TrackedReport>(options: &R::Options) -> Vec<WorkUnit> {
-    R::grid(options)
-        .into_iter()
-        .enumerate()
-        .map(|(i, point)| WorkUnit::new(i as u64, R::JOB, R::unit_spec(point, options)))
-        .collect()
-}
-
-/// The worker-side handler: rejects foreign jobs, other schema versions
-/// and malformed specs with typed [`WorkError`]s, runs the cell on an
-/// inner runner of `threads` workers, and returns exactly the bytes the
-/// in-process report emits for it.
-pub fn handler<R: TrackedReport>(
-    threads: usize,
-) -> impl Fn(&str, &JsonValue) -> Result<JsonValue, WorkError> {
-    move |job, spec| {
-        if job != R::JOB {
-            return Err(WorkError::UnknownJob { job: job.into() });
-        }
-        match spec.get("schema").and_then(JsonValue::as_str) {
-            Some(got) if got == R::SCHEMA => {}
-            got => {
-                return Err(WorkError::SchemaMismatch {
-                    requested: got.unwrap_or("<missing>").to_string(),
-                    supported: R::SCHEMA.to_string(),
-                })
-            }
-        }
-        let (point, options) = R::from_spec(Spec(spec), threads)?;
-        let runner = BatchRunner::with_threads(threads.max(1));
-        Ok(R::cell_to_json(&R::run_cell(point, &options, &runner)))
-    }
-}
-
-/// Coordinator-side knobs of a `--fabric N` run.
-#[derive(Debug, Clone)]
-pub struct FabricConfig {
-    /// Worker subprocesses (`--fabric N`, at least 1).
-    pub workers: usize,
-    /// Reuse cached results (`--resume`); without it the cache is
-    /// write-only.
-    pub resume: bool,
-    /// Cache/journal directory (default [`ssle_fabric::DEFAULT_CACHE_DIR`]).
-    pub cache_dir: PathBuf,
-    /// Per-unit wall-clock budget before a worker is killed and the unit
-    /// retried.
-    pub unit_timeout: Duration,
-}
-
-impl FabricConfig {
-    /// Defaults for the given pool size and mode: the standard cache
-    /// directory, and a per-unit timeout generous enough that only a
-    /// genuinely wedged worker trips it (full-mode stabilization cells run
-    /// minutes, not hours).
-    pub fn new(workers: usize, quick: bool) -> Self {
-        FabricConfig {
-            workers: workers.max(1),
-            resume: false,
-            cache_dir: PathBuf::from(ssle_fabric::DEFAULT_CACHE_DIR),
-            unit_timeout: Duration::from_secs(if quick { 600 } else { 3600 }),
-        }
-    }
-}
-
-/// What a fabric run did, for the `wrote` line (and the CI smoke's
-/// `executed=0` warm-cache assertion).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FabricStats {
-    /// Units executed by workers this run.
-    pub executed: usize,
-    /// Units answered from the cache.
-    pub cached: usize,
-    /// Worker subprocesses respawned after crashes/timeouts.
-    pub worker_restarts: usize,
-}
-
-impl std::fmt::Display for FabricStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "executed={} cached={} worker_restarts={}",
-            self.executed, self.cached, self.worker_restarts
-        )
-    }
-}
-
-/// Runs the grid through a pool of `command` workers and assembles the
-/// report JSON — byte-identical to [`run`]'s for deterministic reports.
-/// Per-unit failures are flattened into one message naming every failed
-/// cell (the grids are small; listing beats truncating).
-pub fn run_fabric<R: TrackedReport>(
-    command: &WorkerCommand,
-    options: &R::Options,
-    config: &FabricConfig,
-) -> Result<(JsonValue, FabricStats), String> {
-    let units = units::<R>(options);
-    let mut coordinator = CoordinatorOptions::new(config.workers);
-    coordinator.unit_timeout = config.unit_timeout;
-    coordinator.cache = Some(ResultCache::open(&config.cache_dir).map_err(|e| e.to_string())?);
-    coordinator.reuse_cached = config.resume;
-    let outcome =
-        run_units(command, &units, &coordinator).map_err(|e| format!("fabric run failed: {e}"))?;
-    let stats = FabricStats {
-        executed: outcome.executed,
-        cached: outcome.cached,
-        worker_restarts: outcome.worker_restarts,
-    };
-    let failures = outcome.failures();
-    if !failures.is_empty() {
-        let listed: Vec<String> = failures
-            .iter()
-            .map(|(i, e)| format!("unit {i} ({}): {e}", units[*i].spec.to_json()))
-            .collect();
-        return Err(format!(
-            "{} of {} units failed after retries:\n  {}",
-            failures.len(),
-            units.len(),
-            listed.join("\n  ")
-        ));
-    }
-    let cells = outcome
-        .into_payloads()
-        .map_err(|(i, e)| format!("unit {i}: {e}"))?;
-    Ok((R::assemble(options, cells), stats))
+    let (json_cells, measured): (Vec<_>, Vec<_>) = cells.into_iter().unzip();
+    let measured: Vec<R::Cell> = measured.into_iter().flatten().collect();
+    let (executed, cached) = (measured.len(), json_cells.len() - measured.len());
+    Ok(Outcome {
+        json: R::assemble(options, json_cells),
+        markdown: if cache.is_none() {
+            R::markdown(&measured)
+        } else {
+            String::new()
+        },
+        executed,
+        cached,
+    })
 }
 
 /// Parsed flags of one invocation.
@@ -344,8 +196,6 @@ struct Args {
     out: Option<String>,
     threads: Option<usize>,
     islands: Option<u32>,
-    worker: bool,
-    fabric: Option<usize>,
     resume: bool,
     cache_dir: Option<String>,
     telemetry: bool,
@@ -369,12 +219,12 @@ fn usage<R: TrackedReport>() -> String {
         "options:\n  \
          --quick        reduced budgets (CI smoke); same grid and schema\n\
          {threads}{islands}  \
-         --fabric N     run the grid across N worker subprocesses (coordinator mode)\n  \
-         --resume       with --fabric: reuse cached cell results (warm reruns execute\n                 \
-         zero units)\n  \
-         --cache-dir P  with --fabric: result-cache directory (default .fabric-cache)\n  \
-         --worker       run as a fabric worker: read work units on stdin, write\n                 \
-         results on stdout (used by --fabric)\n  \
+         --resume       reuse cached cell results (hot-loop cells: earlier\n                 \
+         timings) and cache new ones, so an interrupted run\n                 \
+         resumes and a warm rerun executes zero cells; the cache\n                 \
+         key names the cell, not the build, so clear the cache\n                 \
+         after a change that moves a result\n  \
+         --cache-dir P  with --resume: cache directory (default {cache})\n  \
          --out PATH     output file (default: {stem}.json, or\n                 \
          {stem}.quick.json under --quick so a local smoke run\n                 \
          never clobbers the committed full-mode report)\n  \
@@ -384,6 +234,7 @@ fn usage<R: TrackedReport>() -> String {
          --telemetry-out PATH\n                 \
          telemetry trace file (implies --telemetry)\n  \
          --help         print this message",
+        cache = DEFAULT_CACHE_DIR,
         stem = R::STEM,
         producer = R::PRODUCER,
     )
@@ -413,7 +264,6 @@ fn parse_args<R: TrackedReport>(
         match arg.as_str() {
             "--quick" => out.quick = true,
             "--json" => out.json = true,
-            "--worker" => out.worker = true,
             "--resume" => out.resume = true,
             "--out" => out.out = Some(value_of("--out", &mut iter)?),
             "--cache-dir" => out.cache_dir = Some(value_of("--cache-dir", &mut iter)?),
@@ -428,28 +278,20 @@ fn parse_args<R: TrackedReport>(
             "--islands" if R::ISLANDS => {
                 out.islands = Some(count("--islands", value_of("--islands", &mut iter)?)?);
             }
-            "--fabric" => out.fabric = Some(count("--fabric", value_of("--fabric", &mut iter)?)?),
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown option {other:?}")),
         }
     }
-    if out.worker && (out.fabric.is_some() || out.json || out.out.is_some() || out.telemetry) {
-        return Err("--worker is a pure stdin/stdout mode".to_string());
-    }
-    if out.resume && out.fabric.is_none() {
-        return Err("--resume only applies to --fabric runs".to_string());
-    }
-    if out.cache_dir.is_some() && out.fabric.is_none() {
-        return Err("--cache-dir only applies to --fabric runs".to_string());
+    if out.cache_dir.is_some() && !out.resume {
+        return Err("--cache-dir only applies to --resume runs".to_string());
     }
     Ok(Some(out))
 }
 
-/// The whole binary of report `R`: parse the command line, then either
-/// serve as a fabric worker or run the grid (in-process or across
-/// `--fabric N` workers), write the artifact, re-read and validate it, and
-/// print the summary.  Usage errors exit 2; run, write and validation
-/// errors exit 1.
+/// The whole binary of report `R`: parse the command line, run the grid
+/// (through the cell cache under `--resume`), write the artifact, re-read
+/// and validate it, and print the summary.  Usage errors exit 2; run,
+/// cache, write and validation errors exit 1.
 pub fn main<R: TrackedReport>() {
     let args = match parse_args::<R>(std::env::args().skip(1)) {
         Ok(Some(args)) => args,
@@ -462,25 +304,13 @@ pub fn main<R: TrackedReport>() {
             std::process::exit(2);
         }
     };
-    if args.worker {
-        // Speak the line protocol until EOF.  The unit specs carry every
-        // semantic knob; only the inner thread count is local.
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        let handler = handler::<R>(args.threads.unwrap_or(1));
-        if let Err(e) = worker_loop(stdin.lock(), stdout.lock(), handler) {
-            eprintln!("{} --worker: {e}", R::PRODUCER);
-            std::process::exit(2);
-        }
-        return;
-    }
     if let Err(e) = write_report::<R>(&args) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
 }
 
-/// The coordinator half of [`main`].
+/// The run-and-write half of [`main`].
 fn write_report<R: TrackedReport>(args: &Args) -> Result<(), String> {
     let trace = TraceGuard::start(args.telemetry, args.telemetry_out.as_deref(), R::PRODUCER)?;
     let out = args
@@ -488,36 +318,18 @@ fn write_report<R: TrackedReport>(args: &Args) -> Result<(), String> {
         .clone()
         .unwrap_or_else(|| format!("{}{}.json", R::STEM, if args.quick { ".quick" } else { "" }));
     let options = R::options(args.quick, args.threads, args.islands);
-    let (json, markdown, summary) = match args.fabric {
-        None => {
-            let (json, markdown) = run::<R>(&options);
-            let summary = R::summary(&options, R::grid(&options).len());
-            (json, markdown, summary)
-        }
-        Some(workers) => {
-            let mut config = FabricConfig::new(workers, args.quick);
-            config.resume = args.resume;
-            if let Some(dir) = &args.cache_dir {
-                config.cache_dir = dir.into();
-            }
-            // Each worker subprocess inherits the requested inner thread
-            // count (default 1: the subprocesses are the parallelism).
-            let inner = args.threads.unwrap_or(1).to_string();
-            let worker_args: &[&str] = if R::THREADS {
-                &["--worker", "--threads", &inner]
-            } else {
-                &["--worker"]
-            };
-            let command = WorkerCommand::current_exe(worker_args).map_err(|e| e.to_string())?;
-            let (json, stats) = run_fabric::<R>(&command, &options, &config)?;
-            (
-                json,
-                String::new(),
-                format!("fabric: workers={workers} {stats}"),
-            )
-        }
+    let cache = if args.resume {
+        let dir = args.cache_dir.as_deref().unwrap_or(DEFAULT_CACHE_DIR);
+        Some(ResultCache::open(dir)?)
+    } else {
+        None
     };
-    let text = json.to_json();
+    let outcome = run::<R>(&options, cache.as_ref())?;
+    let mut summary = R::summary(&options, outcome.executed + outcome.cached);
+    if cache.is_some() {
+        summary += &format!("; executed={} cached={}", outcome.executed, outcome.cached);
+    }
+    let text = outcome.json.to_json();
     std::fs::write(&out, &text).map_err(|e| format!("cannot write {out}: {e}"))?;
 
     // Self-validation: what we wrote must parse and match the schema.
@@ -528,8 +340,8 @@ fn write_report<R: TrackedReport>(args: &Args) -> Result<(), String> {
 
     let mode = if args.quick { "quick" } else { "full" };
     println!("# {} ({mode} mode)\n", R::TITLE);
-    if !markdown.is_empty() {
-        println!("{markdown}");
+    if !outcome.markdown.is_empty() {
+        println!("{}", outcome.markdown);
     }
     println!("wrote {out} ({summary})");
     if let Some(note) = R::closing_note(&parsed) {
@@ -568,151 +380,54 @@ mod tests {
         }
     }
 
-    /// Units follow the grid (= report) order, carry the cell coordinates,
-    /// and never the thread count: the cache key is thread-invariant.
-    fn assert_units_follow_the_grid<R>(options: &R::Options, two_threads: &R::Options)
+    /// Unit specs carry the cell coordinates, and never the thread count:
+    /// the cache key is thread-invariant.
+    fn assert_specs_follow_the_grid<R>(options: &R::Options, two_threads: &R::Options)
     where
         R: TrackedReport<Point = (ProtocolKind, crate::stabilization::GridGraph, usize)>,
     {
-        let built = units::<R>(options);
         let grid = R::grid(options);
-        assert_eq!(built.len(), grid.len());
-        for (i, (unit, (kind, graph, n))) in built.iter().zip(&grid).enumerate() {
-            assert_eq!(unit.seq, i as u64);
-            assert_eq!(unit.job, R::JOB);
-            assert_eq!(
-                unit.spec.get("schema").and_then(JsonValue::as_str),
-                Some(R::SCHEMA)
-            );
-            assert_eq!(
-                unit.spec.get("protocol").and_then(JsonValue::as_str),
-                Some(kind.key())
-            );
-            assert_eq!(
-                unit.spec.get("graph").and_then(JsonValue::as_str),
-                Some(graph.key())
-            );
-            assert_eq!(
-                unit.spec.get("n").and_then(JsonValue::as_f64),
-                Some(*n as f64)
-            );
+        assert_eq!(grid.len(), R::grid(two_threads).len());
+        for &point in &grid {
+            let (kind, graph, n) = point;
+            let spec = R::unit_spec(point, options);
+            let field = |name: &str| spec.get(name).and_then(JsonValue::as_str);
+            assert_eq!(field("schema"), Some(R::SCHEMA));
+            assert_eq!(field("protocol"), Some(kind.key()));
+            assert_eq!(field("graph"), Some(graph.key()));
+            assert_eq!(spec.get("n").and_then(JsonValue::as_f64), Some(n as f64));
             assert!(
-                unit.spec.get("threads").is_none(),
+                spec.get("threads").is_none(),
                 "thread counts must not reach the cache key"
             );
-        }
-        for (a, b) in built.iter().zip(&units::<R>(two_threads)) {
-            assert_eq!(a.cache_key(), b.cache_key());
+            assert_eq!(
+                cell_key::<R>(point, options),
+                cell_key::<R>(point, two_threads)
+            );
         }
     }
 
     #[test]
-    fn units_follow_report_order_and_ignore_threads() {
+    fn unit_specs_follow_the_grid_and_ignore_threads() {
         let mut two = tiny_stabilization();
         two.threads = Some(2);
-        assert_units_follow_the_grid::<stabilization::Report>(&tiny_stabilization(), &two);
+        assert_specs_follow_the_grid::<stabilization::Report>(&tiny_stabilization(), &two);
         let mut two = tiny_recovery();
         two.threads = Some(2);
-        assert_units_follow_the_grid::<recovery::Report>(&tiny_recovery(), &two);
-    }
-
-    /// The worker payload is byte-identical to the in-process cell.
-    fn assert_handler_matches_in_process<R: TrackedReport>(options: &R::Options) {
-        let unit = &units::<R>(options)[0];
-        let payload = handler::<R>(1)(&unit.job, &unit.spec).expect("cell runs");
-        let point = R::grid(options)[0];
-        let direct = R::cell_to_json(&R::run_cell(point, options, &BatchRunner::with_threads(1)));
-        assert_eq!(payload.to_json(), direct.to_json());
+        assert_specs_follow_the_grid::<recovery::Report>(&tiny_recovery(), &two);
     }
 
     #[test]
-    fn handler_runs_a_cell_to_the_exact_report_encoding() {
-        assert_handler_matches_in_process::<stabilization::Report>(&tiny_stabilization());
-        assert_handler_matches_in_process::<recovery::Report>(&tiny_recovery());
+    fn hotloop_quick_and_full_cells_have_distinct_keys() {
+        let point = hotloop::Report::grid(&true)[0];
+        assert_eq!(hotloop::Report::grid(&false)[0], point);
+        assert_ne!(
+            cell_key::<hotloop::Report>(point, &true),
+            cell_key::<hotloop::Report>(point, &false)
+        );
     }
 
-    fn assert_bad_spec<R: TrackedReport>(spec: &JsonValue) {
-        match handler::<R>(1)(R::JOB, spec) {
-            Err(WorkError::BadSpec { .. }) => {}
-            other => panic!("{}: expected BadSpec, got {other:?}", R::PRODUCER),
-        }
-    }
-
-    fn assert_typed_rejections<R: TrackedReport>(graph: &str) {
-        let handler = handler::<R>(1);
-        assert!(matches!(
-            handler("other-job", &JsonValue::Null),
-            Err(WorkError::UnknownJob { .. })
-        ));
-        match handler(R::JOB, &JsonValue::object().with("schema", "x/v0")) {
-            Err(WorkError::SchemaMismatch {
-                requested,
-                supported,
-            }) => {
-                assert_eq!(requested, "x/v0");
-                assert_eq!(supported, R::SCHEMA);
-            }
-            other => panic!("expected SchemaMismatch, got {other:?}"),
-        }
-        let spec = |protocol: &str, n: f64| {
-            JsonValue::object()
-                .with("schema", R::SCHEMA)
-                .with("protocol", protocol)
-                .with("graph", graph)
-                .with("n", n)
-                .with("quick", true)
-        };
-        assert_bad_spec::<R>(&spec("no-such-protocol", 8.0));
-        assert_bad_spec::<R>(&spec("ppl", 2.5));
-        assert_bad_spec::<R>(&spec("ppl", -8.0));
-        assert_bad_spec::<R>(&point_spec::<R>(
-            ProtocolKind::Ppl,
-            "no-such-graph",
-            8,
-            true,
-        ));
-        assert_bad_spec::<R>(&point_spec::<R>(ProtocolKind::Ppl, graph, 1, true));
-    }
-
-    #[test]
-    fn handlers_reject_bad_units_with_typed_errors() {
-        assert_typed_rejections::<stabilization::Report>("ring");
-        assert_typed_rejections::<recovery::Report>("ring");
-        assert_typed_rejections::<hotloop::Report>("complete");
-    }
-
-    #[test]
-    fn zero_stabilization_trials_are_a_bad_spec() {
-        let mut options = tiny_stabilization();
-        options.trials = 0;
-        assert_bad_spec::<stabilization::Report>(&units::<stabilization::Report>(&options)[0].spec);
-    }
-
-    #[test]
-    fn zero_stabilization_islands_are_a_bad_spec() {
-        let mut options = tiny_stabilization();
-        options.islands = 0;
-        assert_bad_spec::<stabilization::Report>(&units::<stabilization::Report>(&options)[0].spec);
-    }
-
-    #[test]
-    fn zero_recovery_trials_are_a_bad_spec() {
-        let mut options = tiny_recovery();
-        options.trials = 0;
-        assert_bad_spec::<recovery::Report>(&units::<recovery::Report>(&options)[0].spec);
-    }
-
-    #[test]
-    fn hotloop_units_cover_the_grid() {
-        let quick = units::<hotloop::Report>(&true);
-        assert_eq!(quick.len(), hotloop::Report::grid(&true).len());
-        assert!(quick.iter().all(|u| u.job == hotloop::Report::JOB));
-        // Quick and full grids are distinct cache populations.
-        let full = units::<hotloop::Report>(&false);
-        assert_ne!(quick[0].cache_key(), full[0].cache_key());
-    }
-
-    /// The cache keys of each report's first and last quick-grid unit,
+    /// The cache keys of each report's first and last quick-grid cell,
     /// pinned to the values the per-report unit builders produced before
     /// the reports shared one driver: existing `.fabric-cache/` entries stay
     /// valid, and the spec encoding cannot drift silently.  The spec embeds
@@ -720,8 +435,9 @@ mod tests {
     #[test]
     fn quick_grid_cache_keys_are_pinned() {
         fn ends<R: TrackedReport>() -> [String; 2] {
-            let units = units::<R>(&R::options(true, None, None));
-            [&units[0], &units[units.len() - 1]].map(WorkUnit::cache_key)
+            let options = R::options(true, None, None);
+            let grid = R::grid(&options);
+            [grid[0], grid[grid.len() - 1]].map(|point| cell_key::<R>(point, &options))
         }
         assert_eq!(
             ends::<stabilization::Report>(),
@@ -769,34 +485,21 @@ mod tests {
             [true, true, false],
         ),
         (&["--islands", "2"], [true, false, false]),
-        (
-            &[
-                "--quick",
-                "--fabric",
-                "2",
-                "--resume",
-                "--cache-dir",
-                "/tmp/c",
-            ],
-            [true; 3],
-        ),
-        (&["--worker", "--threads", "2"], [true, true, false]),
-        (&["--worker"], [true; 3]),
+        (&["--quick", "--resume"], [true; 3]),
+        (&["--quick", "--resume", "--cache-dir", "/tmp/c"], [true; 3]),
+        (&["--cache-dir", "/tmp/c", "--resume"], [true; 3]),
         (&["--telemetry"], [true; 3]),
         (&["--telemetry-out", "t.ndjson"], [true; 3]),
         (&["--help"], [true; 3]),
         // Regression: 0 used to parse and silently clamp downstream.
         (&["--threads", "0"], [false; 3]),
         (&["--islands", "0"], [false; 3]),
-        (&["--fabric", "0"], [false; 3]),
         (&["--threads", "x"], [false; 3]),
-        (&["--fabric"], [false; 3]),
-        (&["--resume"], [false; 3]),
         (&["--cache-dir", "/tmp/c"], [false; 3]),
-        (&["--worker", "--fabric", "2"], [false; 3]),
-        (&["--worker", "--json"], [false; 3]),
-        (&["--worker", "--out", "f.json"], [false; 3]),
-        (&["--worker", "--telemetry"], [false; 3]),
+        (&["--resume", "--cache-dir"], [false; 3]),
+        // The deleted subprocess fabric's flags are unknown options.
+        (&["--fabric", "2"], [false; 3]),
+        (&["--worker"], [false; 3]),
         (&["--telemetry-out"], [false; 3]),
         (&["--unknown"], [false; 3]),
     ];
@@ -815,18 +518,17 @@ mod tests {
         for parsed in parses(&["--help"]) {
             assert_eq!(parsed, Ok(None));
         }
-        for parsed in parses(&[
-            "--quick",
-            "--fabric",
-            "2",
-            "--resume",
-            "--cache-dir",
-            "/tmp/c",
-        ]) {
+        for parsed in parses(&["--fabric", "2"]) {
+            assert_eq!(parsed, Err("unknown option \"--fabric\"".to_string()));
+        }
+        for parsed in parses(&["--quick", "--resume", "--cache-dir", "/tmp/c"]) {
             let args = parsed.unwrap().unwrap();
-            assert!(args.quick && args.resume && !args.worker);
-            assert_eq!(args.fabric, Some(2));
+            assert!(args.quick && args.resume);
             assert_eq!(args.cache_dir.as_deref(), Some("/tmp/c"));
+        }
+        for parsed in parses(&["--resume"]) {
+            let args = parsed.unwrap().unwrap();
+            assert!(args.resume && args.cache_dir.is_none());
         }
         // --telemetry-out implies --telemetry.
         for parsed in parses(&["--telemetry"]) {
@@ -838,17 +540,11 @@ mod tests {
             assert!(args.telemetry);
             assert_eq!(args.telemetry_out.as_deref(), Some("t.ndjson"));
         }
-        let [stab, rec, _] = parses(&["--worker", "--threads", "2"]);
-        for args in [stab, rec] {
-            let args = args.unwrap().unwrap();
-            assert!(args.worker);
-            assert_eq!(args.threads, Some(2));
-        }
         let [stab, ..] = parses(&["--quick", "--json", "--threads", "4", "--islands", "2"]);
         let args = stab.unwrap().unwrap();
         assert!(args.quick && args.json);
         assert_eq!((args.threads, args.islands), (Some(4), Some(2)));
-        assert!(args.fabric.is_none() && !args.resume);
+        assert!(!args.resume && args.cache_dir.is_none());
     }
 
     #[test]
@@ -861,5 +557,10 @@ mod tests {
         assert!(rec.contains("recovery_report.trace.ndjson"));
         let hot = usage::<hotloop::Report>();
         assert!(!hot.contains("--threads") && !hot.contains("--islands"));
+        for text in [stab, rec, hot] {
+            assert!(text.contains("--resume") && text.contains("--cache-dir P"));
+            assert!(text.contains(DEFAULT_CACHE_DIR));
+            assert!(!text.contains("--fabric") && !text.contains("--worker"));
+        }
     }
 }

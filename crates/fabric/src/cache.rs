@@ -1,39 +1,53 @@
-//! The content-addressed result cache and the run journal.
+//! The content-addressed cell cache.
 //!
-//! Successful work-unit results are stored as one JSON file per unit under
-//! a cache directory (`.fabric-cache/` by default, gitignored), named by
-//! the unit's [`cache_key`](crate::wire::WorkUnit::cache_key) — the
-//! canonical digest of its `(schema, job, spec)` content.  Because the key
-//! is derived from the *exact* spec JSON, editing any semantic detail of a
-//! cell (a size, a trial count, a seed) changes the key and only that cell
-//! re-executes; run-local knobs (thread counts, timeouts) are deliberately
-//! outside the spec so they cannot fragment the cache.
+//! Finished cells are stored as one JSON file per cell under a cache
+//! directory (`.fabric-cache/` by default, gitignored), named by the cell's
+//! [`cache_key`] — the canonical digest of its `(schema, job, spec)`
+//! content.  Because the key is derived from the *exact* spec JSON, editing
+//! any semantic detail of a cell (a size, a trial count, a seed) changes
+//! the key and only that cell re-executes; run-local knobs (thread counts)
+//! are deliberately outside the spec so they cannot fragment the cache.
+//! The key names the cell, not the code that computes it: a change that
+//! moves a cell's result without a schema bump needs a cleared cache.
 //!
 //! Writes are atomic: the entry is written to `<key>.partial.json` and then
 //! renamed to `<key>.json`, so a reader never observes a torn entry and an
 //! interrupted run leaves at most ignorable `*.partial.json` droppings
-//! (also gitignored).  Each stored entry embeds the wire schema, its own
+//! (also gitignored).  Each stored entry embeds the cache schema, its own
 //! key, and the job kind; [`ResultCache::load`] re-verifies all three and
 //! treats any mismatch as a miss — a stale or corrupted entry degrades to
-//! recomputation, never to a wrong result.
-//!
-//! The [`RunJournal`] is an append-only newline-JSON log of coordinator
-//! progress (run manifest, then one line per finished unit).  It exists for
-//! *observability* of interrupted runs; resumability itself rests on the
-//! cache, which is authoritative.
+//! recomputation, never to a wrong result or a panic.
 
 use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
+use analysis::digest::content_digest;
 use analysis::json::JsonValue;
+use ssle_telemetry::metrics::well_known::{FABRIC_CACHE_HITS, FABRIC_CACHE_MISSES};
 
-use crate::wire::{WireError, WIRE_SCHEMA};
+/// Version tag carried by every cache key and entry.  Bump on any
+/// incompatible change to the entry format; readers reject mismatching
+/// tags instead of guessing.  The value predates the crate's current
+/// shape and is kept verbatim so existing entries stay hits.
+const CACHE_SCHEMA: &str = "ssle-fabric/v1";
 
 /// The default cache directory name, relative to the working directory.
 pub const DEFAULT_CACHE_DIR: &str = ".fabric-cache";
 
-/// A directory of content-addressed work-unit results.
+/// The content address of one cell: the canonical digest of the cache
+/// schema, the job kind and the cell's exact spec (see
+/// [`analysis::digest::content_digest`]).  Everything that affects the
+/// result must be in `spec`; anything that does not must stay out of it.
+pub fn cache_key(job: &str, spec: &JsonValue) -> String {
+    content_digest(
+        &JsonValue::object()
+            .with("schema", CACHE_SCHEMA)
+            .with("job", job)
+            .with("spec", spec.clone()),
+    )
+}
+
+/// A directory of content-addressed cell results.
 #[derive(Debug, Clone)]
 pub struct ResultCache {
     dir: PathBuf,
@@ -41,16 +55,11 @@ pub struct ResultCache {
 
 impl ResultCache {
     /// Opens (creating if needed) a cache rooted at `dir`.
-    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, WireError> {
+    pub fn open(dir: impl Into<PathBuf>) -> Result<Self, String> {
         let dir = dir.into();
         fs::create_dir_all(&dir)
-            .map_err(|e| WireError::new(format!("creating cache dir {}: {e}", dir.display())))?;
+            .map_err(|e| format!("creating cache dir {}: {e}", dir.display()))?;
         Ok(ResultCache { dir })
-    }
-
-    /// The cache's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// The final path of an entry.
@@ -58,190 +67,45 @@ impl ResultCache {
         self.dir.join(format!("{key}.json"))
     }
 
-    /// Loads the result payload stored under `key`, or `None` if the entry
-    /// is absent, unreadable, or fails its embedded self-checks (schema
-    /// tag, key echo, parsability) — all of which degrade to a cache miss.
+    /// Loads the result stored under `key`, or `None` if the entry is
+    /// absent, unreadable, or fails its embedded self-checks (schema tag,
+    /// key echo, job kind, parsability) — all of which degrade to a cache
+    /// miss.
     pub fn load(&self, key: &str, job: &str) -> Option<JsonValue> {
+        let result = self.read(key, job);
+        match result {
+            Some(_) => FABRIC_CACHE_HITS.incr(),
+            None => FABRIC_CACHE_MISSES.incr(),
+        }
+        result
+    }
+
+    fn read(&self, key: &str, job: &str) -> Option<JsonValue> {
         let text = fs::read_to_string(self.entry_path(key)).ok()?;
         let entry = JsonValue::parse(&text).ok()?;
-        if entry.get("schema").and_then(JsonValue::as_str) != Some(WIRE_SCHEMA) {
-            return None;
-        }
-        if entry.get("key").and_then(JsonValue::as_str) != Some(key) {
-            return None;
-        }
-        if entry.get("job").and_then(JsonValue::as_str) != Some(job) {
+        let tag = |name: &str| entry.get(name).and_then(JsonValue::as_str);
+        if tag("schema") != Some(CACHE_SCHEMA) || tag("key") != Some(key) || tag("job") != Some(job)
+        {
             return None;
         }
         entry.get("result").cloned()
     }
 
-    /// Stores a successful result payload under `key`, atomically
-    /// (write-to-partial then rename).
-    pub fn store(&self, key: &str, job: &str, result: &JsonValue) -> Result<(), WireError> {
+    /// Stores a result under `key`, atomically (write-to-partial then
+    /// rename).
+    pub fn store(&self, key: &str, job: &str, result: &JsonValue) -> Result<(), String> {
         let entry = JsonValue::object()
-            .with("schema", WIRE_SCHEMA)
+            .with("schema", CACHE_SCHEMA)
             .with("key", key)
             .with("job", job)
             .with("result", result.clone());
         let partial = self.dir.join(format!("{key}.partial.json"));
         let final_path = self.entry_path(key);
         fs::write(&partial, entry.to_json() + "\n")
-            .map_err(|e| WireError::new(format!("writing {}: {e}", partial.display())))?;
+            .map_err(|e| format!("writing {}: {e}", partial.display()))?;
         fs::rename(&partial, &final_path)
-            .map_err(|e| WireError::new(format!("renaming into {}: {e}", final_path.display())))
+            .map_err(|e| format!("renaming into {}: {e}", final_path.display()))
     }
-}
-
-/// An append-only progress log for one coordinator run, stored next to the
-/// cache entries.  Lines are `ssle-telemetry/v1` events with a
-/// journal-local sequence counter (the journal is a *sidecar* stream — it
-/// never passes through the process-global telemetry sink, so it exists
-/// whether or not telemetry is enabled):
-///
-/// * `stream_start` — schema marker (producer `fabric-journal`);
-/// * `journal_start` — run manifest (unit and worker counts);
-/// * `journal_unit` — one per finished unit
-///   (`status: "executed"|"cached"|"failed"`), in completion order.
-///
-/// There is deliberately no `stream_end`: the journal's whole purpose is
-/// observability of *interrupted* runs, and the telemetry validator treats
-/// an endless stream as a valid truncated prefix.  Advisory only:
-/// `--resume` consults the cache, not the journal.  Journals written by the
-/// legacy `ssle-fabric/v1` encoding are still readable via
-/// [`read_journal`].
-#[derive(Debug)]
-pub struct RunJournal {
-    file: fs::File,
-    seq: u64,
-}
-
-impl RunJournal {
-    /// Opens the journal file (truncating any previous run's log) and
-    /// writes the stream header plus the run manifest.
-    pub fn start(dir: &Path, units: usize, workers: usize) -> Result<Self, WireError> {
-        let path = dir.join("journal.ndjson");
-        let file = fs::File::create(&path)
-            .map_err(|e| WireError::new(format!("creating {}: {e}", path.display())))?;
-        let mut journal = RunJournal { file, seq: 0 };
-        journal.append(
-            ssle_telemetry::Event::new("stream_start")
-                .field("schema", ssle_telemetry::SCHEMA)
-                .field("producer", "fabric-journal"),
-        )?;
-        journal.append(
-            ssle_telemetry::Event::new("journal_start")
-                .count("units", units as u64)
-                .field("workers", workers),
-        )?;
-        Ok(journal)
-    }
-
-    /// Records one finished unit.
-    pub fn unit(&mut self, key: &str, status: &str) -> Result<(), WireError> {
-        self.append(
-            ssle_telemetry::Event::new("journal_unit")
-                .field("key", key)
-                .field("status", status),
-        )
-    }
-
-    fn append(&mut self, event: ssle_telemetry::Event) -> Result<(), WireError> {
-        let line = event.to_line(self.seq);
-        self.seq += 1;
-        writeln!(self.file, "{line}")
-            .map_err(|e| WireError::new(format!("appending to journal: {e}")))?;
-        self.file
-            .flush()
-            .map_err(|e| WireError::new(format!("flushing journal: {e}")))
-    }
-}
-
-/// One parsed journal record (encoding-independent view).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalRecord {
-    /// The run manifest.
-    Manifest {
-        /// Total units of the run.
-        units: u64,
-        /// Worker pool size.
-        workers: u64,
-    },
-    /// One finished unit.
-    Unit {
-        /// The unit's content-addressed cache key.
-        key: String,
-        /// `"executed"`, `"cached"` or `"failed"`.
-        status: String,
-    },
-}
-
-/// Reads a `journal.ndjson` written by either encoding: the current
-/// `ssle-telemetry/v1` events (`stream_start`/`journal_start`/
-/// `journal_unit`) or the legacy `ssle-fabric/v1` lines
-/// (`{"event":"start",...}` / `{"event":"unit",...}` with plain-number
-/// counts).
-///
-/// # Errors
-///
-/// Fails on unreadable files, unparsable lines, or unknown event kinds —
-/// a journal is small and fully machine-written, so leniency would only
-/// hide corruption.
-pub fn read_journal(path: &Path) -> Result<Vec<JournalRecord>, WireError> {
-    let text = fs::read_to_string(path)
-        .map_err(|e| WireError::new(format!("reading {}: {e}", path.display())))?;
-    let mut records = Vec::new();
-    for (index, line) in text.lines().enumerate() {
-        let lineno = index + 1;
-        let value = JsonValue::parse(line)
-            .map_err(|e| WireError::new(format!("journal line {lineno}: {e}")))?;
-        let kind = value
-            .get("event")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| WireError::new(format!("journal line {lineno}: no event kind")))?;
-        // u64s travel as decimal strings in the telemetry encoding and as
-        // plain numbers in the legacy one; accept both.
-        let count = |key: &str| {
-            value
-                .get(key)
-                .and_then(|v| {
-                    v.as_str()
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .or_else(|| v.as_f64().map(|f| f as u64))
-                })
-                .ok_or_else(|| {
-                    WireError::new(format!("journal line {lineno}: missing count {key:?}"))
-                })
-        };
-        match kind {
-            "stream_start" => {} // telemetry-encoding header; no payload
-            "journal_start" | "start" => records.push(JournalRecord::Manifest {
-                units: count("units")?,
-                workers: count("workers")?,
-            }),
-            "journal_unit" | "unit" => {
-                let field = |key: &str| {
-                    value
-                        .get(key)
-                        .and_then(JsonValue::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| {
-                            WireError::new(format!("journal line {lineno}: missing {key:?}"))
-                        })
-                };
-                records.push(JournalRecord::Unit {
-                    key: field("key")?,
-                    status: field("status")?,
-                });
-            }
-            other => {
-                return Err(WireError::new(format!(
-                    "journal line {lineno}: unknown event kind {other:?}"
-                )));
-            }
-        }
-    }
-    Ok(records)
 }
 
 #[cfg(test)]
@@ -255,6 +119,17 @@ mod tests {
         ));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    #[test]
+    fn cache_key_is_spec_and_job_sensitive_but_key_order_free() {
+        let spec = JsonValue::object().with("n", 8.0).with("quick", true);
+        let key = cache_key("demo", &spec);
+        assert_eq!(key.len(), 32);
+        let reordered = JsonValue::object().with("quick", true).with("n", 8.0);
+        assert_eq!(key, cache_key("demo", &reordered));
+        assert_ne!(key, cache_key("other-job", &spec));
+        assert_ne!(key, cache_key("demo", &spec.clone().with("trials", 2.0)));
     }
 
     #[test]
@@ -295,87 +170,30 @@ mod tests {
 
         // Entry whose embedded key disagrees with its filename (e.g. a
         // renamed file): miss.
-        let forged = JsonValue::object()
-            .with("schema", WIRE_SCHEMA)
-            .with("key", "something-else")
-            .with("job", "demo")
-            .with("result", JsonValue::Bool(true));
-        fs::write(dir.join("k3.json"), forged.to_json()).unwrap();
+        let entry = |schema: &str, key: &str| {
+            JsonValue::object()
+                .with("schema", schema)
+                .with("key", key)
+                .with("job", "demo")
+                .with("result", JsonValue::Bool(true))
+                .to_json()
+        };
+        fs::write(dir.join("k3.json"), entry(CACHE_SCHEMA, "something-else")).unwrap();
         assert_eq!(cache.load("k3", "demo"), None);
-        let _ = fs::remove_dir_all(&dir);
-    }
 
-    #[test]
-    fn journal_writes_telemetry_events_and_reads_back() {
-        let dir = scratch_dir("journal");
-        fs::create_dir_all(&dir).unwrap();
-        let mut journal = RunJournal::start(&dir, 3, 2).unwrap();
-        journal.unit("k1", "executed").unwrap();
-        journal.unit("k2", "cached").unwrap();
-        drop(journal);
-        let path = dir.join("journal.ndjson");
-        let text = fs::read_to_string(&path).unwrap();
+        // A truncated entry (a store cut short outside the atomic rename):
+        // miss.
+        let whole = entry(CACHE_SCHEMA, "k4");
+        fs::write(dir.join("k4.json"), &whole[..whole.len() / 2]).unwrap();
+        assert_eq!(cache.load("k4", "demo"), None);
 
-        // The journal is a schema-valid (truncated) telemetry stream.
-        let stats = ssle_telemetry::validate_stream(&text).expect("journal validates");
-        assert!(!stats.complete, "journals never write stream_end");
-        assert_eq!(stats.count("journal_start"), 1);
-        assert_eq!(stats.count("journal_unit"), 2);
+        // An entry under a foreign schema tag: miss.
+        fs::write(dir.join("k5.json"), entry("ssle-fabric/v0", "k5")).unwrap();
+        assert_eq!(cache.load("k5", "demo"), None);
 
-        // And the compat reader folds it into records.
-        let records = read_journal(&path).unwrap();
-        assert_eq!(
-            records,
-            vec![
-                JournalRecord::Manifest {
-                    units: 3,
-                    workers: 2
-                },
-                JournalRecord::Unit {
-                    key: "k1".into(),
-                    status: "executed".into()
-                },
-                JournalRecord::Unit {
-                    key: "k2".into(),
-                    status: "cached".into()
-                },
-            ]
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_journals_still_read() {
-        let dir = scratch_dir("journal-legacy");
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.ndjson");
-        // The pre-telemetry encoding: plain-number counts, no header.
-        fs::write(
-            &path,
-            concat!(
-                "{\"event\":\"start\",\"schema\":\"ssle-fabric/v1\",\"units\":2,\"workers\":1}\n",
-                "{\"event\":\"unit\",\"key\":\"old\",\"status\":\"failed\"}\n",
-            ),
-        )
-        .unwrap();
-        let records = read_journal(&path).unwrap();
-        assert_eq!(
-            records,
-            vec![
-                JournalRecord::Manifest {
-                    units: 2,
-                    workers: 1
-                },
-                JournalRecord::Unit {
-                    key: "old".into(),
-                    status: "failed".into()
-                },
-            ]
-        );
-
-        // Corruption is an error, not a silent skip.
-        fs::write(&path, "{\"event\":\"mystery\"}\n").unwrap();
-        assert!(read_journal(&path).is_err());
+        // The well-formed entry itself still hits.
+        fs::write(dir.join("k6.json"), entry(CACHE_SCHEMA, "k6")).unwrap();
+        assert_eq!(cache.load("k6", "demo"), Some(JsonValue::Bool(true)));
         let _ = fs::remove_dir_all(&dir);
     }
 }

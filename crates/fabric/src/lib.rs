@@ -1,43 +1,16 @@
 //! # ssle-fabric
 //!
-//! The experiment fabric: a coordinator/worker subprocess pool with a
-//! content-addressed result cache and resumable runs (ROADMAP open item 1).
-//!
-//! The stabilization and hotloop grids are embarrassingly parallel, but
-//! `population::BatchRunner` only scales one process.  This crate adds the
-//! next rung without giving up the workspace's exactness guarantees:
-//!
-//! * [`wire`] — newline-delimited JSON [`WorkUnit`]/[`WorkResult`] messages
-//!   (typed [`WorkError`]s, exact decimal strings for full-width u64s),
-//!   serialized through `analysis::json` and proptest-round-tripped;
-//! * [`worker`] — the stdin/stdout request/response loop a worker process
-//!   runs (`stabilization_report --worker`), with panic containment and
-//!   deterministic crash injection for tests;
-//! * [`coordinator`] — spawns N workers, dispatches units, enforces
-//!   per-unit timeouts, retries crashed/timed-out units on fresh workers
-//!   (bounded, then typed partial failure), and merges results in unit
-//!   submission order so downstream reports are **byte-identical** to the
-//!   in-process path;
-//! * [`cache`] — results keyed by the canonical content digest of the
-//!   unit's exact spec JSON (`analysis::digest`), stored under
-//!   `.fabric-cache/` with atomic writes and a progress journal, making
-//!   `--resume` reruns execute only what changed.
-//!
-//! The fabric is job-agnostic: it moves opaque `JsonValue` payloads and
-//! never interprets them, so byte-identity of a report assembled from
-//! worker results reduces to the determinism of the job handler plus the
-//! input-order merge — the same argument `run_map` makes for threads.
+//! The content-addressed cell cache behind the tracked reports' `--resume`
+//! ([`cache`]).  A report run stores each finished cell's JSON under the
+//! digest of the cell's exact spec, so an interrupted run resumes where it
+//! stopped and a warm rerun executes nothing.  The crate's name and the
+//! cache's `ssle-fabric/v1` tag come from the subprocess fabric it once
+//! held; the tag is kept so the entries that fabric wrote stay hits.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod cache;
-pub mod coordinator;
-pub mod wire;
-pub mod worker;
 
-pub use cache::{read_journal, JournalRecord, ResultCache, RunJournal, DEFAULT_CACHE_DIR};
-pub use coordinator::{run_units, CoordinatorOptions, FabricOutcome, UnitFailure, WorkerCommand};
-pub use wire::{WireError, WorkError, WorkResult, WorkUnit, WIRE_SCHEMA};
-pub use worker::{worker_loop, CRASH_ONCE_ENV};
+pub use cache::{cache_key, ResultCache, DEFAULT_CACHE_DIR};

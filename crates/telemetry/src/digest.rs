@@ -2,8 +2,8 @@
 //!
 //! [`TraceDigest`] reads a full `ssle-telemetry/v1` stream once and keeps
 //! only the aggregate story: how many runs ran and converged, what the
-//! adversary did, how the search and the fabric behaved, and the final
-//! metrics snapshot.  It powers the `telemetry_summary` binary, which
+//! adversary did, how the search behaved, and the final metrics
+//! snapshot.  It powers the `telemetry_summary` binary, which
 //! renders the digest as markdown for humans or as a
 //! `telemetry-digest/v1` JSON document for scripts.
 
@@ -49,10 +49,6 @@ pub struct TraceDigest {
     pub islands: Vec<IslandDigest>,
     /// Best stabilization across all `search_summary` events, if any.
     pub search_best_steps: Option<u64>,
-    /// The last `fabric_summary` seen: (executed, cached, worker_restarts).
-    pub fabric: Option<(u64, u64, u64)>,
-    /// Worker-respawn causes with counts, sorted by cause.
-    pub respawn_causes: Vec<(String, u64)>,
     /// The final `metrics` registry snapshot, if the stream has one.
     pub metrics: Option<JsonValue>,
 }
@@ -88,8 +84,6 @@ impl TraceDigest {
             recurrences: 0,
             islands: Vec::new(),
             search_best_steps: None,
-            fabric: None,
-            respawn_causes: Vec::new(),
             metrics: None,
         };
         for line in text.lines() {
@@ -128,29 +122,10 @@ impl TraceDigest {
                     digest.search_best_steps =
                         Some(digest.search_best_steps.map_or(best, |b| b.max(best)));
                 }
-                "fabric_summary" => {
-                    digest.fabric = Some((
-                        u64_field(&value, "executed"),
-                        u64_field(&value, "cached"),
-                        u64_field(&value, "worker_restarts"),
-                    ));
-                }
-                "worker_respawn" => {
-                    let cause = value
-                        .get("cause")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or("unknown")
-                        .to_string();
-                    match digest.respawn_causes.iter_mut().find(|(c, _)| *c == cause) {
-                        Some((_, n)) => *n += 1,
-                        None => digest.respawn_causes.push((cause, 1)),
-                    }
-                }
                 "metrics" => digest.metrics = value.get("registry").cloned(),
                 _ => {}
             }
         }
-        digest.respawn_causes.sort();
         Ok(digest)
     }
 
@@ -197,20 +172,6 @@ impl TraceDigest {
             }
             out = out.with("search", search);
         }
-        if let Some((executed, cached, restarts)) = self.fabric {
-            let mut causes = JsonValue::object();
-            for (cause, count) in &self.respawn_causes {
-                causes = causes.with(cause.clone(), count.to_string());
-            }
-            out = out.with(
-                "fabric",
-                JsonValue::object()
-                    .with("executed", executed.to_string())
-                    .with("cached", cached.to_string())
-                    .with("worker_restarts", restarts.to_string())
-                    .with("respawn_causes", causes),
-            );
-        }
         if let Some(metrics) = &self.metrics {
             out = out.with("metrics", metrics.clone());
         }
@@ -233,14 +194,6 @@ impl TraceDigest {
             "- adversary: {} faults, {} recurrence candidates\n",
             self.faults_fired, self.recurrences
         ));
-        if let Some((executed, cached, restarts)) = self.fabric {
-            out.push_str(&format!(
-                "- fabric: executed={executed} cached={cached} worker_restarts={restarts}\n"
-            ));
-            for (cause, count) in &self.respawn_causes {
-                out.push_str(&format!("  - respawn cause `{cause}`: {count}\n"));
-            }
-        }
         out.push_str("\n## Events by kind\n\n| kind | count |\n|---|---|\n");
         for (kind, count) in &self.stats.by_kind {
             out.push_str(&format!("| {kind} | {count} |\n"));
@@ -310,23 +263,12 @@ mod tests {
                 .count("evaluations", 12)
                 .count("best_steps", 1200),
         );
-        crate::emit(
-            Event::new("fabric_summary")
-                .count("executed", 3)
-                .count("cached", 2)
-                .count("worker_restarts", 1),
-        );
-        crate::emit(
-            Event::new("worker_respawn")
-                .field("worker", 1usize)
-                .field("cause", "crash"),
-        );
         finish().unwrap();
         trace.contents()
     }
 
     #[test]
-    fn digest_folds_runs_search_and_fabric() {
+    fn digest_folds_runs_and_search() {
         let _lock = crate::test_support::serialize();
         let text = sample_stream();
         let digest = TraceDigest::from_stream(&text).expect("stream validates");
@@ -338,8 +280,6 @@ mod tests {
         assert_eq!(digest.islands.len(), 1);
         assert_eq!(digest.islands[0].best_steps, 1200);
         assert_eq!(digest.search_best_steps, Some(1200));
-        assert_eq!(digest.fabric, Some((3, 2, 1)));
-        assert_eq!(digest.respawn_causes, vec![("crash".to_string(), 1)]);
         assert!(digest.metrics.is_some());
         assert!(digest.stats.complete);
     }
@@ -364,11 +304,10 @@ mod tests {
         let reparsed = JsonValue::parse(&json.to_json()).expect("digest JSON parses");
         assert_eq!(
             reparsed
-                .get("fabric")
-                .and_then(|f| f.get("respawn_causes"))
-                .and_then(|c| c.get("crash"))
+                .get("search")
+                .and_then(|s| s.get("best_steps"))
                 .and_then(JsonValue::as_str),
-            Some("1")
+            Some("1200")
         );
         let md = digest.to_markdown();
         assert!(md.contains("# Telemetry digest"));

@@ -65,15 +65,6 @@ impl Event {
         self
     }
 
-    /// Serializes the event as one NDJSON line with an explicit sequence
-    /// number.  Normal streams go through the global sink ([`crate::emit`]),
-    /// which assigns `seq` itself; this entry point exists for sidecar
-    /// streams that own their own sequence counter (the fabric run
-    /// journal).
-    pub fn to_line(self, seq: u64) -> String {
-        self.into_json(seq).to_json()
-    }
-
     /// Finalizes into the JSON object of one NDJSON line: kind, sink-
     /// assigned `seq`, the thread's run scope (if any), the deterministic
     /// fields, then the `"wall"` section last (only when non-empty).

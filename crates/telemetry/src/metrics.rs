@@ -251,7 +251,7 @@ impl Histogram {
 /// instrumented quantity.  Layers reference these directly; the
 /// [`registry`] snapshot enumerates them.
 pub mod well_known {
-    use super::{Counter, Histogram};
+    use super::Counter;
 
     /// Steps drawn by the uniform sampler (`Simulation::run_steps`, and the
     /// uniform segments of scenario runs), counted once per burst.
@@ -273,19 +273,10 @@ pub mod well_known {
     pub static SEARCH_ACCEPTS: Counter = Counter::new("search_accepts");
     /// Annealing moves rejected.
     pub static SEARCH_REJECTS: Counter = Counter::new("search_rejects");
-    /// Fabric units executed by worker subprocesses.
-    pub static FABRIC_EXECUTED: Counter = Counter::new("fabric_executed");
-    /// Fabric units answered from the content-addressed cache.
+    /// `--resume` cells answered from the content-addressed cache.
     pub static FABRIC_CACHE_HITS: Counter = Counter::new("fabric_cache_hits");
-    /// Fabric cache lookups that missed.
+    /// `--resume` cache lookups that missed.
     pub static FABRIC_CACHE_MISSES: Counter = Counter::new("fabric_cache_misses");
-    /// Fabric workers respawned after a crash or timeout.
-    pub static FABRIC_RESPAWNS: Counter = Counter::new("fabric_respawns");
-    /// Wall-clock microseconds one fabric unit spent executing on a worker.
-    pub static FABRIC_UNIT_MICROS: Histogram = Histogram::new_wall("fabric_unit_micros");
-    /// Wall-clock microseconds between a unit entering the queue and its
-    /// dispatch to a worker.
-    pub static FABRIC_QUEUE_MICROS: Histogram = Histogram::new_wall("fabric_queue_micros");
 }
 
 /// The fixed set of well-known handles, snapshot-able as one JSON object.
@@ -308,12 +299,10 @@ pub fn registry() -> Registry {
         &w::SEARCH_EVALUATIONS,
         &w::SEARCH_ACCEPTS,
         &w::SEARCH_REJECTS,
-        &w::FABRIC_EXECUTED,
         &w::FABRIC_CACHE_HITS,
         &w::FABRIC_CACHE_MISSES,
-        &w::FABRIC_RESPAWNS,
     ];
-    static HISTOGRAMS: &[&Histogram] = &[&w::FABRIC_UNIT_MICROS, &w::FABRIC_QUEUE_MICROS];
+    static HISTOGRAMS: &[&Histogram] = &[];
     Registry {
         counters: COUNTERS,
         histograms: HISTOGRAMS,
@@ -452,12 +441,17 @@ mod tests {
     #[test]
     fn registry_snapshot_skips_zero_metrics_and_resets() {
         let _lock = crate::test_support::serialize();
-        let reg = registry();
+        static H: Histogram = Histogram::new_wall("test_wall_micros");
+        static WALL: &[&Histogram] = &[&H];
+        let reg = Registry {
+            histograms: WALL,
+            ..registry()
+        };
         reg.reset();
         set_enabled(true);
         well_known::HOT_STEPS.add(41);
         well_known::HOT_STEPS.add(1);
-        well_known::FABRIC_UNIT_MICROS.record(100);
+        H.record(100);
         set_enabled(false);
         let snap = reg.snapshot();
         let counters = snap.get("counters").unwrap();
@@ -467,10 +461,7 @@ mod tests {
         );
         assert!(counters.get("runs").is_none(), "zero metrics are omitted");
         assert!(
-            snap.get("wall")
-                .unwrap()
-                .get("fabric_unit_micros")
-                .is_some(),
+            snap.get("wall").unwrap().get("test_wall_micros").is_some(),
             "wall histograms are quarantined under \"wall\""
         );
         reg.reset();

@@ -67,19 +67,6 @@ const TAXONOMY: &[(&str, &[(&str, FieldType)])] = &[
             ("best_steps", U64Str),
         ],
     ),
-    ("fabric_unit", &[("unit", Num), ("status", Str)]),
-    ("worker_respawn", &[("worker", Num), ("cause", Str)]),
-    ("fabric_worker", &[("worker", Num), ("units", U64Str)]),
-    (
-        "fabric_summary",
-        &[
-            ("executed", U64Str),
-            ("cached", U64Str),
-            ("worker_restarts", U64Str),
-        ],
-    ),
-    ("journal_start", &[("units", U64Str), ("workers", Num)]),
-    ("journal_unit", &[("key", Str), ("status", Str)]),
     ("metrics", &[("registry", Obj)]),
     ("annotation", &[("text", Str)]),
 ];
