@@ -6,7 +6,7 @@
 //!    1498 reachable configurations.  Pins the explicit-state explorer
 //!    end to end, independent of any artifact.
 //! 2. **Certificate audit** — parses a committed `BENCH_stabilization.json`
-//!    (v3), validates it against the schema, and **re-certifies** every cell
+//!    (v4), validates it against the schema, and **re-certifies** every cell
 //!    that carries a livelock certificate: the candidate is rebuilt from the
 //!    JSON text and replayed through the recurrence detector and phase
 //!    closure, and the reproduced certificate must match the artifact
@@ -97,7 +97,7 @@ fn main() {
         let cert_json = cell
             .get("worst")
             .and_then(|w| w.get("certified"))
-            .unwrap_or_else(|| fail("cell without worst.certified (v3 requires it)"));
+            .unwrap_or_else(|| fail("cell without worst.certified (v4 requires it)"));
         let Some(expected) = certified_from_json(cert_json)
             .unwrap_or_else(|| fail("cell with a malformed worst.certified"))
         else {

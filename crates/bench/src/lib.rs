@@ -37,8 +37,7 @@ pub mod trace;
 pub mod tracked;
 
 use population::{
-    BatchRunner, BatchSummary, Configuration, ConvergenceReport, Scenario, ScenarioBuilder,
-    SweepGrid, SweepPoint,
+    BatchSummary, Configuration, GraphFamily, LeaderElection, Scenario, ScenarioBuilder, SweepPoint,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -47,7 +46,7 @@ use ssle_baselines::{
     fischer_jiang::{has_stable_unique_leader, FischerJiang, FjState},
     yokota_linear::{is_safe as yokota_is_safe, YokotaLinear, YokotaState},
 };
-use ssle_core::{in_s_pl, init, InitialCondition, Params, Ppl};
+use ssle_core::{in_s_pl, init, InitialCondition, Params, Ppl, PplState};
 
 /// The protocols compared by Table 1 that can be measured empirically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -157,22 +156,49 @@ impl ProtocolKind {
     /// [`ProtocolKind::trial_budget`] as the step budget.
     pub fn scenario(&self) -> Scenario {
         let kind = *self;
-        let budget = move |pt: &SweepPoint| kind.trial_budget(pt.n);
-        match self {
-            ProtocolKind::Ppl => ppl_builder(InitialCondition::UniformRandom)
+        self.table1_scenario(
+            GraphFamily::DirectedRing,
+            InitialCondition::UniformRandom,
+            move |pt| kind.trial_budget(pt.n),
+        )
+    }
+
+    /// The one map from a protocol to its finished scenario: the protocol's
+    /// Table 1 builder on `graph`, starting from `condition` (`P_PL` only —
+    /// the baselines have the uniform start alone), with `budget` steps.
+    /// The scenario is fault-ready — its sampler is the corruption function
+    /// and its leaders are the fault targets — so fault and churn plans can
+    /// be attached later; with no plan neither is ever called.
+    pub(crate) fn table1_scenario(
+        self,
+        graph: GraphFamily,
+        condition: InitialCondition,
+        budget: impl Fn(&SweepPoint) -> u64 + Send + Sync + 'static,
+    ) -> Scenario {
+        fn finish<P: Table1>(
+            builder: ScenarioBuilder<P>,
+            graph: GraphFamily,
+            budget: impl Fn(&SweepPoint) -> u64 + Send + Sync + 'static,
+        ) -> Scenario {
+            builder
+                .graph(graph)
                 .step_budget(budget)
-                .build(),
-            ProtocolKind::PplPaperConstants => ppl_builder_with_params(
-                |pt| Params::paper_constants(pt.n),
-                InitialCondition::UniformRandom,
-            )
-            .step_budget(budget)
-            .build(),
-            ProtocolKind::Yokota => yokota_builder().step_budget(budget).build(),
-            ProtocolKind::FischerJiang => fischer_jiang_builder().step_budget(budget).build(),
-            ProtocolKind::AngluinModK => angluin_builder().step_budget(budget).build(),
+                .corruption(|p: &P, rng, _agent| p.sample(rng))
+                .fault_targets(|p: &P, state, _agent| p.is_leader(state))
+                .build()
+                .expect("complete scenario")
         }
-        .expect("complete scenario")
+        match self {
+            ProtocolKind::Ppl => finish(ppl_builder(condition), graph, budget),
+            ProtocolKind::PplPaperConstants => finish(
+                ppl_builder_with_params(|pt| Params::paper_constants(pt.n), condition),
+                graph,
+                budget,
+            ),
+            ProtocolKind::Yokota => finish(yokota_builder(), graph, budget),
+            ProtocolKind::FischerJiang => finish(fischer_jiang_builder(), graph, budget),
+            ProtocolKind::AngluinModK => finish(angluin_builder(), graph, budget),
+        }
     }
 }
 
@@ -198,6 +224,90 @@ pub fn check_interval(n: usize) -> u64 {
     (n as u64 * n as u64 / 4).max(64)
 }
 
+/// One Table 1 protocol's definition: the name of its stop criterion, its
+/// uniform state sampler and its structural safe set.  Every scenario and
+/// typed setup of this crate reads these three from here — the sampler
+/// draws the uniform initial configuration and corrupts faulted agents, the
+/// safe set is the stop criterion.
+trait Table1: LeaderElection<State: std::any::Any> + 'static {
+    /// The stop criterion's name (the `criterion` of every report).
+    const STOP: &'static str;
+
+    /// Draws one state uniformly from the protocol's state space.
+    fn sample(&self, rng: &mut ChaCha8Rng) -> Self::State;
+
+    /// `true` iff `config` is in the protocol's safe set.
+    fn is_safe(&self, config: &Configuration<Self::State>) -> bool;
+}
+
+impl Table1 for Ppl {
+    const STOP: &'static str = "s-pl";
+
+    fn sample(&self, rng: &mut ChaCha8Rng) -> PplState {
+        PplState::sample_uniform(rng, self.params())
+    }
+
+    fn is_safe(&self, config: &Configuration<PplState>) -> bool {
+        in_s_pl(config, self.params())
+    }
+}
+
+impl Table1 for YokotaLinear {
+    const STOP: &'static str = "yokota-safe";
+
+    fn sample(&self, rng: &mut ChaCha8Rng) -> YokotaState {
+        YokotaState::sample_uniform(rng, self.cap())
+    }
+
+    fn is_safe(&self, config: &Configuration<YokotaState>) -> bool {
+        yokota_is_safe(config, self.cap())
+    }
+}
+
+impl Table1 for FischerJiang {
+    const STOP: &'static str = "fj-stable-unique-leader";
+
+    fn sample(&self, rng: &mut ChaCha8Rng) -> FjState {
+        FjState::sample_uniform(rng)
+    }
+
+    fn is_safe(&self, config: &Configuration<FjState>) -> bool {
+        has_stable_unique_leader(config)
+    }
+}
+
+impl Table1 for AngluinModK {
+    const STOP: &'static str = "mod-k-unique-defect";
+
+    fn sample(&self, rng: &mut ChaCha8Rng) -> ModKState {
+        ModKState::sample_uniform(rng, self.k())
+    }
+
+    fn is_safe(&self, config: &Configuration<ModKState>) -> bool {
+        has_unique_defect(config, self.k())
+    }
+}
+
+/// The uniform initial configuration of the point: `pt.n` states drawn
+/// with the protocol's sampler from the stream seeded by `pt.seed`.
+fn uniform_config<P: Table1>(protocol: &P, pt: &SweepPoint) -> Configuration<P::State> {
+    let mut rng = ChaCha8Rng::seed_from_u64(pt.seed);
+    Configuration::from_fn(pt.n, |_| protocol.sample(&mut rng))
+}
+
+/// The Table 1 builder of a protocol: its safe set as the stop criterion,
+/// checked every [`check_interval`] steps.
+fn table1_builder<P: Table1>(
+    name: impl Into<String>,
+    protocol: impl Fn(&SweepPoint) -> P + Send + Sync + 'static,
+    init: impl Fn(&P, &SweepPoint) -> Configuration<P::State> + Send + Sync + 'static,
+) -> ScenarioBuilder<P> {
+    ScenarioBuilder::new(name, protocol)
+        .init(init)
+        .stop_when(P::STOP, P::is_safe)
+        .check_every(|pt| check_interval(pt.n))
+}
+
 /// Scenario builder for `P_PL` with the default simulation constants,
 /// starting from the given initial-condition family and measuring the first
 /// entry into the structural safe set `S_PL`.
@@ -215,70 +325,50 @@ pub fn ppl_builder_with_params(
     params_of: impl Fn(&SweepPoint) -> Params + Send + Sync + 'static,
     condition: InitialCondition,
 ) -> ScenarioBuilder<Ppl> {
-    ScenarioBuilder::new(format!("ppl/{}", condition.name()), move |pt| {
-        Ppl::new(params_of(pt))
-    })
-    .init(move |p: &Ppl, pt| init::generate(condition, pt.n, p.params(), pt.seed))
-    .stop_when("s-pl", |p: &Ppl, c| in_s_pl(c, p.params()))
-    .check_every(|pt| check_interval(pt.n))
+    table1_builder(
+        format!("ppl/{}", condition.name()),
+        move |pt| Ppl::new(params_of(pt)),
+        move |p: &Ppl, pt| init::generate(condition, pt.n, p.params(), pt.seed),
+    )
 }
 
 /// Scenario builder for baseline \[28\] (Yokota et al. 2021): uniformly random
 /// initial configurations, converging to its structural safe set.
 pub fn yokota_builder() -> ScenarioBuilder<YokotaLinear> {
-    ScenarioBuilder::new("yokota-linear", |pt| YokotaLinear::for_ring(pt.n))
-        .init(|p: &YokotaLinear, pt| {
-            let cap = p.cap();
-            let mut rng = ChaCha8Rng::seed_from_u64(pt.seed);
-            Configuration::from_fn(pt.n, |_| YokotaState::sample_uniform(&mut rng, cap))
-        })
-        .stop_when("yokota-safe", |p: &YokotaLinear, c| {
-            yokota_is_safe(c, p.cap())
-        })
-        .check_every(|pt| check_interval(pt.n))
+    table1_builder(
+        "yokota-linear",
+        |pt| YokotaLinear::for_ring(pt.n),
+        uniform_config,
+    )
 }
 
 /// Scenario builder for baseline \[15\] (Fischer–Jiang with the oracle `Ω?`):
 /// uniformly random initial configurations, converging to a single
 /// bullet-safe leader.
 pub fn fischer_jiang_builder() -> ScenarioBuilder<FischerJiang> {
-    ScenarioBuilder::new("fischer-jiang", |_pt| FischerJiang::new())
-        .init(|_p: &FischerJiang, pt| {
-            let mut rng = ChaCha8Rng::seed_from_u64(pt.seed);
-            Configuration::from_fn(pt.n, |_| FjState::sample_uniform(&mut rng))
-        })
-        .stop_when("fj-stable-unique-leader", |_p: &FischerJiang, c| {
-            has_stable_unique_leader(c)
-        })
-        .check_every(|pt| check_interval(pt.n))
+    table1_builder("fischer-jiang", |_pt| FischerJiang::new(), uniform_config)
 }
 
 /// Scenario builder for baseline \[5\] (Angluin et al. 2008, `k ∤ n`):
 /// uniformly random initial configurations, converging to a unique label
 /// defect.
 pub fn angluin_builder() -> ScenarioBuilder<AngluinModK> {
-    ScenarioBuilder::new("angluin-mod-k", |pt| AngluinModK::new(pick_k(pt.n)))
-        .init(|p: &AngluinModK, pt| {
-            let k = p.k();
-            let mut rng = ChaCha8Rng::seed_from_u64(pt.seed);
-            Configuration::from_fn(pt.n, |_| ModKState::sample_uniform(&mut rng, k))
-        })
-        .stop_when("mod-k-unique-defect", |p: &AngluinModK, c| {
-            has_unique_defect(c, p.k())
-        })
-        .check_every(|pt| check_interval(pt.n))
+    table1_builder(
+        "angluin-mod-k",
+        |pt| AngluinModK::new(pick_k(pt.n)),
+        uniform_config,
+    )
 }
 
 /// Visitor over the **typed** Table 1 trial setup of a [`ProtocolKind`]:
 /// receives the concrete protocol, its uniformly random initial
 /// configuration and its stop criterion, with the state type intact.
 ///
-/// This is the single authoritative definition of that setup for code that
-/// needs static types — the hot-loop benchmarks and the equivalence tests —
-/// so protocol/seed conventions live in one place
-/// ([`ProtocolKind::with_table1_setup`]).  The declarative
-/// [`ProtocolKind::scenario`] builds the same setup through the erased
-/// scenario layer; `tests/scenario_equivalence.rs` pins the two
+/// This is the typed view of the same definitions the scenario builders
+/// read, for code that needs static types — the hot-loop benchmarks and
+/// the equivalence tests ([`ProtocolKind::with_table1_setup`]).  The
+/// declarative [`ProtocolKind::scenario`] builds the same setup through
+/// the erased scenario layer; `tests/scenario_equivalence.rs` pins the two
 /// bit-identical.
 pub trait Table1Visitor {
     /// The visitor's result type.
@@ -287,7 +377,7 @@ pub trait Table1Visitor {
     /// Called with the typed pieces of the trial.
     fn visit<P, F>(self, protocol: P, config: Configuration<P::State>, stop: F) -> Self::Output
     where
-        P: population::LeaderElection + 'static,
+        P: LeaderElection + 'static,
         P::State: std::any::Any,
         F: Fn(&P, &Configuration<P::State>) -> bool + Send + Sync + 'static;
 }
@@ -296,76 +386,25 @@ impl ProtocolKind {
     /// Builds the typed Table 1 trial setup of this protocol at `(n, seed)`
     /// and hands it to `visitor` (see [`Table1Visitor`]).
     pub fn with_table1_setup<V: Table1Visitor>(self, n: usize, seed: u64, visitor: V) -> V::Output {
+        fn setup<P: Table1, V: Table1Visitor>(
+            protocol: P,
+            pt: SweepPoint,
+            visitor: V,
+        ) -> V::Output {
+            let config = uniform_config(&protocol, &pt);
+            visitor.visit(protocol, config, P::is_safe)
+        }
+        let pt = SweepPoint::new(n, seed);
         match self {
-            ProtocolKind::Ppl | ProtocolKind::PplPaperConstants => {
-                let params = if self == ProtocolKind::Ppl {
-                    Params::for_ring(n)
-                } else {
-                    Params::paper_constants(n)
-                };
-                let config = init::generate(InitialCondition::UniformRandom, n, &params, seed);
-                visitor.visit(Ppl::new(params), config, move |_p: &Ppl, c| {
-                    in_s_pl(c, &params)
-                })
+            ProtocolKind::Ppl => setup(Ppl::new(Params::for_ring(n)), pt, visitor),
+            ProtocolKind::PplPaperConstants => {
+                setup(Ppl::new(Params::paper_constants(n)), pt, visitor)
             }
-            ProtocolKind::Yokota => {
-                let protocol = YokotaLinear::for_ring(n);
-                let cap = protocol.cap();
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let config =
-                    Configuration::from_fn(n, |_| YokotaState::sample_uniform(&mut rng, cap));
-                visitor.visit(protocol, config, move |_p: &YokotaLinear, c| {
-                    yokota_is_safe(c, cap)
-                })
-            }
-            ProtocolKind::FischerJiang => {
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let config = Configuration::from_fn(n, |_| FjState::sample_uniform(&mut rng));
-                visitor.visit(FischerJiang::new(), config, |_p: &FischerJiang, c| {
-                    has_stable_unique_leader(c)
-                })
-            }
-            ProtocolKind::AngluinModK => {
-                let k = pick_k(n);
-                let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                let config = Configuration::from_fn(n, |_| ModKState::sample_uniform(&mut rng, k));
-                visitor.visit(AngluinModK::new(k), config, move |_p: &AngluinModK, c| {
-                    has_unique_defect(c, k)
-                })
-            }
+            ProtocolKind::Yokota => setup(YokotaLinear::for_ring(n), pt, visitor),
+            ProtocolKind::FischerJiang => setup(FischerJiang::new(), pt, visitor),
+            ProtocolKind::AngluinModK => setup(AngluinModK::new(pick_k(n)), pt, visitor),
         }
     }
-}
-
-/// Runs one convergence trial of the given protocol from a uniformly random
-/// configuration (the Table 1 setting).
-pub fn run_trial(kind: ProtocolKind, n: usize, seed: u64) -> ConvergenceReport {
-    kind.scenario().run(&SweepPoint::new(n, seed))
-}
-
-/// Runs `trials_per_n` trials of `kind` for every size in `sizes`, in
-/// parallel on `runner`, and returns one summary per size.
-pub fn sweep_with(
-    kind: ProtocolKind,
-    runner: &BatchRunner,
-    sizes: &[usize],
-    trials_per_n: usize,
-    base_seed: u64,
-) -> Vec<BatchSummary> {
-    let grid = SweepGrid::new()
-        .sizes(sizes)
-        .trials(trials_per_n, base_seed);
-    kind.scenario().sweep_summaries(&grid, runner)
-}
-
-/// Like [`sweep_with`] with a default (all-cores) runner.
-pub fn sweep(
-    kind: ProtocolKind,
-    sizes: &[usize],
-    trials_per_n: usize,
-    base_seed: u64,
-) -> Vec<BatchSummary> {
-    sweep_with(kind, &BatchRunner::new(), sizes, trials_per_n, base_seed)
 }
 
 /// Converts per-size summaries into `(n, mean steps)` fitting points,
@@ -418,8 +457,7 @@ pub fn leader_count_trajectory(
 pub fn all_detect_scenario(
     max_steps_of: impl Fn(&SweepPoint) -> u64 + Send + Sync + 'static,
 ) -> Scenario {
-    use population::LeaderElection;
-    use ssle_core::{Mode, PplState};
+    use ssle_core::Mode;
     ScenarioBuilder::new("ppl/all-detect", |pt| Ppl::new(Params::for_ring(pt.n)))
         // All followers, clocks zero, no signals: the pure mode-determination
         // race of Lemma 3.7.
@@ -436,17 +474,10 @@ pub fn all_detect_scenario(
         .expect("complete scenario")
 }
 
-/// Measures, for experiment E7, the number of steps until every agent is in
-/// detection mode when starting from a leaderless configuration with no
-/// resetting signals.
-pub fn steps_until_all_detect(n: usize, seed: u64, max_steps: u64) -> ConvergenceReport {
-    all_detect_scenario(move |_pt| max_steps).run(&SweepPoint::new(n, seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use population::{Trial, TrialOutcome};
+    use population::{BatchRunner, ConvergenceReport, SweepGrid, Trial, TrialOutcome};
 
     #[test]
     fn protocol_kind_metadata_is_consistent() {
@@ -512,12 +543,56 @@ mod tests {
     fn small_trials_converge_for_every_protocol() {
         let n = 12;
         for kind in ProtocolKind::ALL {
-            let report = run_trial(kind, n, 3);
+            let report = kind.scenario().run(&SweepPoint::new(n, 3));
             assert!(
                 report.converged(),
                 "{} did not converge at n = {n}",
                 kind.name()
             );
+        }
+    }
+
+    #[test]
+    fn table1_scenarios_keep_their_names_stop_criteria_and_graphs() {
+        use crate::stabilization::{stab_scenario, variant_names, GridGraph};
+        let kinds = [
+            ProtocolKind::Ppl,
+            ProtocolKind::PplPaperConstants,
+            ProtocolKind::Yokota,
+            ProtocolKind::FischerJiang,
+            ProtocolKind::AngluinModK,
+        ];
+        let expected = |kind: ProtocolKind, variant: &str| match kind {
+            ProtocolKind::Ppl | ProtocolKind::PplPaperConstants => {
+                (format!("ppl/{variant}"), "s-pl")
+            }
+            ProtocolKind::Yokota => ("yokota-linear".to_string(), "yokota-safe"),
+            ProtocolKind::FischerJiang => ("fischer-jiang".to_string(), "fj-stable-unique-leader"),
+            ProtocolKind::AngluinModK => ("angluin-mod-k".to_string(), "mod-k-unique-defect"),
+        };
+        let graph_of = |s: &Scenario| format!("{:?}", s.graph_family());
+        for kind in kinds {
+            for (variant, variant_name) in variant_names(kind).into_iter().enumerate() {
+                let (name, stop) = expected(kind, variant_name);
+                for graph in GridGraph::ALL {
+                    let s = stab_scenario(kind, graph, variant, 1_000);
+                    assert_eq!(s.name(), name, "{}", kind.key());
+                    assert_eq!(s.stop_name(), stop, "{}", kind.key());
+                    assert_eq!(graph_of(&s), format!("{:?}", graph.family()));
+                }
+            }
+            let table1 = kind.scenario();
+            let (name, stop) = expected(kind, "uniform-random");
+            assert_eq!(table1.name(), name, "{}", kind.key());
+            assert_eq!(table1.stop_name(), stop, "{}", kind.key());
+            assert_eq!(
+                graph_of(&table1),
+                format!("{:?}", population::GraphFamily::DirectedRing)
+            );
+            let n = 16;
+            let pt = SweepPoint::new(n, 0x5EED);
+            let stab = stab_scenario(kind, GridGraph::Ring, 0, kind.trial_budget(n)).run(&pt);
+            assert_eq!(stab, table1.run(&pt), "{}", kind.key());
         }
     }
 
@@ -537,7 +612,10 @@ mod tests {
 
     #[test]
     fn sweeps_group_per_size_through_the_scenario_layer() {
-        let summaries = sweep(ProtocolKind::Ppl, &[8, 10], 2, 0xA11CE);
+        let grid = SweepGrid::new().sizes(&[8, 10]).trials(2, 0xA11CE);
+        let summaries = ProtocolKind::Ppl
+            .scenario()
+            .sweep_summaries(&grid, &BatchRunner::new());
         assert_eq!(summaries.len(), 2);
         assert_eq!(summaries[0].n, 8);
         assert_eq!(summaries[1].n, 10);
@@ -581,7 +659,7 @@ mod tests {
 
     #[test]
     fn all_detect_measurement_terminates() {
-        let report = steps_until_all_detect(8, 2, 50_000_000);
+        let report = all_detect_scenario(|_pt| 50_000_000).run(&SweepPoint::new(8, 2));
         assert!(report.converged());
         assert_eq!(report.criterion, "all-detect");
     }

@@ -33,24 +33,18 @@
 use std::sync::OnceLock;
 
 use analysis::json::JsonValue;
-use population::{
-    BatchRunner, Configuration, DynState, FaultKind, FaultPlan, LeaderElection, Scenario,
-    SweepPoint,
-};
+use population::{BatchRunner, Configuration, DynState, FaultKind, FaultPlan, SweepPoint};
 use ssle_adversary::{GraphSpec, SchedulerSpec};
-use ssle_baselines::{AngluinModK, FischerJiang, FjState, ModKState, YokotaLinear, YokotaState};
-use ssle_core::{InitialCondition, Params, Ppl, PplState};
 
 use crate::stabilization::{
     dyn_protocol, graph_spec_from_json, graph_spec_to_json, leader_delta_scorer, spec_from_json,
     spec_to_json,
 };
-use crate::stabilization::{grid_points, stab_budget, GridGraph, SCHEMA as STABILIZATION_SCHEMA};
-use crate::tracked::{point_spec, TrackedReport};
-use crate::{
-    angluin_builder, fischer_jiang_builder, ppl_builder, ppl_builder_with_params, yokota_builder,
-    ProtocolKind,
+use crate::stabilization::{
+    grid_points, stab_budget, stab_scenario, GridGraph, SCHEMA as STABILIZATION_SCHEMA,
 };
+use crate::tracked::{point_spec, TrackedReport};
+use crate::ProtocolKind;
 
 /// Schema tag of `BENCH_recovery.json`.
 ///
@@ -243,50 +237,6 @@ pub struct RecoveryCell {
     pub rows: Vec<RecoveryRow>,
 }
 
-/// The recovery scenario of one protocol × graph: the Table 1 stop criteria
-/// and check cadence (via the same unit builders every figure binary uses),
-/// built **hostile-ready** — a protocol-appropriate uniform corruption
-/// function *and* a leader target predicate, so plans carrying
-/// [`FaultKind::CorruptTargets`] events corrupt the current leader.
-pub fn recovery_scenario(kind: ProtocolKind, graph: GridGraph, budget: u64) -> Scenario {
-    let budget_fn = move |_pt: &SweepPoint| budget;
-    match kind {
-        ProtocolKind::Ppl => ppl_builder(InitialCondition::ALL[0])
-            .graph(graph.family())
-            .step_budget(budget_fn)
-            .corruption(|p: &Ppl, rng, _i| PplState::sample_uniform(rng, p.params()))
-            .fault_targets(|p: &Ppl, s, _i| p.is_leader(s))
-            .build(),
-        ProtocolKind::PplPaperConstants => {
-            ppl_builder_with_params(|pt| Params::paper_constants(pt.n), InitialCondition::ALL[0])
-                .graph(graph.family())
-                .step_budget(budget_fn)
-                .corruption(|p: &Ppl, rng, _i| PplState::sample_uniform(rng, p.params()))
-                .fault_targets(|p: &Ppl, s, _i| p.is_leader(s))
-                .build()
-        }
-        ProtocolKind::Yokota => yokota_builder()
-            .graph(graph.family())
-            .step_budget(budget_fn)
-            .corruption(|p: &YokotaLinear, rng, _i| YokotaState::sample_uniform(rng, p.cap()))
-            .fault_targets(|p: &YokotaLinear, s, _i| p.is_leader(s))
-            .build(),
-        ProtocolKind::FischerJiang => fischer_jiang_builder()
-            .graph(graph.family())
-            .step_budget(budget_fn)
-            .corruption(|_p: &FischerJiang, rng, _i| FjState::sample_uniform(rng))
-            .fault_targets(|p: &FischerJiang, s, _i| p.is_leader(s))
-            .build(),
-        ProtocolKind::AngluinModK => angluin_builder()
-            .graph(graph.family())
-            .step_budget(budget_fn)
-            .corruption(|p: &AngluinModK, rng, _i| ModKState::sample_uniform(rng, p.k()))
-            .fault_targets(|p: &AngluinModK, s, _i| p.is_leader(s))
-            .build(),
-    }
-    .expect("complete scenario")
-}
-
 /// Runs the fault-free preparation run of one cell under the uniformly
 /// random scheduler and returns the **safe configuration** it converged to
 /// (`None` if it censored — no safe configuration reached within the
@@ -298,7 +248,7 @@ pub fn safe_start(
     budget: u64,
     seed: u64,
 ) -> (Option<Configuration<DynState>>, u64) {
-    let run = recovery_scenario(kind, graph, budget).run_full(&SweepPoint::new(n, seed));
+    let run = stab_scenario(kind, graph, 0, budget).run_full(&SweepPoint::new(n, seed));
     let steps = run.report.converged_at.unwrap_or(budget);
     let safe = run.report.converged().then(|| run.sim.config().clone());
     (safe, steps)
@@ -321,7 +271,7 @@ pub fn replay(
     spec: Option<&SchedulerSpec>,
     seed: u64,
 ) -> (u64, bool) {
-    let mut scenario = recovery_scenario(kind, graph, budget)
+    let mut scenario = stab_scenario(kind, graph, 0, budget)
         .with_initial(safe.clone())
         .with_fault_plan(FaultPlan::new().at(0, fault));
     if let Some(spec) = spec {
@@ -1023,7 +973,7 @@ mod tests {
             "corrupting the leader must break safety at step 0"
         );
         // An untouched replay from the safe configuration is already safe.
-        let clean = recovery_scenario(kind, graph, budget)
+        let clean = stab_scenario(kind, graph, 0, budget)
             .with_initial(safe)
             .run(&SweepPoint::new(n, 0x22));
         assert_eq!(clean.converged_at, Some(0));

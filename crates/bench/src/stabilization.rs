@@ -65,19 +65,12 @@ use ssle_adversary::{
     GraphSpec, IslandConfig, IslandOutcome, SchedulerSpec, SearchSpace, SpecDomain,
 };
 use ssle_adversary::{FaultEventSpec, FaultPlacementSpec};
-use ssle_baselines::{
-    angluin_mod_k::{AngluinModK, ModKState},
-    fischer_jiang::{FischerJiang, FjState},
-    yokota_linear::{YokotaLinear, YokotaState},
-};
+use ssle_baselines::{AngluinModK, FischerJiang, YokotaLinear};
 use ssle_core::segments::segments;
 use ssle_core::{InitialCondition, Params, Ppl, PplState};
 
 use crate::tracked::{point_spec, TrackedReport};
-use crate::{
-    angluin_builder, fischer_jiang_builder, pick_k, ppl_builder, ppl_builder_with_params,
-    yokota_builder, ProtocolKind,
-};
+use crate::{pick_k, ProtocolKind};
 
 /// Schema identifier of `BENCH_stabilization.json`.
 ///
@@ -240,8 +233,9 @@ pub fn variant_names(kind: ProtocolKind) -> Vec<&'static str> {
 /// The stabilization scenario of one protocol × graph × variant, with an
 /// explicit step budget (the Table 1 stop criteria and check cadence, via
 /// the same builders the figure binaries use).  Every scenario is built
-/// **fault-ready** (a protocol-appropriate uniform corruption function, no
-/// plan), so fault-bearing candidates can attach their crash schedule with
+/// **fault-ready** — the protocol's uniform sampler as the corruption
+/// function and its leaders as the fault targets, no plan — so
+/// fault-bearing candidates can attach their crash schedule with
 /// `Scenario::with_fault_plan`.
 ///
 /// # Panics
@@ -253,47 +247,15 @@ pub fn stab_scenario(
     variant: usize,
     budget: u64,
 ) -> Scenario {
-    let budget_fn = move |_pt: &SweepPoint| budget;
-    match kind {
-        ProtocolKind::Ppl => ppl_builder(InitialCondition::ALL[variant])
-            .graph(graph.family())
-            .step_budget(budget_fn)
-            .corruption(|p: &Ppl, rng, _i| PplState::sample_uniform(rng, p.params()))
-            .build(),
-        ProtocolKind::PplPaperConstants => ppl_builder_with_params(
-            |pt| Params::paper_constants(pt.n),
-            InitialCondition::ALL[variant],
-        )
-        .graph(graph.family())
-        .step_budget(budget_fn)
-        .corruption(|p: &Ppl, rng, _i| PplState::sample_uniform(rng, p.params()))
-        .build(),
-        ProtocolKind::Yokota => {
-            assert_eq!(variant, 0, "yokota has one init variant");
-            yokota_builder()
-                .graph(graph.family())
-                .step_budget(budget_fn)
-                .corruption(|p: &YokotaLinear, rng, _i| YokotaState::sample_uniform(rng, p.cap()))
-                .build()
-        }
-        ProtocolKind::FischerJiang => {
-            assert_eq!(variant, 0, "fischer-jiang has one init variant");
-            fischer_jiang_builder()
-                .graph(graph.family())
-                .step_budget(budget_fn)
-                .corruption(|_p: &FischerJiang, rng, _i| FjState::sample_uniform(rng))
-                .build()
-        }
-        ProtocolKind::AngluinModK => {
-            assert_eq!(variant, 0, "angluin has one init variant");
-            angluin_builder()
-                .graph(graph.family())
-                .step_budget(budget_fn)
-                .corruption(|p: &AngluinModK, rng, _i| ModKState::sample_uniform(rng, p.k()))
-                .build()
-        }
-    }
-    .expect("complete scenario")
+    let variants = variant_names(kind).len();
+    assert!(
+        variant < variants,
+        "{} has {variants} init variant(s), not {variant}",
+        kind.key()
+    );
+    kind.table1_scenario(graph.family(), InitialCondition::ALL[variant], move |_pt| {
+        budget
+    })
 }
 
 /// The type-erased protocol instance of a [`ProtocolKind`] at size `n`
@@ -1179,18 +1141,26 @@ fn placement_to_json(obj: JsonValue, placement: FaultPlacementSpec) -> JsonValue
 }
 
 /// Reads a placement's kind tag and integer parameters back out of a JSON
-/// object, with the same exactness rules as every other integer field.
+/// object, with the same exactness rules as every other integer field.  A
+/// `count` or `limit` of zero is rejected too: such a burst corrupts nobody,
+/// and `FaultPlan::at` refuses it.
 fn placement_from_json(e: &JsonValue) -> Option<FaultPlacementSpec> {
-    let count = |e: &JsonValue| Some(exact_uint(e, "count", u32::MAX as u64)? as u32);
+    let positive = |name: &str| {
+        exact_uint(e, name, u32::MAX as u64)
+            .filter(|&v| v > 0)
+            .map(|v| v as u32)
+    };
     Some(match e.get("placement").and_then(JsonValue::as_str)? {
-        "random" => FaultPlacementSpec::Random { count: count(e)? },
+        "random" => FaultPlacementSpec::Random {
+            count: positive("count")?,
+        },
         "block" => FaultPlacementSpec::Block {
             start: exact_uint(e, "start", u32::MAX as u64)? as u32,
-            count: count(e)?,
+            count: positive("count")?,
         },
         "all" => FaultPlacementSpec::All,
         "targeted" => FaultPlacementSpec::Targeted {
-            limit: exact_uint(e, "limit", u32::MAX as u64)? as u32,
+            limit: positive("limit")?,
         },
         _ => return None,
     })
@@ -1644,11 +1614,12 @@ mod tests {
     }
 
     /// The tracked artifact's acceptance pin: the committed full-mode
-    /// `BENCH_stabilization.json` validates against the v3 schema, carries
+    /// `BENCH_stabilization.json` validates against the v4 schema, carries
     /// at least one **certified** livelock, and every certified cell's
     /// certificate is reproduced bit-exactly by re-running the certifier on
     /// the candidate rebuilt from the JSON text — the replay contract,
     /// extended from "same step count" to "same recurrence and closure".
+    /// The same file with one fault burst emptied must not validate.
     #[test]
     fn tracked_report_carries_a_replayable_certified_livelock() {
         let path = concat!(
@@ -1696,6 +1667,21 @@ mod tests {
         assert!(
             certified_cells >= 1,
             "the tracked report must certify at least one livelock"
+        );
+
+        // One fault burst's `count` set to 0 fails validation: replaying a
+        // burst that corrupts nobody would panic in `FaultPlan::at`.
+        let burst = text
+            .find("\"placement\":\"block\"")
+            .or_else(|| text.find("\"placement\":\"random\""))
+            .expect("the tracked report carries a counted fault burst");
+        let count = burst + text[burst..].find("\"count\":").unwrap() + "\"count\":".len();
+        let digits = text[count..].find(|c: char| !c.is_ascii_digit()).unwrap();
+        let zeroed = format!("{}0{}", &text[..count], &text[count + digits..]);
+        let zeroed = JsonValue::parse(&zeroed).expect("the edited report parses");
+        assert!(
+            validate_report(&zeroed).is_err(),
+            "a zero-count burst validated"
         );
     }
 
@@ -2082,6 +2068,18 @@ mod tests {
         assert_eq!(fault_spec_from_json(&event(JsonValue::Number(3.5))), None);
         assert_eq!(fault_spec_from_json(&event(JsonValue::Number(1e10))), None);
         assert!(fault_spec_from_json(&event(JsonValue::Number(17.0))).is_some());
+        // A burst that corrupts nobody is rejected, not replayed into a
+        // panicking `FaultPlan::at`.
+        let zero = |placement: &str, field: &str| {
+            JsonValue::Array(vec![JsonValue::object()
+                .with("at_step", "5")
+                .with("placement", placement)
+                .with("start", 0usize)
+                .with(field, 0usize)])
+        };
+        assert_eq!(fault_spec_from_json(&zero("random", "count")), None);
+        assert_eq!(fault_spec_from_json(&zero("block", "count")), None);
+        assert_eq!(fault_spec_from_json(&zero("targeted", "limit")), None);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //!
 //! The crate is **off by default** and deterministic by construction:
 //!
-//! * every handle ([`Counter`], [`Gauge`], [`Histogram`]) and every
-//!   [`emit`] checks one relaxed [`enabled`] load and returns immediately
-//!   when telemetry is off — no locks, no allocation, no I/O.  Telemetry
+//! * every [`Counter`] and every [`emit`] checks one relaxed [`enabled`]
+//!   load and returns immediately when telemetry is off — no locks, no
+//!   allocation, no I/O.  Telemetry
 //!   never draws from a simulation RNG and never mutates run state, so a
 //!   telemetry-off run is *bit-identical* to a build without the crate,
 //!   and a telemetry-on run produces the same results as a telemetry-off
@@ -43,7 +43,7 @@ pub mod validate;
 
 pub use digest::TraceDigest;
 pub use event::{run_scope, Event, RunScope};
-pub use metrics::{registry, Counter, Gauge, Histogram, Registry};
+pub use metrics::{registry, Counter, Registry};
 pub use sink::{emit, finish, install_file, install_memory, MemoryTrace};
 pub use validate::{validate_stream, StreamStats};
 
