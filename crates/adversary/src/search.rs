@@ -292,8 +292,8 @@ pub struct SearchOutcome {
     /// Total driver evaluations performed (excluding the pre-evaluated
     /// pool).
     pub evaluations: u32,
-    /// Annealing-chain statistics (acceptance behaviour and best-so-far
-    /// trajectory), exposed for telemetry and diagnostics.
+    /// Annealing-chain statistics (acceptance behaviour and final
+    /// temperature), exposed for telemetry and diagnostics.
     pub stats: SearchStats,
 }
 
@@ -311,8 +311,6 @@ pub struct SearchStats {
     pub rejected: u32,
     /// Temperature after the final iteration.
     pub final_temperature: f64,
-    /// Best-so-far score after each iteration (length = iterations).
-    pub best_trajectory: Vec<u64>,
 }
 
 /// Runs the annealing search.
@@ -406,7 +404,6 @@ where
         if current.steps > best.steps {
             best = current.clone();
         }
-        stats.best_trajectory.push(best.steps);
         temperature = (temperature * config.cooling).max(1.0);
     }
     stats.final_temperature = temperature;

@@ -18,7 +18,7 @@
 //! cargo run --release -p ssle-bench --bin livelock_audit -- --report BENCH_stabilization.json
 //! ```
 //!
-//! Exits non-zero on the first violated claim.
+//! Exits 1 on the first violated claim, and 2 on a usage error.
 
 use analysis::json::JsonValue;
 use population::{ExploreLimits, ExploreVerdict, SweepPoint};
@@ -39,6 +39,11 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
+fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut report = String::from("BENCH_stabilization.json");
     let mut args = std::env::args().skip(1);
@@ -46,13 +51,13 @@ fn main() {
         match arg.as_str() {
             "--report" => match args.next() {
                 Some(v) => report = v,
-                None => fail(&format!("--report requires a value\n{USAGE}")),
+                None => usage_error("--report requires a value"),
             },
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
             }
-            other => fail(&format!("unknown option {other:?}\n{USAGE}")),
+            other => usage_error(&format!("unknown option {other:?}")),
         }
     }
 

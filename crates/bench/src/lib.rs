@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod baseline_boxed;
 pub mod cli;
 pub mod hotloop;
 pub mod recovery;
@@ -477,7 +476,7 @@ pub fn all_detect_scenario(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use population::{BatchRunner, ConvergenceReport, SweepGrid, Trial, TrialOutcome};
+    use population::{BatchRunner, ConvergenceReport, Outcome, SweepGrid};
 
     #[test]
     fn protocol_kind_metadata_is_consistent() {
@@ -632,8 +631,8 @@ mod tests {
             },
             BatchSummary {
                 n: 16,
-                outcomes: vec![TrialOutcome {
-                    trial: Trial::new(16, 0),
+                outcomes: vec![Outcome {
+                    point: SweepPoint::new(16, 0),
                     report: ConvergenceReport {
                         converged_at: Some(100),
                         steps_executed: 100,

@@ -1,10 +1,10 @@
 //! The load-bearing guarantee of the Scenario redesign: the type-erased run
 //! path (`DynProtocol` + inline-slot `DynState`s + `AnyGraph`) produces
-//! **bit-identical** [`ConvergenceReport`]s to a static-dispatch reference
-//! run for every measurable protocol of Table 1, at two population sizes
-//! each — and (since the inline-slot change) to the preserved boxed
-//! representation, with bit-identical final states and leader-change
-//! tracking.
+//! **bit-identical** [`ConvergenceReport`]s and final states to a
+//! static-dispatch reference run for every measurable protocol of Table 1,
+//! at two population sizes each on the directed ring, and at one size on
+//! every graph of the tracked reports.  The incremental leader-change
+//! tracking is pinned bit-identical to a from-scratch recount.
 //!
 //! The reference runs below intentionally re-create the pre-Scenario
 //! plumbing (typed `Simulation` + `run_until`) by hand; if erasure ever
@@ -13,7 +13,7 @@
 
 use population::{
     downcast_config, slot, Configuration, ConvergenceReport, DirectedRing, DynState,
-    LeaderElection, Simulation, SweepPoint,
+    InteractionGraph, LeaderElection, Simulation, SweepPoint,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -22,62 +22,123 @@ use ssle_baselines::{
     fischer_jiang::{FischerJiang, FjState},
     yokota_linear::{YokotaLinear, YokotaState},
 };
-use ssle_bench::baseline_boxed::{downcast_boxed_config, BoxedProtocol, BoxedState};
+use ssle_bench::stabilization::GridGraph;
 use ssle_bench::{check_interval, pick_k, ProtocolKind, Table1Visitor};
-use ssle_core::{in_s_pl, init, InitialCondition, Params, Ppl, PplState};
+use ssle_core::{init, InitialCondition, Params, Ppl, PplState};
 
 const SIZES: [usize; 2] = [8, 13];
 const SEEDS: [u64; 2] = [3, 1_000_001];
 
-/// Static-dispatch reference for the Table 1 trial of `kind` — the shape of
-/// the deleted `run_*_trial` helpers, reproduced without any erasure.  The
-/// typed setup (protocol, initial configuration, stop criterion) comes from
+/// Static-dispatch reference for the Table 1 trial of `kind` on `graph`: the
+/// report, and whether its final states equal `erased_final`.  It has the
+/// shape of the deleted `run_*_trial` helpers, reproduced without any state
+/// erasure; the ring runs on the concrete `DirectedRing`, so the ring pins
+/// check `AnyGraph`'s dispatch too.  The typed setup (protocol, initial
+/// configuration, stop criterion) comes from
 /// [`ProtocolKind::with_table1_setup`], the single authoritative typed
 /// definition also used by the hot-loop benchmarks.
-fn reference_trial(kind: ProtocolKind, n: usize, seed: u64) -> ConvergenceReport {
-    struct TypedReference {
+fn reference_trial(
+    kind: ProtocolKind,
+    graph: GridGraph,
+    n: usize,
+    seed: u64,
+    erased_final: &Configuration<DynState>,
+) -> (ConvergenceReport, bool) {
+    struct TypedReference<'a> {
+        graph: GridGraph,
         n: usize,
         seed: u64,
         check: u64,
         budget: u64,
+        erased_final: &'a Configuration<DynState>,
     }
-    impl Table1Visitor for TypedReference {
-        type Output = ConvergenceReport;
+    impl TypedReference<'_> {
+        fn run<P, G, F>(
+            self,
+            protocol: P,
+            graph: G,
+            config: Configuration<P::State>,
+            stop: F,
+        ) -> (ConvergenceReport, bool)
+        where
+            P: LeaderElection + 'static,
+            G: InteractionGraph,
+            F: Fn(&P, &Configuration<P::State>) -> bool,
+        {
+            let mut sim = Simulation::new(protocol, graph, config, self.seed);
+            let report = sim.run_until(stop, self.check, self.budget);
+            let erased =
+                downcast_config::<P::State>(self.erased_final).expect("homogeneous states");
+            (report, erased.states() == sim.config().states())
+        }
+    }
+    impl Table1Visitor for TypedReference<'_> {
+        type Output = (ConvergenceReport, bool);
         fn visit<P, F>(
             self,
             protocol: P,
             config: Configuration<P::State>,
             stop: F,
-        ) -> ConvergenceReport
+        ) -> (ConvergenceReport, bool)
         where
             P: LeaderElection + 'static,
             P::State: std::any::Any,
             F: Fn(&P, &Configuration<P::State>) -> bool + Send + Sync + 'static,
         {
-            let mut sim = Simulation::new(
-                protocol,
-                DirectedRing::new(self.n).expect("n >= 2"),
-                config,
-                self.seed,
-            );
-            sim.run_until(stop, self.check, self.budget)
+            let n = self.n;
+            match self.graph {
+                GridGraph::Ring => {
+                    let ring = DirectedRing::new(n).expect("n >= 2");
+                    self.run(protocol, ring, config, stop)
+                }
+                graph => {
+                    let built = graph.family().build(n).expect("buildable graph");
+                    self.run(protocol, built, config, stop)
+                }
+            }
         }
     }
-    let mut report = kind.with_table1_setup(
+    let (mut report, states_match) = kind.with_table1_setup(
         n,
         seed,
         TypedReference {
+            graph,
             n,
             seed,
             check: check_interval(n),
             budget: kind.trial_budget(n),
+            erased_final,
         },
     );
     // `run_until` names its criterion "predicate"; the scenario names it
     // after the stop criterion.  Align the names so every *other* field must
     // match bit for bit.
     report.criterion = kind.scenario().stop_name().to_string().into();
-    report
+    (report, states_match)
+}
+
+/// Runs the erased Table 1 trial of `kind` on `graph` at `(n, seed)` and
+/// asserts that its report and final states equal the typed reference's;
+/// returns the report.
+fn assert_matches_reference(
+    kind: ProtocolKind,
+    graph: GridGraph,
+    n: usize,
+    seed: u64,
+) -> ConvergenceReport {
+    let run = kind
+        .scenario()
+        .with_graph(graph.family())
+        .run_full(&SweepPoint::new(n, seed));
+    let (reference, states_match) = reference_trial(kind, graph, n, seed, run.sim.config());
+    let label = format!(
+        "{} on {} at n = {n}, seed = {seed}",
+        kind.name(),
+        graph.key()
+    );
+    assert_eq!(run.report, reference, "{label}: report diverged");
+    assert!(states_match, "{label}: final states diverged");
+    run.report
 }
 
 /// The scheduler plumbing (PR 4) must not perturb the default path: a
@@ -121,19 +182,11 @@ fn boxed_random_scheduler_matches_the_fast_path_bit_for_bit() {
 #[test]
 fn dyn_erased_scenarios_match_static_dispatch_bit_for_bit() {
     for kind in ProtocolKind::ALL {
-        let scenario = kind.scenario();
         for n in SIZES {
             for seed in SEEDS {
-                let erased = scenario.run(&SweepPoint::new(n, seed));
-                let reference = reference_trial(kind, n, seed);
-                assert_eq!(
-                    erased,
-                    reference,
-                    "{} diverged from the static reference at n = {n}, seed = {seed}",
-                    kind.name()
-                );
+                let report = assert_matches_reference(kind, GridGraph::Ring, n, seed);
                 assert!(
-                    erased.converged(),
+                    report.converged(),
                     "{} should converge at n = {n} (otherwise the equivalence is vacuous)",
                     kind.name()
                 );
@@ -144,41 +197,23 @@ fn dyn_erased_scenarios_match_static_dispatch_bit_for_bit() {
 
 #[test]
 fn paper_constants_variant_also_matches() {
-    let kind = ProtocolKind::PplPaperConstants;
-    let scenario = kind.scenario();
     for n in SIZES {
-        let erased = scenario.run(&SweepPoint::new(n, 2));
-        let reference = reference_trial(kind, n, 2);
-        assert_eq!(erased, reference, "paper-constants diverged at n = {n}");
+        assert_matches_reference(ProtocolKind::PplPaperConstants, GridGraph::Ring, n, 2);
     }
 }
 
+/// Erasure matches static dispatch on every graph of the tracked reports,
+/// not only the ring: every Table 1 protocol at n = 16, censored runs
+/// included.
 #[test]
-fn erased_final_configurations_match_the_typed_ones() {
-    // Beyond the report: the final states themselves are identical.
-    let n = 8;
-    let seed = 5;
-    let params = Params::for_ring(n);
-    let config = init::generate(InitialCondition::UniformRandom, n, &params, seed);
-    let mut typed = Simulation::new(
-        Ppl::new(params),
-        DirectedRing::new(n).unwrap(),
-        config,
-        seed,
-    );
-    typed.run_until(
-        |_p, c: &Configuration<PplState>| in_s_pl(c, &params),
-        check_interval(n),
-        ProtocolKind::Ppl.trial_budget(n),
-    );
-
-    let run = ProtocolKind::Ppl
-        .scenario()
-        .run_full(&SweepPoint::new(n, seed));
-    let erased_config =
-        population::downcast_config::<PplState>(run.sim.config()).expect("PplState states");
-    assert_eq!(erased_config.states(), typed.config().states());
-    assert_eq!(run.sim.steps(), typed.steps());
+fn erased_scenarios_match_static_dispatch_on_every_grid_graph() {
+    for kind in ProtocolKind::ALL {
+        for graph in GridGraph::ALL {
+            for seed in SEEDS {
+                assert_matches_reference(kind, graph, 16, seed);
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -207,129 +242,6 @@ fn all_table1_states_take_the_inline_path() {
         yokota.cap()
     ))
     .is_inline());
-}
-
-/// Runs the Table 1 trial of a typed protocol through the **boxed** erased
-/// representation (`baseline_boxed`, the pre-inline-slot production path)
-/// and returns the report plus the final typed configuration.
-fn boxed_trial<P, F>(
-    protocol: P,
-    config: Configuration<P::State>,
-    seed: u64,
-    stop: F,
-    check_interval: u64,
-    budget: u64,
-) -> (ConvergenceReport, Configuration<P::State>)
-where
-    P: LeaderElection + 'static,
-    P::State: std::any::Any,
-    F: Fn(&Configuration<P::State>) -> bool,
-{
-    let n = config.len();
-    let boxed: Configuration<BoxedState> = config
-        .into_states()
-        .into_iter()
-        .map(BoxedState::new)
-        .collect();
-    let mut sim = Simulation::new(
-        BoxedProtocol::erase(protocol),
-        DirectedRing::new(n).expect("n >= 2"),
-        boxed,
-        seed,
-    );
-    let report = sim.run_until(
-        |_p, c: &Configuration<BoxedState>| {
-            stop(&downcast_boxed_config::<P::State>(c).expect("homogeneous states"))
-        },
-        check_interval,
-        budget,
-    );
-    let final_config = downcast_boxed_config::<P::State>(sim.config()).expect("homogeneous states");
-    (report, final_config)
-}
-
-/// Boxed-representation reference for one (kind, n, seed) trial: the report
-/// and whether the final states equal `erased_final`.  The typed setup comes
-/// from [`ProtocolKind::with_table1_setup`]; only the erased representation
-/// differs (heap boxes instead of inline slots).
-fn boxed_reference(
-    kind: ProtocolKind,
-    n: usize,
-    seed: u64,
-    erased_final: &Configuration<DynState>,
-) -> (ConvergenceReport, bool) {
-    struct BoxedReference<'a> {
-        seed: u64,
-        check: u64,
-        budget: u64,
-        erased_final: &'a Configuration<DynState>,
-    }
-    impl Table1Visitor for BoxedReference<'_> {
-        type Output = (ConvergenceReport, bool);
-        fn visit<P, F>(
-            self,
-            protocol: P,
-            config: Configuration<P::State>,
-            stop: F,
-        ) -> (ConvergenceReport, bool)
-        where
-            P: LeaderElection + 'static,
-            P::State: std::any::Any,
-            F: Fn(&P, &Configuration<P::State>) -> bool + Send + Sync + 'static,
-        {
-            let stop_protocol = protocol.clone();
-            let (report, final_config) = boxed_trial(
-                protocol,
-                config,
-                self.seed,
-                move |c| stop(&stop_protocol, c),
-                self.check,
-                self.budget,
-            );
-            let erased =
-                downcast_config::<P::State>(self.erased_final).expect("homogeneous states");
-            (report, erased.states() == final_config.states())
-        }
-    }
-    kind.with_table1_setup(
-        n,
-        seed,
-        BoxedReference {
-            seed,
-            check: check_interval(n),
-            budget: kind.trial_budget(n),
-            erased_final,
-        },
-    )
-}
-
-/// The inline-slot production path produces bit-identical reports *and*
-/// final states to the pre-inline boxed representation, for all four Table 1
-/// protocols × 2 sizes × 2 seeds.
-#[test]
-fn inline_slot_path_matches_the_boxed_reference_bit_for_bit() {
-    for kind in ProtocolKind::ALL {
-        let scenario = kind.scenario();
-        for n in SIZES {
-            for seed in SEEDS {
-                let run = scenario.run_full(&SweepPoint::new(n, seed));
-                let (mut boxed_report, states_match) =
-                    boxed_reference(kind, n, seed, run.sim.config());
-                boxed_report.criterion = scenario.stop_name().to_string().into();
-                assert_eq!(
-                    run.report,
-                    boxed_report,
-                    "{}: inline report diverged from boxed at n = {n}, seed = {seed}",
-                    kind.name()
-                );
-                assert!(
-                    states_match,
-                    "{}: inline final states diverged from boxed at n = {n}, seed = {seed}",
-                    kind.name()
-                );
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,48 +8,10 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use crate::convergence::ConvergenceReport;
+use crate::sweep::SweepPoint;
 
-/// A single trial: a population size and an RNG seed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Trial {
-    /// Population size.
-    pub n: usize,
-    /// RNG seed (drives both the initial configuration and the scheduler).
-    pub seed: u64,
-}
-
-impl Trial {
-    /// Creates a trial.
-    pub fn new(n: usize, seed: u64) -> Self {
-        Trial { n, seed }
-    }
-
-    /// Builds the standard trial grid: `trials_per_n` seeds for every `n`.
-    pub fn grid(sizes: &[usize], trials_per_n: usize, base_seed: u64) -> Vec<Trial> {
-        let mut out = Vec::with_capacity(sizes.len() * trials_per_n);
-        for (si, &n) in sizes.iter().enumerate() {
-            for t in 0..trials_per_n {
-                out.push(Trial::new(n, base_seed ^ ((si as u64) << 32) ^ t as u64));
-            }
-        }
-        out
-    }
-}
-
-/// Result of one trial.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TrialOutcome {
-    /// The trial parameters.
-    pub trial: Trial,
-    /// The convergence report returned by the per-trial closure.
-    pub report: ConvergenceReport,
-}
-
-/// Result of running one point of an arbitrary sweep (the generalization of
-/// [`TrialOutcome`] to any point type, e.g. [`crate::sweep::SweepPoint`]).
+/// Result of running one point of a sweep (e.g. a [`SweepPoint`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Outcome<T> {
     /// The sweep point that was run.
@@ -59,12 +21,12 @@ pub struct Outcome<T> {
 }
 
 /// Aggregated outcomes for a single population size.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BatchSummary {
     /// The population size shared by all outcomes in this summary.
     pub n: usize,
     /// Per-trial outcomes.
-    pub outcomes: Vec<TrialOutcome>,
+    pub outcomes: Vec<Outcome<SweepPoint>>,
 }
 
 impl BatchSummary {
@@ -97,21 +59,6 @@ impl BatchSummary {
         } else {
             Some(steps.iter().sum::<f64>() / steps.len() as f64)
         }
-    }
-
-    /// Median convergence steps over the converged trials.
-    pub fn median_steps(&self) -> Option<f64> {
-        let mut steps = self.convergence_steps();
-        if steps.is_empty() {
-            return None;
-        }
-        steps.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mid = steps.len() / 2;
-        Some(if steps.len() % 2 == 1 {
-            steps[mid]
-        } else {
-            (steps[mid - 1] + steps[mid]) / 2.0
-        })
     }
 
     /// Maximum convergence steps over the converged trials.
@@ -229,14 +176,14 @@ impl BatchRunner {
     }
 }
 
-/// Groups trial outcomes into one [`BatchSummary`] per population size in a
+/// Groups sweep outcomes into one [`BatchSummary`] per population size in a
 /// single pass, preserving the order in which sizes first appear and moving
 /// (not cloning) the outcomes.
-pub fn group_by_size(outcomes: Vec<TrialOutcome>) -> Vec<BatchSummary> {
+pub fn group_by_size(outcomes: Vec<Outcome<SweepPoint>>) -> Vec<BatchSummary> {
     let mut index: HashMap<usize, usize> = HashMap::new();
     let mut groups: Vec<BatchSummary> = Vec::new();
     for outcome in outcomes {
-        let n = outcome.trial.n;
+        let n = outcome.point.n;
         let slot = *index.entry(n).or_insert_with(|| {
             groups.push(BatchSummary {
                 n,
@@ -252,21 +199,7 @@ pub fn group_by_size(outcomes: Vec<TrialOutcome>) -> Vec<BatchSummary> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Runs `trials` through `run_one` and pairs each report with its trial.
-    fn run_trials<F>(runner: &BatchRunner, trials: &[Trial], run_one: F) -> Vec<TrialOutcome>
-    where
-        F: Fn(Trial) -> ConvergenceReport + Send + Sync,
-    {
-        runner
-            .run_points(trials, |t| run_one(*t))
-            .into_iter()
-            .map(|o| TrialOutcome {
-                trial: o.point,
-                report: o.report,
-            })
-            .collect()
-    }
+    use crate::sweep::SweepGrid;
 
     fn fake_report(converged_at: Option<u64>) -> ConvergenceReport {
         ConvergenceReport {
@@ -280,7 +213,7 @@ mod tests {
 
     #[test]
     fn trial_grid_covers_all_sizes_with_distinct_seeds() {
-        let trials = Trial::grid(&[8, 16, 32], 5, 42);
+        let trials = SweepGrid::new().sizes(&[8, 16, 32]).trials(5, 42).points();
         assert_eq!(trials.len(), 15);
         let mut seeds: Vec<u64> = trials.iter().map(|t| t.seed).collect();
         seeds.sort_unstable();
@@ -291,7 +224,7 @@ mod tests {
 
     #[test]
     fn runner_preserves_trial_order() {
-        let trials: Vec<Trial> = (0..50).map(|i| Trial::new(4, i)).collect();
+        let trials: Vec<SweepPoint> = (0..50).map(|i| SweepPoint::new(4, i)).collect();
         let runner = BatchRunner::with_threads(4);
         assert_eq!(runner.num_threads(), 4);
         let outcomes = runner.run_points(&trials, |t| fake_report(Some(t.seed * 10)));
@@ -305,23 +238,21 @@ mod tests {
     #[test]
     fn empty_trial_list_is_fine() {
         let runner = BatchRunner::with_threads(2);
-        let outcomes = runner.run_points(&[] as &[Trial], |_| fake_report(None));
+        let outcomes = runner.run_points(&[] as &[SweepPoint], |_| fake_report(None));
         assert!(outcomes.is_empty());
     }
 
     #[test]
     fn grouping_by_population_size() {
-        let trials = Trial::grid(&[8, 16], 3, 0);
+        let trials = SweepGrid::new().sizes(&[8, 16]).trials(3, 0).points();
         let runner = BatchRunner::with_threads(2);
-        let groups = group_by_size(run_trials(&runner, &trials, |t| {
-            fake_report(Some(t.n as u64 * 100))
-        }));
+        let groups =
+            group_by_size(runner.run_points(&trials, |t| fake_report(Some(t.n as u64 * 100))));
         assert_eq!(groups.len(), 2);
         assert_eq!(groups[0].n, 8);
         assert_eq!(groups[1].n, 16);
         assert_eq!(groups[0].outcomes.len(), 3);
         assert_eq!(groups[0].mean_steps(), Some(800.0));
-        assert_eq!(groups[1].median_steps(), Some(1600.0));
         assert_eq!(groups[1].max_steps(), Some(1600.0));
         assert_eq!(groups[0].converged_fraction(), 1.0);
     }
@@ -331,30 +262,28 @@ mod tests {
         let summary = BatchSummary {
             n: 8,
             outcomes: vec![
-                TrialOutcome {
-                    trial: Trial::new(8, 0),
+                Outcome {
+                    point: SweepPoint::new(8, 0),
                     report: fake_report(None),
                 },
-                TrialOutcome {
-                    trial: Trial::new(8, 1),
+                Outcome {
+                    point: SweepPoint::new(8, 1),
                     report: fake_report(Some(100)),
                 },
-                TrialOutcome {
-                    trial: Trial::new(8, 2),
+                Outcome {
+                    point: SweepPoint::new(8, 2),
                     report: fake_report(Some(300)),
                 },
             ],
         };
         assert_eq!(summary.converged_fraction(), 2.0 / 3.0);
         assert_eq!(summary.mean_steps(), Some(200.0));
-        assert_eq!(summary.median_steps(), Some(200.0));
         let empty = BatchSummary {
             n: 4,
             outcomes: vec![],
         };
         assert_eq!(empty.converged_fraction(), 0.0);
         assert_eq!(empty.mean_steps(), None);
-        assert_eq!(empty.median_steps(), None);
         assert_eq!(empty.max_steps(), None);
     }
 
@@ -366,7 +295,7 @@ mod tests {
 
     /// A deterministic stand-in for a real per-trial simulation: the outcome
     /// depends only on the trial's `(n, seed)`, like a seeded `Simulation`.
-    fn seeded_report(t: Trial) -> ConvergenceReport {
+    fn seeded_report(t: &SweepPoint) -> ConvergenceReport {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(t.seed ^ ((t.n as u64) << 17));
         let steps: u64 = rng.gen_range(1..10_000);
@@ -379,11 +308,10 @@ mod tests {
 
     #[test]
     fn outcomes_are_seed_deterministic_regardless_of_thread_count() {
-        let trials = Trial::grid(&[8, 16, 32], 20, 99);
-        let run = |t: &Trial| seeded_report(*t);
-        let serial = BatchRunner::with_threads(1).run_points(&trials, run);
+        let trials = SweepGrid::new().sizes(&[8, 16, 32]).trials(20, 99).points();
+        let serial = BatchRunner::with_threads(1).run_points(&trials, seeded_report);
         for threads in [2, 3, 8, 64] {
-            let parallel = BatchRunner::with_threads(threads).run_points(&trials, run);
+            let parallel = BatchRunner::with_threads(threads).run_points(&trials, seeded_report);
             assert_eq!(
                 serial, parallel,
                 "outcomes changed with {threads} worker threads"
@@ -393,20 +321,16 @@ mod tests {
 
     #[test]
     fn grouped_aggregation_matches_a_serial_run() {
-        let trials = Trial::grid(&[8, 16], 10, 7);
-        let groups = group_by_size(run_trials(
-            &BatchRunner::with_threads(4),
-            &trials,
-            seeded_report,
-        ));
+        let trials = SweepGrid::new().sizes(&[8, 16]).trials(10, 7).points();
+        let groups = group_by_size(BatchRunner::with_threads(4).run_points(&trials, seeded_report));
 
         // Aggregate the same trials by hand, without the runner.
         for group in &groups {
-            let expected: Vec<TrialOutcome> = trials
+            let expected: Vec<Outcome<SweepPoint>> = trials
                 .iter()
                 .filter(|t| t.n == group.n)
-                .map(|&t| TrialOutcome {
-                    trial: t,
+                .map(|t| Outcome {
+                    point: t.clone(),
                     report: seeded_report(t),
                 })
                 .collect();
@@ -470,11 +394,11 @@ mod tests {
     #[test]
     fn group_by_size_is_single_pass_and_order_preserving() {
         // Sizes interleaved: first-appearance order must be preserved.
-        let outcomes: Vec<TrialOutcome> = [16usize, 8, 16, 4, 8, 16]
+        let outcomes: Vec<Outcome<SweepPoint>> = [16usize, 8, 16, 4, 8, 16]
             .iter()
             .enumerate()
-            .map(|(i, &n)| TrialOutcome {
-                trial: Trial::new(n, i as u64),
+            .map(|(i, &n)| Outcome {
+                point: SweepPoint::new(n, i as u64),
                 report: fake_report(Some(i as u64)),
             })
             .collect();
@@ -491,31 +415,9 @@ mod tests {
             groups[0]
                 .outcomes
                 .iter()
-                .map(|o| o.trial.seed)
+                .map(|o| o.point.seed)
                 .collect::<Vec<_>>(),
             vec![0, 2, 5]
         );
-    }
-
-    #[test]
-    fn median_of_odd_number_of_trials() {
-        let summary = BatchSummary {
-            n: 8,
-            outcomes: vec![
-                TrialOutcome {
-                    trial: Trial::new(8, 0),
-                    report: fake_report(Some(10)),
-                },
-                TrialOutcome {
-                    trial: Trial::new(8, 1),
-                    report: fake_report(Some(1000)),
-                },
-                TrialOutcome {
-                    trial: Trial::new(8, 2),
-                    report: fake_report(Some(20)),
-                },
-            ],
-        };
-        assert_eq!(summary.median_steps(), Some(20.0));
     }
 }

@@ -46,11 +46,6 @@ impl ConvergenceReport {
         self.converged_at
             .expect("run did not converge within the step budget")
     }
-
-    /// Convergence time in parallel time units (steps / n).
-    pub fn parallel_convergence_time(&self, n: usize) -> Option<f64> {
-        self.converged_at.map(|s| s as f64 / n as f64)
-    }
 }
 
 #[cfg(test)]
@@ -68,7 +63,6 @@ mod tests {
         };
         assert!(r.converged());
         assert_eq!(r.convergence_step(), 500);
-        assert_eq!(r.parallel_convergence_time(100), Some(5.0));
 
         let nr = ConvergenceReport {
             converged_at: None,
@@ -78,7 +72,6 @@ mod tests {
             criterion: "x".into(),
         };
         assert!(!nr.converged());
-        assert_eq!(nr.parallel_convergence_time(100), None);
     }
 
     #[test]

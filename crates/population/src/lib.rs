@@ -92,9 +92,7 @@ pub mod sweep;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::agent::AgentId;
-    pub use crate::batch::{
-        group_by_size, BatchRunner, BatchSummary, Outcome, Trial, TrialOutcome,
-    };
+    pub use crate::batch::{group_by_size, BatchRunner, BatchSummary, Outcome};
     pub use crate::config::Configuration;
     pub use crate::convergence::ConvergenceReport;
     pub use crate::error::{PopulationError, Result};

@@ -78,7 +78,7 @@ use std::sync::Arc;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::batch::{group_by_size, BatchRunner, BatchSummary, Outcome, TrialOutcome};
+use crate::batch::{group_by_size, BatchRunner, BatchSummary, Outcome};
 use crate::config::Configuration;
 use crate::convergence::ConvergenceReport;
 use crate::error::{PopulationError, Result};
@@ -1292,23 +1292,16 @@ impl Scenario {
     /// Use [`Scenario::sweep`] and group by the axis values yourself (as the
     /// `fig_kappa` binary does for its `c1` axis).
     pub fn sweep_summaries(&self, grid: &SweepGrid, runner: &BatchRunner) -> Vec<BatchSummary> {
-        group_by_size(
-            self.sweep(grid, runner)
-                .into_iter()
-                .map(|o| {
-                    assert!(
-                        o.point.values().is_empty(),
-                        "sweep_summaries would conflate the value axes {:?}; \
-                         use Scenario::sweep and group by axis value instead",
-                        o.point.values().iter().map(|(k, _)| k).collect::<Vec<_>>()
-                    );
-                    TrialOutcome {
-                        trial: o.point.trial(),
-                        report: o.report,
-                    }
-                })
-                .collect(),
-        )
+        let outcomes = self.sweep(grid, runner);
+        for o in &outcomes {
+            assert!(
+                o.point.values().is_empty(),
+                "sweep_summaries would conflate the value axes {:?}; \
+                 use Scenario::sweep and group by axis value instead",
+                o.point.values().iter().map(|(k, _)| k).collect::<Vec<_>>()
+            );
+        }
+        group_by_size(outcomes)
     }
 
     /// Leader-count trajectory of one run, sampled every `sample_every`
@@ -2948,7 +2941,7 @@ mod tests {
 
     #[test]
     fn deterministic_scheduler_exhaustion_is_a_typed_error() {
-        // Regression: Scheduler::remaining / ScheduleExhausted used to be
+        // Regression: ScheduleExhausted used to be
         // unreachable from the erased path.  A three-interaction sequence
         // under a larger budget must surface the typed error, not panic or
         // silently truncate.

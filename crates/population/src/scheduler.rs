@@ -24,11 +24,6 @@ pub trait Scheduler<G: InteractionGraph>: Send {
     /// once their sequence runs out; the random scheduler never fails.
     fn next_interaction<R: Rng + ?Sized>(&mut self, graph: &G, rng: &mut R) -> Result<Interaction>;
 
-    /// Number of interactions remaining, if bounded.
-    fn remaining(&self) -> Option<u64> {
-        None
-    }
-
     /// The scheduler's deterministic phase, if it has one: a value that,
     /// together with the current configuration, determines the distribution
     /// of every future choice.  Periodic schedulers return their step counter
@@ -79,16 +74,6 @@ impl SequenceScheduler {
             cursor: 0,
         }
     }
-
-    /// Number of interactions already dispensed.
-    pub fn dispensed(&self) -> usize {
-        self.cursor
-    }
-
-    /// Returns `true` once every interaction has been dispensed.
-    pub fn is_exhausted(&self) -> bool {
-        self.cursor >= self.interactions.len()
-    }
 }
 
 impl<G: InteractionGraph> Scheduler<G> for SequenceScheduler {
@@ -105,10 +90,6 @@ impl<G: InteractionGraph> Scheduler<G> for SequenceScheduler {
         let interaction = self.interactions[self.cursor];
         self.cursor += 1;
         Ok(interaction)
-    }
-
-    fn remaining(&self) -> Option<u64> {
-        Some((self.interactions.len() - self.cursor) as u64)
     }
 }
 
@@ -162,7 +143,6 @@ mod tests {
             let e = sched.next_interaction(&ring, &mut rng).unwrap();
             assert!(ring.is_arc(e.initiator().index(), e.responder().index()));
         }
-        assert_eq!(Scheduler::<DirectedRing>::remaining(&sched), None);
     }
 
     #[test]
@@ -187,13 +167,10 @@ mod tests {
         let seq = InteractionSeq::seq_r(0, 4, 4);
         let mut sched = SequenceScheduler::new(seq.clone());
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        assert_eq!(Scheduler::<DirectedRing>::remaining(&sched), Some(4));
         for expected in seq.iter() {
             let got = sched.next_interaction(&ring, &mut rng).unwrap();
             assert_eq!(&got, expected);
         }
-        assert!(sched.is_exhausted());
-        assert_eq!(sched.dispensed(), 4);
         let err = sched.next_interaction(&ring, &mut rng).unwrap_err();
         assert!(matches!(
             err,

@@ -1,14 +1,11 @@
 //! Multi-axis sweep grids.
 //!
-//! Convergence experiments historically swept the hard-coded pair
-//! `(population size, seed)` ([`crate::batch::Trial`]).  Real experiment
-//! matrices also vary protocol constants (the `κ_max = c₁ψ` ablation), fault
-//! rates, graph families and so on.  [`SweepGrid`] generalizes the grid to an
-//! arbitrary cartesian product of axes and yields [`SweepPoint`]s: a size, a
-//! derived seed, and any number of named parameter values that scenario
-//! factories can read back with [`SweepPoint::value`].
-
-use crate::batch::Trial;
+//! Experiment matrices vary the population size and the seed, and also
+//! protocol constants (the `κ_max = c₁ψ` ablation), fault rates, graph
+//! families and so on.  [`SweepGrid`] is an arbitrary cartesian product of
+//! axes and yields [`SweepPoint`]s: a size, a derived seed, and any number of
+//! named parameter values that scenario factories can read back with
+//! [`SweepPoint::value`].
 
 /// One axis of a sweep grid.
 #[derive(Clone, Debug, PartialEq)]
@@ -70,26 +67,13 @@ impl SweepPoint {
     pub fn values(&self) -> &[(String, f64)] {
         &self.values
     }
-
-    /// The classic `(n, seed)` pair of this point.
-    pub fn trial(&self) -> Trial {
-        Trial::new(self.n, self.seed)
-    }
-}
-
-impl From<Trial> for SweepPoint {
-    fn from(t: Trial) -> Self {
-        SweepPoint::new(t.n, t.seed)
-    }
 }
 
 /// A cartesian product of sweep axes.
 ///
-/// Seeds are derived exactly like [`Trial::grid`] — `base_seed` XOR the size
-/// index shifted into bits 32.., XOR the repetition index — with the combined
-/// index of any extra [`SweepAxis::Values`] axes shifted into bits 40.., so a
-/// grid with only sizes and trials produces byte-identical seeds to the
-/// historical `Trial::grid`.
+/// The seed of a point is `base_seed ^ (size_index << 32) ^ trial`, with the
+/// combined index of any extra [`SweepAxis::Values`] axes XORed in at bit 40
+/// (`^ (value_index << 40)`).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SweepGrid {
     sizes: Vec<usize>,
@@ -154,9 +138,8 @@ impl SweepGrid {
         self.num_points() == 0
     }
 
-    /// Materializes every point of the grid, sizes outermost (matching the
-    /// ordering of [`Trial::grid`]), then value-axis combinations, then
-    /// repetitions innermost.
+    /// Materializes every point of the grid, sizes outermost, then
+    /// value-axis combinations, then repetitions innermost.
     pub fn points(&self) -> Vec<SweepPoint> {
         let mut out = Vec::with_capacity(self.num_points());
         let combos = self.value_combinations();
@@ -200,15 +183,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn size_and_trial_grid_matches_the_classic_trial_grid() {
-        let grid = SweepGrid::new().sizes(&[8, 16, 32]).trials(5, 42);
-        let points = grid.points();
-        let trials = Trial::grid(&[8, 16, 32], 5, 42);
-        assert_eq!(points.len(), trials.len());
-        for (p, t) in points.iter().zip(&trials) {
-            assert_eq!(p.trial(), *t);
-            assert!(p.values().is_empty());
+    fn size_and_trial_seeds_are_frozen() {
+        let points = SweepGrid::new().sizes(&[8, 16, 32]).trials(5, 42).points();
+        let mut expected = Vec::new();
+        for (size_index, n) in [8usize, 16, 32].into_iter().enumerate() {
+            for trial in 0..5u64 {
+                expected.push(SweepPoint::new(n, 42 ^ ((size_index as u64) << 32) ^ trial));
+            }
         }
+        assert_eq!(points, expected);
+        assert_eq!(points[5].seed, 0x1_0000_002A);
+        assert_eq!(points[14].seed, 0x2_0000_002E);
+        let valued = SweepGrid::new()
+            .sizes(&[8])
+            .trials(2, 42)
+            .axis("x", &[1.0, 2.0]);
+        assert_eq!(valued.points()[3].seed, 42 ^ (1 << 40) ^ 1);
     }
 
     #[test]
@@ -271,7 +261,5 @@ mod tests {
         assert_eq!(p.n, 8);
         assert_eq!(p.seed, 3);
         assert_eq!(p.value("rate"), Some(0.5));
-        let from_trial = SweepPoint::from(Trial::new(4, 1));
-        assert_eq!(from_trial.trial(), Trial::new(4, 1));
     }
 }
