@@ -18,8 +18,8 @@
 //!
 //! The binary is `ssle_bench::hotloop::Report` driven by
 //! `ssle_bench::tracked`, which owns the flags (`--help` prints them) and
-//! the self-validation against the `hotloop-bench/v2` schema, exiting
-//! non-zero on any mismatch.
+//! the self-validation against the `hotloop-bench/v2` schema before the
+//! report replaces `<out>`, exiting non-zero on any mismatch.
 
 fn main() {
     ssle_bench::tracked::main::<ssle_bench::hotloop::Report>();

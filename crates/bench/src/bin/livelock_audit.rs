@@ -5,12 +5,12 @@
 //!    stabilizes, with worst-case optimal recovery in 11 interactions over
 //!    1498 reachable configurations.  Pins the explicit-state explorer
 //!    end to end, independent of any artifact.
-//! 2. **Certificate audit** — parses a committed `BENCH_stabilization.json`
-//!    (v4), validates it against the schema, and **re-certifies** every cell
-//!    that carries a livelock certificate: the candidate is rebuilt from the
-//!    JSON text and replayed through the recurrence detector and phase
-//!    closure, and the reproduced certificate must match the artifact
-//!    bit-exactly.  At least one certified cell is required — the audit
+//! 2. **Certificate audit** — decodes a committed `BENCH_stabilization.json`
+//!    (v4) into typed cells through the report's validator, and
+//!    **re-certifies** every cell that carries a livelock certificate: the
+//!    cell's worst-case candidate, decoded from the JSON text, is replayed
+//!    through the recurrence detector and phase closure, and the reproduced
+//!    certificate must match the artifact bit-exactly.  At least one certified cell is required — the audit
 //!    exists to keep the committed livelock claims checkable.
 //!
 //! ```text
@@ -22,11 +22,11 @@
 
 use analysis::json::JsonValue;
 use population::{ExploreLimits, ExploreVerdict, SweepPoint};
-use ssle_bench::stabilization::GridGraph;
 use ssle_bench::stabilization::{
-    certificate_candidate, certified_from_json, certify_cell, stab_budget, stab_scenario,
-    validate_report, ESCALATION_STEP_CEILING,
+    certify_cell, stab_budget, stab_scenario, validate_report, GridGraph, Report,
+    ESCALATION_STEP_CEILING,
 };
+use ssle_bench::tracked::{point_name, TrackedReport};
 use ssle_bench::ProtocolKind;
 
 const USAGE: &str = "\
@@ -90,47 +90,23 @@ fn main() {
         .unwrap_or_else(|e| fail(&format!("cannot read {report}: {e}")));
     let parsed = JsonValue::parse(&text)
         .unwrap_or_else(|e| fail(&format!("{report} does not parse as JSON: {e}")));
-    if let Err(e) = validate_report(&parsed) {
-        fail(&format!("{report} violates the schema: {e}"));
-    }
-    let cells = parsed
-        .get("cells")
-        .and_then(JsonValue::as_array)
-        .unwrap_or_else(|| fail(&format!("{report} has no cells array")));
+    let cells = validate_report(&parsed)
+        .unwrap_or_else(|e| fail(&format!("{report} violates the schema: {e}")));
     let mut certified = 0usize;
-    for cell in cells {
-        let cert_json = cell
-            .get("worst")
-            .and_then(|w| w.get("certified"))
-            .unwrap_or_else(|| fail("cell without worst.certified (v4 requires it)"));
-        let Some(expected) = certified_from_json(cert_json)
-            .unwrap_or_else(|| fail("cell with a malformed worst.certified"))
-        else {
+    for cell in &cells {
+        let Some(expected) = cell.certified else {
             continue;
         };
-        let key = |f: &str| cell.get(f).and_then(JsonValue::as_str).unwrap_or("");
-        let ctx = format!(
-            "{}/{}/{}",
-            key("protocol"),
-            key("graph"),
-            cell.get("n").and_then(JsonValue::as_f64).unwrap_or(0.0)
-        );
-        let kind = *ProtocolKind::ALL
-            .iter()
-            .find(|k| k.key() == key("protocol"))
-            .unwrap_or_else(|| fail(&format!("{ctx}: unknown protocol")));
-        let graph = *GridGraph::ALL
-            .iter()
-            .find(|g| g.key() == key("graph"))
-            .unwrap_or_else(|| fail(&format!("{ctx}: unknown graph")));
-        let n = cell.get("n").and_then(JsonValue::as_f64).unwrap_or(0.0) as usize;
-        let budget = cell
-            .get("budget")
-            .and_then(JsonValue::as_f64)
-            .unwrap_or(0.0) as u64;
-        let candidate = certificate_candidate(kind, cell)
-            .unwrap_or_else(|| fail(&format!("{ctx}: certificate candidate does not rebuild")));
-        match certify_cell(kind, graph, n, budget, ESCALATION_STEP_CEILING, &candidate) {
+        let (kind, graph, n) = Report::point(cell);
+        let ctx = point_name((kind, graph, n));
+        match certify_cell(
+            kind,
+            graph,
+            n,
+            cell.budget,
+            ESCALATION_STEP_CEILING,
+            &cell.worst,
+        ) {
             Some(again) if again == expected => {
                 certified += 1;
                 println!(

@@ -29,11 +29,13 @@
 //!
 //! The binary is `ssle_bench::recovery::Report` driven by
 //! `ssle_bench::tracked`, which owns the flags (`--help` prints them; no
-//! `--islands` here) and the self-validation: after writing, the file is
-//! re-read, parsed and checked against the `recovery-bench/v2` schema —
-//! grid completeness, summary ranges, censoring consistency, and
-//! degradation-ratio arithmetic for every cell — exiting non-zero on any
-//! mismatch.
+//! `--islands` here) and the self-validation: the report is written to
+//! `<out>.partial`, re-read, decoded cell by cell (each derived field,
+//! such as the degradation ratio, must equal its re-derivation) and
+//! checked against the `recovery-bench/v2` schema — grid completeness,
+//! summary ranges and censoring consistency for every cell — and only then
+//! renamed onto `<out>`; on any mismatch `<out>` stays as it was and the
+//! binary exits non-zero.
 
 fn main() {
     ssle_bench::tracked::main::<ssle_bench::recovery::Report>();

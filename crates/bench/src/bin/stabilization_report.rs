@@ -33,10 +33,12 @@
 //!
 //! The binary is `ssle_bench::stabilization::Report` driven by
 //! `ssle_bench::tracked`, which owns the flags (`--help` prints them) and
-//! the self-validation: after writing, the file is re-read, parsed and
-//! checked against the `stabilization-bench/v4` schema — including
-//! `worst ≥ mean`, a well-formed adaptive rate curve and a consistent
-//! `certified` field for every cell — exiting non-zero on any mismatch.
+//! the self-validation: the report is written to `<out>.partial`, re-read,
+//! decoded cell by cell and checked against the `stabilization-bench/v4`
+//! schema — including `worst ≥ mean`, a well-formed adaptive rate curve
+//! and a consistent `certified` field for every cell — and only then
+//! renamed onto `<out>`; on any mismatch `<out>` stays as it was and the
+//! binary exits non-zero.
 
 fn main() {
     ssle_bench::tracked::main::<ssle_bench::stabilization::Report>();

@@ -24,7 +24,9 @@ use population::{
 };
 
 use crate::stabilization::GridGraph;
-use crate::tracked::{point_spec, TrackedReport};
+use crate::tracked::{
+    check_grid, decode_cells, point_name, point_spec, Fields, Point, TrackedReport,
+};
 use crate::{ProtocolKind, Table1Visitor};
 
 /// Schema identifier of `BENCH_hotloop.json`.
@@ -43,10 +45,10 @@ pub const GRAPHS: [GridGraph; 2] = [GridGraph::Ring, GridGraph::Complete];
 /// The measured throughput of one case of the grid.
 #[derive(Clone, Debug)]
 pub struct CaseResult {
-    /// Protocol key ([`ProtocolKind::key`]).
-    pub protocol: &'static str,
-    /// Graph key ([`GridGraph::key`]).
-    pub graph: &'static str,
+    /// Protocol.
+    pub kind: ProtocolKind,
+    /// Interaction graph.
+    pub graph: GridGraph,
     /// Population size.
     pub n: usize,
     /// Erased-path throughput, in steps/second.
@@ -162,11 +164,11 @@ impl TrackedReport for Report {
     const SCHEMA: &'static str = SCHEMA;
     const JOB: &'static str = "hotloop-case";
     const STEM: &'static str = "BENCH_hotloop";
+    const CELL: &'static str = "case";
     const THREADS: bool = false;
     const ISLANDS: bool = false;
 
     type Options = bool;
-    type Point = (ProtocolKind, GridGraph, usize);
     type Cell = CaseResult;
 
     fn options(quick: bool, _threads: Option<usize>, _islands: Option<u32>) -> bool {
@@ -175,7 +177,7 @@ impl TrackedReport for Report {
 
     /// The same grid in both modes, so quick and full reports share one
     /// schema.
-    fn grid(_quick: &bool) -> Vec<Self::Point> {
+    fn grid(_quick: &bool) -> Vec<Point> {
         ProtocolKind::ALL
             .into_iter()
             .flat_map(|kind| {
@@ -186,14 +188,14 @@ impl TrackedReport for Report {
             .collect()
     }
 
-    fn unit_spec((kind, graph, n): Self::Point, &quick: &bool) -> JsonValue {
+    fn unit_spec((kind, graph, n): Point, &quick: &bool) -> JsonValue {
         point_spec::<Self>(kind, graph.key(), n, quick)
     }
 
     /// Measures one case: `quick` takes a single short sample (CI smoke);
     /// full mode reports the median of three samples to damp scheduler
     /// noise.
-    fn run_cell((kind, graph, n): Self::Point, &quick: &bool, _runner: &BatchRunner) -> CaseResult {
+    fn run_cell((kind, graph, n): Point, &quick: &bool, _runner: &BatchRunner) -> CaseResult {
         let budget = budget_secs(quick);
         let samples = if quick { 1 } else { 3 };
         let mut rates: Vec<f64> = (0..samples)
@@ -201,30 +203,43 @@ impl TrackedReport for Report {
             .collect();
         rates.sort_by(f64::total_cmp);
         CaseResult {
-            protocol: kind.key(),
-            graph: graph.key(),
+            kind,
+            graph,
             n,
             steps_per_sec: rates[rates.len() / 2],
         }
     }
 
+    fn point(c: &CaseResult) -> Point {
+        (c.kind, c.graph, c.n)
+    }
+
     fn cell_to_json(c: &CaseResult) -> JsonValue {
         JsonValue::object()
-            .with("protocol", c.protocol)
-            .with("graph", c.graph)
+            .with("protocol", c.kind.key())
+            .with("graph", c.graph.key())
             .with("n", c.n)
             .with("steps_per_sec", c.steps_per_sec)
     }
 
-    fn assemble(&quick: &bool, cases: Vec<JsonValue>) -> JsonValue {
+    fn cell_from_json(json: &JsonValue) -> Result<CaseResult, String> {
+        let (case, (kind, graph, n)) = Fields::open(json, Self::CELL)?;
+        Ok(CaseResult {
+            kind,
+            graph,
+            n,
+            steps_per_sec: case.float("steps_per_sec")?,
+        })
+    }
+
+    fn header(&quick: &bool) -> JsonValue {
         JsonValue::object()
             .with("schema", SCHEMA)
             .with("quick", quick)
             .with("budget_secs", budget_secs(quick))
-            .with("cases", JsonValue::Array(cases))
     }
 
-    fn validate(json: &JsonValue) -> Result<(), String> {
+    fn validate(json: &JsonValue) -> Result<Vec<CaseResult>, String> {
         validate_report(json)
     }
 
@@ -240,70 +255,36 @@ impl TrackedReport for Report {
         for c in cases {
             out.push_str(&format!(
                 "| {} | {} | {} | {:.0} |\n",
-                c.protocol, c.graph, c.n, c.steps_per_sec
+                c.kind.key(),
+                c.graph.key(),
+                c.n,
+                c.steps_per_sec
             ));
         }
         out
     }
 }
 
-/// The fields of every case, in emission order.
-const CASE_FIELDS: [&str; 4] = ["protocol", "graph", "n", "steps_per_sec"];
-
-/// Validates a parsed `BENCH_hotloop.json` against the expected schema:
-/// schema tag, and one case per protocol × graph × size of the grid, in
-/// grid order, with exactly the fields `protocol`, `graph`, `n` and a
-/// positive `steps_per_sec`.  Returns a description of the first violation.
-pub fn validate_report(json: &JsonValue) -> Result<(), String> {
-    if json.get("schema").and_then(JsonValue::as_str) != Some(SCHEMA) {
-        return Err(format!("missing or wrong schema tag (want {SCHEMA:?})"));
+/// Validates a parsed `BENCH_hotloop.json` against the expected schema and
+/// returns its cases: schema tag, a positive `budget_secs`, and one case
+/// per protocol × graph × size of the grid, in grid order, each exactly
+/// the encoding of a decoded case ([`decode_cells`]) with a positive
+/// `steps_per_sec`.  Returns a description of the first violation.
+pub fn validate_report(json: &JsonValue) -> Result<Vec<CaseResult>, String> {
+    let cases = decode_cells::<Report>(json)?;
+    let header = Fields::new(json, "report");
+    header.bool("quick")?;
+    if header.float("budget_secs")? <= 0.0 {
+        return Err("budget_secs non-positive".into());
     }
-    if json
-        .get("budget_secs")
-        .and_then(JsonValue::as_f64)
-        .is_none_or(|s| s <= 0.0)
-    {
-        return Err("budget_secs missing or non-positive".into());
-    }
-    let cases = json
-        .get("cases")
-        .and_then(JsonValue::as_array)
-        .ok_or("cases array missing")?;
-    let grid = Report::grid(&true);
-    if cases.len() != grid.len() {
+    check_grid::<Report>(&cases, &Report::grid(&true))?;
+    if let Some(c) = cases.iter().find(|c| c.steps_per_sec <= 0.0) {
         return Err(format!(
-            "expected {} cases, found {}",
-            grid.len(),
-            cases.len()
+            "case {}: steps_per_sec non-positive",
+            point_name(Report::point(c))
         ));
     }
-    for (case, (kind, graph, n)) in cases.iter().zip(grid) {
-        let name = format!("{}/{}/{n}", kind.key(), graph.key());
-        let JsonValue::Object(entries) = case else {
-            return Err(format!("case {name}: not an object"));
-        };
-        if !entries.iter().map(|(k, _)| k.as_str()).eq(CASE_FIELDS) {
-            return Err(format!(
-                "case {name}: fields must be exactly {CASE_FIELDS:?}"
-            ));
-        }
-        if case.get("protocol").and_then(JsonValue::as_str) != Some(kind.key())
-            || case.get("graph").and_then(JsonValue::as_str) != Some(graph.key())
-            || case.get("n").and_then(JsonValue::as_f64) != Some(n as f64)
-        {
-            return Err(format!("case {name} missing or out of grid order"));
-        }
-        if case
-            .get("steps_per_sec")
-            .and_then(JsonValue::as_f64)
-            .is_none_or(|v| v <= 0.0)
-        {
-            return Err(format!(
-                "case {name}: steps_per_sec missing or non-positive"
-            ));
-        }
-    }
-    Ok(())
+    Ok(cases)
 }
 
 #[cfg(test)]
@@ -327,13 +308,13 @@ mod tests {
         let cases = Report::grid(&true)
             .into_iter()
             .map(|(kind, graph, n)| CaseResult {
-                protocol: kind.key(),
-                graph: graph.key(),
+                kind,
+                graph,
                 n,
                 steps_per_sec: 2.0e7,
             })
             .collect::<Vec<_>>();
-        let json = Report::assemble(&true, cases.iter().map(Report::cell_to_json).collect());
+        let json = Report::assemble(&true, &cases);
         let text = json.to_json();
         let parsed = JsonValue::parse(&text).expect("emitted JSON parses");
         validate_report(&parsed).expect("schema validates");
@@ -341,7 +322,7 @@ mod tests {
         // A case with a field beyond the four does not validate.
         let mut extra = cases.iter().map(Report::cell_to_json).collect::<Vec<_>>();
         extra[3] = extra[3].clone().with("speedup", 2.0);
-        let v1_shaped = Report::assemble(&true, extra);
+        let v1_shaped = Report::header(&true).with("cases", JsonValue::Array(extra));
         assert!(validate_report(&v1_shaped).is_err());
     }
 

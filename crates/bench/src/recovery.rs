@@ -34,16 +34,15 @@ use std::sync::OnceLock;
 
 use analysis::json::JsonValue;
 use population::{BatchRunner, Configuration, DynState, FaultKind, FaultPlan, SweepPoint};
-use ssle_adversary::{GraphSpec, SchedulerSpec};
+use ssle_adversary::SchedulerSpec;
 
 use crate::stabilization::{
-    dyn_protocol, graph_spec_from_json, graph_spec_to_json, leader_delta_scorer, spec_from_json,
-    spec_to_json,
+    self, dyn_protocol, graph_spec_to_json, grid_points, leader_delta_scorer, spec_from_json,
+    spec_to_json, stab_budget, stab_scenario, CellResult, GridGraph,
 };
-use crate::stabilization::{
-    grid_points, stab_budget, stab_scenario, GridGraph, SCHEMA as STABILIZATION_SCHEMA,
+use crate::tracked::{
+    check_grid, decode_cells, point_name, point_spec, Fields, Point, TrackedReport, MAX_EXACT,
 };
-use crate::tracked::{point_spec, TrackedReport};
 use crate::ProtocolKind;
 
 /// Schema tag of `BENCH_recovery.json`.
@@ -188,34 +187,42 @@ pub struct RecoverySummary {
     pub censored: bool,
 }
 
-/// One fault row of a cell: the uniform-scheduler pool, the hostile pool
-/// (when the cell has a hostile certificate) and their degradation ratio.
+/// One fault row of a cell: the uniform-scheduler pool and the hostile
+/// pool (when the cell has a hostile certificate).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryRow {
-    /// The fault shape ([`FaultRow::key`]).
-    pub fault: &'static str,
-    /// Agents corrupted ([`FaultRow::extent`]).
-    pub extent: usize,
+    /// The fault shape.
+    pub fault: FaultRow,
     /// Recovery under the uniformly random scheduler.
     pub uniform: RecoverySummary,
     /// Recovery under the cell's hostile scheduler, if one was lifted.
     pub hostile: Option<RecoverySummary>,
+}
+
+impl RecoveryRow {
     /// `hostile.mean_steps / uniform.mean_steps`, when the hostile pool ran
     /// and the uniform mean is positive (instant uniform recovery leaves
     /// the ratio undefined).
-    pub degradation: Option<f64>,
+    pub fn degradation(&self) -> Option<f64> {
+        let hostile = self.hostile.as_ref()?;
+        (self.uniform.mean_steps > 0.0).then(|| hostile.mean_steps / self.uniform.mean_steps)
+    }
+
+    /// `true` iff any pool of this row censored.
+    pub fn censored(&self) -> bool {
+        self.uniform.censored || self.hostile.as_ref().is_some_and(|h| h.censored)
+    }
 }
 
 /// One measured cell of the recovery grid.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryCell {
-    /// Protocol report key.
-    pub protocol: &'static str,
-    /// Graph report key.
-    pub graph: &'static str,
-    /// Structural spec of the cell's topology (family parameters and seed),
-    /// mirroring the stabilization grid's per-cell `graph_spec`.
-    pub graph_spec: GraphSpec,
+    /// Protocol.
+    pub kind: ProtocolKind,
+    /// Interaction graph; the artifact pins its exact topology
+    /// ([`GridGraph::spec`]) as `graph_spec`, mirroring the stabilization
+    /// grid.
+    pub graph: GridGraph,
     /// Population size.
     pub n: usize,
     /// Per-replay step budget ([`stab_budget`] of the cell).
@@ -290,39 +297,24 @@ pub fn replay(
 /// [`CERTIFICATE_SIZE`].  `None` when that certificate's scheduler is the
 /// uniformly random one (a hostile pool would just re-measure the uniform
 /// one) or when the artifact carries no such cell.
+///
+/// # Panics
+///
+/// Panics with the validator's error if the committed artifact does not
+/// validate: a report lifted from a broken certificate would be wrong
+/// without a trace.
 pub fn hostile_spec(kind: ProtocolKind, graph: GridGraph) -> Option<SchedulerSpec> {
-    static HOSTILE: OnceLock<Vec<(String, String, SchedulerSpec)>> = OnceLock::new();
-    let table = HOSTILE.get_or_init(|| {
-        let Ok(parsed) = JsonValue::parse(STABILIZATION_ARTIFACT) else {
-            return Vec::new();
-        };
-        if parsed.get("schema").and_then(JsonValue::as_str) != Some(STABILIZATION_SCHEMA) {
-            return Vec::new();
-        }
-        let Some(cells) = parsed.get("cells").and_then(JsonValue::as_array) else {
-            return Vec::new();
-        };
-        cells
-            .iter()
-            .filter_map(|cell| {
-                let n = cell.get("n").and_then(JsonValue::as_f64)?;
-                if n as usize != CERTIFICATE_SIZE {
-                    return None;
-                }
-                let protocol = cell
-                    .get("protocol")
-                    .and_then(JsonValue::as_str)?
-                    .to_string();
-                let graph = cell.get("graph").and_then(JsonValue::as_str)?.to_string();
-                let spec = spec_from_json(cell.get("worst")?.get("spec")?)?;
-                (!spec.is_random()).then_some((protocol, graph, spec))
-            })
-            .collect()
+    static CERTIFICATES: OnceLock<Vec<CellResult>> = OnceLock::new();
+    let cells = CERTIFICATES.get_or_init(|| {
+        JsonValue::parse(STABILIZATION_ARTIFACT)
+            .and_then(|json| stabilization::validate_report(&json))
+            .unwrap_or_else(|e| panic!("the committed BENCH_stabilization.json is invalid: {e}"))
     });
-    table
+    cells
         .iter()
-        .find(|(p, g, _)| p == kind.key() && g == graph.key())
-        .map(|(_, _, s)| s.clone())
+        .find(|c| (c.kind, c.graph, c.n) == (kind, graph, CERTIFICATE_SIZE))
+        .map(|c| c.worst.spec.clone())
+        .filter(|spec| !spec.is_random())
 }
 
 /// The deterministic base seed of one grid cell (a different stream than
@@ -393,25 +385,17 @@ pub fn run_cell(
                     });
                     summarize(&outcomes)
                 };
-                let uniform = pool(0, None);
-                let hostile = hostile.as_ref().map(|spec| pool(1, Some(spec)));
-                let degradation = hostile.as_ref().and_then(|h| {
-                    (uniform.mean_steps > 0.0).then(|| h.mean_steps / uniform.mean_steps)
-                });
                 RecoveryRow {
-                    fault: row.key(),
-                    extent: row.extent(n),
-                    uniform,
-                    hostile,
-                    degradation,
+                    fault: row,
+                    uniform: pool(0, None),
+                    hostile: hostile.as_ref().map(|spec| pool(1, Some(spec))),
                 }
             })
             .collect(),
     };
     RecoveryCell {
-        protocol: kind.key(),
-        graph: graph.key(),
-        graph_spec: graph.spec(),
+        kind,
+        graph,
         n,
         budget,
         trials: options.trials,
@@ -432,14 +416,15 @@ fn summary_to_json(s: &RecoverySummary) -> JsonValue {
 }
 
 /// Serializes one measured cell to its report JSON object — the **single
-/// definition** of the cell encoding, called by [`crate::tracked::run`]
-/// for every measured cell, cached or not, so `--resume` reports are
-/// byte-identical by construction.
+/// definition** of the cell encoding, from which [`crate::tracked::run`]
+/// assembles every report; [`cell_from_json`] is its exact inverse.
+/// `graph_spec`, the hostile `scheduler` key and each row's `extent` and
+/// `degradation` are derived from the cell.
 pub fn cell_to_json(c: &RecoveryCell) -> JsonValue {
     JsonValue::object()
-        .with("protocol", c.protocol)
-        .with("graph", c.graph)
-        .with("graph_spec", graph_spec_to_json(c.graph_spec))
+        .with("protocol", c.kind.key())
+        .with("graph", c.graph.key())
+        .with("graph_spec", graph_spec_to_json(c.graph.spec()))
         .with("n", c.n)
         .with("budget", c.budget as f64)
         .with("trials", c.trials)
@@ -464,8 +449,8 @@ pub fn cell_to_json(c: &RecoveryCell) -> JsonValue {
                     .iter()
                     .map(|r| {
                         JsonValue::object()
-                            .with("fault", r.fault)
-                            .with("extent", r.extent)
+                            .with("fault", r.fault.key())
+                            .with("extent", r.fault.extent(c.n))
                             .with("uniform", summary_to_json(&r.uniform))
                             .with(
                                 "hostile",
@@ -476,15 +461,59 @@ pub fn cell_to_json(c: &RecoveryCell) -> JsonValue {
                             )
                             .with(
                                 "degradation",
-                                match r.degradation {
-                                    None => JsonValue::Null,
-                                    Some(d) => JsonValue::Number(d),
-                                },
+                                r.degradation().map_or(JsonValue::Null, JsonValue::Number),
                             )
                     })
                     .collect(),
             ),
         )
+}
+
+/// Decodes one cell from its [`cell_to_json`] form, every field exactly
+/// ([`Fields`]).  The derived fields are not read: [`decode_cell`] requires
+/// the decoded cell to re-encode to the identical JSON.
+///
+/// [`decode_cell`]: crate::tracked::decode_cell
+pub fn cell_from_json(json: &JsonValue) -> Result<RecoveryCell, String> {
+    let (cell, (kind, graph, n)) = Fields::open(json, Report::CELL)?;
+    let summary = |s: Fields| {
+        Ok::<_, String>(RecoverySummary {
+            mean_steps: s.float("mean_steps")?,
+            max_steps: s.uint("max_steps", MAX_EXACT)?,
+            converged_fraction: s.fraction("converged_fraction")?,
+            censored: s.bool("censored")?,
+        })
+    };
+    let rows = cell
+        .items("rows")?
+        .into_iter()
+        .map(|row| {
+            let fault = row.str("fault")?;
+            Ok(RecoveryRow {
+                fault: FaultRow::ALL
+                    .into_iter()
+                    .find(|r| r.key() == fault)
+                    .ok_or_else(|| row.err("fault", "names no fault row"))?,
+                uniform: summary(row.object("uniform")?)?,
+                hostile: row.nullable("hostile")?.map(summary).transpose()?,
+            })
+        })
+        .collect::<Result<_, String>>()?;
+    Ok(RecoveryCell {
+        kind,
+        graph,
+        n,
+        budget: cell.uint("budget", MAX_EXACT)?,
+        trials: cell.size("trials")?,
+        safe_seed: cell.u64_string("safe_seed")?,
+        safe_start: cell.bool("safe_start")?,
+        safe_steps: cell.uint("safe_steps", MAX_EXACT)?,
+        hostile_spec: cell
+            .nullable("hostile")?
+            .map(|hostile| hostile.decode("spec", spec_from_json))
+            .transpose()?,
+        rows,
+    })
 }
 
 /// The recovery-degradation report (`recovery_report`,
@@ -498,11 +527,11 @@ impl TrackedReport for Report {
     const SCHEMA: &'static str = SCHEMA;
     const JOB: &'static str = "recovery-cell";
     const STEM: &'static str = "BENCH_recovery";
+    const CELL: &'static str = "cell";
     const THREADS: bool = true;
     const ISLANDS: bool = false;
 
     type Options = RunOptions;
-    type Point = (ProtocolKind, GridGraph, usize);
     type Cell = RecoveryCell;
 
     fn options(quick: bool, threads: Option<usize>, _islands: Option<u32>) -> RunOptions {
@@ -516,30 +545,38 @@ impl TrackedReport for Report {
         options.threads
     }
 
-    fn grid(options: &RunOptions) -> Vec<Self::Point> {
+    fn grid(options: &RunOptions) -> Vec<Point> {
         grid_points(&options.sizes)
     }
 
     /// The cell coordinates plus the knobs that are part of the result's
     /// identity (`threads` excluded, so the cache key is
     /// thread-count-invariant).
-    fn unit_spec((kind, graph, n): Self::Point, options: &RunOptions) -> JsonValue {
+    fn unit_spec((kind, graph, n): Point, options: &RunOptions) -> JsonValue {
         point_spec::<Self>(kind, graph.key(), n, options.quick).with("trials", options.trials)
     }
 
     fn run_cell(
-        (kind, graph, n): Self::Point,
+        (kind, graph, n): Point,
         options: &RunOptions,
         runner: &BatchRunner,
     ) -> RecoveryCell {
         run_cell(kind, graph, n, options, runner)
     }
 
+    fn point(cell: &RecoveryCell) -> Point {
+        (cell.kind, cell.graph, cell.n)
+    }
+
     fn cell_to_json(cell: &RecoveryCell) -> JsonValue {
         cell_to_json(cell)
     }
 
-    fn assemble(options: &RunOptions, cells: Vec<JsonValue>) -> JsonValue {
+    fn cell_from_json(json: &JsonValue) -> Result<RecoveryCell, String> {
+        cell_from_json(json)
+    }
+
+    fn header(options: &RunOptions) -> JsonValue {
         JsonValue::object()
             .with("schema", SCHEMA)
             .with("quick", options.quick)
@@ -558,10 +595,9 @@ impl TrackedReport for Report {
                 "fault_rows",
                 JsonValue::Array(FaultRow::ALL.iter().map(|r| r.key().into()).collect()),
             )
-            .with("cells", JsonValue::Array(cells))
     }
 
-    fn validate(json: &JsonValue) -> Result<(), String> {
+    fn validate(json: &JsonValue) -> Result<Vec<RecoveryCell>, String> {
         validate_report(json)
     }
 
@@ -572,13 +608,19 @@ impl TrackedReport for Report {
         )
     }
 
-    fn closing_note(json: &JsonValue) -> Option<String> {
-        Some(match max_degradation(json) {
-            Some(best) => format!("max degradation ratio (hostile/uniform): {best:.3}"),
-            None => "note: no cell carries a degradation ratio in this run \
+    /// The largest degradation ratio of the run — the acceptance metric
+    /// (the tracked report must exceed 1: the certificate-lifted scheduler
+    /// degrades recovery somewhere).
+    fn closing_note(cells: &[RecoveryCell]) -> Option<String> {
+        let rows = cells.iter().flat_map(|c| &c.rows);
+        Some(
+            match rows.filter_map(RecoveryRow::degradation).reduce(f64::max) {
+                Some(best) => format!("max degradation ratio (hostile/uniform): {best:.3}"),
+                None => "note: no cell carries a degradation ratio in this run \
                      (no hostile certificate applied, or uniform recovery was instant)"
-                .to_string(),
-        })
+                    .to_string(),
+            },
+        )
     }
 
     fn markdown(cells: &[RecoveryCell]) -> String {
@@ -590,7 +632,9 @@ impl TrackedReport for Report {
             if !c.safe_start {
                 out.push_str(&format!(
                     "| {} | {} | {} | - | - | - | - | - | no safe configuration |\n",
-                    c.protocol, c.graph, c.n
+                    c.kind.key(),
+                    c.graph.key(),
+                    c.n
                 ));
                 continue;
             }
@@ -601,17 +645,17 @@ impl TrackedReport for Report {
                     .map(|h| format!("{:.3e}", h.mean_steps))
                     .unwrap_or_else(|| "-".to_string());
                 let degradation = r
-                    .degradation
+                    .degradation()
                     .map(|d| format!("{d:.2}x"))
                     .unwrap_or_else(|| "-".to_string());
                 let censored = r.censored();
                 out.push_str(&format!(
                     "| {} | {} | {} | {} | {} | {:.3e} | {} | {} | {} |\n",
-                    c.protocol,
-                    c.graph,
+                    c.kind.key(),
+                    c.graph.key(),
                     c.n,
-                    r.fault,
-                    r.extent,
+                    r.fault.key(),
+                    r.fault.extent(c.n),
                     r.uniform.mean_steps,
                     hostile,
                     degradation,
@@ -623,234 +667,102 @@ impl TrackedReport for Report {
     }
 }
 
-impl RecoveryRow {
-    /// `true` iff any pool of this row censored.
-    pub fn censored(&self) -> bool {
-        self.uniform.censored || self.hostile.as_ref().is_some_and(|h| h.censored)
+impl RecoverySummary {
+    /// The summary invariants: means and maxima within the budget, the
+    /// maximum at least the mean, the censoring flag consistent with the
+    /// converged fraction.
+    fn check(&self, budget: u64, what: &str) -> Result<(), String> {
+        let (mean, max, fraction) = (self.mean_steps, self.max_steps, self.converged_fraction);
+        if !(0.0..=budget as f64).contains(&mean) {
+            return Err(format!("{what}: mean_steps {mean} outside [0, {budget}]"));
+        }
+        if max > budget || (max as f64) < mean {
+            return Err(format!(
+                "{what}: max_steps {max} inconsistent with mean {mean}"
+            ));
+        }
+        if self.censored != (fraction < 1.0) {
+            return Err(format!(
+                "{what}: censored={} contradicts converged_fraction={fraction}",
+                self.censored
+            ));
+        }
+        Ok(())
     }
 }
 
-fn check_summary(s: &JsonValue, budget: f64, what: &str) -> Result<(), String> {
-    let mean = s
-        .get("mean_steps")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("{what}: mean_steps missing"))?;
-    let max = s
-        .get("max_steps")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("{what}: max_steps missing"))?;
-    let fraction = s
-        .get("converged_fraction")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("{what}: converged_fraction missing"))?;
-    let censored = s
-        .get("censored")
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| format!("{what}: censored missing"))?;
-    if !(0.0..=budget).contains(&mean) {
-        return Err(format!("{what}: mean_steps {mean} outside [0, {budget}]"));
-    }
-    if !(0.0..=budget).contains(&max) || max < mean {
-        return Err(format!(
-            "{what}: max_steps {max} inconsistent with mean {mean}"
-        ));
-    }
-    if !(0.0..=1.0).contains(&fraction) {
-        return Err(format!(
-            "{what}: converged_fraction {fraction} outside [0, 1]"
-        ));
-    }
-    if censored != (fraction < 1.0) {
-        return Err(format!(
-            "{what}: censored={censored} contradicts converged_fraction={fraction}"
-        ));
-    }
-    Ok(())
-}
-
-/// Validates a parsed `BENCH_recovery.json` against the expected schema:
-/// schema tag, one cell per protocol × graph × size in grid order, fault
+/// Validates a parsed `BENCH_recovery.json` against the expected schema
+/// and returns its cells: schema tag and exactly decoded cells
+/// ([`decode_cells`]), a header with at least one trial and exact sizes,
+/// one cell per protocol × graph × declared size in grid order, and per
+/// cell the report's trial count, a positive budget holding the
+/// preparation run, a non-random hostile spec where there is one, fault
 /// rows in [`FaultRow::ALL`] order (absent exactly when `safe_start` is
-/// false), well-formed summaries (means and maxima within the budget,
-/// fractions in `[0, 1]`, the censoring flag consistent with the converged
-/// fraction), a parseable non-random hostile spec wherever `hostile` is
-/// non-null, hostile row summaries present iff the cell has one, and the
-/// degradation ratio present (and consistent with the two means) exactly
-/// where it is defined.  Returns a description of the first violation.
-pub fn validate_report(json: &JsonValue) -> Result<(), String> {
-    if json.get("schema").and_then(JsonValue::as_str) != Some(SCHEMA) {
-        return Err(format!("missing or wrong schema tag (want {SCHEMA:?})"));
-    }
-    json.get("quick")
-        .and_then(JsonValue::as_bool)
-        .ok_or("quick missing")?;
-    let trials = json
-        .get("trials")
-        .and_then(JsonValue::as_f64)
-        .ok_or("trials missing")?;
-    if trials < 1.0 {
+/// false) with well-formed summaries, and hostile row summaries present
+/// iff the cell has a hostile scheduler.  Returns a description of the
+/// first violation.
+pub fn validate_report(json: &JsonValue) -> Result<Vec<RecoveryCell>, String> {
+    let cells = decode_cells::<Report>(json)?;
+    let header = Fields::new(json, "report");
+    header.bool("quick")?;
+    let trials = header.size("trials")?;
+    if trials < 1 {
         return Err(format!("trials {trials} below 1"));
     }
-    let sizes: Vec<usize> = json
-        .get("sizes")
-        .and_then(JsonValue::as_array)
-        .ok_or("sizes missing")?
-        .iter()
-        .map(|v| v.as_f64().map(|x| x as usize))
-        .collect::<Option<_>>()
-        .ok_or("sizes must be numbers")?;
-    let expected = grid_points(&sizes);
-    let cells = json
-        .get("cells")
-        .and_then(JsonValue::as_array)
-        .ok_or("cells missing")?;
-    if cells.len() != expected.len() {
+    let sizes = header.uints("sizes", MAX_EXACT)?;
+    let sizes: Vec<usize> = sizes.into_iter().map(|n| n as usize).collect();
+    check_grid::<Report>(&cells, &grid_points(&sizes))?;
+    for cell in &cells {
+        validate_cell(cell, trials)
+            .map_err(|e| format!("cell {}: {e}", point_name(Report::point(cell))))?;
+    }
+    Ok(cells)
+}
+
+/// The per-cell invariants of [`validate_report`].
+fn validate_cell(c: &RecoveryCell, trials: usize) -> Result<(), String> {
+    if c.budget < 1 {
+        return Err(format!("budget {} below 1", c.budget));
+    }
+    if c.trials != trials {
+        return Err("cell trials disagree with the report".to_string());
+    }
+    if c.safe_steps > c.budget {
+        return Err(format!("safe_steps {} outside the budget", c.safe_steps));
+    }
+    if c.hostile_spec
+        .as_ref()
+        .is_some_and(SchedulerSpec::is_random)
+    {
+        return Err("a random hostile scheduler is degenerate".to_string());
+    }
+    // The fault rows, in order — or none where no safe configuration was
+    // reached.
+    let expected: &[FaultRow] = if c.safe_start { &FaultRow::ALL } else { &[] };
+    if !c.rows.iter().map(|r| r.fault).eq(expected.iter().copied()) {
         return Err(format!(
-            "expected {} cells for the declared sizes, found {}",
-            expected.len(),
-            cells.len()
+            "fault rows must be {:?} when safe_start={}",
+            expected.iter().map(|r| r.key()).collect::<Vec<_>>(),
+            c.safe_start
         ));
     }
-    for (cell, (kind, graph, n)) in cells.iter().zip(expected) {
-        let name = format!("{}/{}/{n}", kind.key(), graph.key());
-        if cell.get("protocol").and_then(JsonValue::as_str) != Some(kind.key())
-            || cell.get("graph").and_then(JsonValue::as_str) != Some(graph.key())
-            || cell.get("n").and_then(JsonValue::as_f64) != Some(n as f64)
-        {
-            return Err(format!("cell out of grid order (expected {name})"));
-        }
-        if cell.get("graph_spec").and_then(graph_spec_from_json) != Some(graph.spec()) {
-            return Err(format!(
-                "{name}: graph_spec missing or disagrees with the grid topology"
-            ));
-        }
-        let budget = cell
-            .get("budget")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("{name}: budget missing"))?;
-        if budget < 1.0 {
-            return Err(format!("{name}: budget {budget} below 1"));
-        }
-        if cell.get("trials").and_then(JsonValue::as_f64) != Some(trials) {
-            return Err(format!("{name}: cell trials disagree with the report"));
-        }
-        cell.get("safe_seed")
-            .and_then(JsonValue::as_str)
-            .and_then(|s| s.parse::<u64>().ok())
-            .ok_or_else(|| format!("{name}: safe_seed is not an exact decimal u64"))?;
-        let safe_start = cell
-            .get("safe_start")
-            .and_then(JsonValue::as_bool)
-            .ok_or_else(|| format!("{name}: safe_start missing"))?;
-        let safe_steps = cell
-            .get("safe_steps")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("{name}: safe_steps missing"))?;
-        if !(0.0..=budget).contains(&safe_steps) {
-            return Err(format!(
-                "{name}: safe_steps {safe_steps} outside the budget"
-            ));
-        }
-        let hostile = cell
-            .get("hostile")
-            .ok_or_else(|| format!("{name}: hostile missing"))?;
-        let has_hostile = !matches!(hostile, JsonValue::Null);
-        if has_hostile {
-            let spec = hostile
-                .get("spec")
-                .and_then(spec_from_json)
-                .ok_or_else(|| format!("{name}: hostile spec does not parse"))?;
-            if spec.is_random() {
-                return Err(format!("{name}: a random hostile scheduler is degenerate"));
+    for row in &c.rows {
+        let name = row.fault.key();
+        row.uniform.check(c.budget, &format!("{name}/uniform"))?;
+        match &row.hostile {
+            Some(hostile) if c.hostile_spec.is_some() => {
+                hostile.check(c.budget, &format!("{name}/hostile"))?;
             }
-            if hostile.get("scheduler").and_then(JsonValue::as_str) != Some(spec.key().as_str()) {
-                return Err(format!("{name}: hostile scheduler key disagrees with spec"));
-            }
-        }
-        let rows = cell
-            .get("rows")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| format!("{name}: rows missing"))?;
-        if !safe_start {
-            if !rows.is_empty() {
-                return Err(format!("{name}: rows present despite safe_start=false"));
-            }
-            continue;
-        }
-        if rows.len() != FaultRow::ALL.len() {
-            return Err(format!(
-                "{name}: expected {} fault rows, found {}",
-                FaultRow::ALL.len(),
-                rows.len()
-            ));
-        }
-        for (row, expected_row) in rows.iter().zip(FaultRow::ALL) {
-            let rname = format!("{name}/{}", expected_row.key());
-            if row.get("fault").and_then(JsonValue::as_str) != Some(expected_row.key()) {
-                return Err(format!("{rname}: fault rows out of order"));
-            }
-            if row.get("extent").and_then(JsonValue::as_f64) != Some(expected_row.extent(n) as f64)
-            {
-                return Err(format!("{rname}: extent disagrees with the fault shape"));
-            }
-            let uniform = row
-                .get("uniform")
-                .ok_or_else(|| format!("{rname}: uniform summary missing"))?;
-            check_summary(uniform, budget, &format!("{rname}/uniform"))?;
-            let hostile_row = row
-                .get("hostile")
-                .ok_or_else(|| format!("{rname}: hostile summary missing"))?;
-            if matches!(hostile_row, JsonValue::Null) == has_hostile {
+            None if c.hostile_spec.is_none() => {}
+            _ => {
                 return Err(format!(
-                    "{rname}: hostile summary must be present iff the cell has a \
+                    "{name}: hostile summary must be present iff the cell has a \
                      hostile scheduler"
-                ));
-            }
-            let degradation = row
-                .get("degradation")
-                .ok_or_else(|| format!("{rname}: degradation missing"))?;
-            let uniform_mean = uniform.get("mean_steps").and_then(JsonValue::as_f64);
-            match (has_hostile, uniform_mean) {
-                (true, Some(u)) if u > 0.0 => {
-                    let d = degradation
-                        .as_f64()
-                        .ok_or_else(|| format!("{rname}: degradation must be a number"))?;
-                    let h = hostile_row
-                        .get("mean_steps")
-                        .and_then(JsonValue::as_f64)
-                        .ok_or_else(|| format!("{rname}: hostile mean missing"))?;
-                    let expected = h / u;
-                    if !d.is_finite() || (d - expected).abs() > expected.abs() * 1e-9 + 1e-12 {
-                        return Err(format!(
-                            "{rname}: degradation {d} disagrees with hostile/uniform \
-                             = {expected}"
-                        ));
-                    }
-                }
-                _ => {
-                    if !matches!(degradation, JsonValue::Null) {
-                        return Err(format!(
-                            "{rname}: degradation must be null without a hostile pool \
-                             and a positive uniform mean"
-                        ));
-                    }
-                }
+                ))
             }
         }
     }
     Ok(())
-}
-
-/// The largest degradation ratio anywhere in a parsed report, if any cell
-/// carries one — the acceptance metric (the tracked report must exceed 1:
-/// the certificate-lifted scheduler degrades recovery somewhere).
-pub fn max_degradation(json: &JsonValue) -> Option<f64> {
-    let cells = json.get("cells").and_then(JsonValue::as_array)?;
-    cells
-        .iter()
-        .flat_map(|c| c.get("rows").and_then(JsonValue::as_array).unwrap_or(&[]))
-        .filter_map(|r| r.get("degradation").and_then(JsonValue::as_f64))
-        .fold(None, |acc, d| Some(acc.map_or(d, |a: f64| a.max(d))))
 }
 
 #[cfg(test)]
@@ -877,57 +789,36 @@ mod tests {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
         let text = std::fs::read_to_string(path).expect("tracked report exists");
         let parsed = JsonValue::parse(&text).expect("tracked report parses");
-        validate_report(&parsed).expect("tracked report validates");
+        let cells = validate_report(&parsed).expect("tracked report validates");
         assert_eq!(
             parsed.get("quick").and_then(JsonValue::as_bool),
             Some(false),
             "the tracked report is the full-mode run"
         );
-        let best = max_degradation(&parsed).expect("tracked report carries ratios");
+        let note = Report::closing_note(&cells).unwrap();
+        let best: f64 = note.rsplit(' ').next().unwrap().parse().expect("a ratio");
         assert!(
             best > 1.0,
             "at least one cell must show hostile degradation, best ratio {best}"
         );
-        let trials = parsed.get("trials").and_then(JsonValue::as_f64).unwrap() as usize;
-        let cells = parsed.get("cells").and_then(JsonValue::as_array).unwrap();
         let degraded = cells
             .iter()
-            .find(|c| {
-                c.get("rows")
-                    .and_then(JsonValue::as_array)
-                    .unwrap_or(&[])
-                    .iter()
-                    .any(|r| {
-                        r.get("degradation")
-                            .and_then(JsonValue::as_f64)
-                            .is_some_and(|d| d > 1.0)
-                    })
-            })
+            .find(|c| c.rows.iter().any(|r| r.degradation() > Some(1.0)))
             .expect("a degraded cell exists");
-        let key = |f: &str| degraded.get(f).and_then(JsonValue::as_str).unwrap();
-        let kind = *ProtocolKind::ALL
-            .iter()
-            .find(|k| k.key() == key("protocol"))
-            .unwrap();
-        let graph = *GridGraph::ALL
-            .iter()
-            .find(|g| g.key() == key("graph"))
-            .unwrap();
-        let n = degraded.get("n").and_then(JsonValue::as_f64).unwrap() as usize;
+        let (kind, graph, n) = Report::point(degraded);
         let options = RunOptions {
             quick: false,
             sizes: vec![n],
-            trials,
+            trials: degraded.trials,
             threads: None,
         };
         let runner = BatchRunner::new();
         let cell = run_cell(kind, graph, n, &options, &runner);
         assert_eq!(
-            cell_to_json(&cell).to_json(),
-            degraded.to_json(),
-            "{}/{}/{n}: replayed cell differs from the tracked artifact",
-            kind.key(),
-            graph.key()
+            cell,
+            *degraded,
+            "{}: replayed cell differs from the tracked artifact",
+            point_name((kind, graph, n))
         );
     }
 
@@ -1010,7 +901,7 @@ mod tests {
         let options = tiny_options(1);
         let runner = BatchRunner::with_threads(1);
         let cell = run_cell(ProtocolKind::Yokota, GridGraph::Ring, 8, &options, &runner);
-        let report = Report::assemble(&options, vec![cell_to_json(&cell)]);
+        let report = Report::assemble(&options, &[cell]);
         // One cell cannot satisfy the full grid enumeration.
         let err = validate_report(&report).unwrap_err();
         assert!(err.contains("cells"), "{err}");
@@ -1027,5 +918,19 @@ mod tests {
         let broken = text.replacen("recovery-bench/v2", "recovery-bench/v0", 1);
         let parsed = JsonValue::parse(&broken).unwrap();
         assert!(validate_report(&parsed).unwrap_err().contains("schema"));
+        // Integers are exact: a fractional size or trial count in the
+        // committed report would otherwise truncate onto the declared grid.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_recovery.json");
+        let committed = std::fs::read_to_string(path).expect("tracked report exists");
+        for (from, to, field) in [
+            ("\"sizes\":[64]", "\"sizes\":[64.9]", "sizes"),
+            ("\"trials\":5,", "\"trials\":5.5,", "trials"),
+        ] {
+            let broken = committed.replace(from, to);
+            assert_ne!(broken, committed, "{from} is in the report");
+            let parsed = JsonValue::parse(&broken).unwrap();
+            let err = validate_report(&parsed).unwrap_err();
+            assert!(err.contains(field), "{err}");
+        }
     }
 }

@@ -69,7 +69,9 @@ use ssle_baselines::{AngluinModK, FischerJiang, YokotaLinear};
 use ssle_core::segments::segments;
 use ssle_core::{InitialCondition, Params, Ppl, PplState};
 
-use crate::tracked::{point_spec, TrackedReport};
+use crate::tracked::{
+    self, check_grid, decode_cells, point_name, point_spec, Fields, Point, TrackedReport, MAX_EXACT,
+};
 use crate::{pick_k, ProtocolKind};
 
 /// Schema identifier of `BENCH_stabilization.json`.
@@ -460,14 +462,11 @@ pub struct RateCurve {
 /// One measured cell of the grid.
 #[derive(Clone, Debug)]
 pub struct CellResult {
-    /// Protocol key ([`ProtocolKind::key`]).
-    pub protocol: &'static str,
-    /// Graph key ([`GridGraph::key`]).
-    pub graph: &'static str,
-    /// The exact topology of the cell ([`GridGraph::spec`]), serialized
-    /// structurally so the artifact pins parameters and family seed, not
-    /// just a name.
-    pub graph_spec: GraphSpec,
+    /// Protocol.
+    pub kind: ProtocolKind,
+    /// Interaction graph; the artifact pins its exact topology
+    /// ([`GridGraph::spec`]) as `graph_spec`.
+    pub graph: GridGraph,
     /// Population size.
     pub n: usize,
     /// Censoring step budget of every run in this cell (rate replays extend
@@ -479,33 +478,14 @@ pub struct CellResult {
     pub mean_steps: f64,
     /// Fraction of pool trials that converged within the budget.
     pub converged_fraction: f64,
-    /// Worst-case certificate: observed steps (`>= mean` by construction).
+    /// The worst case found, as the candidate that replays it: feed it
+    /// (with the cell's protocol, graph, n and budget) to [`evaluate`] and
+    /// the step count is `worst_steps`.
+    pub worst: Candidate,
+    /// Worst-case steps (`>= mean` by construction).
     pub worst_steps: u64,
     /// Whether the worst-case run converged (censored cells report `false`).
     pub worst_converged: bool,
-    /// Initial-condition variant of the worst case.
-    pub worst_variant: &'static str,
-    /// Sweep-point seed of the worst case.
-    pub worst_seed: u64,
-    /// Scheduler key ([`SchedulerSpec::key`]) of the worst case (for
-    /// humans; the exact machine-readable form is [`CellResult::worst_spec`]).
-    pub worst_scheduler: String,
-    /// The worst case's scheduler spec (serialized structurally into the
-    /// JSON so certificates can be rebuilt exactly from the artifact).
-    pub worst_spec: SchedulerSpec,
-    /// The worst case's crash schedule ([`FaultPlanSpec::none`] when the
-    /// worst case is fault-free), serialized structurally like the
-    /// scheduler spec.
-    pub worst_faults: FaultPlanSpec,
-    /// The worst case's churn schedule ([`ChurnPlanSpec::none`] when the
-    /// worst case ran churn-free — every tracked cell today, since the grid
-    /// search keeps the churn domain disabled).  Serialized only when
-    /// non-empty.
-    pub worst_churn: ChurnPlanSpec,
-    /// The worst case's topology override (`None` when it ran the cell's
-    /// own graph — every tracked cell today).  Serialized only when
-    /// present.
-    pub worst_graph: Option<GraphSpec>,
     /// Which annealing island found the worst case.
     pub best_island: u32,
     /// Search evaluations beyond the pool (islands × iterations).
@@ -520,6 +500,13 @@ pub struct CellResult {
     pub certified: Option<CertifiedLivelock>,
     /// The stabilization-rate curve of the worst-case certificate.
     pub rate: RateCurve,
+}
+
+impl CellResult {
+    /// The initial-condition variant of the worst case.
+    pub fn worst_variant(&self) -> &'static str {
+        variant_names(self.kind)[self.worst.variant as usize]
+    }
 }
 
 /// Knobs of one report run.  The defaults (via [`RunOptions::new`]) are the
@@ -682,23 +669,16 @@ pub fn run_cell(
         runner,
     );
     CellResult {
-        protocol: kind.key(),
-        graph: graph.key(),
-        graph_spec: graph.spec(),
+        kind,
+        graph,
         n,
         budget,
         trials: options.trials,
         mean_steps,
         converged_fraction,
+        worst: best.candidate,
         worst_steps: best.steps,
         worst_converged: best.converged,
-        worst_variant: variant_names(kind)[best.candidate.variant as usize],
-        worst_seed: best.candidate.seed,
-        worst_scheduler: best.candidate.spec.key(),
-        worst_spec: best.candidate.spec,
-        worst_faults: best.candidate.faults,
-        worst_churn: best.candidate.churn,
-        worst_graph: best.candidate.graph,
         best_island,
         search_evaluations: evaluations,
         search_seed,
@@ -809,27 +789,27 @@ pub fn rate_curve_with(
 
 /// Serializes one measured cell to its report JSON object (an element of
 /// the report's `cells` array).  This is the **single definition** of the
-/// cell encoding: [`crate::tracked::run`] calls it for every measured
-/// cell, cached or not, so a report assembled from `--resume` cache
-/// entries is byte-identical to a plain one by construction.
+/// cell encoding: [`crate::tracked::run`] assembles every report from it,
+/// and [`cell_from_json`] is its exact inverse.  `graph_spec`,
+/// `worst.variant` and `worst.scheduler` are derived from the cell.
 pub fn cell_to_json(c: &CellResult) -> JsonValue {
     let mut worst = JsonValue::object()
         .with("steps", c.worst_steps as f64)
         .with("converged", c.worst_converged)
-        .with("variant", c.worst_variant)
+        .with("variant", c.worst_variant())
         // Seeds are full-width u64s; JSON numbers are f64 and would
         // silently round any value >= 2^53, so they are serialized as
         // exact decimal strings.
-        .with("seed", c.worst_seed.to_string().as_str())
-        .with("scheduler", c.worst_scheduler.as_str())
-        .with("spec", spec_to_json(&c.worst_spec))
-        .with("faults", fault_spec_to_json(&c.worst_faults));
+        .with("seed", c.worst.seed.to_string().as_str())
+        .with("scheduler", c.worst.spec.key().as_str())
+        .with("spec", spec_to_json(&c.worst.spec))
+        .with("faults", fault_spec_to_json(&c.worst.faults));
     // The topology axes appear only when the worst case actually used
     // them, so fixed-topology certificates keep the exact `v3` shape.
-    if !c.worst_churn.is_empty() {
-        worst = worst.with("churn", churn_spec_to_json(&c.worst_churn));
+    if !c.worst.churn.is_empty() {
+        worst = worst.with("churn", churn_spec_to_json(&c.worst.churn));
     }
-    if let Some(graph) = c.worst_graph {
+    if let Some(graph) = c.worst.graph {
         worst = worst.with("graph_override", graph_spec_to_json(graph));
     }
     let worst = worst
@@ -838,9 +818,9 @@ pub fn cell_to_json(c: &CellResult) -> JsonValue {
         .with("best_island", c.best_island as usize)
         .with("certified", certified_to_json(&c.certified));
     JsonValue::object()
-        .with("protocol", c.protocol)
-        .with("graph", c.graph)
-        .with("graph_spec", graph_spec_to_json(c.graph_spec))
+        .with("protocol", c.kind.key())
+        .with("graph", c.graph.key())
+        .with("graph_spec", graph_spec_to_json(c.graph.spec()))
         .with("n", c.n)
         .with("budget", c.budget as f64)
         .with("trials", c.trials)
@@ -874,6 +854,52 @@ pub fn cell_to_json(c: &CellResult) -> JsonValue {
         )
 }
 
+/// Decodes one cell from its [`cell_to_json`] form, every field exactly
+/// ([`Fields`]).  The derived fields are not read: [`decode_cell`] requires
+/// the decoded cell to re-encode to the identical JSON.
+///
+/// [`decode_cell`]: crate::tracked::decode_cell
+pub fn cell_from_json(json: &JsonValue) -> Result<CellResult, String> {
+    let (cell, (kind, graph, n)) = Fields::open(json, Report::CELL)?;
+    let worst = cell.object("worst")?;
+    let variant = worst.str("variant")?;
+    let variant = variant_names(kind)
+        .iter()
+        .position(|v| *v == variant)
+        .ok_or_else(|| worst.err("variant", "names no init variant of the protocol"))?;
+    let rate = cell.object("rate")?;
+    Ok(CellResult {
+        kind,
+        graph,
+        n,
+        budget: cell.uint("budget", MAX_EXACT)?,
+        trials: cell.size("trials")?,
+        mean_steps: cell.float("mean_steps")?,
+        converged_fraction: cell.fraction("converged_fraction")?,
+        worst: Candidate {
+            variant: variant as u32,
+            seed: worst.u64_string("seed")?,
+            spec: worst.decode("spec", spec_from_json)?,
+            faults: worst.decode("faults", fault_spec_from_json)?,
+            churn: worst
+                .optional("churn", churn_spec_from_json)?
+                .unwrap_or_else(ChurnPlanSpec::none),
+            graph: worst.optional("graph_override", graph_spec_from_json)?,
+        },
+        worst_steps: worst.uint("steps", MAX_EXACT)?,
+        worst_converged: worst.bool("converged")?,
+        best_island: worst.uint("best_island", u32::MAX as u64)? as u32,
+        search_evaluations: worst.uint("search_evaluations", u32::MAX as u64)? as u32,
+        search_seed: worst.u64_string("search_seed")?,
+        certified: worst.decode("certified", certified_from_json)?,
+        rate: RateCurve {
+            multipliers: rate.uints("multipliers", MAX_EXACT)?,
+            fractions: rate.fractions("fractions")?,
+            replay_seed: rate.u64_string("replay_seed")?,
+        },
+    })
+}
+
 /// The worst-case stabilization report (`stabilization_report`,
 /// `BENCH_stabilization.json`) as a [`TrackedReport`].
 #[derive(Clone, Copy, Debug)]
@@ -885,11 +911,11 @@ impl TrackedReport for Report {
     const SCHEMA: &'static str = SCHEMA;
     const JOB: &'static str = "stabilization-cell";
     const STEM: &'static str = "BENCH_stabilization";
+    const CELL: &'static str = "cell";
     const THREADS: bool = true;
     const ISLANDS: bool = true;
 
     type Options = RunOptions;
-    type Point = (ProtocolKind, GridGraph, usize);
     type Cell = CellResult;
 
     fn options(quick: bool, threads: Option<usize>, islands: Option<u32>) -> RunOptions {
@@ -903,13 +929,13 @@ impl TrackedReport for Report {
         options.threads
     }
 
-    fn grid(options: &RunOptions) -> Vec<Self::Point> {
+    fn grid(options: &RunOptions) -> Vec<Point> {
         grid_points(&options.sizes)
     }
 
     /// Every [`RunOptions`] knob that is part of the result's identity;
     /// `threads` is absent, so the cache key is thread-count-invariant.
-    fn unit_spec((kind, graph, n): Self::Point, options: &RunOptions) -> JsonValue {
+    fn unit_spec((kind, graph, n): Point, options: &RunOptions) -> JsonValue {
         point_spec::<Self>(kind, graph.key(), n, options.quick)
             .with("trials", options.trials)
             .with("islands", options.islands as usize)
@@ -917,19 +943,23 @@ impl TrackedReport for Report {
             .with("replays", options.replays)
     }
 
-    fn run_cell(
-        (kind, graph, n): Self::Point,
-        options: &RunOptions,
-        runner: &BatchRunner,
-    ) -> CellResult {
+    fn run_cell((kind, graph, n): Point, options: &RunOptions, runner: &BatchRunner) -> CellResult {
         run_cell(kind, graph, n, options, runner)
+    }
+
+    fn point(cell: &CellResult) -> Point {
+        (cell.kind, cell.graph, cell.n)
     }
 
     fn cell_to_json(cell: &CellResult) -> JsonValue {
         cell_to_json(cell)
     }
 
-    fn assemble(options: &RunOptions, cells: Vec<JsonValue>) -> JsonValue {
+    fn cell_from_json(json: &JsonValue) -> Result<CellResult, String> {
+        cell_from_json(json)
+    }
+
+    fn header(options: &RunOptions) -> JsonValue {
         JsonValue::object()
             .with("schema", SCHEMA)
             .with("quick", options.quick)
@@ -946,10 +976,9 @@ impl TrackedReport for Report {
                         .collect(),
                 ),
             )
-            .with("cells", JsonValue::Array(cells))
     }
 
-    fn validate(json: &JsonValue) -> Result<(), String> {
+    fn validate(json: &JsonValue) -> Result<Vec<CellResult>, String> {
         validate_report(json)
     }
 
@@ -960,12 +989,18 @@ impl TrackedReport for Report {
         )
     }
 
-    fn closing_note(json: &JsonValue) -> Option<String> {
-        (!has_nondegenerate_rate(json)).then(|| {
-            "note: every rate curve is degenerate (all-0 or all-1) in this run; \
+    /// A note when no rate curve discriminates: every curve is all 0 (pure
+    /// livelock) or all 1 (everything converges at 1×).
+    fn closing_note(cells: &[CellResult]) -> Option<String> {
+        let degenerate = |f: &[f64]| f.iter().all(|&x| x == 0.0) || f.iter().all(|&x| x == 1.0);
+        cells
+            .iter()
+            .all(|c| degenerate(&c.rate.fractions))
+            .then(|| {
+                "note: every rate curve is degenerate (all-0 or all-1) in this run; \
              the full-mode tracked report is expected to discriminate"
-                .to_string()
-        })
+                    .to_string()
+            })
     }
 
     fn markdown(cells: &[CellResult]) -> String {
@@ -996,8 +1031,8 @@ impl TrackedReport for Report {
             };
             out.push_str(&format!(
                 "| {} | {} | {} | {} | {:.3e} | {:.0}% | {} | {:.2}x | {} | {} | {} | {} | {} |\n",
-                c.protocol,
-                c.graph,
+                c.kind.key(),
+                c.graph.key(),
                 c.n,
                 c.budget,
                 c.mean_steps,
@@ -1006,23 +1041,22 @@ impl TrackedReport for Report {
                 c.worst_steps as f64 / c.mean_steps.max(1.0),
                 rate,
                 livelock,
-                c.worst_scheduler,
-                c.worst_faults.key(),
-                c.worst_variant,
+                c.worst.spec.key(),
+                c.worst.faults.key(),
+                c.worst_variant(),
             ));
         }
         out
     }
 }
 
-/// An exact unsigned integer from a JSON number field: `None` unless the
-/// value is finite, integral and within `[0, max]`.  The `v2` parsers cast
-/// through `as f64 … as uN`, which silently truncated fractions and wrapped
+/// An exact unsigned integer from a JSON number field, by the
+/// [`tracked::exact_uint`] rule.  The `v2` parsers cast through
+/// `as f64 … as uN`, which silently truncated fractions and wrapped
 /// out-of-range values — a corrupted artifact would "round-trip" into a
 /// *different* certificate instead of failing validation.
 fn exact_uint(json: &JsonValue, name: &str, max: u64) -> Option<u64> {
-    let x = json.get(name).and_then(JsonValue::as_f64)?;
-    (x.is_finite() && x.fract() == 0.0 && x >= 0.0 && x <= max as f64).then_some(x as u64)
+    tracked::exact_uint(json.get(name)?.as_f64()?, max)
 }
 
 /// An exact u64 from a decimal-string field (the encoding every full-width
@@ -1112,14 +1146,13 @@ pub fn certified_from_json(json: &JsonValue) -> Option<Option<CertifiedLivelock>
     // The number fields are bounded by the detection budget / closure
     // limits; anything at or beyond 2^53 cannot have round-tripped exactly
     // through an f64 and is rejected outright.
-    let safe = (1u64 << 53) - 1;
     Some(Some(CertifiedLivelock {
-        entry_step: exact_uint(json, "entry_step", safe)?,
-        period: exact_uint(json, "period", safe)?,
+        entry_step: exact_uint(json, "entry_step", MAX_EXACT)?,
+        period: exact_uint(json, "period", MAX_EXACT)?,
         config_digest: exact_u64_string(json, "config_digest")?,
-        phase: exact_uint(json, "phase", safe)?,
+        phase: exact_uint(json, "phase", MAX_EXACT)?,
         exhaustive: json.get("exhaustive").and_then(JsonValue::as_bool)?,
-        closure_configs: exact_uint(json, "closure_configs", safe)?,
+        closure_configs: exact_uint(json, "closure_configs", MAX_EXACT)?,
     }))
 }
 
@@ -1313,291 +1346,104 @@ pub fn churn_spec_from_json(json: &JsonValue) -> Option<ChurnPlanSpec> {
     Some(spec)
 }
 
-/// Rebuilds the exact worst-case [`Candidate`] of one serialized cell — the
-/// replay half of the certificate contract: feed the result (with the
-/// cell's protocol, graph, n and budget) back into [`evaluate`] and the
-/// step count must match `worst.steps`.  The topology axes are optional in
-/// the JSON (omitted when default), so `v3`-shaped certificates decode
-/// unchanged.
-pub fn certificate_candidate(kind: ProtocolKind, cell: &JsonValue) -> Option<Candidate> {
-    let worst = cell.get("worst")?;
-    let variant_name = worst.get("variant").and_then(JsonValue::as_str)?;
-    let variant = variant_names(kind)
-        .iter()
-        .position(|v| *v == variant_name)? as u32;
-    Some(Candidate {
-        variant,
-        seed: worst
-            .get("seed")
-            .and_then(JsonValue::as_str)?
-            .parse::<u64>()
-            .ok()?,
-        spec: spec_from_json(worst.get("spec")?)?,
-        faults: fault_spec_from_json(worst.get("faults")?)?,
-        churn: match worst.get("churn") {
-            Some(churn) => churn_spec_from_json(churn)?,
-            None => ChurnPlanSpec::none(),
-        },
-        graph: match worst.get("graph_override") {
-            Some(graph) => Some(graph_spec_from_json(graph)?),
-            None => None,
-        },
-    })
-}
-
 /// Validates a parsed `BENCH_stabilization.json` against the expected
-/// schema: schema tag, one cell per protocol × graph × size of the grid,
-/// positive budgets, `worst.steps ≥ mean_steps` for **every** cell (the
-/// invariant the pool-seeded search guarantees), a rebuildable certificate
-/// (variant, seed, scheduler spec **and** fault spec) and a well-formed
-/// rate curve (one fraction per [`RATE_MULTIPLIERS`] entry, each in
-/// `[0, 1]`, non-decreasing).  Returns a description of the first
-/// violation.
-pub fn validate_report(json: &JsonValue) -> Result<(), String> {
-    if json.get("schema").and_then(JsonValue::as_str) != Some(SCHEMA) {
-        return Err(format!("missing or wrong schema tag (want {SCHEMA:?})"));
-    }
-    let multipliers = json
-        .get("rate_multipliers")
-        .and_then(JsonValue::as_array)
-        .ok_or("rate_multipliers array missing")?;
-    if multipliers.len() != RATE_MULTIPLIERS.len()
-        || multipliers
-            .iter()
-            .zip(RATE_MULTIPLIERS)
-            .any(|(j, m)| j.as_f64() != Some(m as f64))
-    {
+/// schema and returns its cells: schema tag and exactly decoded cells
+/// ([`decode_cells`]), the base `rate_multipliers`, at least one island,
+/// one cell per protocol × graph × size of the grid in grid order, and per
+/// cell the invariants the pipeline guarantees — a positive budget, the
+/// mean within it, `worst.steps ≥ mean_steps` (the pool-seeded search), a
+/// livelock certificate consistent with the censored worst case, and a
+/// well-formed rate curve (the base multipliers, then doublings up to
+/// [`MAX_RATE_MULTIPLIER`], one non-decreasing fraction per multiplier).
+/// Returns a description of the first violation.
+pub fn validate_report(json: &JsonValue) -> Result<Vec<CellResult>, String> {
+    let cells = decode_cells::<Report>(json)?;
+    let header = Fields::new(json, "report");
+    if header.uints("rate_multipliers", MAX_EXACT)? != RATE_MULTIPLIERS {
         return Err(format!("rate_multipliers must be {RATE_MULTIPLIERS:?}"));
     }
-    if json
-        .get("islands")
-        .and_then(JsonValue::as_f64)
-        .is_none_or(|i| i < 1.0)
-    {
-        return Err("islands missing or below 1".to_string());
+    if header.uint("islands", u32::MAX as u64)? < 1 {
+        return Err("islands below 1".to_string());
     }
-    let cells = json
-        .get("cells")
-        .and_then(JsonValue::as_array)
-        .ok_or("cells array missing")?;
-    let expected: usize = ProtocolKind::ALL.len()
-        * GridGraph::ALL
-            .iter()
-            .map(|g| g.sizes(&SIZES).len())
-            .sum::<usize>();
-    if cells.len() != expected {
-        return Err(format!("expected {expected} cells, found {}", cells.len()));
+    check_grid::<Report>(&cells, &grid_points(&SIZES))?;
+    for cell in &cells {
+        validate_cell(cell)
+            .map_err(|e| format!("cell {}: {e}", point_name(Report::point(cell))))?;
     }
-    for kind in ProtocolKind::ALL {
-        for graph in GridGraph::ALL {
-            for &n in graph.sizes(&SIZES) {
-                let cell = cells
-                    .iter()
-                    .find(|c| {
-                        c.get("protocol").and_then(JsonValue::as_str) == Some(kind.key())
-                            && c.get("graph").and_then(JsonValue::as_str) == Some(graph.key())
-                            && c.get("n").and_then(JsonValue::as_f64) == Some(n as f64)
-                    })
-                    .ok_or_else(|| format!("cell {}/{}/{n} missing", kind.key(), graph.key()))?;
-                let ctx = format!("cell {}/{}/{n}", kind.key(), graph.key());
-                let spec = cell
-                    .get("graph_spec")
-                    .and_then(graph_spec_from_json)
-                    .ok_or_else(|| format!("{ctx}: graph_spec missing or malformed"))?;
-                if spec != graph.spec() {
-                    return Err(format!(
-                        "{ctx}: graph_spec {} does not match the grid topology {}",
-                        spec.key(),
-                        graph.spec().key()
-                    ));
-                }
-                validate_cell(kind, cell, &ctx)?;
-            }
-        }
-    }
-    Ok(())
+    Ok(cells)
 }
 
-/// The per-cell half of [`validate_report`].
-fn validate_cell(kind: ProtocolKind, cell: &JsonValue, ctx: &str) -> Result<(), String> {
-    let budget = cell
-        .get("budget")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("{ctx}: budget missing"))?;
-    if budget <= 0.0 {
-        return Err(format!("{ctx}: budget non-positive"));
+/// The per-cell invariants of [`validate_report`].
+fn validate_cell(c: &CellResult) -> Result<(), String> {
+    if c.budget == 0 {
+        return Err("budget non-positive".to_string());
     }
-    let mean = cell
-        .get("mean_steps")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("{ctx}: mean_steps missing"))?;
-    if !(0.0..=budget).contains(&mean) {
-        return Err(format!("{ctx}: mean_steps {mean} outside [0, budget]"));
+    let mean = c.mean_steps;
+    if !(0.0..=c.budget as f64).contains(&mean) {
+        return Err(format!("mean_steps {mean} outside [0, budget]"));
     }
-    let worst = cell
-        .get("worst")
-        .ok_or_else(|| format!("{ctx}: worst certificate missing"))?;
-    let worst_steps = worst
-        .get("steps")
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("{ctx}: worst.steps missing"))?;
-    if worst_steps < mean {
+    if (c.worst_steps as f64) < mean {
         return Err(format!(
-            "{ctx}: worst.steps {worst_steps} below mean_steps {mean}"
+            "worst.steps {} below mean_steps {mean}",
+            c.worst_steps
         ));
     }
-    if worst
-        .get("scheduler")
-        .and_then(JsonValue::as_str)
-        .is_none_or(str::is_empty)
-    {
-        return Err(format!("{ctx}: worst.scheduler missing"));
-    }
-    for field in ["seed", "search_seed"] {
-        // Seeds are full-width u64s stored as decimal strings (f64 JSON
-        // numbers would round values >= 2^53 and break certificate replay).
-        if worst
-            .get(field)
-            .and_then(JsonValue::as_str)
-            .and_then(|v| v.parse::<u64>().ok())
-            .is_none()
-        {
-            return Err(format!(
-                "{ctx}: worst.{field} missing or not an exact u64 string"
-            ));
-        }
-    }
-    if certificate_candidate(kind, cell).is_none() {
-        return Err(format!(
-            "{ctx}: worst certificate is not rebuildable (variant/seed/spec/faults/churn/graph)"
-        ));
-    }
-    let certified_json = worst
-        .get("certified")
-        .ok_or_else(|| format!("{ctx}: worst.certified missing (null is explicit in v3)"))?;
-    let certified = certified_from_json(certified_json).ok_or_else(|| {
-        format!("{ctx}: worst.certified is not null or a well-formed certificate")
-    })?;
-    if let Some(cert) = certified {
-        let converged = worst.get("converged").and_then(JsonValue::as_bool);
-        if converged != Some(false) {
-            return Err(format!(
-                "{ctx}: a certified livelock contradicts worst.converged = {converged:?}"
-            ));
+    if let Some(cert) = &c.certified {
+        if c.worst_converged {
+            return Err("a certified livelock contradicts worst.converged = true".to_string());
         }
         if cert.period == 0 {
-            return Err(format!("{ctx}: certified livelock with degenerate period"));
+            return Err("certified livelock with degenerate period".to_string());
         }
         // The closure count is meaningful exactly when the walk finished.
         if cert.exhaustive != (cert.closure_configs != 0) {
-            return Err(format!(
-                "{ctx}: certified livelock closure_configs must be nonzero iff exhaustive"
-            ));
+            return Err(
+                "certified livelock closure_configs must be nonzero iff exhaustive".to_string(),
+            );
         }
     }
-    let rate = cell
-        .get("rate")
-        .ok_or_else(|| format!("{ctx}: rate curve missing"))?;
-    if rate
-        .get("replay_seed")
-        .and_then(JsonValue::as_str)
-        .and_then(|v| v.parse::<u64>().ok())
-        .is_none()
-    {
-        return Err(format!(
-            "{ctx}: rate.replay_seed missing or not a u64 string"
-        ));
-    }
-    let multipliers: Vec<u64> = rate
-        .get("multipliers")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("{ctx}: rate.multipliers missing"))?
-        .iter()
-        .map(|m| {
-            m.as_f64()
-                .filter(|x| x.fract() == 0.0 && *x >= 1.0)
-                .map(|x| x as u64)
-        })
-        .collect::<Option<_>>()
-        .ok_or_else(|| format!("{ctx}: rate.multipliers must be positive integers"))?;
     // The cell's multipliers are the base curve plus zero or more doubling
     // escalations, never beyond the cap.
-    if multipliers.len() < RATE_MULTIPLIERS.len()
-        || multipliers[..RATE_MULTIPLIERS.len()] != RATE_MULTIPLIERS
-    {
+    let multipliers = &c.rate.multipliers;
+    if !multipliers.starts_with(&RATE_MULTIPLIERS) {
         return Err(format!(
-            "{ctx}: rate.multipliers must start with the base {RATE_MULTIPLIERS:?}"
+            "rate.multipliers must start with the base {RATE_MULTIPLIERS:?}"
         ));
     }
     for pair in multipliers[RATE_MULTIPLIERS.len() - 1..].windows(2) {
         if pair[1] != pair[0] * 2 {
             return Err(format!(
-                "{ctx}: escalated multipliers must double ({} after {})",
+                "escalated multipliers must double ({} after {})",
                 pair[1], pair[0]
             ));
         }
     }
-    if *multipliers.last().unwrap() > MAX_RATE_MULTIPLIER {
+    if multipliers.last() > Some(&MAX_RATE_MULTIPLIER) {
         return Err(format!(
-            "{ctx}: rate.multipliers exceed the cap {MAX_RATE_MULTIPLIER}"
+            "rate.multipliers exceed the cap {MAX_RATE_MULTIPLIER}"
         ));
     }
-    let fractions = rate
-        .get("fractions")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("{ctx}: rate.fractions missing"))?;
+    let fractions = &c.rate.fractions;
     if fractions.len() != multipliers.len() {
         return Err(format!(
-            "{ctx}: rate.fractions must have {} entries (one per multiplier), found {}",
+            "rate.fractions must have {} entries (one per multiplier), found {}",
             multipliers.len(),
             fractions.len()
         ));
     }
-    let mut prev = 0.0f64;
-    for (i, f) in fractions.iter().enumerate() {
-        let f = f
-            .as_f64()
-            .ok_or_else(|| format!("{ctx}: rate.fractions[{i}] not a number"))?;
-        if !(0.0..=1.0).contains(&f) {
-            return Err(format!("{ctx}: rate.fractions[{i}] = {f} outside [0, 1]"));
-        }
-        if f < prev {
-            return Err(format!(
-                "{ctx}: rate.fractions must be non-decreasing ({f} after {prev})"
-            ));
-        }
-        prev = f;
+    if let Some(pair) = fractions.windows(2).find(|p| p[1] < p[0]) {
+        return Err(format!(
+            "rate.fractions must be non-decreasing ({} after {})",
+            pair[1], pair[0]
+        ));
     }
     Ok(())
-}
-
-/// `true` when a parsed report contains at least one **non-degenerate**
-/// rate curve: a cell whose fractions are neither all 0 (pure livelock
-/// everywhere) nor all 1 (everything converges at 1×) — i.e. the rate
-/// metric actually discriminates somewhere in the grid.  CI asserts this on
-/// the quick report.
-pub fn has_nondegenerate_rate(json: &JsonValue) -> bool {
-    json.get("cells")
-        .and_then(JsonValue::as_array)
-        .is_some_and(|cells| {
-            cells.iter().any(|cell| {
-                cell.get("rate")
-                    .and_then(|r| r.get("fractions"))
-                    .and_then(JsonValue::as_array)
-                    .is_some_and(|fs| {
-                        let vals: Vec<f64> = fs.iter().filter_map(JsonValue::as_f64).collect();
-                        !vals.is_empty()
-                            && !vals.iter().all(|&f| f == 0.0)
-                            && !vals.iter().all(|&f| f == 1.0)
-                    })
-            })
-        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracked::run;
+    use crate::tracked::{decode_cell, run};
 
     /// Tiny-grid options for tests: the full pipeline (pool, islands, rate
     /// replays, JSON) at test-affordable budgets.
@@ -1628,40 +1474,33 @@ mod tests {
         );
         let text = std::fs::read_to_string(path).expect("tracked report exists");
         let parsed = JsonValue::parse(&text).expect("tracked report parses");
-        validate_report(&parsed).expect("tracked report validates");
+        let cells = validate_report(&parsed).expect("tracked report validates");
         assert_eq!(
             parsed.get("quick").and_then(JsonValue::as_bool),
             Some(false),
             "the tracked report is the full-mode run"
         );
-        let cells = parsed.get("cells").and_then(JsonValue::as_array).unwrap();
         let mut certified_cells = 0;
-        for cell in cells {
-            let cert_json = cell.get("worst").and_then(|w| w.get("certified")).unwrap();
-            let Some(expected) = certified_from_json(cert_json).unwrap() else {
+        for cell in &cells {
+            let Some(expected) = cell.certified else {
                 continue;
             };
             certified_cells += 1;
-            let key = |f: &str| cell.get(f).and_then(JsonValue::as_str).unwrap().to_string();
-            let kind = *ProtocolKind::ALL
-                .iter()
-                .find(|k| k.key() == key("protocol"))
-                .unwrap();
-            let graph = GridGraph::ALL
-                .into_iter()
-                .find(|g| g.key() == key("graph"))
-                .unwrap();
-            let n = cell.get("n").and_then(JsonValue::as_f64).unwrap() as usize;
-            let budget = cell.get("budget").and_then(JsonValue::as_f64).unwrap() as u64;
-            let candidate = certificate_candidate(kind, cell).expect("candidate rebuilds");
-            let again = certify_cell(kind, graph, n, budget, ESCALATION_STEP_CEILING, &candidate)
-                .expect("the certified cell must re-certify from its JSON candidate");
+            let (kind, graph, n) = Report::point(cell);
+            let again = certify_cell(
+                kind,
+                graph,
+                n,
+                cell.budget,
+                ESCALATION_STEP_CEILING,
+                &cell.worst,
+            )
+            .expect("the certified cell must re-certify from its JSON candidate");
             assert_eq!(
                 again,
                 expected,
-                "{}/{}/{n}: replayed certificate differs from the artifact",
-                kind.key(),
-                graph.key()
+                "{}: replayed certificate differs from the artifact",
+                point_name((kind, graph, n))
             );
         }
         assert!(
@@ -1794,29 +1633,30 @@ mod tests {
             .flat_map(|kind| {
                 GridGraph::ALL.iter().flat_map(move |graph| {
                     graph.sizes(&SIZES).iter().map(move |&n| CellResult {
-                        protocol: kind.key(),
-                        graph: graph.key(),
-                        graph_spec: graph.spec(),
+                        kind: *kind,
+                        graph: *graph,
                         n,
                         budget: 1_000_000,
                         trials: 5,
                         mean_steps: 2.0e4,
                         converged_fraction: 1.0,
+                        worst: Candidate {
+                            // A full-width u64: must survive JSON exactly
+                            // (the string encoding; `as f64` would round
+                            // it).
+                            seed: u64::MAX - 12,
+                            spec: SchedulerSpec::EpochPartition {
+                                blocks: 4,
+                                epoch_len: 256,
+                            },
+                            faults: FaultPlanSpec::none().with_event(
+                                9_000,
+                                FaultPlacementSpec::Block { start: 3, count: 7 },
+                            ),
+                            ..Candidate::baseline(0)
+                        },
                         worst_steps: 90_000,
                         worst_converged: true,
-                        worst_variant: "uniform-random",
-                        // A full-width u64: must survive JSON exactly (the
-                        // string encoding; `as f64` would round it).
-                        worst_seed: u64::MAX - 12,
-                        worst_scheduler: "epoch-partition(blocks=4,epoch=256)".to_string(),
-                        worst_spec: SchedulerSpec::EpochPartition {
-                            blocks: 4,
-                            epoch_len: 256,
-                        },
-                        worst_faults: FaultPlanSpec::none()
-                            .with_event(9_000, FaultPlacementSpec::Block { start: 3, count: 7 }),
-                        worst_churn: ChurnPlanSpec::none(),
-                        worst_graph: None,
                         best_island: 2,
                         search_evaluations: 20,
                         search_seed: 3,
@@ -1836,24 +1676,22 @@ mod tests {
             island_iterations: 5,
             ..RunOptions::new(true)
         };
-        let to_json = |cells: &[CellResult]| {
-            Report::assemble(&shell, cells.iter().map(cell_to_json).collect())
-        };
+        let to_json = |cells: &[CellResult]| Report::assemble(&shell, cells);
         let report = cells;
         let text = to_json(&report).to_json();
         let parsed = JsonValue::parse(&text).expect("emitted JSON parses");
-        validate_report(&parsed).expect("schema validates");
-        assert!(has_nondegenerate_rate(&parsed));
+        let decoded = validate_report(&parsed).expect("schema validates");
+        assert_eq!(
+            Report::closing_note(&decoded),
+            None,
+            "a curve discriminates"
+        );
         assert!(Report::markdown(&report).contains("| ppl | ring | 64 |"));
         assert!(Report::markdown(&report).contains("0.25/0.50/1.00"));
 
         // The full-width seed and the fault spec round-trip exactly through
         // the JSON text.
-        let candidate = certificate_candidate(
-            ProtocolKind::Ppl,
-            &parsed.get("cells").and_then(JsonValue::as_array).unwrap()[0],
-        )
-        .expect("certificate rebuilds");
+        let candidate = &decoded[0].worst;
         assert_eq!(candidate.seed, u64::MAX - 12);
         assert_eq!(
             candidate.spec,
@@ -1892,7 +1730,7 @@ mod tests {
         };
         let faults = field_mut(field_mut(&mut cells[0], "worst"), "faults");
         *faults = JsonValue::object().with("events", faults.clone());
-        assert!(certificate_candidate(ProtocolKind::Ppl, &cells[0]).is_none());
+        assert!(cell_from_json(&cells[0]).is_err());
         let name = |key: &str| cells[0].get(key).and_then(JsonValue::as_str).unwrap();
         let n = cells[0].get("n").and_then(JsonValue::as_f64).unwrap();
         let cell = format!("cell {}/{}/{n}:", name("protocol"), name("graph"));
@@ -2080,6 +1918,35 @@ mod tests {
         assert_eq!(fault_spec_from_json(&zero("random", "count")), None);
         assert_eq!(fault_spec_from_json(&zero("block", "count")), None);
         assert_eq!(fault_spec_from_json(&zero("targeted", "limit")), None);
+
+        // The cell fields of the committed report: a fractional, negative
+        // or out-of-range value fails validation, naming the field.
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_stabilization.json"
+        );
+        let text = std::fs::read_to_string(path).expect("tracked report exists");
+        let report = JsonValue::parse(&text).expect("tracked report parses");
+        for (object, field, value) in [
+            (None, "budget", 524_288.5),
+            (Some("worst"), "steps", 524_288.5),
+            (Some("worst"), "best_island", 2.5),
+            (Some("worst"), "search_evaluations", -20.0),
+            (None, "trials", -5.5),
+            (None, "converged_fraction", 7.0),
+        ] {
+            let mut corrupted = report.clone();
+            let JsonValue::Array(cells) = field_mut(&mut corrupted, "cells") else {
+                panic!("cells is an array");
+            };
+            let owner = match object {
+                Some(name) => field_mut(&mut cells[0], name),
+                None => &mut cells[0],
+            };
+            *field_mut(owner, field) = JsonValue::Number(value);
+            let err = validate_report(&corrupted).unwrap_err();
+            assert!(err.contains(field), "{field} = {value} accepted? {err}");
+        }
     }
 
     #[test]
@@ -2133,12 +2000,11 @@ mod tests {
         // rebuild the candidate, evaluate.
         let budget = cell.budget;
         let worst_steps = cell.worst_steps;
-        let report = Report::assemble(&options, vec![cell_to_json(&cell)]);
+        let report = Report::assemble(&options, &[cell]);
         let parsed = JsonValue::parse(&report.to_json()).unwrap();
         let cell_json = &parsed.get("cells").and_then(JsonValue::as_array).unwrap()[0];
-        let candidate =
-            certificate_candidate(kind, cell_json).expect("certificate rebuilds from JSON");
-        let replay = evaluate(kind, graph, n, budget, &candidate);
+        let decoded = decode_cell::<Report>(cell_json).expect("the cell decodes from JSON");
+        let replay = evaluate(kind, graph, n, budget, &decoded.worst);
         assert_eq!(
             replay.steps, worst_steps,
             "the serialized certificate must reproduce the recorded step count"

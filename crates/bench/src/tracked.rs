@@ -3,16 +3,21 @@
 //! implementation plus a one-line `main` calling [`main`].
 //!
 //! A report says *what* a grid cell is and computes — its grid, its unit
-//! spec, `run_cell`, the cell and report JSON encodings, the validator and
-//! the markdown table.  This module owns *how* a report is driven: the
-//! command line, the run ([`run`]), the `--resume` cell cache around each
-//! cell, and the write / re-read / self-validate step.
+//! spec, `run_cell`, the cell encoding and its exact inverse, the report
+//! header, the validator and the markdown table.  This module owns *how* a
+//! report is driven: the command line, the run ([`run`]), the `--resume`
+//! cell cache around each cell, the decoding of stored cells
+//! ([`decode_cells`], [`Fields`]) and the write / re-read / validate /
+//! replace step.
 //!
-//! Every cell runs through the same `run_cell` → `cell_to_json` →
-//! [`TrackedReport::assemble`] path whether or not a cache is attached; the
-//! cache only looks each cell up by [`ssle_fabric::cache_key`] before
-//! running it and stores its JSON after.  A `--resume` report is therefore
-//! byte-identical to a plain one **by construction** (pinned end-to-end by
+//! Every cell of a run is a typed [`TrackedReport::Cell`], measured or
+//! decoded from the cache, and the report is assembled from the typed cells
+//! through the one `cell_to_json` whether or not a cache is attached.  A
+//! stored cell counts as a hit only if it decodes through
+//! [`decode_cell`], which requires it to re-encode to exactly the stored
+//! JSON; anything else is a miss and is measured again.  A `--resume`
+//! report is therefore byte-identical to a plain one **by construction**,
+//! markdown table included (pinned end-to-end by
 //! `tests/resume_equivalence.rs`).  Hot-loop cells are wall-clock timings:
 //! they run one at a time on the calling thread, and a resumed hot-loop
 //! report reuses the timings of earlier runs.
@@ -32,8 +37,17 @@ use analysis::json::JsonValue;
 use population::BatchRunner;
 use ssle_fabric::{cache_key, ResultCache, DEFAULT_CACHE_DIR};
 
+use crate::stabilization::GridGraph;
 use crate::trace::TraceGuard;
 use crate::ProtocolKind;
+
+/// One grid coordinate of every tracked report: protocol, graph and size.
+pub type Point = (ProtocolKind, GridGraph, usize);
+
+/// The name of a grid point in reports and errors: `ppl/ring/64`.
+pub fn point_name((kind, graph, n): Point) -> String {
+    format!("{}/{}/{n}", kind.key(), graph.key())
+}
 
 /// A tracked report: a grid of deterministic (or, for the hot loop, timed)
 /// cells written to one self-validated `BENCH_*.json` artifact.
@@ -49,6 +63,9 @@ pub trait TrackedReport {
     /// Default output stem: `STEM.json`, or `STEM.quick.json` under
     /// `--quick` so a local smoke run never clobbers the committed report.
     const STEM: &'static str;
+    /// What one cell is called in errors (`cell`, `case`); the artifact's
+    /// cell array is its plural (`cells`, `cases`).
+    const CELL: &'static str;
     /// Whether the report takes `--threads`.  A report without it runs its
     /// cells one at a time on the calling thread.
     const THREADS: bool;
@@ -57,8 +74,6 @@ pub trait TrackedReport {
 
     /// Knobs of one report run.
     type Options: Sync;
-    /// One grid coordinate.
-    type Point: Copy + Send + Sync;
     /// One measured cell.
     type Cell: Send;
 
@@ -70,24 +85,38 @@ pub trait TrackedReport {
         None
     }
     /// The grid, **in report order**.
-    fn grid(options: &Self::Options) -> Vec<Self::Point>;
+    fn grid(options: &Self::Options) -> Vec<Point>;
     /// The unit spec of one grid point (see [`point_spec`]): the content
     /// its cache key digests.
-    fn unit_spec(point: Self::Point, options: &Self::Options) -> JsonValue;
+    fn unit_spec(point: Point, options: &Self::Options) -> JsonValue;
     /// Measures one cell, sharding its inner stages over `runner`.
-    fn run_cell(point: Self::Point, options: &Self::Options, runner: &BatchRunner) -> Self::Cell;
+    fn run_cell(point: Point, options: &Self::Options, runner: &BatchRunner) -> Self::Cell;
+    /// The grid point a cell measured.
+    fn point(cell: &Self::Cell) -> Point;
     /// The cell's JSON object (an element of the report's cell array).
     fn cell_to_json(cell: &Self::Cell) -> JsonValue;
-    /// The report JSON around pre-serialized cells in grid order.
-    fn assemble(options: &Self::Options, cells: Vec<JsonValue>) -> JsonValue;
-    /// Checks a parsed artifact against [`TrackedReport::SCHEMA`].
-    fn validate(json: &JsonValue) -> Result<(), String>;
-    /// The human-readable markdown table of measured cells.
+    /// The exact inverse of [`TrackedReport::cell_to_json`]: every field
+    /// decoded exactly ([`Fields`]), every error naming the cell and the
+    /// field.  Fields the encoding derives from others are not read; the
+    /// re-encoding check of [`decode_cell`] pins them.
+    fn cell_from_json(json: &JsonValue) -> Result<Self::Cell, String>;
+    /// The report's header fields: everything but the cell array.
+    fn header(options: &Self::Options) -> JsonValue;
+    /// The report JSON: the header, then the cells in grid order.
+    fn assemble(options: &Self::Options, cells: &[Self::Cell]) -> JsonValue {
+        let cells = cells.iter().map(Self::cell_to_json).collect();
+        Self::header(options).with(format!("{}s", Self::CELL), JsonValue::Array(cells))
+    }
+    /// Checks a parsed artifact against [`TrackedReport::SCHEMA`] and
+    /// returns its decoded cells: [`decode_cells`], the header checks, the
+    /// grid and the invariants on the typed cells.
+    fn validate(json: &JsonValue) -> Result<Vec<Self::Cell>, String>;
+    /// The human-readable markdown table of the cells.
     fn markdown(cells: &[Self::Cell]) -> String;
     /// What a run of `cells` cells measured, for the `wrote` line.
     fn summary(options: &Self::Options, cells: usize) -> String;
-    /// A line printed after the `wrote` line, derived from the artifact.
-    fn closing_note(_json: &JsonValue) -> Option<String> {
+    /// A line printed after the `wrote` line, derived from the cells.
+    fn closing_note(_cells: &[Self::Cell]) -> Option<String> {
         None
     }
 }
@@ -109,8 +138,316 @@ pub fn point_spec<R: TrackedReport>(
 }
 
 /// The cache key of one grid cell.
-fn cell_key<R: TrackedReport>(point: R::Point, options: &R::Options) -> String {
+fn cell_key<R: TrackedReport>(point: Point, options: &R::Options) -> String {
     cache_key(R::JOB, &R::unit_spec(point, options))
+}
+
+/// The largest integer a JSON number (an f64) holds exactly: the bound of
+/// every integer field stored as a number.
+pub const MAX_EXACT: u64 = (1 << 53) - 1;
+
+/// The exact-integer rule of every tracked artifact: `Some` only for a
+/// finite, integral number within `[0, max]`.  An `as` cast would silently
+/// truncate fractions and wrap out-of-range values, so a corrupted artifact
+/// would decode into a *different* cell instead of failing.
+pub fn exact_uint(x: f64, max: u64) -> Option<u64> {
+    (x.is_finite() && x.fract() == 0.0 && x >= 0.0 && x <= max as f64).then_some(x as u64)
+}
+
+/// Exact reader of one JSON object of a tracked artifact — a cell, an
+/// object nested in a cell, or the report header.  Integers obey
+/// [`exact_uint`] (full-width u64s travel as decimal strings), floats must
+/// be finite, fractions must lie in `[0, 1]`, and every error names the
+/// owner and the field's path (`cell ppl/ring/64: worst.steps …`).
+#[derive(Clone, Debug)]
+pub struct Fields<'a> {
+    json: &'a JsonValue,
+    /// What the object belongs to: `cell ppl/ring/64`, `report`, ….
+    owner: String,
+    /// The object's path inside its owner, with a trailing dot (`worst.`),
+    /// or empty.
+    path: String,
+}
+
+impl<'a> Fields<'a> {
+    /// Reads `json` as a whole object of `owner`.
+    pub fn new(json: &'a JsonValue, owner: impl Into<String>) -> Self {
+        Fields {
+            json,
+            owner: owner.into(),
+            path: String::new(),
+        }
+    }
+
+    /// Opens a cell whose coordinates are its `protocol`, `graph` and `n`
+    /// fields (every tracked cell's): decodes them and names the cell
+    /// after them (`{what} ppl/ring/64`).
+    pub fn open(json: &'a JsonValue, what: &str) -> Result<(Self, Point), String> {
+        let unnamed = Fields::new(json, what);
+        let protocol = unnamed.str("protocol")?;
+        let kind = ProtocolKind::ALL
+            .into_iter()
+            .find(|k| k.key() == protocol)
+            .ok_or_else(|| unnamed.err("protocol", "names no grid protocol"))?;
+        let graph = unnamed.str("graph")?;
+        let graph = GridGraph::ALL
+            .into_iter()
+            .find(|g| g.key() == graph)
+            .ok_or_else(|| unnamed.err("graph", "names no grid graph"))?;
+        let point = (kind, graph, unnamed.size("n")?);
+        Ok((
+            Fields::new(json, format!("{what} {}", point_name(point))),
+            point,
+        ))
+    }
+
+    /// The error `field` fails with: `{owner}: {path}{field} {problem}`.
+    pub fn err(&self, field: &str, problem: &str) -> String {
+        format!("{}: {}{field} {problem}", self.owner, self.path)
+    }
+
+    /// The raw value of a field.
+    pub fn get(&self, field: &str) -> Result<&'a JsonValue, String> {
+        self.json
+            .get(field)
+            .ok_or_else(|| self.err(field, "missing"))
+    }
+
+    /// A string field.
+    pub fn str(&self, field: &str) -> Result<&'a str, String> {
+        self.get(field)?
+            .as_str()
+            .ok_or_else(|| self.err(field, "must be a string"))
+    }
+
+    /// A boolean field.
+    pub fn bool(&self, field: &str) -> Result<bool, String> {
+        self.get(field)?
+            .as_bool()
+            .ok_or_else(|| self.err(field, "must be a boolean"))
+    }
+
+    /// An integer field within `[0, max]` ([`exact_uint`]).
+    pub fn uint(&self, field: &str, max: u64) -> Result<u64, String> {
+        Self::uint_of(self.get(field)?, max)
+            .ok_or_else(|| self.err(field, &format!("must be an integer in [0, {max}]")))
+    }
+
+    /// A count or size field: an integer within `[0, MAX_EXACT]`.
+    pub fn size(&self, field: &str) -> Result<usize, String> {
+        Ok(self.uint(field, MAX_EXACT)? as usize)
+    }
+
+    /// A full-width u64 field, stored as an exact decimal string (a JSON
+    /// number would round values ≥ 2⁵³).
+    pub fn u64_string(&self, field: &str) -> Result<u64, String> {
+        self.str(field)?
+            .parse()
+            .map_err(|_| self.err(field, "must be an exact decimal u64 string"))
+    }
+
+    /// A finite number field.
+    pub fn float(&self, field: &str) -> Result<f64, String> {
+        self.get(field)?
+            .as_f64()
+            .filter(|x| x.is_finite())
+            .ok_or_else(|| self.err(field, "must be a finite number"))
+    }
+
+    /// A fraction field: a number in `[0, 1]`.
+    pub fn fraction(&self, field: &str) -> Result<f64, String> {
+        Self::fraction_of(self.get(field)?)
+            .ok_or_else(|| self.err(field, "must be a fraction in [0, 1]"))
+    }
+
+    /// An array of integers within `[0, max]`.
+    pub fn uints(&self, field: &str, max: u64) -> Result<Vec<u64>, String> {
+        self.elements(
+            field,
+            |v| Self::uint_of(v, max),
+            &format!("an integer in [0, {max}]"),
+        )
+    }
+
+    /// An array of fractions.
+    pub fn fractions(&self, field: &str) -> Result<Vec<f64>, String> {
+        self.elements(field, Self::fraction_of, "a fraction in [0, 1]")
+    }
+
+    /// A field in the form of one of the spec codecs (`spec_from_json`, …).
+    pub fn decode<T>(
+        &self,
+        field: &str,
+        codec: impl FnOnce(&JsonValue) -> Option<T>,
+    ) -> Result<T, String> {
+        codec(self.get(field)?).ok_or_else(|| self.err(field, "is malformed"))
+    }
+
+    /// An optional field in the form of one of the spec codecs: `None`
+    /// when absent.
+    pub fn optional<T>(
+        &self,
+        field: &str,
+        codec: impl FnOnce(&JsonValue) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.json
+            .get(field)
+            .map(|value| codec(value).ok_or_else(|| self.err(field, "is malformed")))
+            .transpose()
+    }
+
+    /// A nested object.
+    pub fn object(&self, field: &str) -> Result<Fields<'a>, String> {
+        let json = self.get(field)?;
+        if !matches!(json, JsonValue::Object(_)) {
+            return Err(self.err(field, "must be an object"));
+        }
+        Ok(self.nested(json, format!("{field}.")))
+    }
+
+    /// A nested object or `null`.
+    pub fn nullable(&self, field: &str) -> Result<Option<Fields<'a>>, String> {
+        match self.get(field)? {
+            JsonValue::Null => Ok(None),
+            _ => self.object(field).map(Some),
+        }
+    }
+
+    /// An array of objects.
+    pub fn items(&self, field: &str) -> Result<Vec<Fields<'a>>, String> {
+        let items = self.array(field)?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| match item {
+                JsonValue::Object(_) => Ok(self.nested(item, format!("{field}[{i}]."))),
+                _ => Err(self.err(&format!("{field}[{i}]"), "must be an object")),
+            })
+            .collect()
+    }
+
+    fn nested(&self, json: &'a JsonValue, path: String) -> Fields<'a> {
+        Fields {
+            json,
+            owner: self.owner.clone(),
+            path: format!("{}{path}", self.path),
+        }
+    }
+
+    fn array(&self, field: &str) -> Result<&'a [JsonValue], String> {
+        self.get(field)?
+            .as_array()
+            .ok_or_else(|| self.err(field, "must be an array"))
+    }
+
+    fn elements<T>(
+        &self,
+        field: &str,
+        decode: impl Fn(&JsonValue) -> Option<T>,
+        want: &str,
+    ) -> Result<Vec<T>, String> {
+        self.array(field)?
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                decode(v)
+                    .ok_or_else(|| self.err(&format!("{field}[{i}]"), &format!("must be {want}")))
+            })
+            .collect()
+    }
+
+    fn uint_of(value: &JsonValue, max: u64) -> Option<u64> {
+        exact_uint(value.as_f64()?, max)
+    }
+
+    fn fraction_of(value: &JsonValue) -> Option<f64> {
+        value.as_f64().filter(|f| (0.0..=1.0).contains(f))
+    }
+}
+
+/// Decodes one stored cell: [`TrackedReport::cell_from_json`], and the
+/// decoded cell must re-encode to exactly `json` — so an extra, missing,
+/// reordered or inconsistent (derived) field is rejected, not dropped.
+/// The `--resume` cache reads its hits through this.
+pub fn decode_cell<R: TrackedReport>(json: &JsonValue) -> Result<R::Cell, String> {
+    let cell = R::cell_from_json(json)?;
+    let encoded = R::cell_to_json(&cell);
+    if encoded != *json {
+        return Err(format!(
+            "{} {}: {} differs from the encoding of the decoded cell \
+             (an extra, reordered or inconsistent field)",
+            R::CELL,
+            point_name(R::point(&cell)),
+            first_difference(&encoded, json).trim_start_matches('.')
+        ));
+    }
+    Ok(cell)
+}
+
+/// The path of the first field at which `stored` differs from `encoded`:
+/// `worst.scheduler`, `rows[2].degradation`, ….
+fn first_difference(encoded: &JsonValue, stored: &JsonValue) -> String {
+    fn children(value: &JsonValue) -> Vec<(String, &JsonValue)> {
+        match value {
+            JsonValue::Object(entries) => {
+                entries.iter().map(|(k, v)| (format!(".{k}"), v)).collect()
+            }
+            JsonValue::Array(items) => items
+                .iter()
+                .enumerate()
+                .map(|(i, v)| (format!("[{i}]"), v))
+                .collect(),
+            _ => Vec::new(),
+        }
+    }
+    let (a, b) = (children(encoded), children(stored));
+    let same = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+    match (a.get(same), b.get(same)) {
+        (Some((k, x)), Some((l, y))) if k == l => k.clone() + &first_difference(x, y),
+        (_, Some((k, _))) | (Some((k, _)), None) => k.clone(),
+        (None, None) => String::new(),
+    }
+}
+
+/// Decodes the cells of a parsed artifact of report `R`: checks the schema
+/// tag and the cell array and decodes every cell ([`decode_cell`]).  Each
+/// report's validator is this, plus its header checks, plus
+/// [`check_grid`] and the invariants on the typed cells.
+pub fn decode_cells<R: TrackedReport>(json: &JsonValue) -> Result<Vec<R::Cell>, String> {
+    if json.get("schema").and_then(JsonValue::as_str) != Some(R::SCHEMA) {
+        return Err(format!(
+            "missing or wrong schema tag (want {:?})",
+            R::SCHEMA
+        ));
+    }
+    let array = format!("{}s", R::CELL);
+    json.get(&array)
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| format!("{array} array missing"))?
+        .iter()
+        .map(decode_cell::<R>)
+        .collect()
+}
+
+/// Checks that decoded cells are exactly the points of `grid`, in grid
+/// order.
+pub fn check_grid<R: TrackedReport>(cells: &[R::Cell], grid: &[Point]) -> Result<(), String> {
+    if cells.len() != grid.len() {
+        return Err(format!(
+            "expected {} {}s, found {}",
+            grid.len(),
+            R::CELL,
+            cells.len()
+        ));
+    }
+    match cells.iter().map(R::point).zip(grid).find(|(p, q)| p != *q) {
+        Some((_, &want)) => Err(format!(
+            "{} {} missing or out of grid order",
+            R::CELL,
+            point_name(want)
+        )),
+        None => Ok(()),
+    }
 }
 
 /// What one report run produced.
@@ -118,8 +455,7 @@ fn cell_key<R: TrackedReport>(point: R::Point, options: &R::Options) -> String {
 pub struct Outcome {
     /// The report JSON.
     pub json: JsonValue,
-    /// The markdown table of the cells; empty under a cache, whose hits
-    /// exist only as JSON.
+    /// The markdown table of every cell, measured or cached.
     pub markdown: String,
     /// Cells measured by this run.
     pub executed: usize,
@@ -134,7 +470,8 @@ pub struct Outcome {
 /// threads² oversubscription).  Reports without `--threads` run their
 /// cells one at a time on the calling thread.
 ///
-/// With a `cache`, each cell is first looked up by its key; a miss is
+/// With a `cache`, each cell is first looked up by its key and decoded
+/// ([`decode_cell`]); a missing entry or one that does not decode is
 /// measured and stored *before* the cell counts as done, so a run killed
 /// after k cells leaves k valid entries for the next one.
 ///
@@ -145,21 +482,24 @@ pub fn run<R: TrackedReport>(
     options: &R::Options,
     cache: Option<&ResultCache>,
 ) -> Result<Outcome, String> {
-    // One cell's JSON, and the measured cell unless the cache held it.
-    let cell = |point: R::Point, runner: &BatchRunner| {
+    // One cell, and whether this run measured it.
+    let cell = |point: Point, runner: &BatchRunner| {
         let key = cache.map(|c| (c, cell_key::<R>(point, options)));
-        if let Some(json) = key.as_ref().and_then(|(c, key)| c.load(key, R::JOB)) {
-            return Ok((json, None));
+        let decode = |json: &JsonValue| decode_cell::<R>(json).ok();
+        if let Some(cell) = key
+            .as_ref()
+            .and_then(|(c, key)| c.load(key, R::JOB, decode))
+        {
+            return Ok((cell, false));
         }
         let cell = R::run_cell(point, options, runner);
-        let json = R::cell_to_json(&cell);
         if let Some((c, key)) = &key {
-            c.store(key, R::JOB, &json)?;
+            c.store(key, R::JOB, &R::cell_to_json(&cell))?;
         }
-        Ok::<_, String>((json, Some(cell)))
+        Ok::<_, String>((cell, true))
     };
     let grid = R::grid(options);
-    let cells: Vec<(JsonValue, Option<R::Cell>)> = if R::THREADS {
+    let cells: Vec<(R::Cell, bool)> = if R::THREADS {
         let runner = R::threads(options).map_or_else(BatchRunner::new, BatchRunner::with_threads);
         // At most min(threads, cells) cell workers run at once; each gets
         // an equal share of the remaining budget.
@@ -173,18 +513,13 @@ pub fn run<R: TrackedReport>(
             .map(|point| cell(point, &runner))
             .collect::<Result<_, _>>()?
     };
-    let (json_cells, measured): (Vec<_>, Vec<_>) = cells.into_iter().unzip();
-    let measured: Vec<R::Cell> = measured.into_iter().flatten().collect();
-    let (executed, cached) = (measured.len(), json_cells.len() - measured.len());
+    let (cells, measured): (Vec<R::Cell>, Vec<bool>) = cells.into_iter().unzip();
+    let executed = measured.iter().filter(|&&m| m).count();
     Ok(Outcome {
-        json: R::assemble(options, json_cells),
-        markdown: if cache.is_none() {
-            R::markdown(&measured)
-        } else {
-            String::new()
-        },
+        json: R::assemble(options, &cells),
+        markdown: R::markdown(&cells),
         executed,
-        cached,
+        cached: cells.len() - executed,
     })
 }
 
@@ -289,8 +624,8 @@ fn parse_args<R: TrackedReport>(
 }
 
 /// The whole binary of report `R`: parse the command line, run the grid
-/// (through the cell cache under `--resume`), write the artifact, re-read
-/// and validate it, and print the summary.  Usage errors exit 2; run,
+/// (through the cell cache under `--resume`), write the artifact through
+/// [`write_validated`], and print the summary.  Usage errors exit 2; run,
 /// cache, write and validation errors exit 1.
 pub fn main<R: TrackedReport>() {
     let args = match parse_args::<R>(std::env::args().skip(1)) {
@@ -308,6 +643,26 @@ pub fn main<R: TrackedReport>() {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
+}
+
+/// Writes a report to `out` only once it validates: the text goes to
+/// `<out>.partial`, which is re-read, parsed and validated, and only then
+/// renamed onto `out`.  A report that fails leaves `out` byte-identical
+/// and stays at `<out>.partial` for inspection.  Returns the cells decoded
+/// from the re-read file.
+fn write_validated<R: TrackedReport>(out: &str, text: &str) -> Result<Vec<R::Cell>, String> {
+    let partial = format!("{out}.partial");
+    std::fs::write(&partial, text).map_err(|e| format!("cannot write {partial}: {e}"))?;
+    let reread =
+        std::fs::read_to_string(&partial).map_err(|e| format!("cannot re-read {partial}: {e}"))?;
+    let rejected =
+        |e: String| format!("{e}; {out} left unchanged, the rejected report is {partial}");
+    let parsed = JsonValue::parse(&reread)
+        .map_err(|e| rejected(format!("the report does not parse as JSON: {e}")))?;
+    let cells = R::validate(&parsed)
+        .map_err(|e| rejected(format!("the report violates the {} schema: {e}", R::SCHEMA)))?;
+    std::fs::rename(&partial, out).map_err(|e| format!("cannot rename {partial} to {out}: {e}"))?;
+    Ok(cells)
 }
 
 /// The run-and-write half of [`main`].
@@ -330,21 +685,13 @@ fn write_report<R: TrackedReport>(args: &Args) -> Result<(), String> {
         summary += &format!("; executed={} cached={}", outcome.executed, outcome.cached);
     }
     let text = outcome.json.to_json();
-    std::fs::write(&out, &text).map_err(|e| format!("cannot write {out}: {e}"))?;
-
-    // Self-validation: what we wrote must parse and match the schema.
-    let reread = std::fs::read_to_string(&out).map_err(|e| format!("cannot re-read {out}: {e}"))?;
-    let parsed =
-        JsonValue::parse(&reread).map_err(|e| format!("{out} does not parse as JSON: {e}"))?;
-    R::validate(&parsed).map_err(|e| format!("{out} violates the {} schema: {e}", R::SCHEMA))?;
+    let cells = write_validated::<R>(&out, &text)?;
 
     let mode = if args.quick { "quick" } else { "full" };
     println!("# {} ({mode} mode)\n", R::TITLE);
-    if !outcome.markdown.is_empty() {
-        println!("{}", outcome.markdown);
-    }
+    println!("{}", outcome.markdown);
     println!("wrote {out} ({summary})");
-    if let Some(note) = R::closing_note(&parsed) {
+    if let Some(note) = R::closing_note(&cells) {
         println!("{note}");
     }
     if args.json {
@@ -382,10 +729,10 @@ mod tests {
 
     /// Unit specs carry the cell coordinates, and never the thread count:
     /// the cache key is thread-invariant.
-    fn assert_specs_follow_the_grid<R>(options: &R::Options, two_threads: &R::Options)
-    where
-        R: TrackedReport<Point = (ProtocolKind, crate::stabilization::GridGraph, usize)>,
-    {
+    fn assert_specs_follow_the_grid<R: TrackedReport>(
+        options: &R::Options,
+        two_threads: &R::Options,
+    ) {
         let grid = R::grid(options);
         assert_eq!(grid.len(), R::grid(two_threads).len());
         for &point in &grid {
@@ -424,6 +771,170 @@ mod tests {
         assert_ne!(
             cell_key::<hotloop::Report>(point, &true),
             cell_key::<hotloop::Report>(point, &false)
+        );
+    }
+
+    /// A one-cell report whose validator accepts (`OK`) or rejects every
+    /// artifact, for the write step.
+    struct Toy<const OK: bool>;
+
+    impl<const OK: bool> TrackedReport for Toy<OK> {
+        const PRODUCER: &'static str = "toy_report";
+        const TITLE: &'static str = "Toy";
+        const SCHEMA: &'static str = "toy/v1";
+        const JOB: &'static str = "toy-cell";
+        const STEM: &'static str = "toy";
+        const CELL: &'static str = "cell";
+        const THREADS: bool = false;
+        const ISLANDS: bool = false;
+
+        type Options = ();
+        type Cell = usize;
+
+        fn options(_quick: bool, _threads: Option<usize>, _islands: Option<u32>) {}
+        fn grid(_options: &()) -> Vec<Point> {
+            vec![(ProtocolKind::Yokota, GridGraph::Ring, 8)]
+        }
+        fn unit_spec((kind, graph, n): Point, _options: &()) -> JsonValue {
+            point_spec::<Self>(kind, graph.key(), n, true)
+        }
+        fn run_cell((_, _, n): Point, _options: &(), _runner: &BatchRunner) -> usize {
+            n
+        }
+        fn point(&n: &usize) -> Point {
+            (ProtocolKind::Yokota, GridGraph::Ring, n)
+        }
+        fn cell_to_json(&n: &usize) -> JsonValue {
+            JsonValue::object().with("n", n)
+        }
+        fn cell_from_json(json: &JsonValue) -> Result<usize, String> {
+            Fields::new(json, "cell").size("n")
+        }
+        fn header(_options: &()) -> JsonValue {
+            JsonValue::object().with("schema", Self::SCHEMA)
+        }
+        fn validate(json: &JsonValue) -> Result<Vec<usize>, String> {
+            let cells = decode_cells::<Self>(json)?;
+            if OK {
+                Ok(cells)
+            } else {
+                Err("rejected by the toy validator".to_string())
+            }
+        }
+        fn markdown(_cells: &[usize]) -> String {
+            String::new()
+        }
+        fn summary(_options: &(), cells: usize) -> String {
+            format!("{cells} cells")
+        }
+    }
+
+    /// A report that fails validation never replaces `--out`: the old
+    /// bytes stay, and the rejected text waits at `<out>.partial`.  A
+    /// report that validates replaces `--out` and leaves no partial.
+    #[test]
+    fn a_report_that_fails_validation_leaves_out_untouched() {
+        let dir =
+            std::env::temp_dir().join(format!("ssle-bench-write-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("toy.json");
+        let partial = dir.join("toy.json.partial");
+        std::fs::write(&out, "the previous report").unwrap();
+        let args = Args {
+            out: Some(out.to_string_lossy().into_owned()),
+            ..Args::default()
+        };
+        let err = write_report::<Toy<false>>(&args).unwrap_err();
+        assert!(err.contains("rejected by the toy validator"), "{err}");
+        assert_eq!(
+            std::fs::read_to_string(&out).unwrap(),
+            "the previous report"
+        );
+        let expected = Toy::<true>::assemble(&(), &[8]).to_json();
+        assert_eq!(std::fs::read_to_string(&partial).unwrap(), expected);
+
+        write_report::<Toy<true>>(&args).unwrap();
+        assert_eq!(std::fs::read_to_string(&out).unwrap(), expected);
+        assert!(
+            !partial.exists(),
+            "the validated partial was renamed onto --out"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every cell of each committed artifact decodes and re-encodes to the
+    /// identical text, and one extra field in one cell fails each
+    /// validator, naming the cell and the field.
+    #[test]
+    fn committed_artifacts_round_trip_through_the_typed_cells() {
+        fn pin<R: TrackedReport>(file: &str) {
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).expect("tracked report exists");
+            let parsed = JsonValue::parse(&text).expect("tracked report parses");
+            let cells = R::validate(&parsed).unwrap_or_else(|e| panic!("{file}: {e}"));
+            let array = format!("{}s", R::CELL);
+            let JsonValue::Object(mut entries) = parsed.clone() else {
+                panic!("{file}: not an object");
+            };
+            let slot = entries.iter_mut().find(|(k, _)| *k == array).unwrap();
+            slot.1 = JsonValue::Array(cells.iter().map(R::cell_to_json).collect());
+            assert_eq!(
+                JsonValue::Object(entries.clone()).to_json(),
+                text.trim_end(),
+                "{file}"
+            );
+
+            let JsonValue::Array(stored) =
+                &mut entries.iter_mut().find(|(k, _)| *k == array).unwrap().1
+            else {
+                unreachable!()
+            };
+            let last = stored.len() - 1;
+            stored[last] = stored[last].clone().with("extra", 1usize);
+            let Err(err) = R::validate(&JsonValue::Object(entries)) else {
+                panic!("{file}: a cell with an extra field validated");
+            };
+            let name = point_name(R::point(&cells[last]));
+            assert!(
+                err.contains(&name) && err.contains("extra"),
+                "{file}: {err}"
+            );
+        }
+        pin::<stabilization::Report>("BENCH_stabilization.json");
+        pin::<recovery::Report>("BENCH_recovery.json");
+        pin::<hotloop::Report>("BENCH_hotloop.json");
+    }
+
+    /// The field readers reject what an `as` cast would have truncated,
+    /// and name the owner and the field's path.
+    #[test]
+    fn fields_decode_exactly_and_name_the_field() {
+        let json = JsonValue::object()
+            .with("protocol", "ppl")
+            .with("graph", "ring")
+            .with("n", 64usize)
+            .with("half", 0.5)
+            .with("seed", "18446744073709551615")
+            .with("inner", JsonValue::object().with("count", 2.5));
+        let (fields, point) = Fields::open(&json, "cell").unwrap();
+        assert_eq!(point, (ProtocolKind::Ppl, GridGraph::Ring, 64));
+        assert_eq!(fields.fraction("half"), Ok(0.5));
+        assert_eq!(fields.u64_string("seed"), Ok(u64::MAX));
+        assert_eq!(
+            fields.object("inner").unwrap().size("count").unwrap_err(),
+            format!("cell ppl/ring/64: inner.count must be an integer in [0, {MAX_EXACT}]")
+        );
+        assert!(fields.uint("half", 1).is_err());
+        assert!(fields.fraction("n").is_err());
+        assert!(fields
+            .str("missing")
+            .unwrap_err()
+            .ends_with("missing missing"));
+        let unknown = JsonValue::object().with("protocol", "x");
+        assert_eq!(
+            Fields::open(&unknown, "cell").unwrap_err(),
+            "cell: protocol names no grid protocol"
         );
     }
 

@@ -6,8 +6,10 @@
 //! 2. an interrupted run (half the entries missing, a stray
 //!    `*.partial.json` left behind) executes exactly the missing cells and
 //!    emits the identical bytes;
-//! 3. a warm rerun executes **zero** cells and emits the identical bytes;
-//! 4. a corrupted entry is recomputed, not trusted and not a panic.
+//! 3. a warm rerun executes **zero** cells and emits the identical bytes
+//!    and the identical markdown table;
+//! 4. a corrupted entry — truncated, foreign, or with a `result` that does
+//!    not decode to a cell — is recomputed, not trusted and not a panic.
 //!
 //! The grid is shrunk to one size (`sizes = [8]`, quick budgets) so the
 //! full pipeline — including the island search and rate replays of every
@@ -41,9 +43,9 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The plain (cache-free) reference bytes of [`tiny_options`].
-fn plain_bytes(options: &RunOptions) -> String {
-    run::<Report>(options, None).unwrap().json.to_json()
+/// The plain (cache-free) run of [`tiny_options`].
+fn plain(options: &RunOptions) -> Outcome {
+    run::<Report>(options, None).unwrap()
 }
 
 /// One `--resume` run into `dir`.
@@ -66,7 +68,8 @@ fn entries(dir: &Path) -> Vec<PathBuf> {
 #[test]
 fn cold_interrupted_and_warm_resumes_are_byte_identical() {
     let options = tiny_options();
-    let reference = plain_bytes(&options);
+    let plain = plain(&options);
+    let reference = plain.json.to_json();
     let cells = Report::grid(&options).len();
     let dir = scratch_dir("sequence");
 
@@ -103,7 +106,10 @@ fn cold_interrupted_and_warm_resumes_are_byte_identical() {
         (0, cells),
         "a warm --resume rerun must execute zero cells"
     );
-    assert!(warm.markdown.is_empty(), "cached cells exist only as JSON");
+    assert_eq!(
+        warm.markdown, plain.markdown,
+        "cached cells are typed cells: the same markdown table"
+    );
     assert_eq!(
         warm.json.to_json(),
         reference,
@@ -116,7 +122,7 @@ fn cold_interrupted_and_warm_resumes_are_byte_identical() {
 fn corrupted_entries_are_recomputed_without_changing_the_report() {
     let options = tiny_options();
     let dir = scratch_dir("corrupt");
-    let reference = plain_bytes(&options);
+    let reference = plain(&options).json.to_json();
     assert_eq!(resume(&options, &dir).json.to_json(), reference);
 
     let stored = entries(&dir);
@@ -125,11 +131,15 @@ fn corrupted_entries_are_recomputed_without_changing_the_report() {
     fs::write(&stored[0], truncated).unwrap();
     let foreign = text(1).replace("ssle-fabric/v1", "ssle-fabric/v0");
     fs::write(&stored[1], foreign).unwrap();
+    // The envelope stays intact; one field of the stored cell is renamed.
+    let renamed = text(2).replacen("\"mean_steps\"", "\"mean_stepz\"", 1);
+    assert_ne!(renamed, text(2));
+    fs::write(&stored[2], renamed).unwrap();
     let rerun = resume(&options, &dir);
     assert_eq!(
         (rerun.executed, rerun.cached),
-        (2, stored.len() - 2),
-        "a truncated and a foreign-schema entry are misses"
+        (3, stored.len() - 3),
+        "a truncated, a foreign-schema and an undecodable entry are misses"
     );
     assert_eq!(rerun.json.to_json(), reference);
     let _ = fs::remove_dir_all(&dir);

@@ -14,8 +14,9 @@
 //! renamed to `<key>.json`, so a reader never observes a torn entry and an
 //! interrupted run leaves at most ignorable `*.partial.json` droppings
 //! (also gitignored).  Each stored entry embeds the cache schema, its own
-//! key, and the job kind; [`ResultCache::load`] re-verifies all three and
-//! treats any mismatch as a miss — a stale or corrupted entry degrades to
+//! key, and the job kind; [`ResultCache::load`] re-verifies all three,
+//! decodes the result through the caller's decoder, and treats any
+//! mismatch as a miss — a stale or corrupted entry degrades to
 //! recomputation, never to a wrong result or a panic.
 
 use std::fs;
@@ -67,12 +68,17 @@ impl ResultCache {
         self.dir.join(format!("{key}.json"))
     }
 
-    /// Loads the result stored under `key`, or `None` if the entry is
-    /// absent, unreadable, or fails its embedded self-checks (schema tag,
-    /// key echo, job kind, parsability) — all of which degrade to a cache
-    /// miss.
-    pub fn load(&self, key: &str, job: &str) -> Option<JsonValue> {
-        let result = self.read(key, job);
+    /// Loads the result stored under `key` through the caller's `decode`,
+    /// or `None` if the entry is absent, unreadable, fails its embedded
+    /// self-checks (schema tag, key echo, job kind, parsability) or does
+    /// not decode — all of which degrade to a cache miss, and count as one.
+    pub fn load<T>(
+        &self,
+        key: &str,
+        job: &str,
+        decode: impl FnOnce(&JsonValue) -> Option<T>,
+    ) -> Option<T> {
+        let result = self.read(key, job).as_ref().and_then(decode);
         match result {
             Some(_) => FABRIC_CACHE_HITS.incr(),
             None => FABRIC_CACHE_MISSES.incr(),
@@ -138,7 +144,12 @@ mod tests {
         let cache = ResultCache::open(&dir).unwrap();
         let result = JsonValue::object().with("steps", 12.0).with("ok", true);
         cache.store("deadbeef", "demo", &result).unwrap();
-        assert_eq!(cache.load("deadbeef", "demo"), Some(result));
+        assert_eq!(
+            cache.load("deadbeef", "demo", |r| Some(r.clone())),
+            Some(result)
+        );
+        // A result the caller's decoder rejects is a miss.
+        assert_eq!(cache.load("deadbeef", "demo", |_| None::<JsonValue>), None);
         // No partial droppings after a clean store.
         let partials = fs::read_dir(&dir)
             .unwrap()
@@ -158,15 +169,15 @@ mod tests {
     fn mismatched_entries_degrade_to_misses() {
         let dir = scratch_dir("mismatch");
         let cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(cache.load("absent", "demo"), None);
+        assert_eq!(cache.load("absent", "demo", |r| Some(r.clone())), None);
 
         cache.store("k1", "demo", &JsonValue::Bool(true)).unwrap();
         // Wrong job for the same key: miss.
-        assert_eq!(cache.load("k1", "other-job"), None);
+        assert_eq!(cache.load("k1", "other-job", |r| Some(r.clone())), None);
 
         // Corrupted entry: miss, not an error.
         fs::write(dir.join("k2.json"), "{ not json").unwrap();
-        assert_eq!(cache.load("k2", "demo"), None);
+        assert_eq!(cache.load("k2", "demo", |r| Some(r.clone())), None);
 
         // Entry whose embedded key disagrees with its filename (e.g. a
         // renamed file): miss.
@@ -179,21 +190,24 @@ mod tests {
                 .to_json()
         };
         fs::write(dir.join("k3.json"), entry(CACHE_SCHEMA, "something-else")).unwrap();
-        assert_eq!(cache.load("k3", "demo"), None);
+        assert_eq!(cache.load("k3", "demo", |r| Some(r.clone())), None);
 
         // A truncated entry (a store cut short outside the atomic rename):
         // miss.
         let whole = entry(CACHE_SCHEMA, "k4");
         fs::write(dir.join("k4.json"), &whole[..whole.len() / 2]).unwrap();
-        assert_eq!(cache.load("k4", "demo"), None);
+        assert_eq!(cache.load("k4", "demo", |r| Some(r.clone())), None);
 
         // An entry under a foreign schema tag: miss.
         fs::write(dir.join("k5.json"), entry("ssle-fabric/v0", "k5")).unwrap();
-        assert_eq!(cache.load("k5", "demo"), None);
+        assert_eq!(cache.load("k5", "demo", |r| Some(r.clone())), None);
 
         // The well-formed entry itself still hits.
         fs::write(dir.join("k6.json"), entry(CACHE_SCHEMA, "k6")).unwrap();
-        assert_eq!(cache.load("k6", "demo"), Some(JsonValue::Bool(true)));
+        assert_eq!(
+            cache.load("k6", "demo", |r| Some(r.clone())),
+            Some(JsonValue::Bool(true))
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }
