@@ -6,14 +6,17 @@
 //! for the four Table 1 protocols, on the directed ring and the complete
 //! graph, at `n ∈ {256, 4096}` — on the production representation:
 //! [`population::slot::DynState`] inline slots in one contiguous buffer,
-//! dispatched once per block of arcs.
+//! dispatched once per block of arcs.  Every case is timed twice per
+//! sample, with the global telemetry flag off and then on (what
+//! `--telemetry` sets), so each case also carries the instrumentation's
+//! cost: one counter add per `run_steps` burst.
 //!
 //! The `hotloop_report` binary ([`Report`], driven by [`crate::tracked`])
 //! writes the results to `BENCH_hotloop.json` at the repository root so
 //! that later changes have a perf trajectory to compare against.  CI runs
-//! the binary in `--quick` mode and validates the emitted JSON against
-//! [`validate_report`] — a schema smoke, deliberately not a flaky threshold
-//! gate.
+//! the binary in `--quick` mode, which validates the emitted JSON against
+//! [`validate_report`], and gates the telemetry overhead of the `ppl`/ring
+//! cases at a lenient 20 %.
 
 use std::time::Instant;
 
@@ -31,10 +34,15 @@ use crate::{ProtocolKind, Table1Visitor};
 
 /// Schema identifier of `BENCH_hotloop.json`.
 ///
-/// `v2` (this version) records only the production representation: each
-/// case is `protocol`, `graph`, `n` and `steps_per_sec`.  (`v1` also
-/// carried the boxed-state baseline's throughput and the speedups over it.)
-pub const SCHEMA: &str = "hotloop-bench/v2";
+/// `v3` (this version): each case is `protocol`, `graph`, `n`,
+/// `steps_per_sec` (telemetry off) and `steps_per_sec_telemetry` (the
+/// global flag on), and the header records `samples`.  (`v2` had no
+/// telemetry column; `v1` also carried the boxed-state baseline's
+/// throughput and the speedups over it.)
+pub const SCHEMA: &str = "hotloop-bench/v3";
+
+/// Interleaved off/on samples per case; each column is their median.
+pub const SAMPLES: usize = 3;
 
 /// The population sizes of the measurement grid.
 pub const SIZES: [usize; 2] = [256, 4096];
@@ -51,8 +59,18 @@ pub struct CaseResult {
     pub graph: GridGraph,
     /// Population size.
     pub n: usize,
-    /// Erased-path throughput, in steps/second.
+    /// Erased-path throughput with telemetry off, in steps/second.
     pub steps_per_sec: f64,
+    /// The same with the global telemetry flag on, in steps/second.
+    pub steps_per_sec_telemetry: f64,
+}
+
+impl CaseResult {
+    /// The throughput telemetry costs, in percent of the telemetry-off
+    /// rate (negative when noise makes the instrumented run faster).
+    fn overhead_percent(&self) -> f64 {
+        (1.0 - self.steps_per_sec_telemetry / self.steps_per_sec) * 100.0
+    }
 }
 
 /// Builds the timed erased simulation of one case and measures steps/second
@@ -192,21 +210,32 @@ impl TrackedReport for Report {
         point_spec::<Self>(kind, graph.key(), n, quick)
     }
 
-    /// Measures one case: `quick` takes a single short sample (CI smoke);
-    /// full mode reports the median of three samples to damp scheduler
-    /// noise.
+    /// Measures one case: [`SAMPLES`] samples, each timing the case with
+    /// the global telemetry flag off and then on, back to back, so machine
+    /// noise hits both columns alike; each column is the median of its
+    /// samples.  The flag is left as it was found, and the metrics registry
+    /// keeps what the telemetry-on samples counted.
     fn run_cell((kind, graph, n): Point, &quick: &bool, _runner: &BatchRunner) -> CaseResult {
         let budget = budget_secs(quick);
-        let samples = if quick { 1 } else { 3 };
-        let mut rates: Vec<f64> = (0..samples)
-            .map(|_| measure(kind, graph, n, budget))
-            .collect();
-        rates.sort_by(f64::total_cmp);
+        let was_enabled = ssle_telemetry::enabled();
+        let (mut off, mut on) = (Vec::new(), Vec::new());
+        for _ in 0..SAMPLES {
+            ssle_telemetry::set_enabled(false);
+            off.push(measure(kind, graph, n, budget));
+            ssle_telemetry::set_enabled(true);
+            on.push(measure(kind, graph, n, budget));
+        }
+        ssle_telemetry::set_enabled(was_enabled);
+        let median = |mut rates: Vec<f64>| {
+            rates.sort_by(f64::total_cmp);
+            rates[rates.len() / 2]
+        };
         CaseResult {
             kind,
             graph,
             n,
-            steps_per_sec: rates[rates.len() / 2],
+            steps_per_sec: median(off),
+            steps_per_sec_telemetry: median(on),
         }
     }
 
@@ -220,6 +249,7 @@ impl TrackedReport for Report {
             .with("graph", c.graph.key())
             .with("n", c.n)
             .with("steps_per_sec", c.steps_per_sec)
+            .with("steps_per_sec_telemetry", c.steps_per_sec_telemetry)
     }
 
     fn cell_from_json(json: &JsonValue) -> Result<CaseResult, String> {
@@ -229,6 +259,7 @@ impl TrackedReport for Report {
             graph,
             n,
             steps_per_sec: case.float("steps_per_sec")?,
+            steps_per_sec_telemetry: case.float("steps_per_sec_telemetry")?,
         })
     }
 
@@ -237,6 +268,7 @@ impl TrackedReport for Report {
             .with("schema", SCHEMA)
             .with("quick", quick)
             .with("budget_secs", budget_secs(quick))
+            .with("samples", SAMPLES)
     }
 
     fn validate(json: &JsonValue) -> Result<Vec<CaseResult>, String> {
@@ -245,20 +277,25 @@ impl TrackedReport for Report {
 
     fn summary(&quick: &bool, cases: usize) -> String {
         format!(
-            "{cases} cases, {:.2}s timed budget each",
+            "{cases} cases, {SAMPLES} x 2 samples of {:.2}s timed budget each",
             budget_secs(quick)
         )
     }
 
     fn markdown(cases: &[CaseResult]) -> String {
-        let mut out = String::from("| protocol | graph | n | steps/s |\n|---|---|---:|---:|\n");
+        let mut out = String::from(
+            "| protocol | graph | n | steps/s | telemetry steps/s | overhead |\n\
+             |---|---|---:|---:|---:|---:|\n",
+        );
         for c in cases {
             out.push_str(&format!(
-                "| {} | {} | {} | {:.0} |\n",
+                "| {} | {} | {} | {:.0} | {:.0} | {:+.1}% |\n",
                 c.kind.key(),
                 c.graph.key(),
                 c.n,
-                c.steps_per_sec
+                c.steps_per_sec,
+                c.steps_per_sec_telemetry,
+                c.overhead_percent()
             ));
         }
         out
@@ -266,23 +303,46 @@ impl TrackedReport for Report {
 }
 
 /// Validates a parsed `BENCH_hotloop.json` against the expected schema and
-/// returns its cases: schema tag, a positive `budget_secs`, and one case
-/// per protocol × graph × size of the grid, in grid order, each exactly
-/// the encoding of a decoded case ([`decode_cells`]) with a positive
-/// `steps_per_sec`.  Returns a description of the first violation.
+/// returns its cases: schema tag, a header equal to [`Report::header`] of
+/// its `quick` mode, and one case per protocol × graph × size of the grid,
+/// in grid order, each exactly the encoding of a decoded case
+/// ([`decode_cells`]) with both throughputs positive.  Returns a
+/// description of the first violation.
 pub fn validate_report(json: &JsonValue) -> Result<Vec<CaseResult>, String> {
     let cases = decode_cells::<Report>(json)?;
-    let header = Fields::new(json, "report");
-    header.bool("quick")?;
-    if header.float("budget_secs")? <= 0.0 {
-        return Err("budget_secs non-positive".into());
-    }
-    check_grid::<Report>(&cases, &Report::grid(&true))?;
-    if let Some(c) = cases.iter().find(|c| c.steps_per_sec <= 0.0) {
+    let quick = Fields::new(json, "report").bool("quick")?;
+    let JsonValue::Object(entries) = json else {
+        return Err("report must be an object".into());
+    };
+    let header = JsonValue::Object(
+        entries
+            .iter()
+            .filter(|(key, _)| key != "cases")
+            .cloned()
+            .collect(),
+    );
+    let want = Report::header(&quick);
+    if header != want {
         return Err(format!(
-            "case {}: steps_per_sec non-positive",
-            point_name(Report::point(c))
+            "report header {} is not the {} header {}",
+            header.to_json(),
+            if quick { "quick" } else { "full" },
+            want.to_json()
         ));
+    }
+    check_grid::<Report>(&cases, &Report::grid(&quick))?;
+    for c in &cases {
+        for (field, rate) in [
+            ("steps_per_sec", c.steps_per_sec),
+            ("steps_per_sec_telemetry", c.steps_per_sec_telemetry),
+        ] {
+            if rate <= 0.0 {
+                return Err(format!(
+                    "case {}: {field} non-positive",
+                    point_name(Report::point(c))
+                ));
+            }
+        }
     }
     Ok(cases)
 }
@@ -299,6 +359,16 @@ mod tests {
         assert!(rate.is_finite() && rate > 0.0, "{rate}");
     }
 
+    fn case((kind, graph, n): Point) -> CaseResult {
+        CaseResult {
+            kind,
+            graph,
+            n,
+            steps_per_sec: 2.0e7,
+            steps_per_sec_telemetry: 1.9e7,
+        }
+    }
+
     /// The emitted JSON round-trips through the offline parser and passes
     /// schema validation (what the CI smoke checks against the real file).
     #[test]
@@ -307,19 +377,16 @@ mod tests {
         // measurement time.
         let cases = Report::grid(&true)
             .into_iter()
-            .map(|(kind, graph, n)| CaseResult {
-                kind,
-                graph,
-                n,
-                steps_per_sec: 2.0e7,
-            })
+            .map(case)
             .collect::<Vec<_>>();
         let json = Report::assemble(&true, &cases);
         let text = json.to_json();
         let parsed = JsonValue::parse(&text).expect("emitted JSON parses");
         validate_report(&parsed).expect("schema validates");
-        assert!(Report::markdown(&cases).contains("| ppl | ring | 256 | 20000000 |"));
-        // A case with a field beyond the four does not validate.
+        assert!(
+            Report::markdown(&cases).contains("| ppl | ring | 256 | 20000000 | 19000000 | +5.0% |")
+        );
+        // A case with a field beyond the five does not validate.
         let mut extra = cases.iter().map(Report::cell_to_json).collect::<Vec<_>>();
         extra[3] = extra[3].clone().with("speedup", 2.0);
         let v1_shaped = Report::header(&true).with("cases", JsonValue::Array(extra));
@@ -335,6 +402,67 @@ mod tests {
             .with("schema", SCHEMA)
             .with("budget_secs", 0.1);
         assert!(validate_report(&no_cases).is_err());
+
+        let cases = Report::grid(&true)
+            .into_iter()
+            .map(case)
+            .collect::<Vec<_>>();
+        let with_last = |edit: &dyn Fn(JsonValue) -> JsonValue| {
+            let mut stored = cases.iter().map(Report::cell_to_json).collect::<Vec<_>>();
+            let last = stored.pop().unwrap();
+            stored.push(edit(last));
+            Report::header(&true).with("cases", JsonValue::Array(stored))
+        };
+        let without_telemetry = with_last(&|json| {
+            let JsonValue::Object(entries) = json else {
+                unreachable!()
+            };
+            JsonValue::Object(
+                entries
+                    .into_iter()
+                    .filter(|(k, _)| k != "steps_per_sec_telemetry")
+                    .collect(),
+            )
+        });
+        let err = validate_report(&without_telemetry).unwrap_err();
+        assert!(err.contains("steps_per_sec_telemetry missing"), "{err}");
+
+        let mut slow = cases.clone();
+        slow.last_mut().unwrap().steps_per_sec_telemetry = 0.0;
+        let err = validate_report(&Report::assemble(&true, &slow)).unwrap_err();
+        assert!(
+            err.contains("ppl/complete/4096: steps_per_sec_telemetry non-positive"),
+            "{err}"
+        );
+
+        // `{"quick": true, "budget_secs": 1}` is the full-mode budget.
+        let mismatched = JsonValue::object()
+            .with("schema", SCHEMA)
+            .with("quick", true)
+            .with("budget_secs", budget_secs(false))
+            .with("samples", SAMPLES)
+            .with(
+                "cases",
+                JsonValue::Array(cases.iter().map(Report::cell_to_json).collect()),
+            );
+        let err = validate_report(&mismatched).unwrap_err();
+        assert!(err.contains("is not the quick header"), "{err}");
+        validate_report(&Report::assemble(&true, &cases)).expect("the unedited report validates");
+    }
+
+    /// `run_cell` flips the global telemetry flag for its telemetry-on
+    /// samples and leaves it as it found it.
+    #[test]
+    fn run_cell_leaves_the_telemetry_flag_as_it_found_it() {
+        let _lock = crate::trace::serialize();
+        let runner = BatchRunner::with_threads(1);
+        for start in [true, false] {
+            ssle_telemetry::set_enabled(start);
+            let c = Report::run_cell((ProtocolKind::Ppl, GridGraph::Ring, 16), &true, &runner);
+            assert_eq!(ssle_telemetry::enabled(), start);
+            assert!(c.steps_per_sec > 0.0 && c.steps_per_sec_telemetry > 0.0);
+        }
+        ssle_telemetry::set_enabled(false);
     }
 
     /// The tracked artifact's acceptance pin: the committed

@@ -510,7 +510,7 @@ pub fn cell_from_json(json: &JsonValue) -> Result<RecoveryCell, String> {
         safe_steps: cell.uint("safe_steps", MAX_EXACT)?,
         hostile_spec: cell
             .nullable("hostile")?
-            .map(|hostile| hostile.decode("spec", spec_from_json))
+            .map(|hostile| spec_from_json(&hostile.object("spec")?))
             .transpose()?,
         rows,
     })

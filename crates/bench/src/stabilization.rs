@@ -70,7 +70,7 @@ use ssle_core::segments::segments;
 use ssle_core::{InitialCondition, Params, Ppl, PplState};
 
 use crate::tracked::{
-    self, check_grid, decode_cells, point_name, point_spec, Fields, Point, TrackedReport, MAX_EXACT,
+    check_grid, decode_cells, point_name, point_spec, Fields, Point, TrackedReport, MAX_EXACT,
 };
 use crate::{pick_k, ProtocolKind};
 
@@ -879,19 +879,28 @@ pub fn cell_from_json(json: &JsonValue) -> Result<CellResult, String> {
         worst: Candidate {
             variant: variant as u32,
             seed: worst.u64_string("seed")?,
-            spec: worst.decode("spec", spec_from_json)?,
-            faults: worst.decode("faults", fault_spec_from_json)?,
-            churn: worst
-                .optional("churn", churn_spec_from_json)?
-                .unwrap_or_else(ChurnPlanSpec::none),
-            graph: worst.optional("graph_override", graph_spec_from_json)?,
+            spec: spec_from_json(&worst.object("spec")?)?,
+            faults: fault_spec_from_json(&worst.items("faults")?)?,
+            churn: if worst.has("churn") {
+                churn_spec_from_json(&worst.items("churn")?)?
+            } else {
+                ChurnPlanSpec::none()
+            },
+            graph: if worst.has("graph_override") {
+                Some(graph_spec_from_json(&worst.object("graph_override")?)?)
+            } else {
+                None
+            },
         },
         worst_steps: worst.uint("steps", MAX_EXACT)?,
         worst_converged: worst.bool("converged")?,
         best_island: worst.uint("best_island", u32::MAX as u64)? as u32,
         search_evaluations: worst.uint("search_evaluations", u32::MAX as u64)? as u32,
         search_seed: worst.u64_string("search_seed")?,
-        certified: worst.decode("certified", certified_from_json)?,
+        certified: worst
+            .nullable("certified")?
+            .map(|certified| certified_from_json(&certified))
+            .transpose()?,
         rate: RateCurve {
             multipliers: rate.uints("multipliers", MAX_EXACT)?,
             fractions: rate.fractions("fractions")?,
@@ -1050,22 +1059,13 @@ impl TrackedReport for Report {
     }
 }
 
-/// An exact unsigned integer from a JSON number field, by the
-/// [`tracked::exact_uint`] rule.  The `v2` parsers cast through
-/// `as f64 … as uN`, which silently truncated fractions and wrapped
-/// out-of-range values — a corrupted artifact would "round-trip" into a
-/// *different* certificate instead of failing validation.
-fn exact_uint(json: &JsonValue, name: &str, max: u64) -> Option<u64> {
-    tracked::exact_uint(json.get(name)?.as_f64()?, max)
-}
-
-/// An exact u64 from a decimal-string field (the encoding every full-width
-/// integer uses, since JSON numbers are f64 and round values ≥ 2⁵³).
-fn exact_u64_string(json: &JsonValue, name: &str) -> Option<u64> {
-    json.get(name)
-        .and_then(JsonValue::as_str)?
-        .parse::<u64>()
-        .ok()
+/// A `u32` field that must be positive: a fault burst or churn event of
+/// extent zero touches nobody, and the plan builders refuse it.
+fn positive(fields: &Fields, field: &str) -> Result<u32, String> {
+    match fields.uint(field, u32::MAX as u64)? {
+        0 => Err(fields.err(field, "must be positive")),
+        v => Ok(v as u32),
+    }
 }
 
 /// Serializes a [`SchedulerSpec`] structurally (all parameters exact —
@@ -1094,28 +1094,27 @@ pub fn spec_to_json(spec: &SchedulerSpec) -> JsonValue {
 }
 
 /// Rebuilds a [`SchedulerSpec`] from its [`spec_to_json`] form.  Every
-/// integer field parses exactly or not at all: narrow fields reject
-/// fractional and out-of-range numbers (`exact_uint`) instead of
-/// truncating through an `as` cast, and `epoch_len` takes the decimal-string
-/// path like the seeds (the `v2` `as f64` round trip silently rounded
-/// values ≥ 2⁵³).
-pub fn spec_from_json(json: &JsonValue) -> Option<SchedulerSpec> {
-    match json.get("kind").and_then(JsonValue::as_str)? {
-        "random" => Some(SchedulerSpec::Random),
-        "weighted" => Some(SchedulerSpec::Weighted {
-            hot_per_mille: exact_uint(json, "hot_per_mille", u16::MAX as u64)? as u16,
-            bias: exact_uint(json, "bias", u32::MAX as u64)? as u32,
-            seed: exact_u64_string(json, "seed")?,
-        }),
-        "epoch-partition" => Some(SchedulerSpec::EpochPartition {
-            blocks: exact_uint(json, "blocks", u32::MAX as u64)? as u32,
-            epoch_len: exact_u64_string(json, "epoch_len")?,
-        }),
-        "greedy" => Some(SchedulerSpec::Greedy {
-            candidates: exact_uint(json, "candidates", u32::MAX as u64)? as u32,
-        }),
-        _ => None,
-    }
+/// integer field parses exactly or not at all ([`Fields`]): narrow fields
+/// reject fractional and out-of-range numbers instead of truncating through
+/// an `as` cast, and `epoch_len` takes the decimal-string path like the
+/// seeds (the `v2` `as f64` round trip silently rounded values ≥ 2⁵³).
+pub fn spec_from_json(spec: &Fields) -> Result<SchedulerSpec, String> {
+    Ok(match spec.str("kind")? {
+        "random" => SchedulerSpec::Random,
+        "weighted" => SchedulerSpec::Weighted {
+            hot_per_mille: spec.uint("hot_per_mille", u16::MAX as u64)? as u16,
+            bias: spec.uint("bias", u32::MAX as u64)? as u32,
+            seed: spec.u64_string("seed")?,
+        },
+        "epoch-partition" => SchedulerSpec::EpochPartition {
+            blocks: spec.uint("blocks", u32::MAX as u64)? as u32,
+            epoch_len: spec.u64_string("epoch_len")?,
+        },
+        "greedy" => SchedulerSpec::Greedy {
+            candidates: spec.uint("candidates", u32::MAX as u64)? as u32,
+        },
+        _ => return Err(spec.err("kind", "names no scheduler")),
+    })
 }
 
 /// Serializes a cell's optional livelock certificate: `null`, or an object
@@ -1136,24 +1135,21 @@ pub fn certified_to_json(certified: &Option<CertifiedLivelock>) -> JsonValue {
     }
 }
 
-/// Rebuilds an optional [`CertifiedLivelock`] from its
-/// [`certified_to_json`] form, with the same exactness rules as the spec
+/// Rebuilds a [`CertifiedLivelock`] from the object form of
+/// [`certified_to_json`], with the same exactness rules as the spec
 /// parsers.
-pub fn certified_from_json(json: &JsonValue) -> Option<Option<CertifiedLivelock>> {
-    if matches!(json, JsonValue::Null) {
-        return Some(None);
-    }
+pub fn certified_from_json(certified: &Fields) -> Result<CertifiedLivelock, String> {
     // The number fields are bounded by the detection budget / closure
     // limits; anything at or beyond 2^53 cannot have round-tripped exactly
     // through an f64 and is rejected outright.
-    Some(Some(CertifiedLivelock {
-        entry_step: exact_uint(json, "entry_step", MAX_EXACT)?,
-        period: exact_uint(json, "period", MAX_EXACT)?,
-        config_digest: exact_u64_string(json, "config_digest")?,
-        phase: exact_uint(json, "phase", MAX_EXACT)?,
-        exhaustive: json.get("exhaustive").and_then(JsonValue::as_bool)?,
-        closure_configs: exact_uint(json, "closure_configs", MAX_EXACT)?,
-    }))
+    Ok(CertifiedLivelock {
+        entry_step: certified.uint("entry_step", MAX_EXACT)?,
+        period: certified.uint("period", MAX_EXACT)?,
+        config_digest: certified.u64_string("config_digest")?,
+        phase: certified.uint("phase", MAX_EXACT)?,
+        exhaustive: certified.bool("exhaustive")?,
+        closure_configs: certified.uint("closure_configs", MAX_EXACT)?,
+    })
 }
 
 /// Attaches a placement's kind tag and integer parameters to a JSON object.
@@ -1177,25 +1173,20 @@ fn placement_to_json(obj: JsonValue, placement: FaultPlacementSpec) -> JsonValue
 /// object, with the same exactness rules as every other integer field.  A
 /// `count` or `limit` of zero is rejected too: such a burst corrupts nobody,
 /// and `FaultPlan::at` refuses it.
-fn placement_from_json(e: &JsonValue) -> Option<FaultPlacementSpec> {
-    let positive = |name: &str| {
-        exact_uint(e, name, u32::MAX as u64)
-            .filter(|&v| v > 0)
-            .map(|v| v as u32)
-    };
-    Some(match e.get("placement").and_then(JsonValue::as_str)? {
+fn placement_from_json(event: &Fields) -> Result<FaultPlacementSpec, String> {
+    Ok(match event.str("placement")? {
         "random" => FaultPlacementSpec::Random {
-            count: positive("count")?,
+            count: positive(event, "count")?,
         },
         "block" => FaultPlacementSpec::Block {
-            start: exact_uint(e, "start", u32::MAX as u64)? as u32,
-            count: positive("count")?,
+            start: event.uint("start", u32::MAX as u64)? as u32,
+            count: positive(event, "count")?,
         },
         "all" => FaultPlacementSpec::All,
         "targeted" => FaultPlacementSpec::Targeted {
-            limit: positive("limit")?,
+            limit: positive(event, "limit")?,
         },
-        _ => return None,
+        _ => return Err(event.err("placement", "names no fault placement")),
     })
 }
 
@@ -1217,22 +1208,22 @@ pub fn fault_spec_to_json(spec: &FaultPlanSpec) -> JsonValue {
     )
 }
 
-/// Rebuilds a [`FaultPlanSpec`] from its [`fault_spec_to_json`] array.
-/// Every integer parses exactly or not at all (`exact_uint`) — the `v2`
-/// `as u32` casts would silently turn a corrupted `count` of `1e10` or
-/// `3.7` into a different crash schedule instead of rejecting it.
-pub fn fault_spec_from_json(json: &JsonValue) -> Option<FaultPlanSpec> {
-    let events = json
-        .as_array()?
+/// Rebuilds a [`FaultPlanSpec`] from the events of its
+/// [`fault_spec_to_json`] array ([`Fields::items`]).  Every integer parses
+/// exactly or not at all — the `v2` `as u32` casts would silently turn a
+/// corrupted `count` of `1e10` or `3.7` into a different crash schedule
+/// instead of rejecting it.
+pub fn fault_spec_from_json(events: &[Fields]) -> Result<FaultPlanSpec, String> {
+    let events = events
         .iter()
-        .map(|e| {
-            Some(FaultEventSpec {
-                at_step: exact_u64_string(e, "at_step")?,
-                placement: placement_from_json(e)?,
+        .map(|event| {
+            Ok(FaultEventSpec {
+                at_step: event.u64_string("at_step")?,
+                placement: placement_from_json(event)?,
             })
         })
-        .collect::<Option<Vec<_>>>()?;
-    Some(FaultPlanSpec::new(events))
+        .collect::<Result<Vec<_>, String>>()?;
+    Ok(FaultPlanSpec::new(events))
 }
 
 /// Serializes a [`GraphSpec`] structurally: a `family` tag plus the
@@ -1267,28 +1258,27 @@ pub fn graph_spec_to_json(spec: GraphSpec) -> JsonValue {
 
 /// Rebuilds a [`GraphSpec`] from its [`graph_spec_to_json`] form.  Every
 /// integer parses exactly or not at all, like the other spec decoders.
-pub fn graph_spec_from_json(json: &JsonValue) -> Option<GraphSpec> {
-    let small =
-        |json: &JsonValue, name: &str| Some(exact_uint(json, name, u16::MAX as u64)? as u16);
-    Some(match json.get("family").and_then(JsonValue::as_str)? {
+pub fn graph_spec_from_json(graph: &Fields) -> Result<GraphSpec, String> {
+    let small = |field: &str| Ok::<_, String>(graph.uint(field, u16::MAX as u64)? as u16);
+    Ok(match graph.str("family")? {
         "ring" => GraphSpec::DirectedRing,
         "undirected-ring" => GraphSpec::UndirectedRing,
         "complete" => GraphSpec::Complete,
         "torus" => GraphSpec::Torus,
         "small-world" => GraphSpec::SmallWorld {
-            k: small(json, "k")?,
-            rewire_per_mille: small(json, "rewire_per_mille").filter(|&p| p <= 1000)?,
-            seed: exact_u64_string(json, "seed")?,
+            k: small("k")?,
+            rewire_per_mille: graph.uint("rewire_per_mille", 1000)? as u16,
+            seed: graph.u64_string("seed")?,
         },
         "preferential-attachment" => GraphSpec::PreferentialAttachment {
-            m: small(json, "m")?,
-            seed: exact_u64_string(json, "seed")?,
+            m: small("m")?,
+            seed: graph.u64_string("seed")?,
         },
         "random-regular" => GraphSpec::RandomRegular {
-            degree: small(json, "degree")?,
-            seed: exact_u64_string(json, "seed")?,
+            degree: small("degree")?,
+            seed: graph.u64_string("seed")?,
         },
-        _ => return None,
+        _ => return Err(graph.err("family", "names no graph family")),
     })
 }
 
@@ -1321,29 +1311,36 @@ pub fn churn_spec_to_json(spec: &ChurnPlanSpec) -> JsonValue {
     )
 }
 
-/// Rebuilds a [`ChurnPlanSpec`] from its [`churn_spec_to_json`] form.
-/// Zero extents are rejected here (not just at plan-build time), so a
-/// corrupted artifact fails decoding instead of panicking during replay.
-pub fn churn_spec_from_json(json: &JsonValue) -> Option<ChurnPlanSpec> {
+/// Rebuilds a [`ChurnPlanSpec`] from the events of its
+/// [`churn_spec_to_json`] array ([`Fields::items`]).  Zero extents and
+/// single-block partitions are rejected here (not just at plan-build time),
+/// so a corrupted artifact fails decoding instead of panicking during
+/// replay.
+pub fn churn_spec_from_json(events: &[Fields]) -> Result<ChurnPlanSpec, String> {
     let mut spec = ChurnPlanSpec::none();
-    for e in json.as_array()? {
-        let count = |e: &JsonValue| {
-            Some(exact_uint(e, "count", u32::MAX as u64)? as u32).filter(|&c| c > 0)
-        };
-        let kind = match e.get("kind").and_then(JsonValue::as_str)? {
-            "rewire" => ChurnKindSpec::Rewire { count: count(e)? },
+    for event in events {
+        let kind = match event.str("kind")? {
+            "rewire" => ChurnKindSpec::Rewire {
+                count: positive(event, "count")?,
+            },
             "partition" => ChurnKindSpec::Partition {
-                blocks: Some(exact_uint(e, "blocks", u32::MAX as u64)? as u32)
-                    .filter(|&b| b >= 2)?,
+                blocks: match event.uint("blocks", u32::MAX as u64)? {
+                    blocks if blocks >= 2 => blocks as u32,
+                    _ => return Err(event.err("blocks", "must be at least 2")),
+                },
             },
             "heal" => ChurnKindSpec::Heal,
-            "join" => ChurnKindSpec::Join { count: count(e)? },
-            "leave" => ChurnKindSpec::Leave { count: count(e)? },
-            _ => return None,
+            "join" => ChurnKindSpec::Join {
+                count: positive(event, "count")?,
+            },
+            "leave" => ChurnKindSpec::Leave {
+                count: positive(event, "count")?,
+            },
+            _ => return Err(event.err("kind", "names no churn event")),
         };
-        spec = spec.with_event(exact_u64_string(e, "at_step")?, kind);
+        spec = spec.with_event(event.u64_string("at_step")?, kind);
     }
-    Some(spec)
+    Ok(spec)
 }
 
 /// Validates a parsed `BENCH_stabilization.json` against the expected
@@ -1774,9 +1771,8 @@ mod tests {
         let parsed = JsonValue::parse(&to_json(&with_cert).to_json()).unwrap();
         validate_report(&parsed).expect("certified cell validates");
         let cell_json = &parsed.get("cells").and_then(JsonValue::as_array).unwrap()[0];
-        let round = certified_from_json(cell_json.get("worst").unwrap().get("certified").unwrap())
-            .expect("well-formed certificate");
-        assert_eq!(round, Some(cert), "full-width digest survives the text");
+        let round = certified(cell_json).expect("well-formed certificate");
+        assert_eq!(round, cert, "full-width digest survives the text");
         let mut contradicted = with_cert.clone();
         contradicted[0].worst_converged = true;
         let parsed = JsonValue::parse(&to_json(&contradicted).to_json()).unwrap();
@@ -1795,9 +1791,8 @@ mod tests {
         let parsed = JsonValue::parse(&to_json(&recurrence_only).to_json()).unwrap();
         validate_report(&parsed).expect("recurrence-tier cell validates");
         let cell_json = &parsed.get("cells").and_then(JsonValue::as_array).unwrap()[0];
-        let round = certified_from_json(cell_json.get("worst").unwrap().get("certified").unwrap())
-            .expect("well-formed certificate");
-        assert_eq!(round, Some(recurrence_tier));
+        let round = certified(cell_json).expect("well-formed certificate");
+        assert_eq!(round, recurrence_tier);
         let mut mismatched = with_cert.clone();
         mismatched[0].certified = Some(CertifiedLivelock {
             exhaustive: false,
@@ -1806,6 +1801,29 @@ mod tests {
         let parsed = JsonValue::parse(&to_json(&mismatched).to_json()).unwrap();
         let err = validate_report(&parsed).unwrap_err();
         assert!(err.contains("iff exhaustive"), "{err}");
+    }
+
+    /// The certificate of a stored cell, decoded on its own.
+    fn certified(cell: &JsonValue) -> Result<CertifiedLivelock, String> {
+        let worst = Fields::new(cell, "cell").object("worst")?;
+        certified_from_json(&worst.object("certified")?)
+    }
+
+    /// Decodes a bare spec object through its codec.
+    fn spec(json: &JsonValue) -> Result<SchedulerSpec, String> {
+        spec_from_json(&Fields::new(json, "test"))
+    }
+
+    /// Decodes a bare fault-event array through its codec.
+    fn faults(json: &JsonValue) -> Result<FaultPlanSpec, String> {
+        let holder = JsonValue::object().with("faults", json.clone());
+        fault_spec_from_json(&Fields::new(&holder, "test").items("faults")?)
+    }
+
+    /// Decodes a bare churn-event array through its codec.
+    fn churn(json: &JsonValue) -> Result<ChurnPlanSpec, String> {
+        let holder = JsonValue::object().with("churn", json.clone());
+        churn_spec_from_json(&Fields::new(&holder, "test").items("churn")?)
     }
 
     /// The value under `key` of a JSON object, for editing.
@@ -1843,9 +1861,42 @@ mod tests {
         ] {
             let text = spec_to_json(&spec).to_json();
             let parsed = JsonValue::parse(&text).unwrap();
-            assert_eq!(spec_from_json(&parsed), Some(spec));
+            assert_eq!(self::spec(&parsed), Ok(spec));
         }
-        assert_eq!(spec_from_json(&JsonValue::object()), None);
+        assert_eq!(
+            self::spec(&JsonValue::object()),
+            Err("test: kind missing".to_string())
+        );
+
+        // The topology axes of a certificate: every graph family and every
+        // churn event kind.
+        for graph in [
+            GraphSpec::DirectedRing,
+            GraphSpec::UndirectedRing,
+            GraphSpec::Complete,
+            GraphSpec::Torus,
+            GraphSpec::SmallWorld {
+                k: 2,
+                rewire_per_mille: 1000,
+                seed: u64::MAX,
+            },
+            GraphSpec::PreferentialAttachment { m: 3, seed: 7 },
+            GraphSpec::RandomRegular { degree: 4, seed: 9 },
+        ] {
+            let parsed = JsonValue::parse(&graph_spec_to_json(graph).to_json()).unwrap();
+            assert_eq!(
+                graph_spec_from_json(&Fields::new(&parsed, "test")),
+                Ok(graph)
+            );
+        }
+        let plan = ChurnPlanSpec::none()
+            .with_event(5, ChurnKindSpec::Rewire { count: 3 })
+            .with_event(u64::MAX - 1, ChurnKindSpec::Partition { blocks: 2 })
+            .with_event(9, ChurnKindSpec::Heal)
+            .with_event(11, ChurnKindSpec::Join { count: 1 })
+            .with_event(13, ChurnKindSpec::Leave { count: 2 });
+        let parsed = JsonValue::parse(&churn_spec_to_json(&plan).to_json()).unwrap();
+        assert_eq!(churn(&parsed), Ok(plan));
     }
 
     /// The exactness bugfix pin: integer fields that used to truncate
@@ -1862,37 +1913,31 @@ mod tests {
                 .with("seed", "7")
         };
         // A fractional hot_per_mille would have truncated 355.7 -> 355.
-        assert_eq!(
-            spec_from_json(&weighted(JsonValue::Number(355.7), JsonValue::Number(1.0))),
-            None
-        );
+        assert!(spec(&weighted(JsonValue::Number(355.7), JsonValue::Number(1.0))).is_err());
         // An out-of-range hot_per_mille would have wrapped mod 2^16.
         assert_eq!(
-            spec_from_json(&weighted(
+            spec(&weighted(
                 JsonValue::Number(70_000.0),
                 JsonValue::Number(1.0)
             )),
-            None
+            Err("test: hot_per_mille must be an integer in [0, 65535]".to_string())
         );
         // bias beyond u32 likewise.
-        assert_eq!(
-            spec_from_json(&weighted(JsonValue::Number(1.0), JsonValue::Number(5e9))),
-            None
-        );
+        assert!(spec(&weighted(JsonValue::Number(1.0), JsonValue::Number(5e9))).is_err());
         // epoch-partition: fractional blocks, and epoch_len as a number
         // (the rounded v2 encoding) instead of the exact string.
         let epoch = JsonValue::object()
             .with("kind", "epoch-partition")
             .with("blocks", JsonValue::Number(3.5))
             .with("epoch_len", "856");
-        assert_eq!(spec_from_json(&epoch), None);
+        assert!(spec(&epoch).is_err());
         let epoch_num = JsonValue::object()
             .with("kind", "epoch-partition")
             .with("blocks", JsonValue::Number(3.0))
             .with("epoch_len", JsonValue::Number(856.0));
         assert_eq!(
-            spec_from_json(&epoch_num),
-            None,
+            spec(&epoch_num),
+            Err("test: epoch_len must be a string".to_string()),
             "v3 requires the exact decimal-string epoch_len"
         );
         // Fault placements: a fractional or oversized count/start must fail
@@ -1903,9 +1948,9 @@ mod tests {
                 .with("placement", "random")
                 .with("count", count)])
         };
-        assert_eq!(fault_spec_from_json(&event(JsonValue::Number(3.5))), None);
-        assert_eq!(fault_spec_from_json(&event(JsonValue::Number(1e10))), None);
-        assert!(fault_spec_from_json(&event(JsonValue::Number(17.0))).is_some());
+        assert!(faults(&event(JsonValue::Number(3.5))).is_err());
+        assert!(faults(&event(JsonValue::Number(1e10))).is_err());
+        assert!(faults(&event(JsonValue::Number(17.0))).is_ok());
         // A burst that corrupts nobody is rejected, not replayed into a
         // panicking `FaultPlan::at`.
         let zero = |placement: &str, field: &str| {
@@ -1915,9 +1960,32 @@ mod tests {
                 .with("start", 0usize)
                 .with(field, 0usize)])
         };
-        assert_eq!(fault_spec_from_json(&zero("random", "count")), None);
-        assert_eq!(fault_spec_from_json(&zero("block", "count")), None);
-        assert_eq!(fault_spec_from_json(&zero("targeted", "limit")), None);
+        for (placement, field) in [
+            ("random", "count"),
+            ("block", "count"),
+            ("targeted", "limit"),
+        ] {
+            assert_eq!(
+                faults(&zero(placement, field)),
+                Err(format!("test: faults[0].{field} must be positive"))
+            );
+        }
+        // Churn events: a zero extent or a one-block partition fails too.
+        let event = |kind: &str, field: &str, value: usize| {
+            JsonValue::Array(vec![JsonValue::object()
+                .with("at_step", "5")
+                .with("kind", kind)
+                .with(field, value)])
+        };
+        assert_eq!(
+            churn(&event("leave", "count", 0)),
+            Err("test: churn[0].count must be positive".to_string())
+        );
+        assert_eq!(
+            churn(&event("partition", "blocks", 1)),
+            Err("test: churn[0].blocks must be at least 2".to_string())
+        );
+        assert!(churn(&event("partition", "blocks", 2)).is_ok());
 
         // The cell fields of the committed report: a fractional, negative
         // or out-of-range value fails validation, naming the field.
@@ -1947,6 +2015,49 @@ mod tests {
             let err = validate_report(&corrupted).unwrap_err();
             assert!(err.contains(field), "{field} = {value} accepted? {err}");
         }
+
+        // A corruption nested in a spec codec names its full path.  Cell 0
+        // carries an epoch-partition spec, a block fault and a certificate;
+        // no committed cell has a graph override, so one is added.
+        for path in [
+            "worst.spec.blocks",
+            "worst.faults[0].count",
+            "worst.certified.period",
+            "worst.graph_override.rewire_per_mille",
+        ] {
+            let mut corrupted = report.clone();
+            let JsonValue::Array(cells) = field_mut(&mut corrupted, "cells") else {
+                panic!("cells is an array");
+            };
+            let worst = field_mut(&mut cells[0], "worst");
+            match path {
+                "worst.spec.blocks" => {
+                    *field_mut(field_mut(worst, "spec"), "blocks") = JsonValue::Number(4.5)
+                }
+                "worst.faults[0].count" => {
+                    let JsonValue::Array(events) = field_mut(worst, "faults") else {
+                        panic!("faults is an array");
+                    };
+                    *field_mut(&mut events[0], "count") = JsonValue::Number(0.0)
+                }
+                "worst.certified.period" => {
+                    *field_mut(field_mut(worst, "certified"), "period") = JsonValue::Number(2.5)
+                }
+                _ => {
+                    let small_world = JsonValue::object()
+                        .with("family", "small-world")
+                        .with("k", 2usize)
+                        .with("rewire_per_mille", 1001usize)
+                        .with("seed", "1");
+                    *worst = worst.clone().with("graph_override", small_world)
+                }
+            }
+            let err = validate_report(&corrupted).unwrap_err();
+            assert!(
+                err.starts_with(&format!("cell angluin-mod-k/ring/64: {path} must be ")),
+                "{path}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1963,9 +2074,9 @@ mod tests {
         ] {
             let text = fault_spec_to_json(&spec).to_json();
             let parsed = JsonValue::parse(&text).unwrap();
-            assert_eq!(fault_spec_from_json(&parsed), Some(spec));
+            assert_eq!(faults(&parsed), Ok(spec));
         }
-        assert_eq!(fault_spec_from_json(&JsonValue::object()), None);
+        assert!(faults(&JsonValue::object()).is_err());
 
         // A spec is always the bare array of timed events — the committed
         // certificates' bytes.

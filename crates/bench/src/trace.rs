@@ -105,19 +105,18 @@ impl Drop for TraceGuard {
     }
 }
 
+/// The sink and enable flag are process-global; the crate's tests that
+/// touch them serialize here so the parallel runner cannot interleave the
+/// flips.
+#[cfg(test)]
+pub(crate) fn serialize() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    /// The sink and enable flag are process-global; tests that touch them
-    /// serialize here so the parallel runner cannot interleave the flips.
-    fn serialize() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
 
     #[test]
     fn unrequested_guard_is_inert() {

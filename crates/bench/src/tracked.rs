@@ -274,26 +274,9 @@ impl<'a> Fields<'a> {
         self.elements(field, Self::fraction_of, "a fraction in [0, 1]")
     }
 
-    /// A field in the form of one of the spec codecs (`spec_from_json`, …).
-    pub fn decode<T>(
-        &self,
-        field: &str,
-        codec: impl FnOnce(&JsonValue) -> Option<T>,
-    ) -> Result<T, String> {
-        codec(self.get(field)?).ok_or_else(|| self.err(field, "is malformed"))
-    }
-
-    /// An optional field in the form of one of the spec codecs: `None`
-    /// when absent.
-    pub fn optional<T>(
-        &self,
-        field: &str,
-        codec: impl FnOnce(&JsonValue) -> Option<T>,
-    ) -> Result<Option<T>, String> {
-        self.json
-            .get(field)
-            .map(|value| codec(value).ok_or_else(|| self.err(field, "is malformed")))
-            .transpose()
+    /// Whether an optional field is present.
+    pub fn has(&self, field: &str) -> bool {
+        self.json.get(field).is_some()
     }
 
     /// A nested object.
@@ -625,7 +608,7 @@ fn parse_args<R: TrackedReport>(
 
 /// The whole binary of report `R`: parse the command line, run the grid
 /// (through the cell cache under `--resume`), write the artifact through
-/// [`write_validated`], and print the summary.  Usage errors exit 2; run,
+/// `write_validated`, and print the summary.  Usage errors exit 2; run,
 /// cache, write and validation errors exit 1.
 pub fn main<R: TrackedReport>() {
     let args = match parse_args::<R>(std::env::args().skip(1)) {
@@ -942,7 +925,7 @@ mod tests {
     /// pinned to the values the per-report unit builders produced before
     /// the reports shared one driver: existing `.fabric-cache/` entries stay
     /// valid, and the spec encoding cannot drift silently.  The spec embeds
-    /// the schema tag, so the hotloop pair is that of `hotloop-bench/v2`.
+    /// the schema tag, so the hotloop pair is that of `hotloop-bench/v3`.
     #[test]
     fn quick_grid_cache_keys_are_pinned() {
         fn ends<R: TrackedReport>() -> [String; 2] {
@@ -967,8 +950,8 @@ mod tests {
         assert_eq!(
             ends::<hotloop::Report>(),
             [
-                "32b759f3ab21d4c52035957da11ad61a",
-                "f49e03a79cc3f5de2c2c6d4aef2e80aa"
+                "32bedfbb9121d4c52035957ff357b3ab",
+                "f4a5896e82c3f5de2c2c6d4d416a233b"
             ]
         );
     }

@@ -16,8 +16,9 @@
 //!   one (pinned by `scenario_equivalence` in `ssle-bench`);
 //! * instrumented layers record at **burst boundaries**, never per step,
 //!   so the enabled-but-unsampled hot loop stays within noise of the
-//!   uninstrumented one (tracked by `BENCH_telemetry.json`, schema
-//!   [`BENCH_SCHEMA`]);
+//!   uninstrumented one (tracked per case by `BENCH_hotloop.json`'s
+//!   `steps_per_sec_telemetry` column, beside the telemetry-off
+//!   `steps_per_sec`);
 //! * events are stamped with the **deterministic step clock** (steps,
 //!   seeds, counts as exact decimal strings — the house style for u64s).
 //!   Wall-clock durations exist only inside each event's clearly-marked
@@ -50,10 +51,6 @@ pub use validate::{validate_stream, StreamStats};
 /// Schema identifier of the NDJSON event stream.
 pub const SCHEMA: &str = "ssle-telemetry/v1";
 
-/// Schema identifier of the tracked overhead benchmark artifact
-/// (`BENCH_telemetry.json`, written by the `telemetry_bench` binary).
-pub const BENCH_SCHEMA: &str = "telemetry-bench/v1";
-
 /// The one global switch.  Relaxed ordering is deliberate: flipping it is
 /// a coarse operator action (start of a run), not a synchronization point,
 /// and the hot loop pays exactly one uncontended load per burst.
@@ -71,8 +68,9 @@ pub fn enabled() -> bool {
 /// Globally enables or disables telemetry.
 ///
 /// Normally managed by [`install_file`] / [`install_memory`] / [`finish`];
-/// exposed for the overhead benchmark, which measures the
-/// enabled-but-unsampled hot loop without installing a sink.
+/// exposed for overhead measurements (the hot-loop report and perfbench),
+/// which time the enabled-but-unsampled hot loop without installing a
+/// sink.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

@@ -141,7 +141,7 @@ pub fn install_memory(producer: &str) -> io::Result<MemoryTrace> {
 /// Emits one event through the installed sink.
 ///
 /// A no-op (one relaxed load) when telemetry is disabled; with telemetry
-/// enabled but no sink installed (the overhead benchmark's
+/// enabled but no sink installed (the overhead measurements'
 /// enabled-but-unsampled mode) the event is built and dropped.
 pub fn emit(event: Event) {
     if !crate::enabled() {
