@@ -123,7 +123,12 @@ pub struct EpochPartitionScheduler {
     arcs: Vec<Interaction>,
     blocks: usize,
     epoch_len: u64,
-    step: u64,
+    /// The active group: `(step / epoch_len) mod blocks`.
+    group: usize,
+    /// Steps already taken in the active epoch: `step mod epoch_len`.
+    in_epoch: u64,
+    /// Arcs in the active group.
+    members: usize,
     auditor: Option<FairnessAuditor>,
 }
 
@@ -142,10 +147,12 @@ impl EpochPartitionScheduler {
         }
         let blocks = blocks.clamp(1, arcs.len());
         Ok(EpochPartitionScheduler {
+            members: group_size(arcs.len(), blocks, 0),
             arcs,
             blocks,
             epoch_len: epoch_len.max(1),
-            step: 0,
+            group: 0,
+            in_epoch: 0,
             auditor: None,
         })
     }
@@ -169,21 +176,35 @@ impl EpochPartitionScheduler {
     }
 }
 
+/// The number of arcs in group `group`: `arcs[group]`,
+/// `arcs[group + blocks]`, ...
+fn group_size(arcs: usize, blocks: usize, group: usize) -> usize {
+    (arcs - group).div_ceil(blocks)
+}
+
 impl<G: InteractionGraph> Scheduler<G> for EpochPartitionScheduler {
     fn next_interaction<R: Rng + ?Sized>(
         &mut self,
         _graph: &G,
         rng: &mut R,
     ) -> Result<Interaction> {
-        let group = ((self.step / self.epoch_len) % self.blocks as u64) as usize;
-        // Group members are arcs[group], arcs[group + blocks], ...
-        let members = (self.arcs.len() - group).div_ceil(self.blocks);
-        let pick = rng.gen_range(0..members);
-        let arc = self.arcs[group + pick * self.blocks];
-        self.step += 1;
+        let pick = rng.gen_range(0..self.members);
+        let arc = self.arcs[self.group + pick * self.blocks];
+        // Advance the step: the epoch, and once per epoch the group, wrap
+        // by comparison, so a step divides only when a new epoch starts.
+        self.in_epoch += 1;
+        let mut rotated = false;
+        if self.in_epoch == self.epoch_len {
+            self.in_epoch = 0;
+            self.group += 1;
+            if self.group == self.blocks {
+                self.group = 0;
+                rotated = true;
+            }
+            self.members = group_size(self.arcs.len(), self.blocks, self.group);
+        }
         if let Some(auditor) = &self.auditor {
-            let rotation = self.epoch_len * self.blocks as u64;
-            auditor.record(arc, self.step.is_multiple_of(rotation));
+            auditor.record(arc, rotated);
         }
         Ok(arc)
     }
@@ -194,7 +215,7 @@ impl<G: InteractionGraph> Scheduler<G> for EpochPartitionScheduler {
         // depend only on `step mod rotation`.  Exposing the periodic phase —
         // not the raw step — is what lets recurrence detection confirm that a
         // revisited configuration faces the *same* future schedule.
-        Some(self.step % self.epoch_len.saturating_mul(self.blocks as u64))
+        Some(self.group as u64 * self.epoch_len + self.in_epoch)
     }
 }
 
@@ -279,6 +300,37 @@ mod tests {
                 "phase must be the step counter modulo one rotation"
             );
             Scheduler::<DirectedRing>::next_interaction(&mut sched, &ring, &mut rng).unwrap();
+        }
+    }
+
+    /// The kept group and in-epoch count give the arcs and phases of the
+    /// division formula (group `(step / epoch_len) mod blocks`, phase
+    /// `step mod (epoch_len · blocks)`) over three rotations, one-step
+    /// epochs and one-arc groups included.
+    #[test]
+    fn counters_match_the_division_formula() {
+        let graph = CompleteGraph::new(4);
+        let arcs = graph.arcs();
+        for (blocks, epoch_len) in [(3, 5), (1, 7), (arcs.len(), 1), (arcs.len(), 4), (5, 1)] {
+            let mut sched = EpochPartitionScheduler::new(&graph, blocks, epoch_len).unwrap();
+            let (mut rng, mut reference) =
+                (ChaCha8Rng::seed_from_u64(11), ChaCha8Rng::seed_from_u64(11));
+            let rotation = epoch_len * blocks as u64;
+            for step in 0..3 * rotation + 2 {
+                let phase = Scheduler::<CompleteGraph>::phase(&sched);
+                assert_eq!(
+                    phase,
+                    Some(step % rotation),
+                    "{blocks}x{epoch_len} step {step}"
+                );
+                let group = ((step / epoch_len) % blocks as u64) as usize;
+                let members = (arcs.len() - group).div_ceil(blocks);
+                let expected = arcs[group + reference.gen_range(0..members) * blocks];
+                let arc =
+                    Scheduler::<CompleteGraph>::next_interaction(&mut sched, &graph, &mut rng)
+                        .unwrap();
+                assert_eq!(arc, expected, "{blocks}x{epoch_len} step {step}");
+            }
         }
     }
 

@@ -5,7 +5,9 @@
 //! every step, scores a pool of candidate arcs against a protocol-supplied
 //! potential, and schedules the most convergence-hostile one.  It therefore
 //! implements `population::DynScheduler` directly (the erased,
-//! state-visible scheduler interface introduced for exactly this purpose).
+//! state-visible scheduler interface introduced for exactly this purpose),
+//! and keeps its default one-arc `schedule_block`, so even an unobserved
+//! run asks it once per step, with the configuration of that step.
 //!
 //! The potential is an [`ArcScorer`]: *higher scores are more hostile*.  A
 //! typical scorer clones the two endpoint states, applies the protocol's

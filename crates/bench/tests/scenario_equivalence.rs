@@ -779,3 +779,215 @@ fn uniform_bursts_match_single_steps() {
         }
     }
 }
+
+/// A state-blind scheduler that draws uniform arcs and, at its `at`-th
+/// call, returns a pair that is not an arc of the ring.
+struct StrayAt {
+    at: u64,
+    calls: u64,
+}
+
+impl population::Scheduler<population::AnyGraph> for StrayAt {
+    fn next_interaction<R: rand::Rng + ?Sized>(
+        &mut self,
+        graph: &population::AnyGraph,
+        rng: &mut R,
+    ) -> population::Result<population::Interaction> {
+        self.calls += 1;
+        let arc = graph.sample(rng);
+        Ok(if self.calls == self.at {
+            population::Interaction::new(arc.responder().index(), arc.initiator().index())
+        } else {
+            arc
+        })
+    }
+}
+
+/// `run_chosen_by` over [`population::DynScheduler::schedule_block`]
+/// against the per-step loop of a scheduled run (`step_chosen_by` over
+/// `schedule`), from clones of `sim` and two schedulers built alike: for
+/// every burst length in a sequence that crosses the block size, with an
+/// out-of-band rewrite (what a fault does) between bursts, both runs leave
+/// the same configuration and step count, and fail with the same error at
+/// the same step.  After the last burst, or the error, both simulations
+/// draw the same next RNG word.  Returns the error, if any, and the steps
+/// run.
+fn assert_scheduled_blocks_match_single_steps(
+    label: &str,
+    sim: &Simulation<population::DynProtocol, population::AnyGraph>,
+    build: &dyn Fn(&population::AnyGraph) -> Box<dyn population::DynScheduler>,
+) -> (population::Result<()>, u64) {
+    use rand::RngCore;
+    let (mut blocked, mut single) = (sim.clone(), sim.clone());
+    let (mut by_block, mut by_step) = (build(sim.graph()), build(sim.graph()));
+    let n = blocked.num_agents();
+    let mut outcome = Ok(());
+    for (round, k) in [0u64, 1, 63, 64, 65, 1000].into_iter().enumerate() {
+        let block_result = blocked.run_chosen_by(k, |g, c, rng, arcs| {
+            by_block.schedule_block(g, c.states(), rng, arcs)
+        });
+        let step_result = (0..k).try_for_each(|_| {
+            single
+                .step_chosen_by(|g, c, rng| by_step.schedule(g, c.states(), rng))
+                .map(drop)
+        });
+        assert_eq!(block_result, step_result, "{label}: burst of {k}");
+        assert!(
+            blocked.config() == single.config(),
+            "{label}: burst of {k} left a different configuration"
+        );
+        assert_eq!(blocked.steps(), single.steps(), "{label}: burst of {k}");
+        if block_result.is_err() {
+            outcome = block_result;
+            break;
+        }
+        for sim in [&mut blocked, &mut single] {
+            let states = sim.config_mut().states_mut();
+            states[round % n] = states[(7 * round + 3) % n].clone();
+        }
+    }
+    let steps = blocked.steps();
+    let next_word = |sim: &mut Simulation<population::DynProtocol, population::AnyGraph>| {
+        let mut word = 0;
+        sim.step_chosen_by(|graph, _, rng| {
+            word = rng.next_u64();
+            Ok(graph.sample(rng))
+        })
+        .expect("a sampled arc is an arc");
+        word
+    };
+    assert_eq!(
+        next_word(&mut blocked),
+        next_word(&mut single),
+        "{label}: RNG"
+    );
+    (outcome, steps)
+}
+
+/// Scheduled bursts hand blocks of a state-blind scheduler's arcs to the
+/// protocol at once; they must run exactly the process of single scheduled
+/// steps, for every Table 1 protocol, under the weighted and
+/// epoch-partition schedulers, a sequence that runs out mid-block and a
+/// scheduler that returns a non-arc mid-block.  The state-aware greedy
+/// adversary, which chooses one arc per block, must too.  The scenario path agrees
+/// too: a plain run (blocks) and a detecting run (single steps) of an
+/// epoch-partition scenario with a fault inside the run end alike.
+#[test]
+fn scheduled_blocks_match_single_steps() {
+    use population::{AnyGraph, DynScheduler, Interaction, InteractionSeq, SequenceScheduler};
+    use ssle_adversary::{EpochPartitionScheduler, WeightedScheduler};
+
+    type Build = Box<dyn Fn(&AnyGraph) -> Box<dyn DynScheduler>>;
+    let schedulers: [(&str, Build); 4] = [
+        (
+            "weighted",
+            Box::new(|g| Box::new(WeightedScheduler::biased(g, 2, 16, 0xB1A5))),
+        ),
+        (
+            "epoch-partition",
+            Box::new(|g| Box::new(EpochPartitionScheduler::new(g, 3, 8).expect("ring arcs"))),
+        ),
+        (
+            // 150 arcs: the sequence runs out 22 steps into the burst of 65.
+            "sequence",
+            Box::new(|g| {
+                let arcs = g.arcs();
+                let seq: Vec<Interaction> = (0..150).map(|i| arcs[i * 5 % arcs.len()]).collect();
+                Box::new(SequenceScheduler::new(InteractionSeq::from_interactions(
+                    seq,
+                )))
+            }),
+        ),
+        (
+            // The 200th call: 7 steps into the burst of 1000.
+            "stray",
+            Box::new(|_| Box::new(StrayAt { at: 200, calls: 0 })),
+        ),
+    ];
+
+    struct Pin<'a> {
+        kind: ProtocolKind,
+        n: usize,
+        label: String,
+        schedulers: &'a [(&'a str, Build)],
+    }
+    impl Table1Visitor for Pin<'_> {
+        type Output = ();
+        fn visit<P, F>(self, protocol: P, config: Configuration<P::State>, _stop: F)
+        where
+            P: LeaderElection + 'static,
+            P::State: std::any::Any,
+            F: Fn(&P, &Configuration<P::State>) -> bool + Send + Sync + 'static,
+        {
+            let erased: Configuration<DynState> =
+                config.states().iter().cloned().map(DynState::new).collect();
+            let ring = population::GraphFamily::DirectedRing
+                .build(self.n)
+                .expect("n >= 2");
+            let sim = Simulation::new(
+                population::DynProtocol::erase(protocol),
+                ring,
+                erased,
+                self.n as u64 ^ 0x5C4ED,
+            );
+            let scorer = ssle_bench::stabilization::leader_delta_scorer(
+                ssle_bench::stabilization::dyn_protocol(self.kind, self.n),
+            );
+            let greedy: Build = Box::new(move |_| {
+                Box::new(ssle_adversary::GreedyAdversary::new(scorer.clone(), 3))
+            });
+            for (name, build) in self.schedulers.iter().chain([&("greedy", greedy)]) {
+                let label = format!("{} {name}", self.label);
+                let outcome = assert_scheduled_blocks_match_single_steps(&label, &sim, build);
+                // Each error ends the run at the step that raised it.
+                use population::PopulationError::{NotAnArc, ScheduleExhausted};
+                match (*name, outcome) {
+                    ("sequence", (Err(ScheduleExhausted { available: 150 }), 150))
+                    | ("stray", (Err(NotAnArc { .. }), 199))
+                    | ("weighted" | "epoch-partition" | "greedy", (Ok(()), 1193)) => {}
+                    (_, outcome) => panic!("{label}: unexpected outcome {outcome:?}"),
+                }
+            }
+        }
+    }
+    for kind in ProtocolKind::ALL {
+        for (n, seed) in [(8usize, 3u64), (64, 1_000_001)] {
+            let label = format!("{} n={n} seed={seed}", kind.key());
+            kind.with_table1_setup(
+                n,
+                seed,
+                Pin {
+                    kind,
+                    n,
+                    label,
+                    schedulers: &schedulers,
+                },
+            );
+        }
+    }
+
+    for kind in ProtocolKind::ALL {
+        let scenario = hostile_ready(kind)
+            .with_scheduler(population::SchedulerFamily::custom(
+                "epoch-partition",
+                |_pt, g| Box::new(EpochPartitionScheduler::new(g, 3, 8).expect("ring arcs")),
+            ))
+            .with_fault_plan(
+                population::FaultPlan::new()
+                    .at(100, population::FaultKind::CorruptRandomAgents { count: 3 }),
+            );
+        for seed in SEEDS {
+            let point = SweepPoint::new(16, seed);
+            let plain = scenario.try_run_full(&point).unwrap();
+            let detected = scenario.try_run_detecting(&point).unwrap();
+            assert!(detected.recurrence.is_none(), "{} seed={seed}", kind.key());
+            assert_eq!(detected.report, plain.report, "{} seed={seed}", kind.key());
+            assert_eq!(
+                *detected.sim.config(),
+                *plain.sim.config(),
+                "{} seed={seed}: blocks and single steps left different states",
+                kind.key()
+            );
+        }
+    }
+}

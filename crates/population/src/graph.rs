@@ -104,7 +104,19 @@ impl DirectedRing {
 
     /// The arc `e_i = (u_i, u_{i+1 mod n})` (the paper's notation).
     pub fn arc(&self, i: usize) -> Interaction {
-        Interaction::new(i % self.n, (i + 1) % self.n)
+        let i = i % self.n;
+        Interaction::new(i, successor(i, self.n))
+    }
+}
+
+/// `(i + 1) mod n` for `i < n`, by compare-and-wrap: the ring steps take
+/// no division.
+#[inline]
+fn successor(i: usize, n: usize) -> usize {
+    if i + 1 == n {
+        0
+    } else {
+        i + 1
     }
 }
 
@@ -118,12 +130,12 @@ impl InteractionGraph for DirectedRing {
     }
 
     fn is_arc(&self, initiator: usize, responder: usize) -> bool {
-        initiator < self.n && responder == (initiator + 1) % self.n
+        initiator < self.n && responder == successor(initiator, self.n)
     }
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Interaction {
         let i = rng.gen_range(0..self.n);
-        Interaction::new(i, (i + 1) % self.n)
+        Interaction::new(i, successor(i, self.n))
     }
 
     fn arcs(&self) -> Vec<Interaction> {
@@ -184,24 +196,26 @@ impl InteractionGraph for UndirectedRing {
         if initiator >= self.n || responder >= self.n {
             return false;
         }
-        responder == (initiator + 1) % self.n || initiator == (responder + 1) % self.n
+        responder == successor(initiator, self.n) || initiator == successor(responder, self.n)
     }
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Interaction {
         let i = rng.gen_range(0..self.n);
         let right = rng.gen_bool(0.5);
+        let j = successor(i, self.n);
         if right {
-            Interaction::new(i, (i + 1) % self.n)
+            Interaction::new(i, j)
         } else {
-            Interaction::new((i + 1) % self.n, i)
+            Interaction::new(j, i)
         }
     }
 
     fn arcs(&self) -> Vec<Interaction> {
         let mut out = Vec::with_capacity(2 * self.n);
         for i in 0..self.n {
-            out.push(Interaction::new(i, (i + 1) % self.n));
-            out.push(Interaction::new((i + 1) % self.n, i));
+            let j = successor(i, self.n);
+            out.push(Interaction::new(i, j));
+            out.push(Interaction::new(j, i));
         }
         out
     }
@@ -651,6 +665,41 @@ mod tests {
         assert!(ring.describe().contains("directed ring"));
         assert_eq!(ring.len(), 5);
         assert!(!ring.is_empty());
+    }
+
+    /// The compare-and-wrap ring arithmetic gives the arcs of the modulo
+    /// formula, for every pair and for the same draws.
+    #[test]
+    fn ring_arithmetic_matches_the_modulo_formula() {
+        for n in [2usize, 3, 5, 64] {
+            let (directed, undirected) = (
+                DirectedRing::new(n).unwrap(),
+                UndirectedRing::new(n).unwrap(),
+            );
+            for i in 0..n + 2 {
+                for j in 0..n + 2 {
+                    let forward = i < n && j == (i + 1) % n;
+                    let backward = j < n && i == (j + 1) % n;
+                    assert_eq!(directed.is_arc(i, j), forward, "n={n} ({i}, {j})");
+                    assert_eq!(undirected.is_arc(i, j), forward || backward);
+                }
+            }
+            let (mut a, mut b) = (rng(), rng());
+            for _ in 0..200 {
+                let i = b.gen_range(0..n);
+                assert_eq!(directed.sample(&mut a), Interaction::new(i, (i + 1) % n));
+            }
+            let (mut a, mut b) = (rng(), rng());
+            for _ in 0..200 {
+                let i = b.gen_range(0..n);
+                let (i, j) = if b.gen_bool(0.5) {
+                    (i, (i + 1) % n)
+                } else {
+                    ((i + 1) % n, i)
+                };
+                assert_eq!(undirected.sample(&mut a), Interaction::new(i, j));
+            }
+        }
     }
 
     #[test]

@@ -578,7 +578,10 @@ impl InteractionGraph for AnyGraph {
 /// protocol potential) pick convergence-hostile interactions.
 ///
 /// Every typed [`Scheduler<AnyGraph>`] is a `DynScheduler` for free through
-/// the blanket impl below (it simply ignores the states).
+/// the blanket impl below: it ignores the states, so it also chooses whole
+/// blocks of arcs at once ([`DynScheduler::schedule_block`]).  A scheduler
+/// that reads the states implements `DynScheduler` itself and keeps the
+/// default one-arc block, so it sees the configuration before every step.
 ///
 /// # Example
 ///
@@ -660,6 +663,40 @@ pub trait DynScheduler: Send {
         rng: &mut ChaCha8Rng,
     ) -> Result<Interaction>;
 
+    /// Chooses the interactions of the next steps at once: writes a
+    /// non-empty prefix of `arcs` and returns its length, along with the
+    /// error that cut the block short, if any (then the prefix may be
+    /// empty).  Unobserved scheduled runs step through this
+    /// ([`Simulation::run_chosen_by`]), one virtual call and one
+    /// [`Protocol::interact_block`] per block instead of per step.
+    ///
+    /// `states` is the configuration before the block's first step, so the
+    /// default fills exactly one arc: a scheduler that reads the states
+    /// (such as a greedy adversary) sees every state it chooses from.
+    /// Every typed [`Scheduler<AnyGraph>`] is blind to the states by
+    /// construction, and its blanket impl fills the whole block.
+    ///
+    /// The block must be the one the same calls to
+    /// [`DynScheduler::schedule`] would give, and it must end at the first
+    /// pair that is not an arc of `graph`, as the step that rejects that
+    /// pair ends a per-step run: then a blocked run draws exactly the RNG
+    /// words of a per-step one.
+    fn schedule_block(
+        &mut self,
+        graph: &AnyGraph,
+        states: &[DynState],
+        rng: &mut ChaCha8Rng,
+        arcs: &mut [Interaction],
+    ) -> (usize, Result<()>) {
+        match self.schedule(graph, states, rng) {
+            Ok(arc) => {
+                arcs[0] = arc;
+                (1, Ok(()))
+            }
+            Err(e) => (0, Err(e)),
+        }
+    }
+
     /// The scheduler's deterministic phase, if it has one (see
     /// [`Scheduler::phase`]).  Periodic schedulers return their step counter
     /// modulo the period; memoryless schedulers (the default) return `None`.
@@ -676,6 +713,27 @@ impl<S: Scheduler<AnyGraph>> DynScheduler for S {
         rng: &mut ChaCha8Rng,
     ) -> Result<Interaction> {
         Scheduler::next_interaction(self, graph, rng)
+    }
+
+    fn schedule_block(
+        &mut self,
+        graph: &AnyGraph,
+        _states: &[DynState],
+        rng: &mut ChaCha8Rng,
+        arcs: &mut [Interaction],
+    ) -> (usize, Result<()>) {
+        for (filled, slot) in arcs.iter_mut().enumerate() {
+            match Scheduler::next_interaction(self, graph, rng) {
+                Ok(arc) => {
+                    *slot = arc;
+                    if !graph.is_arc(arc.initiator().index(), arc.responder().index()) {
+                        return (filled + 1, Ok(()));
+                    }
+                }
+                Err(e) => return (filled, Err(e)),
+            }
+        }
+        (arcs.len(), Ok(()))
     }
 
     fn phase(&self) -> Option<u64> {
@@ -1539,9 +1597,9 @@ impl Run {
         Ok((done, converged))
     }
 
-    /// Runs `k` steps from the step source: the uniform burst or per-step
-    /// scheduler dispatch.  Returns `true` if the observer ended the run
-    /// early.
+    /// Runs `k` steps from the step source: the uniform burst or the
+    /// scheduled one, each in blocks when unobserved and per step under an
+    /// observer.  Returns `true` if the observer ended the run early.
     fn segment<O: Watch>(&mut self, k: u64, settled: bool, observer: &mut O) -> Result<bool> {
         let Run {
             sim,
@@ -1554,14 +1612,7 @@ impl Run {
             observer.burst(sim, k);
             return Ok(false);
         };
-        let (mut ran, mut ended) = (k, false);
-        for step in 0..k {
-            sim.step_chosen_by_observed(observer, |g, c, rng| sched.schedule(g, c.states(), rng))?;
-            if observer.after_step(sim, &**sched, settled, stop) {
-                (ran, ended) = (step + 1, true);
-                break;
-            }
-        }
+        let (ran, ended) = observer.scheduled(sim, &mut **sched, k, settled, stop)?;
         // Scheduled steps are counted here, once per segment.
         ssle_telemetry::metrics::well_known::SCHEDULED_STEPS.add(ran);
         Ok(ended)
@@ -1574,6 +1625,26 @@ trait Watch: StepObserver<DynProtocol> + Sized {
     /// Runs `k` uniform steps, observed one by one.
     fn burst(&mut self, sim: &mut ErasedSim, k: u64) {
         sim.run_steps_observed(k, self);
+    }
+
+    /// Runs up to `k` steps chosen by `sched`, observed and inspected
+    /// ([`Watch::after_step`]) one by one.  Returns the steps run and
+    /// whether the observer ended the run.
+    fn scheduled(
+        &mut self,
+        sim: &mut ErasedSim,
+        sched: &mut dyn DynScheduler,
+        k: u64,
+        settled: bool,
+        stop: &mut DynStop,
+    ) -> Result<(u64, bool)> {
+        for step in 0..k {
+            sim.step_chosen_by_observed(self, |g, c, rng| sched.schedule(g, c.states(), rng))?;
+            if self.after_step(sim, sched, settled, stop) {
+                return Ok((step + 1, true));
+            }
+        }
+        Ok((k, false))
     }
 
     /// Re-seeds from the configuration after a fault or churn event
@@ -1593,10 +1664,24 @@ trait Watch: StepObserver<DynProtocol> + Sized {
     }
 }
 
-/// Nothing to observe, so the burst runs in blocks, one virtual call each.
+/// Nothing to observe, so both bursts run in blocks, one virtual call each.
 impl Watch for NoObserver {
     fn burst(&mut self, sim: &mut ErasedSim, k: u64) {
         sim.run_steps(k);
+    }
+
+    fn scheduled(
+        &mut self,
+        sim: &mut ErasedSim,
+        sched: &mut dyn DynScheduler,
+        k: u64,
+        _settled: bool,
+        _stop: &mut DynStop,
+    ) -> Result<(u64, bool)> {
+        sim.run_chosen_by(k, |g, c, rng, arcs| {
+            sched.schedule_block(g, c.states(), rng, arcs)
+        })?;
+        Ok((k, false))
     }
 }
 

@@ -457,21 +457,97 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     /// call.  The RNG stream and the execution are those of `k` calls to
     /// [`Simulation::step`].
     pub fn run_steps(&mut self, k: u64) {
+        let done = self.run_blocks(k, |graph, _config, rng, block| {
+            for arc in block.iter_mut() {
+                *arc = graph.sample(rng);
+            }
+            (block.len(), Ok(()))
+        });
+        debug_assert!(done.is_ok(), "uniform sampling never fails");
+        // One counter update per burst, never per step: the hot loop pays
+        // exactly one relaxed load here when telemetry is disabled.
+        ssle_telemetry::metrics::well_known::HOT_STEPS.add(k);
+    }
+
+    /// Runs `k` steps whose arcs `fill` chooses a block at a time, over the
+    /// graph, the **current configuration** and the simulation's RNG: the
+    /// burst form of [`Simulation::step_chosen_by`].
+    ///
+    /// `fill` writes a prefix of its block of up to 64 arcs and returns the
+    /// prefix's length, along with the error that cut the block short, if
+    /// any; without an error the prefix must not be empty.  Each arc is
+    /// checked against the graph, then the whole prefix runs in one
+    /// [`Protocol::interact_block`] call.  At an error or a non-arc, the
+    /// arcs before it still run and then the error returns, so the run is
+    /// that of `k` calls to [`Simulation::step_chosen_by`] whose chooser
+    /// takes the arcs one by one: the same configuration, step count, RNG
+    /// position and error at the same step.  The configuration `fill` sees
+    /// is the one before the block's first step, so a chooser that reads
+    /// it must fill one arc per call.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the chooser's error, or [`PopulationError::NotAnArc`] if
+    /// a chosen pair is not an arc of the graph.
+    pub fn run_chosen_by<F>(&mut self, k: u64, mut fill: F) -> Result<()>
+    where
+        F: FnMut(
+            &G,
+            &Configuration<P::State>,
+            &mut ChaCha8Rng,
+            &mut [Interaction],
+        ) -> (usize, Result<()>),
+    {
+        self.run_blocks(k, |graph, config, rng, block| {
+            let (filled, result) = fill(graph, config, rng, block);
+            assert!(
+                filled > 0 || result.is_err(),
+                "a block chooser must fill an arc or fail"
+            );
+            let stray = block[..filled]
+                .iter()
+                .position(|e| !graph.is_arc(e.initiator().index(), e.responder().index()));
+            match stray {
+                Some(at) => (
+                    at,
+                    Err(PopulationError::NotAnArc {
+                        initiator: block[at].initiator().index(),
+                        responder: block[at].responder().index(),
+                    }),
+                ),
+                None => (filled, result),
+            }
+        })
+    }
+
+    /// The block loop of both bursts: `fill` writes a prefix of each block
+    /// of up to [`BLOCK`] arcs and returns its length and the error that
+    /// ended it early, if any.  The prefix runs in one
+    /// [`Protocol::interact_block`] call before the error returns.
+    fn run_blocks<F>(&mut self, k: u64, mut fill: F) -> Result<()>
+    where
+        F: FnMut(
+            &G,
+            &Configuration<P::State>,
+            &mut ChaCha8Rng,
+            &mut [Interaction],
+        ) -> (usize, Result<()>),
+    {
         let mut arcs = [Interaction::new(0, 0); BLOCK];
         let mut left = k;
         while left > 0 {
             let block = &mut arcs[..left.min(BLOCK as u64) as usize];
-            for arc in block.iter_mut() {
-                *arc = self.graph.sample(&mut self.rng);
-            }
-            self.protocol
-                .interact_block(self.config.states_mut(), &mut self.oracle, block);
-            self.steps += block.len() as u64;
-            left -= block.len() as u64;
+            let (filled, result) = fill(&self.graph, &self.config, &mut self.rng, block);
+            self.protocol.interact_block(
+                self.config.states_mut(),
+                &mut self.oracle,
+                &block[..filled],
+            );
+            self.steps += filled as u64;
+            left -= filled as u64;
+            result?;
         }
-        // One counter update per burst, never per step: the hot loop pays
-        // exactly one relaxed load here when telemetry is disabled.
-        ssle_telemetry::metrics::well_known::HOT_STEPS.add(k);
+        Ok(())
     }
 
     /// Runs exactly `k` steps under the uniformly random scheduler with an
