@@ -22,6 +22,7 @@
 
 use analysis::json::JsonValue;
 use population::{ExploreLimits, ExploreVerdict, SweepPoint};
+use ssle_bench::cli::flags;
 use ssle_bench::stabilization::{
     certify_cell, stab_budget, stab_scenario, validate_report, GridGraph, Report,
     ESCALATION_STEP_CEILING,
@@ -44,22 +45,26 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn main() {
+/// Parses the command line into the report to audit.  `Ok(None)` means
+/// `--help` was requested.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Option<String>, String> {
     let mut report = String::from("BENCH_stabilization.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--report" => match args.next() {
-                Some(v) => report = v,
-                None => usage_error("--report requires a value"),
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => usage_error(&format!("unknown option {other:?}")),
+    for token in flags(args, "--report", "--help -h") {
+        match token? {
+            (_, Some(path)) => report = path,
+            (flag, None) if flag == "--help" || flag == "-h" => return Ok(None),
+            (other, None) => return Err(format!("unknown option {other:?}")),
         }
     }
+    Ok(Some(report))
+}
+
+fn main() {
+    let report = match parse_args(std::env::args().skip(1)) {
+        Ok(Some(report)) => report,
+        Ok(None) => return println!("{USAGE}"),
+        Err(message) => usage_error(&message),
+    };
 
     // Part 1: the explorer on a tiny cell, against its known exact result.
     let kind = ProtocolKind::Yokota;
@@ -130,4 +135,25 @@ fn main() {
         fail(&format!("{report} carries no certified livelock"));
     }
     println!("audit passed: {certified} certified livelock(s) replayed from {report}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &[&str]) -> Result<Option<String>, String> {
+        parse_args(line.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn flags_parse() {
+        let default = Some("BENCH_stabilization.json".to_string());
+        assert_eq!(parse(&[]), Ok(default));
+        assert_eq!(parse(&["--report", "p"]), Ok(Some("p".to_string())));
+        assert_eq!(parse(&["--report=p"]), Ok(Some("p".to_string())));
+        assert_eq!(parse(&["--help"]), Ok(None));
+        for bad in [&["--report"][..], &["--help=1"], &["--unknown"], &["extra"]] {
+            assert!(parse(bad).is_err(), "{bad:?} should be rejected");
+        }
+    }
 }

@@ -16,6 +16,7 @@
 //! producer died before writing `stream_end` — is still valid as a prefix;
 //! the digest marks it `complete: false`.
 
+use ssle_bench::cli::flags;
 use ssle_telemetry::TraceDigest;
 
 const USAGE: &str = "\
@@ -40,31 +41,20 @@ where
 {
     let mut out = Args::default();
     let mut trace: Option<String> = None;
-    let mut iter = args.into_iter();
-    let value_of = |flag: &str, iter: &mut dyn Iterator<Item = String>| {
-        iter.next()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--json" => out.json = true,
-            "--out" => out.out = Some(value_of("--out", &mut iter)?),
-            "--help" | "-h" => return Ok(None),
-            flag if flag.starts_with('-') => return Err(format!("unknown option {flag:?}")),
-            path => {
-                if trace.replace(path.to_string()).is_some() {
-                    return Err("exactly one trace file is expected".to_string());
-                }
+    for token in flags(args, "--out", "--json --help -h") {
+        match token? {
+            (_, Some(path)) => out.out = Some(path),
+            (flag, None) if flag == "--json" => out.json = true,
+            (flag, None) if flag == "--help" || flag == "-h" => return Ok(None),
+            (flag, None) if flag.starts_with('-') => {
+                return Err(format!("unknown option {flag:?}"))
             }
+            (path, None) if trace.is_none() => trace = Some(path),
+            _ => return Err("exactly one trace file is expected".to_string()),
         }
     }
-    match trace {
-        Some(trace) => {
-            out.trace = trace;
-            Ok(Some(out))
-        }
-        None => Err("a trace file is required".to_string()),
-    }
+    out.trace = trace.ok_or("a trace file is required")?;
+    Ok(Some(out))
 }
 
 fn main() {
@@ -132,6 +122,8 @@ mod tests {
         assert!(args.json);
         assert_eq!(args.trace, "t.ndjson");
         assert_eq!(args.out.as_deref(), Some("d.json"));
+        let args = parse(&["t.ndjson", "--out=x.json"]).unwrap().unwrap();
+        assert_eq!(args.out.as_deref(), Some("x.json"));
         assert_eq!(parse(&["--help"]).unwrap(), None);
     }
 
@@ -143,6 +135,8 @@ mod tests {
             vec!["--json"],
             vec!["--out", "d.json"],
             vec!["t.ndjson", "--unknown"],
+            vec!["t.ndjson", "--json=1"],
+            vec!["t.ndjson", "--out"],
         ] {
             assert!(parse(&bad).is_err(), "{bad:?} should be rejected");
         }

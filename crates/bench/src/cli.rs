@@ -72,6 +72,37 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The one tokenizer behind every command line of the crate's binaries.
+/// `valued` and `switches` are space-separated flag names.  `--flag value`
+/// and `--flag=value` (split at the first `=`) both give `(flag,
+/// Some(value))` for a flag in `valued`; a flag in `switches` gives `(flag,
+/// None)` and rejects an `=value`; any other argument comes back whole as
+/// `(arg, None)`, for the caller to take as a positional argument or reject
+/// as unknown.
+pub fn flags<I: IntoIterator<Item = String>>(
+    args: I,
+    valued: &'static str,
+    switches: &'static str,
+) -> impl Iterator<Item = Result<(String, Option<String>), String>> {
+    let listed = |list: &str, flag: &str| list.split(' ').any(|f| f == flag);
+    let mut args = args.into_iter();
+    std::iter::from_fn(move || {
+        let arg = args.next()?;
+        let (flag, inline) = match arg.split_once('=') {
+            Some((f, v)) if listed(valued, f) || listed(switches, f) => (f.into(), Some(v.into())),
+            _ => (arg, None),
+        };
+        Some(match (listed(valued, &flag), inline) {
+            (true, inline) => match inline.or_else(|| args.next()) {
+                Some(value) => Ok((flag, Some(value))),
+                None => Err(format!("{flag} requires a value")),
+            },
+            (false, Some(_)) => Err(format!("{flag} does not take a value")),
+            (false, None) => Ok((flag, None)),
+        })
+    })
+}
+
 /// Parsed command-line arguments of an experiment binary.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BenchArgs {
@@ -141,41 +172,21 @@ impl BenchArgs {
         I: IntoIterator<Item = String>,
     {
         let mut out = BenchArgs::default();
-        let mut iter = args.into_iter();
-        while let Some(arg) = iter.next() {
-            // Accept both `--flag value` and `--flag=value`.
-            let (flag, inline_value) = match arg.split_once('=') {
-                Some((f, v)) => (f.to_string(), Some(v.to_string())),
-                None => (arg, None),
-            };
-            let mut value = |name: &str| -> Result<String, ParseError> {
-                inline_value
-                    .clone()
-                    .or_else(|| iter.next())
-                    .ok_or_else(|| ParseError::malformed(format!("{name} requires a value")))
-            };
-            // Boolean flags take no value; `--json=false` would otherwise be
-            // silently read as `--json`.
-            if matches!(
-                flag.as_str(),
-                "--help" | "-h" | "--full" | "--json" | "--telemetry"
-            ) && inline_value.is_some()
-            {
-                return Err(ParseError::malformed(format!(
-                    "{flag} does not take a value"
-                )));
-            }
+        let valued = "--telemetry-out --sizes --trials --seed --threads";
+        let switches = "--help -h --full --json --telemetry";
+        for token in flags(args, valued, switches) {
+            let (flag, value) = token.map_err(ParseError::Malformed)?;
+            let raw = value.unwrap_or_default();
             match flag.as_str() {
                 "--help" | "-h" => return Ok(None),
                 "--full" => out.full = true,
                 "--json" => out.json = true,
                 "--telemetry" => out.telemetry = true,
                 "--telemetry-out" => {
-                    out.telemetry_out = Some(value("--telemetry-out")?);
+                    out.telemetry_out = Some(raw);
                     out.telemetry = true;
                 }
                 "--sizes" => {
-                    let raw = value("--sizes")?;
                     let sizes: Result<Vec<usize>, _> = raw
                         .split(',')
                         .filter(|s| !s.is_empty())
@@ -197,7 +208,6 @@ impl BenchArgs {
                     out.sizes = Some(sizes);
                 }
                 "--trials" => {
-                    let raw = value("--trials")?;
                     let trials: usize = raw.parse().map_err(|_| {
                         ParseError::malformed(format!("--trials: cannot parse {raw:?}"))
                     })?;
@@ -209,13 +219,11 @@ impl BenchArgs {
                     out.trials = Some(trials);
                 }
                 "--seed" => {
-                    let raw = value("--seed")?;
                     out.seed = Some(raw.parse().map_err(|_| {
                         ParseError::malformed(format!("--seed: cannot parse {raw:?}"))
                     })?);
                 }
                 "--threads" => {
-                    let raw = value("--threads")?;
                     let threads: usize = raw.parse().map_err(|_| {
                         ParseError::malformed(format!("--threads: cannot parse {raw:?}"))
                     })?;
@@ -318,10 +326,11 @@ mod tests {
 
     #[test]
     fn equals_syntax_is_accepted() {
-        let args = parse(&["--sizes=8,16", "--trials=2", "--seed=5"]);
+        let args = parse(&["--sizes=8,16", "--trials=2", "--seed=5", "--threads=2"]);
         assert_eq!(args.sizes(), vec![8, 16]);
         assert_eq!(args.trials(), 2);
         assert_eq!(args.seed_or(0), 5);
+        assert_eq!(args.threads, Some(2));
     }
 
     #[test]

@@ -37,6 +37,7 @@ use analysis::json::JsonValue;
 use population::BatchRunner;
 use ssle_fabric::{cache_key, ResultCache, DEFAULT_CACHE_DIR};
 
+use crate::cli::flags;
 use crate::stabilization::GridGraph;
 use crate::trace::TraceGuard;
 use crate::ProtocolKind;
@@ -573,29 +574,24 @@ fn parse_args<R: TrackedReport>(
     args: impl IntoIterator<Item = String>,
 ) -> Result<Option<Args>, String> {
     let mut out = Args::default();
-    let mut iter = args.into_iter();
-    let value_of = |flag: &str, iter: &mut dyn Iterator<Item = String>| {
-        iter.next()
-            .ok_or_else(|| format!("{flag} requires a value"))
-    };
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
+    let valued = "--out --cache-dir --telemetry-out --threads --islands";
+    let switches = "--quick --json --resume --telemetry --help -h";
+    for token in flags(args, valued, switches) {
+        let (flag, value) = token?;
+        let value = value.unwrap_or_default();
+        match flag.as_str() {
             "--quick" => out.quick = true,
             "--json" => out.json = true,
             "--resume" => out.resume = true,
-            "--out" => out.out = Some(value_of("--out", &mut iter)?),
-            "--cache-dir" => out.cache_dir = Some(value_of("--cache-dir", &mut iter)?),
+            "--out" => out.out = Some(value),
+            "--cache-dir" => out.cache_dir = Some(value),
             "--telemetry" => out.telemetry = true,
             "--telemetry-out" => {
-                out.telemetry_out = Some(value_of("--telemetry-out", &mut iter)?);
+                out.telemetry_out = Some(value);
                 out.telemetry = true;
             }
-            "--threads" if R::THREADS => {
-                out.threads = Some(count("--threads", value_of("--threads", &mut iter)?)?);
-            }
-            "--islands" if R::ISLANDS => {
-                out.islands = Some(count("--islands", value_of("--islands", &mut iter)?)?);
-            }
+            "--threads" if R::THREADS => out.threads = Some(count("--threads", value)?),
+            "--islands" if R::ISLANDS => out.islands = Some(count("--islands", value)?),
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown option {other:?}")),
         }
@@ -985,6 +981,11 @@ mod tests {
         (&["--telemetry"], [true; 3]),
         (&["--telemetry-out", "t.ndjson"], [true; 3]),
         (&["--help"], [true; 3]),
+        (&["--threads=2"], [true, true, false]),
+        (&["--out=x.json", "--quick"], [true; 3]),
+        (&["--quick=1"], [false; 3]),
+        (&["--json=false"], [false; 3]),
+        (&["--out"], [false; 3]),
         // Regression: 0 used to parse and silently clamp downstream.
         (&["--threads", "0"], [false; 3]),
         (&["--islands", "0"], [false; 3]),
@@ -1020,6 +1021,12 @@ mod tests {
             assert!(args.quick && args.resume);
             assert_eq!(args.cache_dir.as_deref(), Some("/tmp/c"));
         }
+        for parsed in parses(&["--out=x.json"]) {
+            assert_eq!(parsed.unwrap().unwrap().out.as_deref(), Some("x.json"));
+        }
+        let [stab, rec, _] = parses(&["--threads=2"]);
+        assert_eq!(stab.unwrap().unwrap().threads, Some(2));
+        assert_eq!(rec.unwrap().unwrap().threads, Some(2));
         for parsed in parses(&["--resume"]) {
             let args = parsed.unwrap().unwrap();
             assert!(args.resume && args.cache_dir.is_none());

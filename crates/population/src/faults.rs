@@ -5,12 +5,15 @@
 //! configuration.  [`FaultInjector`] corrupts a configuration in controlled
 //! ways so that the recovery experiments (E11 in `DESIGN.md`) can measure
 //! re-convergence time as a function of the number of corrupted agents.
+//! A [`FaultPlan`] schedules such corruptions at explicit steps of a
+//! scenario run.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::config::Configuration;
+use crate::error::{PopulationError, Result};
 
 /// The kind of corruption to apply.
 ///
@@ -28,7 +31,7 @@ use crate::config::Configuration;
 ///   an extinct population of targets is a legal no-op *at fire time*).
 ///
 /// A `count`/`limit` of **zero**, by contrast, is rejected when the plan is
-/// built ([`crate::FaultPlan::try_at`]): an event that can never corrupt
+/// built ([`FaultPlan::try_at`]): an event that can never corrupt
 /// anything is always a bug in the plan, not a boundary case of the run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
@@ -64,7 +67,7 @@ impl FaultKind {
     /// The extent field of this kind: how many agents the event *asks* to
     /// corrupt (`None` for [`FaultKind::CorruptAll`], which has no knob).
     /// Zero extent makes an event unable to ever corrupt anything, which
-    /// [`crate::FaultPlan::try_at`] rejects as a typed error.
+    /// [`FaultPlan::try_at`] rejects as a typed error.
     pub fn extent(&self) -> Option<usize> {
         match self {
             FaultKind::CorruptRandomAgents { count } => Some(*count),
@@ -159,6 +162,76 @@ impl FaultInjector {
             config[i] = new_state;
         }
         targets
+    }
+}
+
+/// A fault scheduled at an explicit step of a scenario run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FaultEvent {
+    /// The step (counted from the start of the run) *before* which the fault
+    /// fires; step 0 fires before the first interaction and before the
+    /// initial stop-criterion check.
+    pub at_step: u64,
+    /// The corruption to apply.
+    pub kind: FaultKind,
+}
+
+/// A declarative schedule of transient faults injected during a scenario
+/// run: corruptions at explicit steps ([`FaultPlan::at`]), kept sorted by
+/// step.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct FaultPlan {
+    events: Vec<FaultEvent>,
+}
+
+impl FaultPlan {
+    /// Creates an empty plan.
+    pub fn new() -> Self {
+        FaultPlan::default()
+    }
+
+    /// Schedules `kind` to fire at `at_step` (builder-style; events are kept
+    /// sorted by step).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero-extent kind (`count == 0` / `limit == 0`) — a no-op
+    /// fault in a plan is always a bug.  Use [`FaultPlan::try_at`] to handle
+    /// it as a typed error instead.
+    pub fn at(self, at_step: u64, kind: FaultKind) -> Self {
+        self.try_at(at_step, kind).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible variant of [`FaultPlan::at`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PopulationError::DegenerateFault`] if `kind` has extent
+    /// zero ([`FaultKind::extent`]): such an event can never corrupt
+    /// anything, so scheduling one is always a bug, not a boundary case.
+    pub fn try_at(mut self, at_step: u64, kind: FaultKind) -> Result<Self> {
+        if kind.extent() == Some(0) {
+            return Err(PopulationError::DegenerateFault { at: at_step });
+        }
+        self.events.push(FaultEvent { at_step, kind });
+        self.events.sort_by_key(|e| e.at_step);
+        Ok(self)
+    }
+
+    /// The step-scheduled events, sorted by step.
+    pub fn events(&self) -> &[FaultEvent] {
+        &self.events
+    }
+
+    /// Returns `true` if the plan schedules no event.  Empty plans keep the
+    /// fault-free fast path.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Number of scheduled fault events.
+    pub fn len(&self) -> usize {
+        self.events.len()
     }
 }
 
@@ -303,5 +376,40 @@ mod tests {
         );
         assert_eq!(ta, tb);
         assert_eq!(a.states(), b.states());
+    }
+
+    #[test]
+    fn fault_plan_accessors() {
+        let plan = FaultPlan::new()
+            .at(10, FaultKind::CorruptAll)
+            .at(0, FaultKind::CorruptRandomAgents { count: 1 });
+        assert_eq!(plan.len(), 2);
+        assert!(!plan.is_empty());
+        assert_eq!(plan.events()[0].at_step, 0, "events are sorted by step");
+        assert!(FaultPlan::new().is_empty());
+    }
+
+    #[test]
+    fn zero_extent_fault_events_are_rejected() {
+        match FaultPlan::new().try_at(3, FaultKind::CorruptRandomAgents { count: 0 }) {
+            Err(PopulationError::DegenerateFault { at }) => assert_eq!(at, 3),
+            other => panic!("expected DegenerateFault, got {other:?}"),
+        }
+        match FaultPlan::new().try_at(7, FaultKind::CorruptTargets { limit: 0 }) {
+            Err(PopulationError::DegenerateFault { at }) => assert_eq!(at, 7),
+            other => panic!("expected DegenerateFault, got {other:?}"),
+        }
+        // CorruptAll has no extent knob and CorruptBlock{count: 0} is the
+        // same bug as a zero random count.
+        assert!(FaultPlan::new().try_at(0, FaultKind::CorruptAll).is_ok());
+        assert!(FaultPlan::new()
+            .try_at(0, FaultKind::CorruptBlock { start: 2, count: 0 })
+            .is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "extent 0")]
+    fn zero_extent_fault_events_panic_through_the_infallible_builder() {
+        let _ = FaultPlan::new().at(3, FaultKind::CorruptRandomAgents { count: 0 });
     }
 }

@@ -9,6 +9,8 @@
 //! tests and for contrasting topologies.
 
 use std::collections::HashSet;
+use std::fmt;
+use std::sync::Arc;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -641,6 +643,210 @@ pub fn weakly_connected(n: usize, arcs: &[Interaction]) -> bool {
     weak_reach(n, arcs) == n
 }
 
+/// A family of interaction graphs, instantiated per population size.
+///
+/// The generated families (torus, small-world, preferential-attachment,
+/// random-regular) are pure functions of `(their parameters, n)`: the
+/// randomized ones derive a dedicated RNG via [`graph_rng_seed`], so
+/// instantiation is bit-identical at any thread count and in any evaluation
+/// order.
+#[derive(Clone)]
+pub enum GraphFamily {
+    /// The paper's directed ring (the default).
+    DirectedRing,
+    /// The undirected ring of Section 5.
+    UndirectedRing,
+    /// The complete interaction graph.
+    Complete,
+    /// A 2-D wrapped grid dimensioned by [`torus_dims`] (deterministic, no
+    /// seed).
+    Torus,
+    /// A Watts–Strogatz small-world graph (see [`small_world`]).
+    SmallWorld {
+        /// Nearest-neighbour links per agent on the ring lattice (`k/2` per
+        /// side).
+        k: u16,
+        /// Rewiring probability in thousandths (0..=1000).
+        rewire_per_mille: u16,
+        /// Family seed; the per-size RNG stream is derived from it.
+        seed: u64,
+    },
+    /// A Barabási–Albert preferential-attachment graph (see
+    /// [`preferential_attachment`]).
+    PreferentialAttachment {
+        /// Edges attached per new agent.
+        m: u16,
+        /// Family seed; the per-size RNG stream is derived from it.
+        seed: u64,
+    },
+    /// A random directed `d`-regular graph — a union of random Hamiltonian
+    /// cycles, an expander with high probability (see [`random_regular`]).
+    RandomRegular {
+        /// Exact out- and in-degree of every agent.
+        degree: u16,
+        /// Family seed; the per-size RNG stream is derived from it.
+        seed: u64,
+    },
+    /// An arbitrary graph built by a user closure.
+    Custom(Arc<dyn Fn(usize) -> Result<ArbitraryGraph> + Send + Sync>),
+}
+
+impl GraphFamily {
+    /// Builds the concrete graph for a population of `n` agents.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the graph constructors' errors (e.g. `n < 2`,
+    /// [`PopulationError::SelfLoopArc`] / [`PopulationError::EmptyArcSet`]
+    /// from a custom closure), and rejects a [`GraphFamily::Custom`] graph
+    /// that is not weakly connected with
+    /// [`PopulationError::DisconnectedGraph`] — on a disconnected graph a
+    /// global stop predicate can be unreachable, so the run would only ever
+    /// end by budget exhaustion.  (The generated families are connected by
+    /// construction and skip the check.)
+    pub fn build(&self, n: usize) -> Result<AnyGraph> {
+        Ok(match self {
+            GraphFamily::DirectedRing => AnyGraph::DirectedRing(DirectedRing::new(n)?),
+            GraphFamily::UndirectedRing => AnyGraph::UndirectedRing(UndirectedRing::new(n)?),
+            GraphFamily::Complete => {
+                if n < 2 {
+                    return Err(PopulationError::PopulationTooSmall {
+                        requested: n,
+                        minimum: 2,
+                    });
+                }
+                AnyGraph::Complete(CompleteGraph::new(n))
+            }
+            GraphFamily::Torus => AnyGraph::Arbitrary(torus(n)?),
+            GraphFamily::SmallWorld {
+                k,
+                rewire_per_mille,
+                seed,
+            } => AnyGraph::Arbitrary(small_world(n, usize::from(*k), *rewire_per_mille, *seed)?),
+            GraphFamily::PreferentialAttachment { m, seed } => {
+                AnyGraph::Arbitrary(preferential_attachment(n, usize::from(*m), *seed)?)
+            }
+            GraphFamily::RandomRegular { degree, seed } => {
+                AnyGraph::Arbitrary(random_regular(n, usize::from(*degree), *seed)?)
+            }
+            GraphFamily::Custom(f) => {
+                let g = f(n)?;
+                let reached = weak_reach(g.num_agents(), &g.arcs());
+                if reached != g.num_agents() {
+                    return Err(PopulationError::DisconnectedGraph {
+                        agents: g.num_agents(),
+                        reached,
+                    });
+                }
+                AnyGraph::Arbitrary(g)
+            }
+        })
+    }
+}
+
+impl fmt::Debug for GraphFamily {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GraphFamily::DirectedRing => write!(f, "GraphFamily::DirectedRing"),
+            GraphFamily::UndirectedRing => write!(f, "GraphFamily::UndirectedRing"),
+            GraphFamily::Complete => write!(f, "GraphFamily::Complete"),
+            GraphFamily::Torus => write!(f, "GraphFamily::Torus"),
+            GraphFamily::SmallWorld {
+                k,
+                rewire_per_mille,
+                seed,
+            } => write!(
+                f,
+                "GraphFamily::SmallWorld {{ k: {k}, rewire_per_mille: {rewire_per_mille}, \
+                 seed: {seed} }}"
+            ),
+            GraphFamily::PreferentialAttachment { m, seed } => write!(
+                f,
+                "GraphFamily::PreferentialAttachment {{ m: {m}, seed: {seed} }}"
+            ),
+            GraphFamily::RandomRegular { degree, seed } => write!(
+                f,
+                "GraphFamily::RandomRegular {{ degree: {degree}, seed: {seed} }}"
+            ),
+            GraphFamily::Custom(_) => write!(f, "GraphFamily::Custom(..)"),
+        }
+    }
+}
+
+/// A concrete graph of any supported family; dispatches
+/// [`InteractionGraph`] to the wrapped topology, so sampling consumes the
+/// RNG exactly like the wrapped graph would.
+#[derive(Clone, Debug)]
+pub enum AnyGraph {
+    /// A directed ring.
+    DirectedRing(DirectedRing),
+    /// An undirected ring.
+    UndirectedRing(UndirectedRing),
+    /// A complete graph.
+    Complete(CompleteGraph),
+    /// An arbitrary arc set.
+    Arbitrary(ArbitraryGraph),
+}
+
+impl InteractionGraph for AnyGraph {
+    fn num_agents(&self) -> usize {
+        match self {
+            AnyGraph::DirectedRing(g) => g.num_agents(),
+            AnyGraph::UndirectedRing(g) => g.num_agents(),
+            AnyGraph::Complete(g) => g.num_agents(),
+            AnyGraph::Arbitrary(g) => g.num_agents(),
+        }
+    }
+
+    fn num_arcs(&self) -> usize {
+        match self {
+            AnyGraph::DirectedRing(g) => g.num_arcs(),
+            AnyGraph::UndirectedRing(g) => g.num_arcs(),
+            AnyGraph::Complete(g) => g.num_arcs(),
+            AnyGraph::Arbitrary(g) => g.num_arcs(),
+        }
+    }
+
+    fn is_arc(&self, initiator: usize, responder: usize) -> bool {
+        match self {
+            AnyGraph::DirectedRing(g) => g.is_arc(initiator, responder),
+            AnyGraph::UndirectedRing(g) => g.is_arc(initiator, responder),
+            AnyGraph::Complete(g) => g.is_arc(initiator, responder),
+            AnyGraph::Arbitrary(g) => g.is_arc(initiator, responder),
+        }
+    }
+
+    // The uniform block loop calls this once per arc; without the hint it
+    // stays out of line there once that loop is inlined into the engine.
+    #[inline]
+    fn sample<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> Interaction {
+        match self {
+            AnyGraph::DirectedRing(g) => g.sample(rng),
+            AnyGraph::UndirectedRing(g) => g.sample(rng),
+            AnyGraph::Complete(g) => g.sample(rng),
+            AnyGraph::Arbitrary(g) => g.sample(rng),
+        }
+    }
+
+    fn arcs(&self) -> Vec<Interaction> {
+        match self {
+            AnyGraph::DirectedRing(g) => g.arcs(),
+            AnyGraph::UndirectedRing(g) => g.arcs(),
+            AnyGraph::Complete(g) => g.arcs(),
+            AnyGraph::Arbitrary(g) => g.arcs(),
+        }
+    }
+
+    fn describe(&self) -> String {
+        match self {
+            AnyGraph::DirectedRing(g) => g.describe(),
+            AnyGraph::UndirectedRing(g) => g.describe(),
+            AnyGraph::Complete(g) => g.describe(),
+            AnyGraph::Arbitrary(g) => g.describe(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -964,5 +1170,42 @@ mod tests {
         let (l, r) = ring_neighbors(5, 6);
         assert_eq!(l.index(), 4);
         assert_eq!(r.index(), 0);
+    }
+
+    #[test]
+    fn graph_families_build_their_topologies() {
+        assert!(matches!(
+            GraphFamily::DirectedRing.build(4),
+            Ok(AnyGraph::DirectedRing(_))
+        ));
+        assert!(matches!(
+            GraphFamily::UndirectedRing.build(4),
+            Ok(AnyGraph::UndirectedRing(_))
+        ));
+        assert!(matches!(
+            GraphFamily::Complete.build(4),
+            Ok(AnyGraph::Complete(_))
+        ));
+        assert!(GraphFamily::DirectedRing.build(1).is_err());
+        assert!(GraphFamily::Complete.build(1).is_err());
+        let custom = GraphFamily::Custom(Arc::new(ArbitraryGraph::directed_ring));
+        let g = custom.build(5).unwrap();
+        assert_eq!(g.num_agents(), 5);
+        assert_eq!(g.num_arcs(), 5);
+        assert!(g.is_arc(4, 0));
+        assert_eq!(g.arcs().len(), 5);
+        assert!(g.describe().contains("arbitrary"));
+        assert!(format!("{custom:?}").contains("Custom"));
+    }
+
+    #[test]
+    fn any_graph_samples_exactly_like_the_wrapped_graph() {
+        let wrapped = AnyGraph::DirectedRing(DirectedRing::new(9).unwrap());
+        let direct = DirectedRing::new(9).unwrap();
+        let mut rng_a = ChaCha8Rng::seed_from_u64(5);
+        let mut rng_b = ChaCha8Rng::seed_from_u64(5);
+        for _ in 0..200 {
+            assert_eq!(wrapped.sample(&mut rng_a), direct.sample(&mut rng_b));
+        }
     }
 }

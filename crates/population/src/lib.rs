@@ -73,8 +73,11 @@
 
 pub mod agent;
 pub mod batch;
+mod churn;
 pub mod config;
 pub mod convergence;
+mod engine;
+mod erase;
 pub mod error;
 pub mod explore;
 pub mod faults;

@@ -6,24 +6,25 @@
 //! scheduler until a stop criterion holds or a step budget runs out, and
 //! report a [`ConvergenceReport`].  Historically each protocol needed its own
 //! monomorphized copy of that plumbing; this module provides **one** run path
-//! for all of them:
+//! for all of them.  [`ScenarioBuilder`] → [`Scenario`] is the declarative
+//! layer tying a protocol factory, an initial-condition generator, a stop
+//! criterion, a step budget and an optional fault plan together, runnable on
+//! single [`SweepPoint`]s or whole [`SweepGrid`]s.
+//!
+//! The pieces it composes live next to their typed halves and are
+//! re-exported here:
 //!
 //! * [`DynState`] / [`DynProtocol`] — type erasure for protocols and their
-//!   per-agent states, so heterogeneous protocols flow through a single
-//!   `Simulation<DynProtocol, AnyGraph>`.  Erasure does not change the
-//!   execution: the scheduler, RNG stream and transition function are
-//!   exactly those of the typed path, so reports are bit-identical.
-//!   Erased states live in fixed-size **inline slots** ([`crate::slot`]), so
-//!   the erased configuration is one contiguous buffer and the per-step cost
-//!   matches static dispatch — no per-agent heap boxes.
+//!   per-agent states (`erase.rs`, over the inline slots of [`crate::slot`]);
 //! * [`GraphFamily`] / [`AnyGraph`] — graph topologies selectable per
-//!   scenario and instantiated per sweep point.
-//! * [`FaultPlan`] / [`ChurnPlan`] — transient faults and topology changes
-//!   scheduled into the run at explicit steps.
-//! * [`ScenarioBuilder`] → [`Scenario`] — the declarative layer tying a
-//!   protocol factory, an initial-condition generator, a stop criterion, a
-//!   step budget and an optional fault plan together, runnable on single
-//!   [`SweepPoint`]s or whole [`SweepGrid`]s.
+//!   scenario and instantiated per sweep point ([`crate::graph`]);
+//! * [`DynScheduler`] / [`SchedulerFamily`] — the erased scheduler face and
+//!   its per-run builder ([`crate::scheduler`]);
+//! * [`FaultPlan`] ([`crate::faults`]) / [`ChurnPlan`] (`churn.rs`) —
+//!   transient faults and topology changes scheduled into the run at
+//!   explicit steps.
+//!
+//! The segment engine that drives every run (`engine.rs`) is private.
 //!
 //! # Example
 //!
@@ -73,960 +74,32 @@
 
 use std::any::Any;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
-use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::batch::{group_by_size, BatchRunner, BatchSummary, Outcome};
+use crate::churn::ChurnSchedule;
 use crate::config::Configuration;
 use crate::convergence::ConvergenceReport;
+use crate::engine::{
+    telemetry_run_start, DynCorrupt, DynTargets, FaultSchedule, Recurrence, Run, Watch,
+};
 use crate::error::{PopulationError, Result};
-use crate::faults::{FaultInjector, FaultKind};
-use crate::graph::{ArbitraryGraph, CompleteGraph, DirectedRing, InteractionGraph, UndirectedRing};
-use crate::observer::{LeaderCounter, NoObserver, StepObserver};
+use crate::graph::InteractionGraph;
+use crate::observer::{LeaderCounter, NoObserver};
 use crate::protocol::{LeaderElection, Protocol};
 use crate::recurrence::{FingerprintSum, RecurrenceCandidate, RecurrenceDetector};
-use crate::schedule::Interaction;
-use crate::scheduler::Scheduler;
-use crate::simulation::{oracle_in_use, OracleFold, Simulation};
+use crate::simulation::{check_size, Simulation};
 use crate::sweep::{SweepGrid, SweepPoint};
 
-// ---------------------------------------------------------------------------
-// State erasure
-// ---------------------------------------------------------------------------
-
+pub use crate::churn::{ChurnEvent, ChurnKind, ChurnPlan};
+pub use crate::erase::{downcast_config, DynProtocol};
+pub use crate::faults::{FaultEvent, FaultPlan};
+pub use crate::graph::{AnyGraph, GraphFamily};
+pub use crate::scheduler::{BuildScheduler, DynScheduler, SchedulerFamily};
 pub use crate::slot::{DynState, SlotState};
-
-/// Rebuilds a typed configuration from an erased one, if every agent state
-/// has type `S`.  Used by tests and examples that inspect final states after
-/// a [`Scenario::run_full`].
-pub fn downcast_config<S: SlotState>(config: &Configuration<DynState>) -> Option<Configuration<S>> {
-    let mut states = Vec::with_capacity(config.len());
-    for s in config.states() {
-        states.push(s.downcast_ref::<S>()?.clone());
-    }
-    Some(Configuration::from_states(states))
-}
-
-// ---------------------------------------------------------------------------
-// Protocol erasure
-// ---------------------------------------------------------------------------
-
-/// The object-safe face of a (leader-election) protocol over [`DynState`]
-/// slots.  Its one implementer is [`Erased`], behind [`DynProtocol::erase`]
-/// (for [`LeaderElection`] protocols) and [`DynProtocol::erase_protocol`]
-/// (for protocols without a leader output, whose `is_leader_dyn` is always
-/// `false`).
-trait DynLeaderElection: Send + Sync {
-    /// The transition function on erased states.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either state does not downcast to the protocol's state type
-    /// (mixing states of different protocols in one configuration).
-    fn interact_dyn(&self, initiator: &mut DynState, responder: &mut DynState);
-
-    /// See [`Protocol::oracle_marks`].
-    fn oracle_marks_dyn(&self, state: &DynState) -> u8;
-
-    /// See [`Protocol::oracle_apply`].
-    fn oracle_apply_dyn(&self, view: u8, state: &mut DynState);
-
-    /// See [`Protocol::interact_block`]: a whole block of steps in one
-    /// virtual call, into the block loop monomorphized for the typed
-    /// protocol.
-    fn interact_block_dyn(
-        &self,
-        states: &mut [DynState],
-        oracle: &mut OracleFold,
-        arcs: &[Interaction],
-    );
-
-    /// See [`Protocol::uses_oracle`].
-    fn uses_oracle_dyn(&self) -> bool;
-
-    /// The leader-output map; `false` for protocols without one.
-    fn is_leader_dyn(&self, state: &DynState) -> bool;
-
-    /// See [`Protocol::name`].
-    fn protocol_name(&self) -> &'static str;
-}
-
-/// Erasure wrapper: the typed protocol and its leader output, which is
-/// constantly `false` for protocols without one.
-///
-/// It is also `P`'s static slot view: a [`Protocol`] over [`DynState`] that
-/// downcasts and calls `P` directly.  Its block loop
-/// ([`Protocol::interact_block`]) is therefore monomorphized for `P`, oracle
-/// fold included, behind the one virtual call of
-/// [`DynLeaderElection::interact_block_dyn`].
-#[derive(Clone)]
-struct Erased<P: Protocol> {
-    protocol: P,
-    is_leader: fn(&P, &P::State) -> bool,
-}
-
-impl<P> Erased<P>
-where
-    P: Protocol,
-    P::State: Any,
-{
-    fn typed<'a>(&self, state: &'a DynState) -> &'a P::State {
-        state
-            .downcast_ref()
-            .unwrap_or_else(|| panic!("state does not belong to protocol {}", self.protocol.name()))
-    }
-
-    fn typed_mut<'a>(&self, state: &'a mut DynState) -> &'a mut P::State {
-        state
-            .downcast_mut()
-            .unwrap_or_else(|| panic!("state does not belong to protocol {}", self.protocol.name()))
-    }
-}
-
-impl<P> Protocol for Erased<P>
-where
-    P: Protocol,
-    P::State: Any,
-{
-    type State = DynState;
-    const HAS_ENVIRONMENT: bool = P::HAS_ENVIRONMENT;
-
-    fn interact(&self, initiator: &mut DynState, responder: &mut DynState) {
-        let i = self.typed_mut(initiator);
-        let r = self.typed_mut(responder);
-        self.protocol.interact(i, r);
-    }
-
-    fn oracle_marks(&self, state: &DynState) -> u8 {
-        self.protocol.oracle_marks(self.typed(state))
-    }
-
-    fn oracle_apply(&self, view: u8, state: &mut DynState) {
-        self.protocol.oracle_apply(view, self.typed_mut(state));
-    }
-
-    /// Panics, as the typed [`Simulation::try_new`] does, if `P` reports an
-    /// oracle without setting [`Protocol::HAS_ENVIRONMENT`]: the block loop
-    /// would compile its oracle out.
-    fn uses_oracle(&self) -> bool {
-        oracle_in_use(&self.protocol)
-    }
-
-    fn name(&self) -> &'static str {
-        self.protocol.name()
-    }
-}
-
-impl<P> DynLeaderElection for Erased<P>
-where
-    P: Protocol + 'static,
-    P::State: Any,
-{
-    fn interact_dyn(&self, initiator: &mut DynState, responder: &mut DynState) {
-        self.interact(initiator, responder);
-    }
-
-    fn oracle_marks_dyn(&self, state: &DynState) -> u8 {
-        self.oracle_marks(state)
-    }
-
-    fn oracle_apply_dyn(&self, view: u8, state: &mut DynState) {
-        self.oracle_apply(view, state);
-    }
-
-    fn interact_block_dyn(
-        &self,
-        states: &mut [DynState],
-        oracle: &mut OracleFold,
-        arcs: &[Interaction],
-    ) {
-        self.interact_block(states, oracle, arcs);
-    }
-
-    fn uses_oracle_dyn(&self) -> bool {
-        self.uses_oracle()
-    }
-
-    fn is_leader_dyn(&self, state: &DynState) -> bool {
-        state
-            .downcast_ref::<P::State>()
-            .is_some_and(|s| (self.is_leader)(&self.protocol, s))
-    }
-
-    fn protocol_name(&self) -> &'static str {
-        self.name()
-    }
-}
-
-/// A type-erased protocol: implements [`Protocol`] (and [`LeaderElection`])
-/// over [`DynState`], delegating to the erased inner protocol.
-///
-/// Cloning is cheap (`Arc`).
-#[derive(Clone)]
-pub struct DynProtocol {
-    inner: Arc<dyn DynLeaderElection>,
-}
-
-impl DynProtocol {
-    /// Erases a leader-election protocol.
-    pub fn erase<P>(protocol: P) -> Self
-    where
-        P: LeaderElection + 'static,
-        P::State: Any,
-    {
-        DynProtocol {
-            inner: Arc::new(Erased {
-                protocol,
-                is_leader: P::is_leader,
-            }),
-        }
-    }
-
-    /// Erases a protocol without a leader output ([`LeaderElection::is_leader`]
-    /// of the erased protocol is constantly `false`).
-    pub fn erase_protocol<P>(protocol: P) -> Self
-    where
-        P: Protocol + 'static,
-        P::State: Any,
-    {
-        DynProtocol {
-            inner: Arc::new(Erased {
-                protocol,
-                is_leader: |_, _| false,
-            }),
-        }
-    }
-}
-
-impl fmt::Debug for DynProtocol {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DynProtocol")
-            .field("name", &self.inner.protocol_name())
-            .finish()
-    }
-}
-
-impl Protocol for DynProtocol {
-    type State = DynState;
-
-    /// Conservatively `true`: whether the erased protocol actually has an
-    /// oracle is a runtime property, reported by
-    /// [`Protocol::uses_oracle`] and cached once per run by the simulation
-    /// — pure protocols under erasure still skip the oracle bookkeeping.
-    const HAS_ENVIRONMENT: bool = true;
-
-    fn interact(&self, initiator: &mut DynState, responder: &mut DynState) {
-        self.inner.interact_dyn(initiator, responder);
-    }
-
-    fn oracle_marks(&self, state: &DynState) -> u8 {
-        self.inner.oracle_marks_dyn(state)
-    }
-
-    fn oracle_apply(&self, view: u8, state: &mut DynState) {
-        self.inner.oracle_apply_dyn(view, state);
-    }
-
-    fn interact_block(
-        &self,
-        states: &mut [DynState],
-        oracle: &mut OracleFold,
-        arcs: &[Interaction],
-    ) {
-        self.inner.interact_block_dyn(states, oracle, arcs);
-    }
-
-    fn uses_oracle(&self) -> bool {
-        self.inner.uses_oracle_dyn()
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.protocol_name()
-    }
-}
-
-impl LeaderElection for DynProtocol {
-    fn is_leader(&self, state: &DynState) -> bool {
-        self.inner.is_leader_dyn(state)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Graph families
-// ---------------------------------------------------------------------------
-
-/// A family of interaction graphs, instantiated per population size.
-///
-/// The generated families (torus, small-world, preferential-attachment,
-/// random-regular) are pure functions of `(their parameters, n)`: the
-/// randomized ones derive a dedicated RNG via
-/// [`crate::graph::graph_rng_seed`], so instantiation is bit-identical at any
-/// thread count and in any evaluation order.
-#[derive(Clone)]
-pub enum GraphFamily {
-    /// The paper's directed ring (the default).
-    DirectedRing,
-    /// The undirected ring of Section 5.
-    UndirectedRing,
-    /// The complete interaction graph.
-    Complete,
-    /// A 2-D wrapped grid dimensioned by [`crate::graph::torus_dims`]
-    /// (deterministic, no seed).
-    Torus,
-    /// A Watts–Strogatz small-world graph (see [`crate::graph::small_world`]).
-    SmallWorld {
-        /// Nearest-neighbour links per agent on the ring lattice (`k/2` per
-        /// side).
-        k: u16,
-        /// Rewiring probability in thousandths (0..=1000).
-        rewire_per_mille: u16,
-        /// Family seed; the per-size RNG stream is derived from it.
-        seed: u64,
-    },
-    /// A Barabási–Albert preferential-attachment graph (see
-    /// [`crate::graph::preferential_attachment`]).
-    PreferentialAttachment {
-        /// Edges attached per new agent.
-        m: u16,
-        /// Family seed; the per-size RNG stream is derived from it.
-        seed: u64,
-    },
-    /// A random directed `d`-regular graph — a union of random Hamiltonian
-    /// cycles, an expander with high probability (see
-    /// [`crate::graph::random_regular`]).
-    RandomRegular {
-        /// Exact out- and in-degree of every agent.
-        degree: u16,
-        /// Family seed; the per-size RNG stream is derived from it.
-        seed: u64,
-    },
-    /// An arbitrary graph built by a user closure.
-    Custom(Arc<dyn Fn(usize) -> Result<ArbitraryGraph> + Send + Sync>),
-}
-
-impl GraphFamily {
-    /// Builds the concrete graph for a population of `n` agents.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the graph constructors' errors (e.g. `n < 2`,
-    /// [`PopulationError::SelfLoopArc`] / [`PopulationError::EmptyArcSet`]
-    /// from a custom closure), and rejects a [`GraphFamily::Custom`] graph
-    /// that is not weakly connected with
-    /// [`PopulationError::DisconnectedGraph`] — on a disconnected graph a
-    /// global stop predicate can be unreachable, so the run would only ever
-    /// end by budget exhaustion.  (The generated families are connected by
-    /// construction and skip the check.)
-    pub fn build(&self, n: usize) -> Result<AnyGraph> {
-        Ok(match self {
-            GraphFamily::DirectedRing => AnyGraph::DirectedRing(DirectedRing::new(n)?),
-            GraphFamily::UndirectedRing => AnyGraph::UndirectedRing(UndirectedRing::new(n)?),
-            GraphFamily::Complete => {
-                if n < 2 {
-                    return Err(PopulationError::PopulationTooSmall {
-                        requested: n,
-                        minimum: 2,
-                    });
-                }
-                AnyGraph::Complete(CompleteGraph::new(n))
-            }
-            GraphFamily::Torus => AnyGraph::Arbitrary(crate::graph::torus(n)?),
-            GraphFamily::SmallWorld {
-                k,
-                rewire_per_mille,
-                seed,
-            } => AnyGraph::Arbitrary(crate::graph::small_world(
-                n,
-                usize::from(*k),
-                *rewire_per_mille,
-                *seed,
-            )?),
-            GraphFamily::PreferentialAttachment { m, seed } => AnyGraph::Arbitrary(
-                crate::graph::preferential_attachment(n, usize::from(*m), *seed)?,
-            ),
-            GraphFamily::RandomRegular { degree, seed } => AnyGraph::Arbitrary(
-                crate::graph::random_regular(n, usize::from(*degree), *seed)?,
-            ),
-            GraphFamily::Custom(f) => {
-                let g = f(n)?;
-                let reached = crate::graph::weak_reach(g.num_agents(), &g.arcs());
-                if reached != g.num_agents() {
-                    return Err(PopulationError::DisconnectedGraph {
-                        agents: g.num_agents(),
-                        reached,
-                    });
-                }
-                AnyGraph::Arbitrary(g)
-            }
-        })
-    }
-}
-
-impl fmt::Debug for GraphFamily {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GraphFamily::DirectedRing => write!(f, "GraphFamily::DirectedRing"),
-            GraphFamily::UndirectedRing => write!(f, "GraphFamily::UndirectedRing"),
-            GraphFamily::Complete => write!(f, "GraphFamily::Complete"),
-            GraphFamily::Torus => write!(f, "GraphFamily::Torus"),
-            GraphFamily::SmallWorld {
-                k,
-                rewire_per_mille,
-                seed,
-            } => write!(
-                f,
-                "GraphFamily::SmallWorld {{ k: {k}, rewire_per_mille: {rewire_per_mille}, \
-                 seed: {seed} }}"
-            ),
-            GraphFamily::PreferentialAttachment { m, seed } => write!(
-                f,
-                "GraphFamily::PreferentialAttachment {{ m: {m}, seed: {seed} }}"
-            ),
-            GraphFamily::RandomRegular { degree, seed } => write!(
-                f,
-                "GraphFamily::RandomRegular {{ degree: {degree}, seed: {seed} }}"
-            ),
-            GraphFamily::Custom(_) => write!(f, "GraphFamily::Custom(..)"),
-        }
-    }
-}
-
-/// A concrete graph of any supported family; dispatches
-/// [`InteractionGraph`] to the wrapped topology, so sampling consumes the
-/// RNG exactly like the wrapped graph would.
-#[derive(Clone, Debug)]
-pub enum AnyGraph {
-    /// A directed ring.
-    DirectedRing(DirectedRing),
-    /// An undirected ring.
-    UndirectedRing(UndirectedRing),
-    /// A complete graph.
-    Complete(CompleteGraph),
-    /// An arbitrary arc set.
-    Arbitrary(ArbitraryGraph),
-}
-
-impl InteractionGraph for AnyGraph {
-    fn num_agents(&self) -> usize {
-        match self {
-            AnyGraph::DirectedRing(g) => g.num_agents(),
-            AnyGraph::UndirectedRing(g) => g.num_agents(),
-            AnyGraph::Complete(g) => g.num_agents(),
-            AnyGraph::Arbitrary(g) => g.num_agents(),
-        }
-    }
-
-    fn num_arcs(&self) -> usize {
-        match self {
-            AnyGraph::DirectedRing(g) => g.num_arcs(),
-            AnyGraph::UndirectedRing(g) => g.num_arcs(),
-            AnyGraph::Complete(g) => g.num_arcs(),
-            AnyGraph::Arbitrary(g) => g.num_arcs(),
-        }
-    }
-
-    fn is_arc(&self, initiator: usize, responder: usize) -> bool {
-        match self {
-            AnyGraph::DirectedRing(g) => g.is_arc(initiator, responder),
-            AnyGraph::UndirectedRing(g) => g.is_arc(initiator, responder),
-            AnyGraph::Complete(g) => g.is_arc(initiator, responder),
-            AnyGraph::Arbitrary(g) => g.is_arc(initiator, responder),
-        }
-    }
-
-    fn sample<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> Interaction {
-        match self {
-            AnyGraph::DirectedRing(g) => g.sample(rng),
-            AnyGraph::UndirectedRing(g) => g.sample(rng),
-            AnyGraph::Complete(g) => g.sample(rng),
-            AnyGraph::Arbitrary(g) => g.sample(rng),
-        }
-    }
-
-    fn arcs(&self) -> Vec<Interaction> {
-        match self {
-            AnyGraph::DirectedRing(g) => g.arcs(),
-            AnyGraph::UndirectedRing(g) => g.arcs(),
-            AnyGraph::Complete(g) => g.arcs(),
-            AnyGraph::Arbitrary(g) => g.arcs(),
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            AnyGraph::DirectedRing(g) => g.describe(),
-            AnyGraph::UndirectedRing(g) => g.describe(),
-            AnyGraph::Complete(g) => g.describe(),
-            AnyGraph::Arbitrary(g) => g.describe(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scheduler erasure
-// ---------------------------------------------------------------------------
-
-/// The object-safe face of a scheduler on the erased run path.
-///
-/// Unlike the typed [`Scheduler`] trait (generic over graph and RNG), a
-/// `DynScheduler` works on the concrete erased types — [`AnyGraph`],
-/// [`DynState`] slices and the simulation's `ChaCha8Rng` — and additionally
-/// sees the **current configuration**, which is what lets adversarial
-/// schedulers (e.g. a greedy adversary scoring candidate arcs against a
-/// protocol potential) pick convergence-hostile interactions.
-///
-/// Every typed [`Scheduler<AnyGraph>`] is a `DynScheduler` for free through
-/// the blanket impl below: it ignores the states, so it also chooses whole
-/// blocks of arcs at once ([`DynScheduler::schedule_block`]).  A scheduler
-/// that reads the states implements `DynScheduler` itself and keeps the
-/// default one-arc block, so it sees the configuration before every step.
-///
-/// # Example
-///
-/// A hand-rolled state-visible scheduler: always interact across the first
-/// arc joining two leaders — the fastest-electing schedule for a
-/// demote-on-collision protocol (a hostile scheduler would do the
-/// opposite) — falling back to a uniform draw, wired into a scenario
-/// through [`SchedulerFamily::custom`]:
-///
-/// ```
-/// use population::prelude::*;
-/// use rand_chacha::ChaCha8Rng;
-///
-/// #[derive(Clone, Debug)]
-/// struct Fratricide; // every agent starts a leader; leaders demote leaders
-/// impl Protocol for Fratricide {
-///     type State = bool;
-///     fn interact(&self, a: &mut bool, b: &mut bool) {
-///         if *a && *b {
-///             *b = false;
-///         }
-///     }
-/// }
-/// impl LeaderElection for Fratricide {
-///     fn is_leader(&self, s: &bool) -> bool {
-///         *s
-///     }
-/// }
-///
-/// struct LeaderCollider;
-/// impl DynScheduler for LeaderCollider {
-///     fn schedule(
-///         &mut self,
-///         graph: &AnyGraph,
-///         states: &[DynState],
-///         rng: &mut ChaCha8Rng,
-///     ) -> population::Result<Interaction> {
-///         let is_leader =
-///             |i: population::AgentId| states[i.index()].downcast_ref::<bool>() == Some(&true);
-///         let collision = graph
-///             .arcs()
-///             .into_iter()
-///             .find(|arc| is_leader(arc.initiator()) && is_leader(arc.responder()));
-///         Ok(collision.unwrap_or_else(|| graph.sample(rng)))
-///     }
-/// }
-///
-/// let scenario = ScenarioBuilder::new("fratricide", |_pt: &SweepPoint| Fratricide)
-///     .graph(GraphFamily::Complete)
-///     .init(|_p, pt| Configuration::uniform(pt.n, true))
-///     .stop_when("unique-leader", |p: &Fratricide, c| {
-///         p.has_unique_leader(c.states())
-///     })
-///     .step_budget(|_pt| 10_000)
-///     .scheduler(SchedulerFamily::custom("leader-collider", |_pt, _graph| {
-///         Box::new(LeaderCollider)
-///     }))
-///     .build()
-///     .unwrap();
-/// assert!(scenario.run(&SweepPoint::new(8, 1)).converged());
-/// ```
-pub trait DynScheduler: Send {
-    /// Returns the interaction for the next step.
-    ///
-    /// (Named `schedule` rather than `next_interaction` so types
-    /// implementing both this and the typed [`Scheduler`] trait — every
-    /// `Scheduler<AnyGraph>`, via the blanket impl — keep an unambiguous
-    /// method surface.)
-    ///
-    /// # Errors
-    ///
-    /// Deterministic schedulers return
-    /// [`PopulationError::ScheduleExhausted`] once their sequence runs out;
-    /// stochastic schedulers never fail.
-    fn schedule(
-        &mut self,
-        graph: &AnyGraph,
-        states: &[DynState],
-        rng: &mut ChaCha8Rng,
-    ) -> Result<Interaction>;
-
-    /// Chooses the interactions of the next steps at once: writes a
-    /// non-empty prefix of `arcs` and returns its length, along with the
-    /// error that cut the block short, if any (then the prefix may be
-    /// empty).  Unobserved scheduled runs step through this
-    /// ([`Simulation::run_chosen_by`]), one virtual call and one
-    /// [`Protocol::interact_block`] per block instead of per step.
-    ///
-    /// `states` is the configuration before the block's first step, so the
-    /// default fills exactly one arc: a scheduler that reads the states
-    /// (such as a greedy adversary) sees every state it chooses from.
-    /// Every typed [`Scheduler<AnyGraph>`] is blind to the states by
-    /// construction, and its blanket impl fills the whole block.
-    ///
-    /// The block must be the one the same calls to
-    /// [`DynScheduler::schedule`] would give, and it must end at the first
-    /// pair that is not an arc of `graph`, as the step that rejects that
-    /// pair ends a per-step run: then a blocked run draws exactly the RNG
-    /// words of a per-step one.
-    fn schedule_block(
-        &mut self,
-        graph: &AnyGraph,
-        states: &[DynState],
-        rng: &mut ChaCha8Rng,
-        arcs: &mut [Interaction],
-    ) -> (usize, Result<()>) {
-        match self.schedule(graph, states, rng) {
-            Ok(arc) => {
-                arcs[0] = arc;
-                (1, Ok(()))
-            }
-            Err(e) => (0, Err(e)),
-        }
-    }
-
-    /// The scheduler's deterministic phase, if it has one (see
-    /// [`Scheduler::phase`]).  Periodic schedulers return their step counter
-    /// modulo the period; memoryless schedulers (the default) return `None`.
-    fn phase(&self) -> Option<u64> {
-        None
-    }
-}
-
-impl<S: Scheduler<AnyGraph>> DynScheduler for S {
-    fn schedule(
-        &mut self,
-        graph: &AnyGraph,
-        _states: &[DynState],
-        rng: &mut ChaCha8Rng,
-    ) -> Result<Interaction> {
-        Scheduler::next_interaction(self, graph, rng)
-    }
-
-    fn schedule_block(
-        &mut self,
-        graph: &AnyGraph,
-        _states: &[DynState],
-        rng: &mut ChaCha8Rng,
-        arcs: &mut [Interaction],
-    ) -> (usize, Result<()>) {
-        for (filled, slot) in arcs.iter_mut().enumerate() {
-            match Scheduler::next_interaction(self, graph, rng) {
-                Ok(arc) => {
-                    *slot = arc;
-                    if !graph.is_arc(arc.initiator().index(), arc.responder().index()) {
-                        return (filled + 1, Ok(()));
-                    }
-                }
-                Err(e) => return (filled, Err(e)),
-            }
-        }
-        (arcs.len(), Ok(()))
-    }
-
-    fn phase(&self) -> Option<u64> {
-        Scheduler::phase(self)
-    }
-}
-
-/// The builder closure of a custom [`SchedulerFamily`]: produces a fresh
-/// boxed scheduler for one run from the sweep point and the concrete graph.
-pub type BuildScheduler =
-    Arc<dyn Fn(&SweepPoint, &AnyGraph) -> Box<dyn DynScheduler> + Send + Sync>;
-
-/// A family of schedulers, instantiated per sweep point (the scheduler
-/// analogue of [`GraphFamily`]).
-///
-/// [`SchedulerFamily::Random`] — the default — is **not** routed through the
-/// [`DynScheduler`] indirection: scenarios keep the exact pre-scheduler hot
-/// loop (`graph.sample(rng)` inlined into the run burst), so the uniformly
-/// random path stays bit-identical to the historical one (pinned by
-/// `scenario_equivalence`).  Custom families build a fresh boxed scheduler
-/// for every run from the sweep point and the concrete graph.
-#[derive(Clone, Default)]
-pub enum SchedulerFamily {
-    /// The paper's uniformly random scheduler (the default fast path).
-    #[default]
-    Random,
-    /// A named custom scheduler family.
-    Custom {
-        /// A short name for reports and `Debug` output.
-        name: String,
-        /// Builds the scheduler for one run.
-        build: BuildScheduler,
-    },
-}
-
-impl SchedulerFamily {
-    /// Creates a named custom family from a builder closure.
-    pub fn custom(
-        name: impl Into<String>,
-        build: impl Fn(&SweepPoint, &AnyGraph) -> Box<dyn DynScheduler> + Send + Sync + 'static,
-    ) -> Self {
-        SchedulerFamily::Custom {
-            name: name.into(),
-            build: Arc::new(build),
-        }
-    }
-
-    /// The family's name (`"random"` for the default).
-    pub fn name(&self) -> &str {
-        match self {
-            SchedulerFamily::Random => "random",
-            SchedulerFamily::Custom { name, .. } => name,
-        }
-    }
-
-    /// `true` for the default uniformly random family.
-    pub fn is_random(&self) -> bool {
-        matches!(self, SchedulerFamily::Random)
-    }
-}
-
-impl fmt::Debug for SchedulerFamily {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SchedulerFamily({:?})", self.name())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fault plans
-// ---------------------------------------------------------------------------
-
-/// A fault scheduled at an explicit step of a scenario run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// The step (counted from the start of the run) *before* which the fault
-    /// fires; step 0 fires before the first interaction and before the
-    /// initial stop-criterion check.
-    pub at_step: u64,
-    /// The corruption to apply.
-    pub kind: FaultKind,
-}
-
-/// A declarative schedule of transient faults injected during a scenario
-/// run: corruptions at explicit steps ([`FaultPlan::at`]), kept sorted by
-/// step.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    events: Vec<FaultEvent>,
-}
-
-impl FaultPlan {
-    /// Creates an empty plan.
-    pub fn new() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Schedules `kind` to fire at `at_step` (builder-style; events are kept
-    /// sorted by step).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero-extent kind (`count == 0` / `limit == 0`) — a no-op
-    /// fault in a plan is always a bug.  Use [`FaultPlan::try_at`] to handle
-    /// it as a typed error instead.
-    pub fn at(self, at_step: u64, kind: FaultKind) -> Self {
-        self.try_at(at_step, kind).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`FaultPlan::at`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PopulationError::DegenerateFault`] if `kind` has extent
-    /// zero ([`FaultKind::extent`]): such an event can never corrupt
-    /// anything, so scheduling one is always a bug, not a boundary case.
-    pub fn try_at(mut self, at_step: u64, kind: FaultKind) -> Result<Self> {
-        if kind.extent() == Some(0) {
-            return Err(PopulationError::DegenerateFault { at: at_step });
-        }
-        self.events.push(FaultEvent { at_step, kind });
-        self.events.sort_by_key(|e| e.at_step);
-        Ok(self)
-    }
-
-    /// The step-scheduled events, sorted by step.
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// Returns `true` if the plan schedules no event.  Empty plans keep the
-    /// fault-free fast path.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of scheduled fault events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Churn plans
-// ---------------------------------------------------------------------------
-
-/// One kind of mid-run topology change.  The churn analogue of
-/// [`FaultKind`]: faults corrupt *states*, churn rewrites the *graph* (and,
-/// for join/leave, the population itself).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChurnKind {
-    /// Replaces `count` uniformly chosen arcs with fresh uniformly chosen
-    /// non-duplicate, non-self-loop arcs (bounded rejection per replacement).
-    /// The graph drops to its explicit arc-list representation, so the
-    /// scheduler stream after the event differs from the pristine family's —
-    /// deterministically, from the dedicated churn RNG.
-    Rewire {
-        /// How many arcs to replace.
-        count: u32,
-    },
-    /// Keeps only the arcs internal to one of `blocks` contiguous index
-    /// blocks (block `i` is `i*ceil(n/blocks)..(i+1)*ceil(n/blocks)`),
-    /// forming a network partition.  The partitioned graph is intentionally
-    /// disconnected; stop predicates over the whole population may be
-    /// unreachable until a [`ChurnKind::Heal`] fires.  If no arc survives
-    /// (every arc crosses a block boundary) the run aborts with
-    /// [`PopulationError::EmptyArcSet`].
-    Partition {
-        /// Number of contiguous blocks (at least 2).
-        blocks: u32,
-    },
-    /// Rebuilds the scenario's pristine [`GraphFamily`] graph at the current
-    /// population size, healing any partition and discarding any rewires.
-    Heal,
-    /// Grows the population by `count` agents: the new agents' states are
-    /// produced by the scenario's corruption function (they join in
-    /// *arbitrary* states — the self-stabilization-honest choice) and the
-    /// family graph is rebuilt at the new size.
-    Join {
-        /// How many agents join.
-        count: u32,
-    },
-    /// Shrinks the population by `count` agents (the highest indices leave;
-    /// their slots are compacted away) and rebuilds the family graph at the
-    /// new size.  A leave that would drop the population below 2 aborts the
-    /// run with [`PopulationError::PopulationTooSmall`].
-    Leave {
-        /// How many agents leave.
-        count: u32,
-    },
-}
-
-impl ChurnKind {
-    /// The number of things the event changes, when that is statically
-    /// knowable: arcs for [`ChurnKind::Rewire`], agents for
-    /// [`ChurnKind::Join`] / [`ChurnKind::Leave`], blocks for
-    /// [`ChurnKind::Partition`].  [`ChurnKind::Heal`] returns `None` (its
-    /// extent depends on what happened before it).
-    pub fn extent(self) -> Option<u64> {
-        match self {
-            ChurnKind::Rewire { count }
-            | ChurnKind::Join { count }
-            | ChurnKind::Leave { count } => Some(u64::from(count)),
-            // A 0- or 1-block "partition" keeps the graph intact, so its
-            // effective extent is how far it is beyond one block.
-            ChurnKind::Partition { blocks } => Some(u64::from(blocks.saturating_sub(1))),
-            ChurnKind::Heal => None,
-        }
-    }
-}
-
-/// A topology change scheduled at an explicit step of a scenario run; the
-/// churn analogue of [`FaultEvent`] (same step semantics: the event fires
-/// *before* the step it names, and step 0 fires before the first interaction
-/// and the initial stop check).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChurnEvent {
-    /// The step before which the change applies.
-    pub at_step: u64,
-    /// The topology change to apply.
-    pub kind: ChurnKind,
-}
-
-/// A declarative schedule of mid-run topology changes, attached to a built
-/// scenario with [`Scenario::with_churn_plan`].  An empty plan keeps the
-/// exact fault-free fast path (pinned bit-identical by
-/// `scenario_equivalence`).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ChurnPlan {
-    events: Vec<ChurnEvent>,
-}
-
-impl ChurnPlan {
-    /// Creates an empty plan.
-    pub fn new() -> Self {
-        ChurnPlan::default()
-    }
-
-    /// Schedules `kind` to fire at `at_step` (builder-style; events are kept
-    /// sorted by step).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero-extent kind (`count == 0`, or a partition into fewer
-    /// than two blocks) — a no-op churn event in a plan is always a bug.
-    /// Use [`ChurnPlan::try_at`] to handle it as a typed error instead.
-    pub fn at(self, at_step: u64, kind: ChurnKind) -> Self {
-        self.try_at(at_step, kind).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`ChurnPlan::at`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PopulationError::DegenerateChurn`] if `kind` has extent
-    /// zero ([`ChurnKind::extent`]).
-    pub fn try_at(mut self, at_step: u64, kind: ChurnKind) -> Result<Self> {
-        if kind.extent() == Some(0) {
-            return Err(PopulationError::DegenerateChurn { at: at_step });
-        }
-        self.events.push(ChurnEvent { at_step, kind });
-        self.events.sort_by_key(|e| e.at_step);
-        Ok(self)
-    }
-
-    /// The scheduled events, sorted by step.
-    pub fn events(&self) -> &[ChurnEvent] {
-        &self.events
-    }
-
-    /// `true` if the plan schedules nothing.  Empty plans keep the
-    /// churn-free fast path.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Number of scheduled churn events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` if any event grows the population ([`ChurnKind::Join`]), which
-    /// requires the scenario's corruption function to mint the joining
-    /// agents' states.
-    pub fn has_joins(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e.kind, ChurnKind::Join { .. }))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scenario and builder
-// ---------------------------------------------------------------------------
 
 type PointFn<T> = Arc<dyn Fn(&SweepPoint) -> T + Send + Sync>;
 /// A stop criterion over erased states.  `FnMut` so the closure can reuse an
@@ -1034,23 +107,13 @@ type PointFn<T> = Arc<dyn Fn(&SweepPoint) -> T + Send + Sync>;
 /// whole population into a fresh allocation every time — cheap enough that
 /// scenarios can shrink their `check_interval` without a quadratic penalty.
 pub type DynStop = Box<dyn FnMut(&[DynState]) -> bool>;
-type DynCorrupt = Box<dyn FnMut(&mut ChaCha8Rng, usize) -> DynState>;
-/// An erased per-agent target predicate ([`ScenarioBuilder::fault_targets`]):
-/// `(state, agent_index) -> is_target`, consumed by
-/// [`FaultKind::CorruptTargets`].
-type DynTargets = Box<dyn FnMut(&DynState, usize) -> bool>;
 
 /// Everything the erased run path needs for one sweep point, produced by the
-/// typed closure captured at [`ScenarioBuilder::build`] time.
+/// typed closure captured at [`ScenarioBuilder::build`] time: the pieces
+/// [`Scenario::prepare`] exposes, plus the fault machinery.
 struct PreparedRun {
-    protocol: DynProtocol,
-    config: Configuration<DynState>,
-    stop: DynStop,
+    scenario: PreparedScenario,
     corrupt: Option<DynCorrupt>,
-    /// A second, independent instance of the corruption closure, consumed by
-    /// the churn schedule to mint joining agents' states (`corrupt` itself is
-    /// moved into the fault schedule).
-    churn_corrupt: Option<DynCorrupt>,
     targets: Option<DynTargets>,
 }
 
@@ -1214,13 +277,8 @@ impl Scenario {
     fn prepared_run(&self, point: &SweepPoint) -> Result<PreparedRun> {
         let mut prepared = (self.prepare)(point);
         if let Some(initial) = &self.initial {
-            if initial.len() != prepared.config.len() {
-                return Err(PopulationError::ConfigurationSizeMismatch {
-                    configuration: initial.len(),
-                    graph: prepared.config.len(),
-                });
-            }
-            prepared.config = (**initial).clone();
+            check_size(initial.len(), prepared.scenario.config.len())?;
+            prepared.scenario.config = (**initial).clone();
         }
         Ok(prepared)
     }
@@ -1257,7 +315,9 @@ impl Scenario {
     /// deterministic custom scheduler runs out of interactions before the
     /// stop criterion holds or the budget is spent — and reports
     /// [`PopulationError::MissingCorruption`] when a non-empty fault plan is
-    /// set without a corruption function.
+    /// set without a corruption function, and
+    /// [`PopulationError::ConfigurationSizeMismatch`] when the graph and the
+    /// initial configuration differ in size.
     pub fn try_run(&self, point: &SweepPoint) -> Result<ConvergenceReport> {
         Ok(self.try_run_full(point)?.report)
     }
@@ -1285,16 +345,13 @@ impl Scenario {
         let sim_seed = (self.sim_seed)(point);
         let scope = ssle_telemetry::run_scope(&self.name, point.n as u64, sim_seed);
         telemetry_run_start();
-        let mut sim = Simulation::new(prepared.protocol, graph, prepared.config, sim_seed);
+        let erased = prepared.scenario;
+        let mut sim = Simulation::try_new(erased.protocol, graph, erased.config, sim_seed)?;
         let plan = self.plan.as_ref().map(|f| f(point)).unwrap_or_default();
         let fault_seed = (self.fault_seed)(point);
-        let mut faults = FaultSchedule::new(plan, prepared.corrupt, prepared.targets, fault_seed)?;
-        let mut churn = ChurnSchedule::new(
-            &self.churn,
-            self.graph.clone(),
-            prepared.churn_corrupt,
-            fault_seed,
-        )?;
+        let corrupt = prepared.corrupt;
+        let mut faults = FaultSchedule::new(plan, corrupt.clone(), prepared.targets, fault_seed)?;
+        let mut churn = ChurnSchedule::new(&self.churn, self.graph.clone(), corrupt, fault_seed)?;
         let scheduler = match &self.scheduler {
             SchedulerFamily::Random => None,
             SchedulerFamily::Custom { build, .. } => Some(build(point, sim.graph())),
@@ -1306,7 +363,7 @@ impl Scenario {
             scheduler,
             faults,
             churn,
-            stop: prepared.stop,
+            stop: erased.stop,
             _scope: scope,
         })
     }
@@ -1420,19 +477,9 @@ impl Scenario {
     /// exhaustive explorer and the livelock certifier, which need the run
     /// loop's inputs without its scheduler.
     pub fn prepare(&self, point: &SweepPoint) -> PreparedScenario {
-        let PreparedRun {
-            protocol,
-            config,
-            stop,
-            ..
-        } = self
-            .prepared_run(point)
-            .unwrap_or_else(|e| panic!("scenario {:?}: {e}", self.name));
-        PreparedScenario {
-            protocol,
-            config,
-            stop,
-        }
+        self.prepared_run(point)
+            .unwrap_or_else(|e| panic!("scenario {:?}: {e}", self.name))
+            .scenario
     }
 
     /// Exhaustively explores the reachable configuration space at one sweep
@@ -1443,26 +490,23 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates graph-construction errors and a
-    /// [`Scenario::with_initial`] override of the wrong size
-    /// ([`PopulationError::ConfigurationSizeMismatch`]).
+    /// Propagates graph-construction errors, and reports
+    /// [`PopulationError::ConfigurationSizeMismatch`] when the graph, the
+    /// `init` configuration or a [`Scenario::with_initial`] override differ
+    /// in size.
     pub fn explore(
         &self,
         point: &SweepPoint,
         limits: &crate::explore::ExploreLimits,
     ) -> Result<crate::explore::Explored> {
-        let PreparedRun {
-            protocol,
-            config,
-            mut stop,
-            ..
-        } = self.prepared_run(point)?;
+        let mut prepared = self.prepared_run(point)?.scenario;
         let graph = self.graph.build(point.n)?;
+        check_size(prepared.config.len(), graph.num_agents())?;
         Ok(crate::explore::explore(
-            &protocol,
+            &prepared.protocol,
             &graph.arcs(),
-            &config,
-            &mut stop,
+            &prepared.config,
+            &mut prepared.stop,
             limits,
         ))
     }
@@ -1533,232 +577,6 @@ impl Scenario {
     }
 }
 
-/// The simulation every erased run drives.
-type ErasedSim = Simulation<DynProtocol, AnyGraph>;
-
-/// One erased run in progress: the simulation, its step source, its event
-/// schedules and its stop predicate.  [`Scenario::start`] builds it;
-/// [`Run::drive`] advances it.
-struct Run {
-    sim: ErasedSim,
-    /// The custom scheduler choosing every step, or `None` for the uniform
-    /// sampler's burst loop.
-    scheduler: Option<Box<dyn DynScheduler>>,
-    faults: FaultSchedule,
-    churn: ChurnSchedule,
-    stop: DynStop,
-    /// Stamps the run's identity on its telemetry events until it drops.
-    _scope: ssle_telemetry::RunScope,
-}
-
-impl Run {
-    /// The discrete-event segment loop: the next segment ends at the
-    /// earliest of the next multiple of `every` (capped at `horizon`) and
-    /// the next fault or churn event.  After each segment the due churn and
-    /// fault events fire, `observer` is re-seeded if any fired, and on the
-    /// grid (and at `horizon`) `boundary` runs.  `boundary` also runs
-    /// once before the first step; `true` from it ends the run as converged.
-    ///
-    /// Returns the steps executed and whether the run converged, after
-    /// emitting the `converged` and `run_end` telemetry events.
-    fn drive<O: Watch>(
-        &mut self,
-        observer: &mut O,
-        every: u64,
-        horizon: u64,
-        mut boundary: impl FnMut(&mut Run, &O) -> bool,
-    ) -> Result<(u64, bool)> {
-        let mut converged = boundary(self, observer);
-        // The simulation starts at step 0, so its step counter is the run's.
-        let mut done = self.sim.steps();
-        while !converged && done < horizon {
-            let next = (done / every + 1).saturating_mul(every).min(horizon);
-            let target = self.churn.clip(done, self.faults.clip(done, next));
-            // Segment-constant: `clip` ends every segment at the next event,
-            // and events fire only between segments.
-            let settled = !self.faults.pending() && !self.churn.pending();
-            let ended = self.segment(target - done, settled, observer)?;
-            done = self.sim.steps();
-            if ended {
-                break;
-            }
-            let churned = self.churn.fire_due(done, &mut self.sim)?;
-            if self.faults.fire_due(done, &mut self.sim) | churned {
-                observer.reseed(&self.sim);
-            }
-            if done.is_multiple_of(every) || done == horizon {
-                converged = boundary(self, observer);
-            }
-        }
-        if converged && ssle_telemetry::enabled() {
-            ssle_telemetry::emit(ssle_telemetry::Event::new("converged").count("step", done));
-        }
-        telemetry_run_end(done, converged);
-        Ok((done, converged))
-    }
-
-    /// Runs `k` steps from the step source: the uniform burst or the
-    /// scheduled one, each in blocks when unobserved and per step under an
-    /// observer.  Returns `true` if the observer ended the run early.
-    fn segment<O: Watch>(&mut self, k: u64, settled: bool, observer: &mut O) -> Result<bool> {
-        let Run {
-            sim,
-            scheduler,
-            stop,
-            ..
-        } = self;
-        let Some(sched) = scheduler else {
-            // The uniform burst counts its steps in `hot_steps` itself.
-            observer.burst(sim, k);
-            return Ok(false);
-        };
-        let (ran, ended) = observer.scheduled(sim, &mut **sched, k, settled, stop)?;
-        // Scheduled steps are counted here, once per segment.
-        ssle_telemetry::metrics::well_known::SCHEDULED_STEPS.add(ran);
-        Ok(ended)
-    }
-}
-
-/// What a [`Run`] feeds every step.  Plain runs use [`NoObserver`], whose
-/// hooks compile away.
-trait Watch: StepObserver<DynProtocol> + Sized {
-    /// Runs `k` uniform steps, observed one by one.
-    fn burst(&mut self, sim: &mut ErasedSim, k: u64) {
-        sim.run_steps_observed(k, self);
-    }
-
-    /// Runs up to `k` steps chosen by `sched`, observed and inspected
-    /// ([`Watch::after_step`]) one by one.  Returns the steps run and
-    /// whether the observer ended the run.
-    fn scheduled(
-        &mut self,
-        sim: &mut ErasedSim,
-        sched: &mut dyn DynScheduler,
-        k: u64,
-        settled: bool,
-        stop: &mut DynStop,
-    ) -> Result<(u64, bool)> {
-        for step in 0..k {
-            sim.step_chosen_by_observed(self, |g, c, rng| sched.schedule(g, c.states(), rng))?;
-            if self.after_step(sim, sched, settled, stop) {
-                return Ok((step + 1, true));
-            }
-        }
-        Ok((k, false))
-    }
-
-    /// Re-seeds from the configuration after a fault or churn event
-    /// rewrote states out of band.
-    fn reseed(&mut self, _sim: &ErasedSim) {}
-
-    /// Inspects the run after each scheduled step; `true` ends it.
-    /// `settled` is `true` when no fault or churn event can still fire.
-    fn after_step(
-        &mut self,
-        _sim: &ErasedSim,
-        _scheduler: &dyn DynScheduler,
-        _settled: bool,
-        _stop: &mut DynStop,
-    ) -> bool {
-        false
-    }
-}
-
-/// Nothing to observe, so both bursts run in blocks, one virtual call each.
-impl Watch for NoObserver {
-    fn burst(&mut self, sim: &mut ErasedSim, k: u64) {
-        sim.run_steps(k);
-    }
-
-    fn scheduled(
-        &mut self,
-        sim: &mut ErasedSim,
-        sched: &mut dyn DynScheduler,
-        k: u64,
-        _settled: bool,
-        _stop: &mut DynStop,
-    ) -> Result<(u64, bool)> {
-        sim.run_chosen_by(k, |g, c, rng, arcs| {
-            sched.schedule_block(g, c.states(), rng, arcs)
-        })?;
-        Ok((k, false))
-    }
-}
-
-impl Watch for LeaderCounter {
-    fn reseed(&mut self, sim: &ErasedSim) {
-        self.resync(sim.protocol(), sim.config().states());
-    }
-}
-
-/// The observer of [`Scenario::try_run_detecting`]: an incremental
-/// fingerprint sum feeding a Brent-schedule recurrence detector.
-struct Recurrence {
-    sum: FingerprintSum,
-    detector: RecurrenceDetector,
-    found: Option<RecurrenceCandidate>,
-}
-
-impl StepObserver<DynProtocol> for Recurrence {
-    fn pre_interaction(&mut self, p: &DynProtocol, i: Interaction, a: &DynState, b: &DynState) {
-        self.sum.pre_interaction(p, i, a, b);
-    }
-
-    fn post_interaction(&mut self, p: &DynProtocol, i: Interaction, a: &DynState, b: &DynState) {
-        self.sum.post_interaction(p, i, a, b);
-    }
-}
-
-impl Watch for Recurrence {
-    fn reseed(&mut self, sim: &ErasedSim) {
-        self.sum.resync(sim.config().states());
-        self.detector.reset();
-    }
-
-    fn after_step(
-        &mut self,
-        sim: &ErasedSim,
-        scheduler: &dyn DynScheduler,
-        settled: bool,
-        stop: &mut DynStop,
-    ) -> bool {
-        // A recurrence confirmed while events are still pending proves
-        // nothing — a future fault or churn event would
-        // perturb the cycle — so the detector stays disarmed until the
-        // schedules are exhausted and only the event-free suffix is
-        // searched.
-        if !settled {
-            return false;
-        }
-        let Some(candidate) = self.detector.observe(
-            self.sum.value(),
-            scheduler.phase(),
-            sim.steps(),
-            sim.config(),
-        ) else {
-            return false;
-        };
-        if stop(sim.config().states()) {
-            // The recurrent configuration satisfies the stop predicate: the
-            // run converged between two check boundaries (a stable fixed
-            // point "recurs" trivially).  Let the boundary check report it
-            // exactly like the plain run would.
-            self.detector.reset();
-            return false;
-        }
-        if ssle_telemetry::enabled() {
-            ssle_telemetry::metrics::well_known::RECURRENCES.incr();
-            ssle_telemetry::emit(
-                ssle_telemetry::Event::new("recurrence_candidate")
-                    .count("step", candidate.entry_step)
-                    .count("period", candidate.period),
-            );
-        }
-        self.found = Some(candidate);
-        true
-    }
-}
-
 /// The result of [`Scenario::try_run_detecting`]: the convergence report,
 /// the confirmed configuration recurrence (if one fired), and the finished
 /// simulation.
@@ -1777,351 +595,6 @@ pub struct DetectedRun {
     /// The simulation in its final state (erased; downcast the configuration
     /// with [`downcast_config`] for typed inspection).
     pub sim: Simulation<DynProtocol, AnyGraph>,
-}
-
-/// The pending half of a fault plan during a run: which step events are
-/// still due, and the corruption machinery that fires them.  Every run owns
-/// one (see [`Run`]), so faults fire at identical steps whichever entry point
-/// drives the run.
-struct FaultSchedule {
-    events: Vec<FaultEvent>,
-    targets: Option<DynTargets>,
-    driver: Option<(DynCorrupt, FaultInjector)>,
-    next: usize,
-}
-
-/// Stable snake_case label of a fault kind for the telemetry stream.
-fn fault_kind_label(kind: FaultKind) -> &'static str {
-    match kind {
-        FaultKind::CorruptRandomAgents { .. } => "corrupt_random_agents",
-        FaultKind::CorruptBlock { .. } => "corrupt_block",
-        FaultKind::CorruptAll => "corrupt_all",
-        FaultKind::CorruptTargets { .. } => "corrupt_targets",
-    }
-}
-
-impl FaultSchedule {
-    /// # Errors
-    ///
-    /// Surfaces every way a plan can reference scenario machinery that was
-    /// never registered, as typed errors before the run loop starts instead
-    /// of a panic deep inside it:
-    ///
-    /// * [`PopulationError::MissingCorruption`] — events without a
-    ///   corruption function;
-    /// * [`PopulationError::MissingTarget`] — a
-    ///   [`FaultKind::CorruptTargets`] event without a target predicate.
-    fn new(
-        plan: FaultPlan,
-        corrupt: Option<DynCorrupt>,
-        targets: Option<DynTargets>,
-        fault_seed: u64,
-    ) -> Result<Self> {
-        let driver = if plan.is_empty() {
-            None
-        } else {
-            let corrupt = corrupt.ok_or(PopulationError::MissingCorruption)?;
-            Some((corrupt, FaultInjector::new(fault_seed)))
-        };
-        let wants_targets = plan
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::CorruptTargets { .. }));
-        if wants_targets && targets.is_none() {
-            return Err(PopulationError::MissingTarget);
-        }
-        Ok(FaultSchedule {
-            events: plan.events,
-            targets,
-            driver,
-            next: 0,
-        })
-    }
-
-    /// `true` while step events remain unfired.
-    fn pending(&self) -> bool {
-        self.next < self.events.len()
-    }
-
-    /// Clips a burst target so the next pending event is not overshot (the
-    /// burst still advances by at least one step past `done`).
-    fn clip(&self, done: u64, target: u64) -> u64 {
-        match self.events.get(self.next) {
-            Some(event) => target.min(event.at_step.max(done + 1)),
-            None => target,
-        }
-    }
-
-    /// Applies one fault kind to the simulation's configuration, routing
-    /// targeted kinds through the target predicate.
-    fn inject_kind(&mut self, kind: FaultKind, sim: &mut ErasedSim) {
-        let Some((corrupt, injector)) = self.driver.as_mut() else {
-            return;
-        };
-        let corrupted = match kind {
-            FaultKind::CorruptTargets { limit } => {
-                let is_target = self
-                    .targets
-                    .as_mut()
-                    .expect("validated at FaultSchedule construction");
-                injector.inject_targeted(
-                    sim.config_mut(),
-                    limit,
-                    |state, agent| is_target(state, agent),
-                    &mut **corrupt,
-                )
-            }
-            kind => injector.inject(sim.config_mut(), kind, &mut **corrupt),
-        };
-        if ssle_telemetry::enabled() {
-            ssle_telemetry::metrics::well_known::FAULTS_FIRED.incr();
-            ssle_telemetry::emit(
-                ssle_telemetry::Event::new("fault_fired")
-                    .count("step", sim.steps())
-                    .field("kind", fault_kind_label(kind))
-                    .count("corrupted", corrupted.len() as u64),
-            );
-        }
-    }
-
-    /// Fires every step event scheduled at or before step `executed`.
-    /// Returns `true` if anything fired (states were rewritten out-of-band,
-    /// so incremental observers must re-seed).
-    fn fire_due(&mut self, executed: u64, sim: &mut ErasedSim) -> bool {
-        let mut fired = false;
-        while self.next < self.events.len() && self.events[self.next].at_step <= executed {
-            let kind = self.events[self.next].kind;
-            self.next += 1;
-            self.inject_kind(kind, sim);
-            fired = true;
-        }
-        fired
-    }
-}
-
-/// Seed salt deriving the dedicated churn RNG stream from the fault seed, so
-/// topology rewiring never perturbs the scheduler or corruption streams of
-/// the run it churns.
-const CHURN_SEED_SALT: u64 = 0x4348_5552_4E50_4C4E; // "CHURNPLN"
-
-/// Stable snake_case label of a churn kind for the telemetry stream.
-fn churn_kind_label(kind: ChurnKind) -> &'static str {
-    match kind {
-        ChurnKind::Rewire { .. } => "rewire",
-        ChurnKind::Partition { .. } => "partition",
-        ChurnKind::Heal => "heal",
-        ChurnKind::Join { .. } => "join",
-        ChurnKind::Leave { .. } => "leave",
-    }
-}
-
-/// The pending half of a churn plan during a run: which topology events are
-/// still due and the machinery that fires them.  The churn sibling of
-/// [`FaultSchedule`], owned by every [`Run`] alike, so topology changes apply
-/// at identical steps whichever entry point drives the run.  An empty
-/// schedule is inert: it clips nothing, fires nothing, and consumes no RNG.
-struct ChurnSchedule {
-    events: Vec<ChurnEvent>,
-    /// The scenario's pristine graph family: [`ChurnKind::Heal`] rebuilds it
-    /// at the current size, join/leave rebuild it at the new size.
-    family: GraphFamily,
-    /// Mints joining agents' states (the scenario's corruption function).
-    corrupt: Option<DynCorrupt>,
-    /// Dedicated RNG stream for rewiring choices and joining states.
-    rng: ChaCha8Rng,
-    next: usize,
-    /// `true` between a fired [`ChurnKind::Partition`] and the next
-    /// [`ChurnKind::Heal`] (controls the `partition_heal` telemetry event).
-    partitioned: bool,
-}
-
-impl ChurnSchedule {
-    /// # Errors
-    ///
-    /// Returns [`PopulationError::MissingCorruption`] if the plan contains
-    /// [`ChurnKind::Join`] events but the scenario registered no corruption
-    /// function — joining agents' states could never be minted.
-    fn new(
-        plan: &ChurnPlan,
-        family: GraphFamily,
-        corrupt: Option<DynCorrupt>,
-        fault_seed: u64,
-    ) -> Result<Self> {
-        if plan.has_joins() && corrupt.is_none() {
-            return Err(PopulationError::MissingCorruption);
-        }
-        Ok(ChurnSchedule {
-            events: plan.events().to_vec(),
-            family,
-            corrupt,
-            rng: ChaCha8Rng::seed_from_u64(fault_seed ^ CHURN_SEED_SALT),
-            next: 0,
-            partitioned: false,
-        })
-    }
-
-    /// `true` while topology events remain unfired.
-    fn pending(&self) -> bool {
-        self.next < self.events.len()
-    }
-
-    /// Clips a burst target so the next pending event is not overshot (the
-    /// burst still advances by at least one step past `done`).
-    fn clip(&self, done: u64, target: u64) -> u64 {
-        match self.events.get(self.next) {
-            Some(event) => target.min(event.at_step.max(done + 1)),
-            None => target,
-        }
-    }
-
-    /// Fires every event scheduled at or before step `executed`.  Returns
-    /// `true` if anything fired (the graph — and possibly the population —
-    /// changed, so incremental observers must re-seed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates graph-construction errors from the fired events:
-    /// [`PopulationError::EmptyArcSet`] when a partition strands every arc,
-    /// [`PopulationError::PopulationTooSmall`] when a leave would drop the
-    /// population below 2, and any error of the family's own constructor at
-    /// the new size.
-    fn fire_due(&mut self, executed: u64, sim: &mut ErasedSim) -> Result<bool> {
-        let mut fired = false;
-        while self.next < self.events.len() && self.events[self.next].at_step <= executed {
-            let kind = self.events[self.next].kind;
-            self.next += 1;
-            self.apply(kind, sim)?;
-            fired = true;
-            if ssle_telemetry::enabled() {
-                ssle_telemetry::emit(
-                    ssle_telemetry::Event::new("churn_fired")
-                        .count("step", sim.steps())
-                        .field("kind", churn_kind_label(kind)),
-                );
-            }
-        }
-        Ok(fired)
-    }
-
-    /// Applies one churn kind to the simulation.
-    fn apply(&mut self, kind: ChurnKind, sim: &mut ErasedSim) -> Result<()> {
-        let n = sim.num_agents();
-        match kind {
-            ChurnKind::Rewire { count } => {
-                let mut arcs = sim.graph().arcs();
-                for _ in 0..count {
-                    let victim = self.rng.gen_range(0..arcs.len());
-                    // Bounded rejection: a replacement that duplicates an
-                    // existing arc is redrawn; if the graph is too dense to
-                    // place one, the arc is left as it was.
-                    for _attempt in 0..16 {
-                        let i = self.rng.gen_range(0..n);
-                        let mut j = self.rng.gen_range(0..n - 1);
-                        if j >= i {
-                            j += 1;
-                        }
-                        let candidate = Interaction::new(i, j);
-                        if !arcs.contains(&candidate) {
-                            arcs[victim] = candidate;
-                            break;
-                        }
-                    }
-                }
-                sim.set_graph(AnyGraph::Arbitrary(ArbitraryGraph::new(n, arcs)?))?;
-            }
-            ChurnKind::Partition { blocks } => {
-                let blocks = (blocks as usize).clamp(2, n);
-                let block_len = n.div_ceil(blocks);
-                let arcs: Vec<Interaction> = sim
-                    .graph()
-                    .arcs()
-                    .into_iter()
-                    .filter(|a| {
-                        a.initiator().index() / block_len == a.responder().index() / block_len
-                    })
-                    .collect();
-                sim.set_graph(AnyGraph::Arbitrary(ArbitraryGraph::new(n, arcs)?))?;
-                self.partitioned = true;
-                if ssle_telemetry::enabled() {
-                    ssle_telemetry::emit(
-                        ssle_telemetry::Event::new("partition_open")
-                            .count("step", sim.steps())
-                            .count("blocks", blocks as u64),
-                    );
-                }
-            }
-            ChurnKind::Heal => {
-                sim.set_graph(self.family.build(n)?)?;
-                if self.partitioned {
-                    self.partitioned = false;
-                    if ssle_telemetry::enabled() {
-                        ssle_telemetry::emit(
-                            ssle_telemetry::Event::new("partition_heal").count("step", sim.steps()),
-                        );
-                    }
-                }
-            }
-            ChurnKind::Join { count } => {
-                let new_n = n + count as usize;
-                let corrupt = self
-                    .corrupt
-                    .as_mut()
-                    .expect("validated at ChurnSchedule construction");
-                let mut states: Vec<DynState> = sim.config().states().to_vec();
-                for agent in n..new_n {
-                    states.push(corrupt(&mut self.rng, agent));
-                }
-                let graph = self.family.build(new_n)?;
-                sim.resize(graph, Configuration::from_states(states))?;
-                // Rebuilding the family graph implicitly healed any
-                // partition (no `partition_heal` event: nothing was open at
-                // the new size).
-                self.partitioned = false;
-            }
-            ChurnKind::Leave { count } => {
-                let new_n = n.saturating_sub(count as usize);
-                if new_n < 2 {
-                    return Err(PopulationError::PopulationTooSmall {
-                        requested: new_n,
-                        minimum: 2,
-                    });
-                }
-                let mut states: Vec<DynState> = sim.config().states().to_vec();
-                states.truncate(new_n);
-                let graph = self.family.build(new_n)?;
-                sim.resize(graph, Configuration::from_states(states))?;
-                self.partitioned = false;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Emits the `run_start` telemetry event and bumps the run counter (a
-/// no-op when telemetry is disabled).  The event's required fields
-/// (`scenario`, `n`, `seed`) come from the caller's active
-/// [`ssle_telemetry::run_scope`], which stamps them onto every event of
-/// the run — adding them here again would duplicate the keys.
-fn telemetry_run_start() {
-    if ssle_telemetry::enabled() {
-        ssle_telemetry::metrics::well_known::RUNS.incr();
-        ssle_telemetry::emit(ssle_telemetry::Event::new("run_start"));
-    }
-}
-
-/// Emits the `run_end` telemetry event, counting converged runs (a no-op
-/// when telemetry is disabled).
-fn telemetry_run_end(steps: u64, converged: bool) {
-    if ssle_telemetry::enabled() {
-        if converged {
-            ssle_telemetry::metrics::well_known::CONVERGED_RUNS.incr();
-        }
-        ssle_telemetry::emit(
-            ssle_telemetry::Event::new("run_end")
-                .count("steps", steps)
-                .field("converged", converged),
-        );
-    }
 }
 
 /// Typed, declarative builder for [`Scenario`]s.
@@ -2376,6 +849,8 @@ where
     /// target-ready for plans attached later.  A plan containing a targeted
     /// event without this predicate reports
     /// [`PopulationError::MissingTarget`].
+    ///
+    /// [`FaultKind::CorruptTargets`]: crate::faults::FaultKind::CorruptTargets
     pub fn fault_targets(
         mut self,
         is_target: impl Fn(&P, &P::State, usize) -> bool + Send + Sync + 'static,
@@ -2428,18 +903,9 @@ where
             });
             let corrupt_dyn = corrupt.clone().map(|corrupt| {
                 let corrupt_protocol = protocol.clone();
-                Box::new(move |rng: &mut ChaCha8Rng, i: usize| {
+                Rc::new(move |rng: &mut ChaCha8Rng, i: usize| {
                     DynState::new(corrupt(&corrupt_protocol, rng, i))
-                }) as Box<dyn FnMut(&mut ChaCha8Rng, usize) -> DynState>
-            });
-            // A second, independent instance for the churn schedule: the
-            // first is moved into the fault schedule, and both draw from
-            // their own RNG streams anyway.
-            let churn_corrupt_dyn = corrupt.clone().map(|corrupt| {
-                let corrupt_protocol = protocol.clone();
-                Box::new(move |rng: &mut ChaCha8Rng, i: usize| {
-                    DynState::new(corrupt(&corrupt_protocol, rng, i))
-                }) as Box<dyn FnMut(&mut ChaCha8Rng, usize) -> DynState>
+                }) as DynCorrupt
             });
             let targets_dyn = targets.clone().map(|is_target| {
                 let target_protocol = protocol.clone();
@@ -2454,11 +920,12 @@ where
                 }) as DynTargets
             });
             PreparedRun {
-                protocol: erase(protocol),
-                config,
-                stop: stop_dyn,
+                scenario: PreparedScenario {
+                    protocol: erase(protocol),
+                    config,
+                    stop: stop_dyn,
+                },
                 corrupt: corrupt_dyn,
-                churn_corrupt: churn_corrupt_dyn,
                 targets: targets_dyn,
             }
         });
@@ -2506,13 +973,13 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::batch::BatchRunner;
+    use crate::prelude::*;
 
     /// Classic pairwise leader elimination.
     #[derive(Clone, Debug)]
-    struct Fratricide;
+    pub(crate) struct Fratricide;
     impl Protocol for Fratricide {
         type State = bool;
         fn interact(&self, initiator: &mut bool, responder: &mut bool) {
@@ -2564,7 +1031,7 @@ mod tests {
         }
     }
 
-    fn fratricide_scenario() -> Scenario {
+    pub(crate) fn fratricide_scenario() -> Scenario {
         ScenarioBuilder::new("fratricide", |_pt: &SweepPoint| Fratricide)
             .graph(GraphFamily::Complete)
             .init(|_p, pt| Configuration::uniform(pt.n, true))
@@ -2575,25 +1042,6 @@ mod tests {
             .step_budget(|_pt| 500_000)
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn dyn_state_behaves_like_the_typed_state() {
-        let a = DynState::new(5u32);
-        let b = a.clone();
-        assert_eq!(a, b);
-        assert_ne!(a, DynState::new(6u32));
-        assert_ne!(
-            a,
-            DynState::new(5u64),
-            "different types never compare equal"
-        );
-        assert_eq!(format!("{a:?}"), "5");
-        assert_eq!(a.downcast_ref::<u32>(), Some(&5));
-        assert_eq!(a.downcast_ref::<u64>(), None);
-        let mut c = a.clone();
-        *c.downcast_mut::<u32>().unwrap() = 9;
-        assert_eq!(c.downcast_ref::<u32>(), Some(&9));
     }
 
     #[test]
@@ -2650,25 +1098,6 @@ mod tests {
         // The oracle fires before the very first interaction, so one step
         // suffices.
         assert_eq!(report.steps_executed, 1);
-    }
-
-    /// Erasure keeps the typed simulation's check: an oracle without
-    /// [`Protocol::HAS_ENVIRONMENT`] would be compiled out of the block loop.
-    #[test]
-    #[should_panic(expected = "HAS_ENVIRONMENT")]
-    fn erased_oracle_without_has_environment_is_rejected_at_construction() {
-        #[derive(Clone, Debug)]
-        struct Misconfigured;
-        impl Protocol for Misconfigured {
-            type State = bool;
-            fn interact(&self, _i: &mut bool, _r: &mut bool) {}
-            fn uses_oracle(&self) -> bool {
-                true
-            }
-        }
-        let graph = GraphFamily::Complete.build(4).unwrap();
-        let config = Configuration::uniform(4, DynState::new(false));
-        let _ = Simulation::new(DynProtocol::erase_protocol(Misconfigured), graph, config, 0);
     }
 
     #[test]
@@ -2815,55 +1244,6 @@ mod tests {
         let clean = base().build().unwrap().run(&point);
         let empty_plan = ready.with_fault_plan(FaultPlan::new()).run(&point);
         assert_eq!(clean, empty_plan, "an empty plan keeps the fast path");
-    }
-
-    #[test]
-    fn fault_plan_accessors() {
-        let plan = FaultPlan::new()
-            .at(10, FaultKind::CorruptAll)
-            .at(0, FaultKind::CorruptRandomAgents { count: 1 });
-        assert_eq!(plan.len(), 2);
-        assert!(!plan.is_empty());
-        assert_eq!(plan.events()[0].at_step, 0, "events are sorted by step");
-        assert!(FaultPlan::new().is_empty());
-    }
-
-    #[test]
-    fn graph_families_build_their_topologies() {
-        assert!(matches!(
-            GraphFamily::DirectedRing.build(4),
-            Ok(AnyGraph::DirectedRing(_))
-        ));
-        assert!(matches!(
-            GraphFamily::UndirectedRing.build(4),
-            Ok(AnyGraph::UndirectedRing(_))
-        ));
-        assert!(matches!(
-            GraphFamily::Complete.build(4),
-            Ok(AnyGraph::Complete(_))
-        ));
-        assert!(GraphFamily::DirectedRing.build(1).is_err());
-        assert!(GraphFamily::Complete.build(1).is_err());
-        let custom = GraphFamily::Custom(Arc::new(ArbitraryGraph::directed_ring));
-        let g = custom.build(5).unwrap();
-        assert_eq!(g.num_agents(), 5);
-        assert_eq!(g.num_arcs(), 5);
-        assert!(g.is_arc(4, 0));
-        assert_eq!(g.arcs().len(), 5);
-        assert!(g.describe().contains("arbitrary"));
-        assert!(format!("{custom:?}").contains("Custom"));
-    }
-
-    #[test]
-    fn any_graph_samples_exactly_like_the_wrapped_graph() {
-        use rand::SeedableRng;
-        let wrapped = AnyGraph::DirectedRing(DirectedRing::new(9).unwrap());
-        let direct = DirectedRing::new(9).unwrap();
-        let mut rng_a = ChaCha8Rng::seed_from_u64(5);
-        let mut rng_b = ChaCha8Rng::seed_from_u64(5);
-        for _ in 0..200 {
-            assert_eq!(wrapped.sample(&mut rng_a), direct.sample(&mut rng_b));
-        }
     }
 
     #[test]
@@ -3226,30 +1606,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_extent_fault_events_are_rejected() {
-        match FaultPlan::new().try_at(3, FaultKind::CorruptRandomAgents { count: 0 }) {
-            Err(PopulationError::DegenerateFault { at }) => assert_eq!(at, 3),
-            other => panic!("expected DegenerateFault, got {other:?}"),
-        }
-        match FaultPlan::new().try_at(7, FaultKind::CorruptTargets { limit: 0 }) {
-            Err(PopulationError::DegenerateFault { at }) => assert_eq!(at, 7),
-            other => panic!("expected DegenerateFault, got {other:?}"),
-        }
-        // CorruptAll has no extent knob and CorruptBlock{count: 0} is the
-        // same bug as a zero random count.
-        assert!(FaultPlan::new().try_at(0, FaultKind::CorruptAll).is_ok());
-        assert!(FaultPlan::new()
-            .try_at(0, FaultKind::CorruptBlock { start: 2, count: 0 })
-            .is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "extent 0")]
-    fn zero_extent_fault_events_panic_through_the_infallible_builder() {
-        let _ = FaultPlan::new().at(3, FaultKind::CorruptRandomAgents { count: 0 });
-    }
-
-    #[test]
     fn with_initial_overrides_the_prepared_configuration() {
         let point = SweepPoint::new(8, 3);
         let finished = fratricide_scenario().run_full(&point);
@@ -3505,24 +1861,6 @@ mod tests {
         ));
     }
 
-    // -- generated graph families and churn ---------------------------------
-
-    /// The fratricide scenario made churn-ready: a corruption function mints
-    /// joining agents' states (every joiner is a leader), no plan scheduled.
-    fn churn_ready_fratricide() -> Scenario {
-        ScenarioBuilder::new("fratricide", |_pt: &SweepPoint| Fratricide)
-            .graph(GraphFamily::Complete)
-            .init(|_p, pt| Configuration::uniform(pt.n, true))
-            .stop_when("unique-leader", |p: &Fratricide, c| {
-                p.has_unique_leader(c.states())
-            })
-            .check_every(|_pt| 7)
-            .step_budget(|_pt| 500_000)
-            .corruption(|_p, _rng, _i| true)
-            .build()
-            .unwrap()
-    }
-
     /// Max-consensus spreads the largest id along arcs in both directions,
     /// so it converges on *any* weakly connected digraph — unlike
     /// fratricide, whose leaders can only fight across an arc and therefore
@@ -3578,234 +1916,47 @@ mod tests {
     }
 
     #[test]
-    fn churn_plan_accessors_and_degenerate_events() {
-        let plan = ChurnPlan::new()
-            .at(10, ChurnKind::Heal)
-            .at(0, ChurnKind::Rewire { count: 2 });
-        assert_eq!(plan.len(), 2);
-        assert!(!plan.is_empty());
-        assert_eq!(plan.events()[0].at_step, 0, "events are sorted by step");
-        assert!(!plan.has_joins());
-        assert!(ChurnPlan::new()
-            .at(1, ChurnKind::Join { count: 1 })
-            .has_joins());
-        assert!(ChurnPlan::new().is_empty());
-        assert_eq!(ChurnKind::Heal.extent(), None);
-        assert_eq!(ChurnKind::Partition { blocks: 3 }.extent(), Some(2));
-        assert_eq!(ChurnKind::Rewire { count: 5 }.extent(), Some(5));
-        for kind in [
-            ChurnKind::Rewire { count: 0 },
-            ChurnKind::Partition { blocks: 1 },
-            ChurnKind::Partition { blocks: 0 },
-            ChurnKind::Join { count: 0 },
-            ChurnKind::Leave { count: 0 },
-        ] {
-            assert!(
-                matches!(
-                    ChurnPlan::new().try_at(7, kind),
-                    Err(PopulationError::DegenerateChurn { at: 7 })
-                ),
-                "{kind:?} has extent 0 and must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_churn_plan_keeps_the_fast_path() {
-        let point = SweepPoint::new(8, 3);
-        let clean = fratricide_scenario().run_full(&point);
-        let empty = fratricide_scenario()
-            .with_churn_plan(ChurnPlan::new())
-            .run_full(&point);
-        assert_eq!(
-            clean.report, empty.report,
-            "an empty plan keeps the fast path"
-        );
-        assert_eq!(clean.sim.config().states(), empty.sim.config().states());
-    }
-
-    #[test]
-    fn churned_runs_are_deterministic() {
-        // Two rewires on a complete graph: every replacement candidate
-        // duplicates an existing arc, so the arc set survives — but the
-        // graph drops to its explicit representation and the scheduler
-        // stream changes.  The run must stay seed-deterministic.
-        let plan = ChurnPlan::new()
-            .at(5, ChurnKind::Rewire { count: 4 })
-            .at(50, ChurnKind::Rewire { count: 4 });
-        let point = SweepPoint::new(16, 9);
-        let a = churn_ready_fratricide()
-            .with_churn_plan(plan.clone())
-            .run_full(&point);
-        let b = churn_ready_fratricide()
-            .with_churn_plan(plan)
-            .run_full(&point);
-        assert_eq!(a.report, b.report, "churned runs are seed-deterministic");
-        assert_eq!(a.sim.config().states(), b.sim.config().states());
-        assert!(a.report.converged());
-    }
-
-    #[test]
-    fn rewire_changes_ring_topology_deterministically() {
-        let plan = ChurnPlan::new().at(0, ChurnKind::Rewire { count: 2 });
-        let build = || {
-            ScenarioBuilder::new("rewired-ring", |_pt: &SweepPoint| Fratricide)
-                .init(|_p, pt| Configuration::uniform(pt.n, true))
+    fn mis_sized_graphs_and_inits_are_typed_errors() {
+        // Regression: a custom graph or an `init` of the wrong size used to
+        // panic in `Simulation::new` (and index out of bounds in the
+        // explorer) instead of surfacing as a typed error.
+        let builder = || {
+            ScenarioBuilder::new("mis-sized", |_pt: &SweepPoint| Fratricide)
                 .stop_when("unique-leader", |p: &Fratricide, c| {
                     p.has_unique_leader(c.states())
                 })
-                .check_every(|_pt| 7)
-                .step_budget(|_pt| 500_000)
-                .build()
-                .unwrap()
+                .step_budget(|_pt| 1_000)
         };
-        let point = SweepPoint::new(12, 4);
-        let a = build().with_churn_plan(plan.clone()).run_full(&point);
-        let b = build().with_churn_plan(plan).run_full(&point);
-        let ring: Vec<Interaction> = DirectedRing::new(12).unwrap().arcs();
-        assert_eq!(a.sim.graph().arcs(), b.sim.graph().arcs());
-        assert_ne!(
-            a.sim.graph().arcs(),
-            ring,
-            "a step-0 rewire must replace ring arcs"
-        );
-        assert_eq!(
-            a.sim.graph().arcs().len(),
-            ring.len(),
-            "arc count is preserved"
-        );
-        assert_eq!(a.report, b.report);
-    }
-
-    #[test]
-    fn partition_blocks_global_convergence_until_heal() {
-        // A 2-block partition of the complete graph leaves each block with
-        // at least one leader that fratricide can never eliminate from the
-        // other block, so the global unique-leader predicate is unreachable
-        // until the heal restores the full topology.
-        let heal_at = 2_000;
-        let plan = ChurnPlan::new()
-            .at(0, ChurnKind::Partition { blocks: 2 })
-            .at(heal_at, ChurnKind::Heal);
-        let report = churn_ready_fratricide()
-            .with_churn_plan(plan)
-            .run(&SweepPoint::new(8, 2));
-        assert!(report.converged());
-        assert!(
-            report.convergence_step() >= heal_at,
-            "converged at {} while partitioned",
-            report.convergence_step()
-        );
-    }
-
-    #[test]
-    fn join_and_leave_resize_the_population() {
-        // A never-true stop criterion keeps the run alive past both events
-        // (converged runs stop firing their remaining churn, like fault
-        // plans do).
-        let plan = ChurnPlan::new()
-            .at(100, ChurnKind::Join { count: 4 })
-            .at(2_000, ChurnKind::Leave { count: 2 });
-        let build = || {
-            ScenarioBuilder::new("resizing", |_pt: &SweepPoint| Fratricide)
-                .graph(GraphFamily::Complete)
-                .init(|_p, pt| Configuration::uniform(pt.n, false))
-                .stop_when("never", |_p: &Fratricide, _c| false)
-                .check_every(|_pt| 7)
-                .step_budget(|_pt| 5_000)
-                .corruption(|_p, _rng, _i| true)
-                .build()
-                .unwrap()
-        };
-        let point = SweepPoint::new(8, 6);
-        let a = build()
-            .with_churn_plan(plan.clone())
-            .try_run_full(&point)
-            .unwrap();
-        let b = build().with_churn_plan(plan).try_run_full(&point).unwrap();
-        assert_eq!(a.sim.config().len(), 10, "8 + 4 joined - 2 left");
-        assert_eq!(a.sim.num_agents(), 10);
-        assert!(!a.report.converged());
-        assert_eq!(a.report.steps_executed, 5_000);
-        assert_eq!(a.report, b.report, "resizing runs are seed-deterministic");
-        assert_eq!(a.sim.config().states(), b.sim.config().states());
-    }
-
-    #[test]
-    fn join_without_corruption_is_a_typed_error() {
-        // Joining agents' states are minted by the corruption function; a
-        // join plan on a scenario that never set one must surface
-        // MissingCorruption from every fallible entry point, like fault
-        // plans do.
-        let plan = ChurnPlan::new().at(5, ChurnKind::Join { count: 1 });
-        let not_ready = fratricide_scenario().with_churn_plan(plan);
-        let point = SweepPoint::new(8, 3);
-        assert!(matches!(
-            not_ready.try_run(&point),
-            Err(PopulationError::MissingCorruption)
-        ));
-        assert!(matches!(
-            not_ready.try_leader_trajectory(&point, 100, 10),
-            Err(PopulationError::MissingCorruption)
-        ));
-        assert!(matches!(
-            not_ready.try_run_detecting(&point),
-            Err(PopulationError::MissingCorruption)
-        ));
-        // Rewire/partition/leave plans need no corruption function.
-        let rewire = fratricide_scenario()
-            .with_churn_plan(ChurnPlan::new().at(5, ChurnKind::Rewire { count: 1 }));
-        assert!(rewire.try_run(&point).is_ok());
-    }
-
-    #[test]
-    fn partition_stranding_every_arc_is_a_typed_error() {
-        // Every arc of this custom digraph crosses the 2-block boundary, so
-        // the partition leaves an empty arc set — a typed error, not a hang.
-        let scenario = ScenarioBuilder::new("crossing", |_pt: &SweepPoint| Fratricide)
-            .graph(GraphFamily::Custom(Arc::new(|_n| {
-                ArbitraryGraph::new(
-                    4,
-                    vec![
-                        Interaction::new(0, 2),
-                        Interaction::new(2, 1),
-                        Interaction::new(1, 3),
-                        Interaction::new(3, 0),
-                    ],
-                )
+        let wide_graph = builder()
+            .graph(GraphFamily::Custom(Arc::new(|n| {
+                ArbitraryGraph::directed_ring(n + 1)
             })))
             .init(|_p, pt| Configuration::uniform(pt.n, true))
-            .stop_when("unique-leader", |p: &Fratricide, c| {
-                p.has_unique_leader(c.states())
-            })
-            .check_every(|_pt| 7)
-            .step_budget(|_pt| 100_000)
             .build()
-            .unwrap()
-            .with_churn_plan(ChurnPlan::new().at(10, ChurnKind::Partition { blocks: 2 }));
-        assert!(matches!(
-            scenario.try_run(&SweepPoint::new(4, 0)),
-            Err(PopulationError::EmptyArcSet)
-        ));
-    }
-
-    #[test]
-    fn leave_below_two_agents_is_a_typed_error() {
-        let plan = ChurnPlan::new().at(10, ChurnKind::Leave { count: 3 });
-        let err = churn_ready_fratricide()
-            .with_churn_plan(plan)
-            .try_run(&SweepPoint::new(4, 0))
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                PopulationError::PopulationTooSmall {
-                    requested: 1,
-                    minimum: 2
-                }
-            ),
-            "expected PopulationTooSmall, got {err:?}"
-        );
+            .unwrap();
+        let wide_init = builder()
+            .init(|_p, pt| Configuration::uniform(pt.n + 1, true))
+            .build()
+            .unwrap();
+        let point = SweepPoint::new(4, 0);
+        for (scenario, configuration, graph) in [(wide_graph, 4, 5), (wide_init, 5, 4)] {
+            let expected = PopulationError::ConfigurationSizeMismatch {
+                configuration,
+                graph,
+            };
+            assert_eq!(scenario.try_run(&point).unwrap_err(), expected);
+            assert_eq!(scenario.try_run_detecting(&point).unwrap_err(), expected);
+            assert_eq!(
+                scenario.try_leader_trajectory(&point, 100, 10).unwrap_err(),
+                expected
+            );
+            assert_eq!(
+                scenario
+                    .explore(&point, &ExploreLimits::default())
+                    .unwrap_err(),
+                expected
+            );
+        }
     }
 
     #[test]
@@ -3845,64 +1996,5 @@ mod tests {
             scenario.try_run(&SweepPoint::new(4, 0)),
             Err(PopulationError::DisconnectedGraph { .. })
         ));
-    }
-
-    #[test]
-    fn leader_trajectory_applies_the_churn_plan() {
-        // Partition before the first interaction, heal at a non-boundary
-        // step: the sample grid must be preserved and the partition must be
-        // visible as two surviving leaders (one per block) until the heal.
-        let plan = ChurnPlan::new()
-            .at(0, ChurnKind::Partition { blocks: 2 })
-            .at(4_500, ChurnKind::Heal);
-        let traj = churn_ready_fratricide()
-            .with_churn_plan(plan)
-            .leader_trajectory(&SweepPoint::new(8, 3), 20_000, 1_000);
-        assert_eq!(
-            traj.iter().map(|&(s, _)| s).collect::<Vec<_>>(),
-            (0..=20u64).map(|i| i * 1_000).collect::<Vec<_>>()
-        );
-        assert_eq!(traj[0].1, 8);
-        // While partitioned each block burns down to exactly one leader.
-        assert_eq!(traj[3].1, 2, "trajectory: {traj:?}");
-        assert_eq!(traj[4].1, 2, "trajectory: {traj:?}");
-        // After the heal the war burns back down to one.
-        assert_eq!(traj.last().unwrap().1, 1, "trajectory: {traj:?}");
-    }
-
-    #[test]
-    fn detection_runs_under_churn() {
-        // Smoke: the recurrence-detecting path resyncs its fingerprint sum
-        // across a churn boundary and still converges with nothing pending.
-        // The rewire fires at step 0 — fratricide on a complete graph
-        // converges long before any later step, which would leave the event
-        // pending.
-        let plan = ChurnPlan::new().at(0, ChurnKind::Rewire { count: 2 });
-        let detected = churn_ready_fratricide()
-            .with_churn_plan(plan)
-            .try_run_detecting(&SweepPoint::new(8, 4))
-            .unwrap();
-        assert!(detected.report.converged());
-        assert!(detected.recurrence.is_none());
-        assert!(!detected.faults_pending);
-    }
-
-    #[test]
-    fn custom_scheduler_runs_honour_churn_plans() {
-        use crate::scheduler::RandomScheduler;
-        // The partition/heal gate from the fast-path test must hold through
-        // the DynScheduler loop too.
-        let heal_at = 2_000;
-        let plan = ChurnPlan::new()
-            .at(0, ChurnKind::Partition { blocks: 2 })
-            .at(heal_at, ChurnKind::Heal);
-        let report = churn_ready_fratricide()
-            .with_scheduler(SchedulerFamily::custom("random-boxed", |_pt, _g| {
-                Box::new(RandomScheduler::new())
-            }))
-            .with_churn_plan(plan)
-            .run(&SweepPoint::new(8, 2));
-        assert!(report.converged());
-        assert!(report.convergence_step() >= heal_at);
     }
 }

@@ -208,6 +208,22 @@ pub(crate) fn transition<P: Protocol, O: StepObserver<P>>(
     observer.post_interaction(protocol, interaction, a, b);
 }
 
+/// Checks that a configuration of `configuration` states fits a graph of
+/// `graph` agents.
+///
+/// # Errors
+///
+/// Returns [`PopulationError::ConfigurationSizeMismatch`] if the two differ.
+pub(crate) fn check_size(configuration: usize, graph: usize) -> Result<()> {
+    if configuration != graph {
+        return Err(PopulationError::ConfigurationSizeMismatch {
+            configuration,
+            graph,
+        });
+    }
+    Ok(())
+}
+
 impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     /// Creates a simulation from a protocol, graph, initial configuration and
     /// RNG seed.
@@ -239,12 +255,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
         config: Configuration<P::State>,
         seed: u64,
     ) -> Result<Self> {
-        if config.len() != graph.num_agents() {
-            return Err(PopulationError::ConfigurationSizeMismatch {
-                configuration: config.len(),
-                graph: graph.num_agents(),
-            });
-        }
+        check_size(config.len(), graph.num_agents())?;
         let oracle = OracleFold::new(oracle_in_use(&protocol));
         Ok(Simulation {
             protocol,
@@ -299,12 +310,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     /// Returns [`PopulationError::ConfigurationSizeMismatch`] if the new
     /// graph's agent count differs from the current configuration's length.
     pub fn set_graph(&mut self, graph: G) -> Result<()> {
-        if graph.num_agents() != self.config.len() {
-            return Err(PopulationError::ConfigurationSizeMismatch {
-                configuration: self.config.len(),
-                graph: graph.num_agents(),
-            });
-        }
+        check_size(self.config.len(), graph.num_agents())?;
         self.graph = graph;
         Ok(())
     }
@@ -317,12 +323,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     /// Returns [`PopulationError::ConfigurationSizeMismatch`] if the graph
     /// and configuration disagree on the number of agents.
     pub fn resize(&mut self, graph: G, config: Configuration<P::State>) -> Result<()> {
-        if graph.num_agents() != config.len() {
-            return Err(PopulationError::ConfigurationSizeMismatch {
-                configuration: config.len(),
-                graph: graph.num_agents(),
-            });
-        }
+        check_size(config.len(), graph.num_agents())?;
         self.graph = graph;
         self.config = config;
         self.oracle.stale = true;

@@ -30,14 +30,20 @@ def main():
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
     crates = root / "crates"
     per_crate = Counter()
+    per_file = Counter()
     for path in sorted(crates.rglob("*.rs")):
         parts = path.relative_to(crates).parts
         if "tests" in parts or "benches" in parts:
             continue
-        per_crate[parts[0]] += code_lines(path)
+        count = code_lines(path)
+        per_file[path.relative_to(root).as_posix()] = count
+        per_crate[parts[0]] += count
     print(f"total {sum(per_crate.values())}")
     for name, count in sorted(per_crate.items()):
         print(f"{name} {count}")
+    print("largest files:")
+    for name, count in per_file.most_common(5):
+        print(f"  {count} {name}")
 
 
 if __name__ == "__main__":
