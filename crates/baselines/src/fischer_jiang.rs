@@ -13,10 +13,12 @@
 //!   assumes: before every interaction each agent's `oracle_no_leader` flag
 //!   holds "there is no leader anywhere".  An agent whose flag is set
 //!   becomes a leader at its next interaction.  The simulation keeps the
-//!   oracle's two answers as counts of leaders and of bullets, updated from
-//!   the two touched agents of each step, and rewrites every agent only
-//!   when an answer changes — the same configurations as a full scan before
-//!   every step, at `O(1)` amortized cost.
+//!   oracle's two answers as counts of leaders and of bullets over every
+//!   agent, moved only when an interaction changes a touched agent's leader
+//!   bit or bullet (a leader appears or dies, or a bullet moves), and
+//!   rewrites every agent only when an answer changes — the same
+//!   configurations as a full scan before every step, at `O(1)` amortized
+//!   cost.
 //! * **Elimination.**  Leaders fight with live/dummy bullets and shields as
 //!   in Algorithm 5, but *without* the bullet-absence signal `signal_B`
 //!   (that signal is the 2021/2023 refinement): the oracle also reports

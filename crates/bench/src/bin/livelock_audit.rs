@@ -18,7 +18,9 @@
 //! cargo run --release -p ssle-bench --bin livelock_audit -- --report BENCH_stabilization.json
 //! ```
 //!
-//! Exits 1 on the first violated claim, and 2 on a usage error.
+//! The report is read and validated before part 1 runs, so a missing or
+//! malformed report fails at once.  Exits 1 on the first violated claim,
+//! and 2 on a usage error.
 
 use analysis::json::JsonValue;
 use population::{ExploreLimits, ExploreVerdict, SweepPoint};
@@ -66,6 +68,15 @@ fn main() {
         Err(message) => usage_error(&message),
     };
 
+    // The report is read and validated first, so a bad path or a broken
+    // artifact fails before the exploration runs.
+    let text = std::fs::read_to_string(&report)
+        .unwrap_or_else(|e| fail(&format!("cannot read {report}: {e}")));
+    let parsed = JsonValue::parse(&text)
+        .unwrap_or_else(|e| fail(&format!("{report} does not parse as JSON: {e}")));
+    let cells = validate_report(&parsed)
+        .unwrap_or_else(|e| fail(&format!("{report} violates the schema: {e}")));
+
     // Part 1: the explorer on a tiny cell, against its known exact result.
     let kind = ProtocolKind::Yokota;
     let n = 4;
@@ -91,12 +102,6 @@ fn main() {
     }
 
     // Part 2: every certified livelock in the committed artifact replays.
-    let text = std::fs::read_to_string(&report)
-        .unwrap_or_else(|e| fail(&format!("cannot read {report}: {e}")));
-    let parsed = JsonValue::parse(&text)
-        .unwrap_or_else(|e| fail(&format!("{report} does not parse as JSON: {e}")));
-    let cells = validate_report(&parsed)
-        .unwrap_or_else(|e| fail(&format!("{report} violates the schema: {e}")));
     let mut certified = 0usize;
     for cell in &cells {
         let Some(expected) = cell.certified else {

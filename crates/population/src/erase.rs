@@ -124,6 +124,21 @@ where
         self.protocol.oracle_apply(view, self.typed_mut(state));
     }
 
+    /// Downcasts the pair once, so that the oracle fold's reads and writes
+    /// of the interacting agents check their types no more often than
+    /// `interact` does.
+    #[inline]
+    fn oracle_interact(
+        &self,
+        settle: Option<u8>,
+        initiator: &mut DynState,
+        responder: &mut DynState,
+    ) -> Option<(u8, u8)> {
+        let initiator = self.typed_mut(initiator);
+        let responder = self.typed_mut(responder);
+        self.protocol.oracle_interact(settle, initiator, responder)
+    }
+
     /// Panics, as the typed [`Simulation::try_new`](crate::simulation::Simulation::try_new) does, if `P` reports an
     /// oracle without setting [`Protocol::HAS_ENVIRONMENT`]: the block loop
     /// would compile its oracle out.

@@ -88,8 +88,39 @@ pub trait Protocol: Clone + Send + Sync {
         oracle: &mut OracleFold,
         arcs: &[Interaction],
     ) {
-        for &arc in arcs {
-            transition(self, states, oracle, arc, &mut NoObserver);
+        // Only the configuration after the block is observed, so every step
+        // but the last may settle the oracle right after its interaction.
+        let last = arcs.len().saturating_sub(1);
+        for (k, &arc) in arcs.iter().enumerate() {
+            transition(self, states, oracle, arc, &mut NoObserver, k < last);
+        }
+    }
+
+    /// [`Protocol::interact`] while the oracle runs.  Returns the pair's
+    /// marks ([`Protocol::oracle_marks`]) from before the transition, except
+    /// when `settle` carries the current view and neither agent's marks
+    /// changed: then it re-applies that view to both and returns `None`.
+    ///
+    /// This is how the simulation's oracle fold runs an interaction.  The
+    /// default is the reference.  Erasure overrides it in the block loop
+    /// behind [`crate::scenario::DynProtocol`], so that the pair is downcast
+    /// once; no other protocol should.
+    #[inline]
+    fn oracle_interact(
+        &self,
+        settle: Option<u8>,
+        initiator: &mut Self::State,
+        responder: &mut Self::State,
+    ) -> Option<(u8, u8)> {
+        let marks = (self.oracle_marks(initiator), self.oracle_marks(responder));
+        self.interact(initiator, responder);
+        match settle {
+            Some(view) if (self.oracle_marks(initiator), self.oracle_marks(responder)) == marks => {
+                self.oracle_apply(view, initiator);
+                self.oracle_apply(view, responder);
+                None
+            }
+            _ => Some(marks),
         }
     }
 
@@ -99,8 +130,9 @@ pub trait Protocol: Clone + Send + Sync {
     ///
     /// Oracles such as Fischer–Jiang's `Ω?` eventual leader detector answer
     /// questions of exactly that shape ("is there a leader anywhere?"), so
-    /// the simulation keeps one count per mark, updated from the two
-    /// touched agents of each step, instead of scanning the configuration.
+    /// the simulation keeps one count per mark over every agent, moved only
+    /// when an interaction changes its pair's marks, instead of scanning the
+    /// configuration.
     /// The default (no marks) is the plain population-protocol model.
     fn oracle_marks(&self, _state: &Self::State) -> u8 {
         0

@@ -42,19 +42,25 @@ pub struct Simulation<P: Protocol, G: InteractionGraph> {
 const BLOCK: usize = 64;
 
 /// The oracle's global view as a maintained fold: one count per mark
-/// ([`Protocol::oracle_marks`]), updated from the two touched agents of each
-/// step, so that no step scans the configuration.
+/// ([`Protocol::oracle_marks`]) over every agent, moved only when an
+/// interaction changed the marks of one of its two agents, so that no step
+/// scans the configuration.
 ///
 /// Before each interaction the simulation must leave every agent as the
 /// full broadcast ([`Protocol::environment`]) would.  Agents that received
 /// the current view and were not touched since are already fixed points of
-/// the idempotent broadcast, so it rewrites all `n` agents only when the
-/// view changes or the configuration was rewritten out of band, and
-/// otherwise just the previous step's two agents.
+/// the idempotent broadcast, so only the pair a step touched needs the view
+/// again, and all `n` agents only when the view changes or the
+/// configuration was rewritten out of band.
 ///
-/// All of a step's oracle work happens in `OracleFold::before_interaction`:
-/// the interacting pair is counted out there and counted back in, with its
-/// new marks, at the next step, so the step loop branches on the oracle once.
+/// Inside a block of arcs nothing observes the configuration between two
+/// steps, so [`Protocol::oracle_interact`] settles a pair right after its
+/// interaction: if neither agent's marks changed, the counts and the view
+/// still hold, and it re-applies the view to the pair at hand.  Otherwise,
+/// and after a block's last step or a single step, the pair stays due with
+/// the marks it was counted with, and the next step re-reads them first.
+/// The per-step part is a few compares; re-reading a due pair is out of
+/// line, and the O(n) recount and broadcast are cold.
 ///
 /// The fold belongs to a [`Simulation`] and is opaque outside it:
 /// [`Protocol::interact_block`] only passes it on to each step.
@@ -64,17 +70,28 @@ pub struct OracleFold {
     /// whether the oracle runs at all.  Computed once at construction so the
     /// hot loop never pays the (virtual, under erasure) `uses_oracle` call.
     active: bool,
-    /// Number of agents carrying each mark bit, the previous step's pair
-    /// left out.
+    /// Number of agents carrying each mark bit, each agent counted with
+    /// its marks as last read.
     counts: [usize; 8],
     /// The view last broadcast to every agent.
     view: u8,
-    /// The previous step's two agents: the only ones an interaction may
-    /// have moved off the broadcast, and not yet counted back in.
-    last: (usize, usize),
-    /// `true` when `counts` no longer describe the configuration: at
-    /// construction and after `config_mut` or `resize`.
-    stale: bool,
+    /// What must happen before the next interaction.
+    due: Due,
+}
+
+/// The fold's work left for the next interaction.
+#[derive(Clone, Copy, Debug)]
+enum Due {
+    /// None: the counts describe the configuration and every agent holds
+    /// the view.
+    Nothing,
+    /// The previous step's two agents, each with the marks it was counted
+    /// with: their marks may have changed, and they may have moved off the
+    /// view.
+    Pair([(usize, u8); 2]),
+    /// The counts no longer describe the configuration: at construction
+    /// and after `config_mut` or `resize`.
+    Recount,
 }
 
 impl OracleFold {
@@ -83,25 +100,21 @@ impl OracleFold {
             active,
             counts: [0; 8],
             view: 0,
-            last: (0, 0),
-            stale: true,
+            due: Due::Recount,
         }
     }
 
-    /// Counts one agent's marks in.
-    fn add(&mut self, mut marks: u8) {
-        // Most agents carry no mark, so walk only the set bits.
-        while marks != 0 {
-            self.counts[marks.trailing_zeros() as usize] += 1;
-            marks &= marks - 1;
-        }
-    }
-
-    /// Counts one agent's marks out.
-    fn remove(&mut self, mut marks: u8) {
-        while marks != 0 {
-            self.counts[marks.trailing_zeros() as usize] -= 1;
-            marks &= marks - 1;
+    /// Moves one agent's count from marks `old` to marks `new`.
+    fn shift(&mut self, old: u8, new: u8) {
+        let mut moved = old ^ new;
+        while moved != 0 {
+            let k = moved.trailing_zeros() as usize;
+            if new >> k & 1 == 1 {
+                self.counts[k] += 1;
+            } else {
+                self.counts[k] -= 1;
+            }
+            moved &= moved - 1;
         }
     }
 
@@ -113,38 +126,49 @@ impl OracleFold {
             .fold(0, |view, (k, &c)| view | u8::from(c > 0) << k)
     }
 
-    /// Brings `states` to what the full broadcast would leave before the
-    /// interaction of agents `i` and `j`, and counts that pair out.
-    fn before_interaction<P: Protocol>(
-        &mut self,
-        protocol: &P,
-        states: &mut [P::State],
-        (i, j): (usize, usize),
-    ) {
-        let (a, b) = self.last;
-        if self.stale {
-            self.counts = [0; 8];
-            for state in states.iter() {
-                self.add(protocol.oracle_marks(state));
+    /// Does the work [`OracleFold::due`] names, so that `states` are what
+    /// the full broadcast would leave before the next interaction.
+    #[inline(never)]
+    fn catch_up<P: Protocol>(&mut self, protocol: &P, states: &mut [P::State]) {
+        match std::mem::replace(&mut self.due, Due::Nothing) {
+            Due::Nothing => {}
+            Due::Pair(pair) => {
+                for (agent, marks) in pair {
+                    self.shift(marks, protocol.oracle_marks(&states[agent]));
+                }
+                let view = self.current();
+                if view != self.view {
+                    self.view = view;
+                    self.broadcast(protocol, states);
+                } else {
+                    for (agent, _) in pair {
+                        protocol.oracle_apply(view, &mut states[agent]);
+                    }
+                }
             }
-        } else {
-            self.add(protocol.oracle_marks(&states[a]));
-            self.add(protocol.oracle_marks(&states[b]));
+            Due::Recount => self.recount(protocol, states),
         }
-        let view = self.current();
-        if self.stale || view != self.view {
-            self.stale = false;
-            self.view = view;
-            for state in states.iter_mut() {
-                protocol.oracle_apply(view, state);
-            }
-        } else {
-            protocol.oracle_apply(view, &mut states[a]);
-            protocol.oracle_apply(view, &mut states[b]);
+    }
+
+    /// Counts every agent afresh and broadcasts the view to all of them.
+    #[cold]
+    #[inline(never)]
+    fn recount<P: Protocol>(&mut self, protocol: &P, states: &mut [P::State]) {
+        self.counts = [0; 8];
+        for state in states.iter() {
+            self.shift(0, protocol.oracle_marks(state));
         }
-        self.remove(protocol.oracle_marks(&states[i]));
-        self.remove(protocol.oracle_marks(&states[j]));
-        self.last = (i, j);
+        self.view = self.current();
+        self.broadcast(protocol, states);
+    }
+
+    /// Applies the view to every agent.
+    #[cold]
+    #[inline(never)]
+    fn broadcast<P: Protocol>(&self, protocol: &P, states: &mut [P::State]) {
+        for state in states.iter_mut() {
+            protocol.oracle_apply(self.view, state);
+        }
     }
 }
 
@@ -169,7 +193,9 @@ pub(crate) fn oracle_in_use<P: Protocol>(protocol: &P) -> bool {
 /// `interact` on the split-borrowed pair between `observer`'s hooks.  Every
 /// step runs through here — single steps from [`Simulation::apply_observed`]
 /// and uniform bursts from [`Protocol::interact_block`] — so the order is
-/// written once.
+/// written once.  `settle` says that nothing observes the configuration
+/// before the next step, so the fold may settle the pair right after its
+/// interaction.
 ///
 /// # Panics
 ///
@@ -181,6 +207,7 @@ pub(crate) fn transition<P: Protocol, O: StepObserver<P>>(
     oracle: &mut OracleFold,
     interaction: Interaction,
     observer: &mut O,
+    settle: bool,
 ) {
     let i = interaction.initiator().index();
     let j = interaction.responder().index();
@@ -191,8 +218,9 @@ pub(crate) fn transition<P: Protocol, O: StepObserver<P>>(
     );
     // Oracles.  Compiled out entirely for pure protocol types; one
     // predicted branch for erased ones.
-    if P::HAS_ENVIRONMENT && oracle.active {
-        oracle.before_interaction(protocol, states, (i, j));
+    let oracle_on = P::HAS_ENVIRONMENT && oracle.active;
+    if oracle_on && !matches!(oracle.due, Due::Nothing) {
+        oracle.catch_up(protocol, states);
     }
 
     // Split-borrow the two interacting states.
@@ -204,7 +232,14 @@ pub(crate) fn transition<P: Protocol, O: StepObserver<P>>(
         (&mut hi[0], &mut lo[j])
     };
     observer.pre_interaction(protocol, interaction, a, b);
-    protocol.interact(a, b);
+    if oracle_on {
+        let settle = settle.then_some(oracle.view);
+        if let Some((mi, mj)) = protocol.oracle_interact(settle, a, b) {
+            oracle.due = Due::Pair([(i, mi), (j, mj)]);
+        }
+    } else {
+        protocol.interact(a, b);
+    }
     observer.post_interaction(protocol, interaction, a, b);
 }
 
@@ -297,7 +332,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
     /// and by tests that construct specific intermediate configurations).
     /// The oracle recounts its view before the next step.
     pub fn config_mut(&mut self) -> &mut Configuration<P::State> {
-        self.oracle.stale = true;
+        self.oracle.due = Due::Recount;
         &mut self.config
     }
 
@@ -326,7 +361,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
         check_size(config.len(), graph.num_agents())?;
         self.graph = graph;
         self.config = config;
-        self.oracle.stale = true;
+        self.oracle.due = Due::Recount;
         Ok(())
     }
 
@@ -447,6 +482,7 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
             &mut self.oracle,
             interaction,
             observer,
+            false,
         );
         self.steps += 1;
     }
@@ -662,7 +698,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{CompleteGraph, DirectedRing};
+    use crate::graph::{AnyGraph, CompleteGraph, DirectedRing};
 
     /// Classic pairwise leader elimination on a complete graph.
     #[derive(Clone, Debug)]
@@ -848,6 +884,213 @@ mod tests {
         }
         let g = CompleteGraph::new(4);
         let _ = Simulation::new(Misconfigured, g, Configuration::uniform(4, false), 0);
+    }
+
+    /// A toy oracle on all eight mark bits.  Bit 0 flips on most
+    /// interactions; bits 1–7 are beacons that appear rarely and die when
+    /// their holder next initiates, so the view's bits come and go.  The
+    /// broadcast records the view and sets a sticky flag while bit 7 is
+    /// off, which interactions clear; both feed back into the transition,
+    /// so a wrong view or a skipped re-application shows in the states.
+    #[derive(Clone, Debug)]
+    struct Beacons;
+
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+    struct Beacon {
+        marks: u8,
+        seen: u8,
+        idle: bool,
+        acc: u32,
+    }
+
+    impl Beacon {
+        fn random(rng: &mut ChaCha8Rng) -> Self {
+            use rand::Rng;
+            Beacon {
+                marks: rng.gen(),
+                seen: rng.gen(),
+                idle: rng.gen(),
+                acc: rng.gen(),
+            }
+        }
+    }
+
+    fn beacon_interact(a: &mut Beacon, b: &mut Beacon) {
+        let h = (a.acc
+            ^ b.acc.rotate_left(11)
+            ^ u32::from(a.seen) << 3
+            ^ u32::from(b.seen) << 19
+            ^ u32::from(a.idle) << 27
+            ^ u32::from(b.idle) << 28)
+            .wrapping_mul(0x9E37_79B9)
+            .wrapping_add(0x7F4A_7C15);
+        a.acc = h;
+        b.acc ^= h.rotate_left(16);
+        a.marks &= 1;
+        if h & 3 != 0 {
+            a.marks ^= 1;
+        }
+        if h >> 27 == 0 {
+            b.marks |= 2 << ((h >> 8) % 7);
+        }
+        a.idle &= h & 8 != 0;
+    }
+
+    impl Protocol for Beacons {
+        type State = Beacon;
+        const HAS_ENVIRONMENT: bool = true;
+        fn interact(&self, a: &mut Beacon, b: &mut Beacon) {
+            beacon_interact(a, b);
+        }
+        fn oracle_marks(&self, s: &Beacon) -> u8 {
+            s.marks
+        }
+        fn oracle_apply(&self, view: u8, s: &mut Beacon) {
+            s.seen = view;
+            if view & 0x80 == 0 {
+                s.idle = true;
+            }
+        }
+        fn uses_oracle(&self) -> bool {
+            true
+        }
+    }
+
+    /// [`Beacons`]' transition with no oracle: the reference runs the
+    /// oracle itself, as [`Protocol::environment`] before every step.
+    #[derive(Clone, Debug)]
+    struct BareBeacons;
+
+    impl Protocol for BareBeacons {
+        type State = Beacon;
+        fn interact(&self, a: &mut Beacon, b: &mut Beacon) {
+            beacon_interact(a, b);
+        }
+    }
+
+    /// How one burst of the oracle pin advances every simulation.
+    #[derive(Clone, Copy, Debug)]
+    enum Drive {
+        /// `run_steps`.
+        Uniform,
+        /// `step_with_scheduler` under a round-robin scheduler.
+        Scheduled,
+        /// `run_chosen_by`, filling up to five uniform arcs per block.
+        Chosen,
+    }
+
+    fn drive<P: Protocol>(sim: &mut Simulation<P, AnyGraph>, drive: Drive, k: u64) {
+        use crate::scheduler::RoundRobinScheduler;
+        match drive {
+            Drive::Uniform => sim.run_steps(k),
+            Drive::Scheduled => {
+                let mut scheduler = RoundRobinScheduler::new(sim.graph());
+                for _ in 0..k {
+                    sim.step_with_scheduler(&mut scheduler).expect("an arc");
+                }
+            }
+            Drive::Chosen => sim
+                .run_chosen_by(k, |graph, _, rng, block| {
+                    let filled = block.len().min(5);
+                    for arc in &mut block[..filled] {
+                        *arc = graph.sample(rng);
+                    }
+                    (filled, Ok(()))
+                })
+                .expect("arcs"),
+        }
+    }
+
+    /// `k` steps of the reference: the full broadcast, then the oracle-free
+    /// interaction, drawn from the same stream as [`drive`]'s.
+    fn drive_reference(sim: &mut Simulation<BareBeacons, AnyGraph>, drive: Drive, k: u64) {
+        use crate::scheduler::RoundRobinScheduler;
+        let mut scheduler = RoundRobinScheduler::new(sim.graph());
+        for _ in 0..k {
+            Beacons.environment(sim.config_mut().states_mut());
+            match drive {
+                Drive::Scheduled => sim.step_with_scheduler(&mut scheduler),
+                Drive::Uniform | Drive::Chosen => sim.step_chosen_by(|g, _, rng| Ok(g.sample(rng))),
+            }
+            .expect("an arc");
+        }
+    }
+
+    /// The oracle fold, typed and erased, runs exactly the process of the
+    /// full broadcast before every step, on every mark bit: on the complete
+    /// graph of three agents (consecutive pairs overlap) and the directed
+    /// ring of 64, under uniform bursts, scheduled steps and chosen blocks
+    /// of every length around the block size, with out-of-band rewrites and
+    /// a shrinking resize; the configurations agree after every burst.
+    #[test]
+    fn oracle_fold_matches_the_broadcast_on_every_mark_bit() {
+        use crate::erase::downcast_config;
+        use crate::graph::GraphFamily;
+        use crate::scenario::{DynProtocol, DynState};
+        use rand::Rng;
+        const BURSTS: usize = 48;
+        for (family, n) in [(GraphFamily::Complete, 3), (GraphFamily::DirectedRing, 64)] {
+            for seed in [1u64, 29, 4_242] {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let init: Vec<Beacon> = (0..n).map(|_| Beacon::random(&mut rng)).collect();
+                let erase = |states: &[Beacon]| -> Configuration<DynState> {
+                    states.iter().copied().map(DynState::new).collect()
+                };
+                let graph = family.build(n).expect("n >= 2");
+                let config = Configuration::from_states(init.clone());
+                let mut typed = Simulation::new(Beacons, graph.clone(), config.clone(), seed);
+                let mut erased = Simulation::new(
+                    DynProtocol::erase_protocol(Beacons),
+                    graph.clone(),
+                    erase(&init),
+                    seed,
+                );
+                let mut reference = Simulation::new(BareBeacons, graph, config, seed);
+                let mut views = std::collections::HashSet::new();
+                for burst in 0..BURSTS {
+                    let how = [Drive::Uniform, Drive::Scheduled, Drive::Chosen][burst % 3];
+                    let k = [1u64, 63, 64, 65, 7, 200, 129, 2][burst % 8];
+                    drive(&mut typed, how, k);
+                    drive(&mut erased, how, k);
+                    drive_reference(&mut reference, how, k);
+                    let ctx = format!("{family:?} n={n} seed={seed} burst {burst} ({how:?} x {k})");
+                    assert_eq!(typed.config(), reference.config(), "typed: {ctx}");
+                    assert_eq!(
+                        downcast_config::<Beacon>(erased.config()).as_ref(),
+                        Some(reference.config()),
+                        "erased: {ctx}"
+                    );
+                    views.extend(typed.config().states().iter().map(|s| s.seen));
+                    let len = reference.num_agents();
+                    if burst % 4 == 3 {
+                        let agent = rng.gen_range(0..len);
+                        let state = Beacon::random(&mut rng);
+                        typed.config_mut()[agent] = state;
+                        erased.config_mut()[agent] = DynState::new(state);
+                        reference.config_mut()[agent] = state;
+                    }
+                    if burst == BURSTS / 2 {
+                        let m = len - len / 3;
+                        let graph = family.build(m).expect("m >= 2");
+                        let kept = reference.config().states()[..m].to_vec();
+                        typed
+                            .resize(graph.clone(), Configuration::from_states(kept.clone()))
+                            .expect("sizes agree");
+                        erased
+                            .resize(graph.clone(), erase(&kept))
+                            .expect("sizes agree");
+                        reference
+                            .resize(graph, Configuration::from_states(kept))
+                            .expect("sizes agree");
+                    }
+                }
+                assert!(
+                    views.len() >= 8,
+                    "{family:?} n={n} seed={seed}: the view took only {} values",
+                    views.len()
+                );
+            }
+        }
     }
 
     #[test]
