@@ -24,6 +24,8 @@ use rand::Rng;
 
 use population::{Interaction, InteractionGraph, PopulationError, Result, Scheduler};
 
+use crate::draw_below;
+
 /// Shared, cheaply clonable handle to the per-arc fairness counts of one or
 /// more [`EpochPartitionScheduler`] runs.
 ///
@@ -83,16 +85,17 @@ impl FairnessAuditor {
         }
     }
 
-    fn record(&self, arc: Interaction, completed_rotation: bool) {
+    fn record(&self, arc: Interaction) {
         let mut inner = self.inner.lock().expect("auditor poisoned");
         *inner
             .counts
             .entry((arc.initiator().index(), arc.responder().index()))
             .or_insert(0) += 1;
         inner.steps += 1;
-        if completed_rotation {
-            inner.rotations += 1;
-        }
+    }
+
+    fn record_rotation(&self) {
+        self.inner.lock().expect("auditor poisoned").rotations += 1;
     }
 
     /// Clears all recorded state (e.g. between independent runs that reuse
@@ -127,8 +130,10 @@ pub struct EpochPartitionScheduler {
     group: usize,
     /// Steps already taken in the active epoch: `step mod epoch_len`.
     in_epoch: u64,
-    /// Arcs in the active group.
-    members: usize,
+    /// `arcs.len() / blocks` and `arcs.len() % blocks`: group `g` holds
+    /// `quotient + (g < remainder)` arcs.
+    quotient: usize,
+    remainder: usize,
     auditor: Option<FairnessAuditor>,
 }
 
@@ -147,7 +152,8 @@ impl EpochPartitionScheduler {
         }
         let blocks = blocks.clamp(1, arcs.len());
         Ok(EpochPartitionScheduler {
-            members: group_size(arcs.len(), blocks, 0),
+            quotient: arcs.len() / blocks,
+            remainder: arcs.len() % blocks,
             arcs,
             blocks,
             epoch_len: epoch_len.max(1),
@@ -174,39 +180,83 @@ impl EpochPartitionScheduler {
     pub fn epoch_len(&self) -> u64 {
         self.epoch_len
     }
-}
 
-/// The number of arcs in group `group`: `arcs[group]`,
-/// `arcs[group + blocks]`, ...
-fn group_size(arcs: usize, blocks: usize, group: usize) -> usize {
-    (arcs - group).div_ceil(blocks)
+    /// The number of arcs in the active group: `arcs[group]`,
+    /// `arcs[group + blocks]`, ...
+    fn members(&self) -> usize {
+        self.quotient + usize::from(self.group < self.remainder)
+    }
+
+    /// Moves `taken` steps on, at most to the end of the active epoch; at
+    /// its end the next group's epoch starts.  The epoch and the group
+    /// wrap by comparison, so no step divides.
+    fn advance(&mut self, taken: u64) {
+        self.in_epoch += taken;
+        if self.in_epoch < self.epoch_len {
+            return;
+        }
+        self.in_epoch = 0;
+        self.group += 1;
+        if self.group == self.blocks {
+            self.group = 0;
+            if let Some(auditor) = &self.auditor {
+                auditor.record_rotation();
+            }
+        }
+    }
 }
 
 impl<G: InteractionGraph> Scheduler<G> for EpochPartitionScheduler {
+    #[inline]
     fn next_interaction<R: Rng + ?Sized>(
         &mut self,
         _graph: &G,
         rng: &mut R,
     ) -> Result<Interaction> {
-        let pick = rng.gen_range(0..self.members);
-        let arc = self.arcs[self.group + pick * self.blocks];
-        // Advance the step: the epoch, and once per epoch the group, wrap
-        // by comparison, so a step divides only when a new epoch starts.
-        self.in_epoch += 1;
-        let mut rotated = false;
-        if self.in_epoch == self.epoch_len {
-            self.in_epoch = 0;
-            self.group += 1;
-            if self.group == self.blocks {
-                self.group = 0;
-                rotated = true;
-            }
-            self.members = group_size(self.arcs.len(), self.blocks, self.group);
-        }
+        let arc =
+            self.arcs[self.group + draw_below(rng, self.members() as u64) as usize * self.blocks];
         if let Some(auditor) = &self.auditor {
-            auditor.record(arc, rotated);
+            auditor.record(arc);
         }
+        self.advance(1);
         Ok(arc)
+    }
+
+    /// Fills the block one epoch run at a time: within a run the group and
+    /// its size are fixed, so each arc is one draw, one index and one
+    /// `is_arc` check, and the epoch advances once per run.
+    fn next_block<R: Rng + ?Sized>(
+        &mut self,
+        graph: &G,
+        rng: &mut R,
+        arcs: &mut [Interaction],
+    ) -> (usize, Result<()>) {
+        let mut filled = 0;
+        while filled < arcs.len() {
+            let left = self.epoch_len - self.in_epoch;
+            let len = left.min((arcs.len() - filled) as u64) as usize;
+            let run = &mut arcs[filled..filled + len];
+            let (group, blocks, members) = (self.group, self.blocks, self.members() as u64);
+            let (mut taken, mut stray) = (0, false);
+            for slot in run {
+                let arc = self.arcs[group + draw_below(rng, members) as usize * blocks];
+                *slot = arc;
+                taken += 1;
+                if let Some(auditor) = &self.auditor {
+                    auditor.record(arc);
+                }
+                if !graph.is_arc(arc.initiator().index(), arc.responder().index()) {
+                    stray = true;
+                    break;
+                }
+            }
+            self.advance(taken as u64);
+            filled += taken;
+            if stray {
+                break;
+            }
+        }
+        (filled, Ok(()))
     }
 
     fn phase(&self) -> Option<u64> {

@@ -73,3 +73,36 @@ pub use search::{
 };
 pub use spec::SchedulerSpec;
 pub use weighted::WeightedScheduler;
+
+/// `rng.gen_range(0..span)` for `span > 0`: the same one word and the same
+/// multiply-shift map as the vendored `rand`.  The schedulers' block fills
+/// draw through this because `gen_range`'s `u64` body has many callers in
+/// this crate, so the compiler keeps it out of line, one call per arc.
+#[inline]
+fn draw_below<R: rand::Rng + ?Sized>(rng: &mut R, span: u64) -> u64 {
+    ((u128::from(rng.next_u64()) * u128::from(span)) >> 64) as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::{Rng, RngCore, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    #[test]
+    fn draw_below_is_gen_range() {
+        for span in [1u64, 2, 3, 7, 64, 1000, 1 << 40, u64::MAX / 2 + 5, u64::MAX] {
+            let (mut a, mut b) = (
+                ChaCha8Rng::seed_from_u64(span),
+                ChaCha8Rng::seed_from_u64(span),
+            );
+            for _ in 0..1000 {
+                assert_eq!(
+                    super::draw_below(&mut a, span),
+                    b.gen_range(0..span),
+                    "span {span}"
+                );
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "span {span}: one word per draw");
+        }
+    }
+}

@@ -13,11 +13,23 @@ use rand_chacha::ChaCha8Rng;
 use population::{Interaction, Result};
 use population::{InteractionGraph, PopulationError, Scheduler};
 
+use crate::draw_below;
+
 /// A scheduler drawing arcs from a fixed positively-weighted distribution.
 ///
 /// Implements the typed [`Scheduler`] trait for every graph (the arc set is
 /// fixed at construction), and therefore also the erased
 /// `population::DynScheduler` through the blanket impl.
+///
+/// A step draws `x` uniformly from `0..total_weight()` and picks the first
+/// arc whose cumulative weight exceeds `x`.  The pick takes expected O(1)
+/// time: a guide table (Chen & Asau's inverse-CDF index) built at
+/// construction holds, for each bucket of `2^shift` consecutive values of
+/// `x`, the arc the bucket's first value picks, and a short forward scan
+/// over the cumulative weights finishes from there.  There are at least
+/// as many buckets as arcs and at most twice as many, so a uniform `x` passes
+/// fewer than one arc boundary on average; the pick is always the one a
+/// binary search would find.
 #[derive(Clone, Debug)]
 pub struct WeightedScheduler {
     arcs: Vec<Interaction>,
@@ -25,6 +37,9 @@ pub struct WeightedScheduler {
     /// `arcs[..=i]`.
     cumulative: Vec<u64>,
     total: u64,
+    /// `guide[b]` is the index of the arc that `x = b << shift` picks.
+    guide: Vec<usize>,
+    shift: u32,
 }
 
 impl WeightedScheduler {
@@ -63,10 +78,28 @@ impl WeightedScheduler {
         if arcs.is_empty() {
             return Err(PopulationError::EmptyArcSet);
         }
+        // The narrowest buckets of `2^shift` values that number at most
+        // two per arc.
+        let cap = 2 * arcs.len() as u64;
+        let mut shift = 0;
+        while (total - 1) >> shift >= cap {
+            shift += 1;
+        }
+        let buckets = ((total - 1) >> shift) + 1;
+        let mut guide = Vec::with_capacity(buckets as usize);
+        let mut i = 0;
+        for b in 0..buckets {
+            while cumulative[i] <= b << shift {
+                i += 1;
+            }
+            guide.push(i);
+        }
         Ok(WeightedScheduler {
             arcs,
             cumulative,
             total,
+            guide,
+            shift,
         })
     }
 
@@ -107,18 +140,30 @@ impl WeightedScheduler {
     pub fn total_weight(&self) -> u64 {
         self.total
     }
+
+    /// The first index whose cumulative weight exceeds `x < total`, found
+    /// from the guide entry of `x`'s bucket.
+    #[inline]
+    fn index(&self, x: u64) -> usize {
+        let mut i = self.guide[(x >> self.shift) as usize];
+        while self.cumulative[i] <= x {
+            i += 1;
+        }
+        i
+    }
 }
 
 impl<G: InteractionGraph> Scheduler<G> for WeightedScheduler {
+    // The default block fill calls this once per arc; with a plain
+    // `#[inline]` it stays out of line there.
+    #[inline(always)]
     fn next_interaction<R: Rng + ?Sized>(
         &mut self,
         _graph: &G,
         rng: &mut R,
     ) -> Result<Interaction> {
-        let x = rng.gen_range(0..self.total);
-        // First index whose cumulative weight exceeds x.
-        let idx = self.cumulative.partition_point(|&c| c <= x);
-        Ok(self.arcs[idx])
+        let x = draw_below(rng, self.total);
+        Ok(self.arcs[self.index(x)])
     }
 }
 
@@ -188,6 +233,66 @@ mod tests {
             seen[arc.initiator().index()] = true;
         }
         assert!(seen.iter().all(|&b| b), "fairness: every arc fires");
+    }
+
+    /// The guide-table pick equals the binary search over the cumulative
+    /// weights: for every draw when the total is at most 2^16, else at
+    /// both sides of every arc boundary and at random draws.
+    #[test]
+    fn guide_lookup_matches_the_binary_search() {
+        fn check(label: &str, sched: &WeightedScheduler) {
+            let (cumulative, total) = (&sched.cumulative, sched.total);
+            assert!(
+                sched.guide.len() <= 2 * sched.arcs.len(),
+                "{label}: guide size"
+            );
+            let exact = |x: u64| {
+                let want = cumulative.partition_point(|&c| c <= x);
+                assert_eq!(sched.index(x), want, "{label}: x = {x}");
+            };
+            if total <= 1 << 16 {
+                (0..total).for_each(exact);
+                return;
+            }
+            for &c in cumulative {
+                [c - 1, c]
+                    .into_iter()
+                    .filter(|&x| x < total)
+                    .for_each(exact);
+            }
+            let mut rng = ChaCha8Rng::seed_from_u64(total);
+            (0..20_000).for_each(|_| exact(rng.gen_range(0..total)));
+        }
+        let build = |weights: Vec<u64>| {
+            let arcs = (0..weights.len())
+                .map(|i| Interaction::new(i, i + 1))
+                .collect();
+            WeightedScheduler::new(arcs, weights).unwrap()
+        };
+        for len in [1, 2, 64, 4096] {
+            check(&format!("ones x{len}"), &build(vec![1; len]));
+        }
+        for n in [64, 200] {
+            let ring = DirectedRing::new(n).unwrap();
+            for hot in [n / 100, n / 10, n / 4, n / 2] {
+                for bias in [2, 3, 16, 64] {
+                    let sched = WeightedScheduler::biased(&ring, hot, bias, n as u64 ^ bias);
+                    check(&format!("biased n={n} hot={hot} bias={bias}"), &sched);
+                }
+            }
+        }
+        for at in [0, 1, 17, 39] {
+            let mut weights = vec![3; 40];
+            weights[at] = u64::MAX / 2;
+            check(&format!("u64::MAX / 2 at {at}"), &build(weights));
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(0x6E1DE);
+        for case in 0..40 {
+            let len = rng.gen_range(1..300);
+            let top = [4, 1_000, 1 << 20, 1 << 40, u64::MAX / 400][case % 5];
+            let weights = (0..len).map(|_| rng.gen_range(1..top)).collect();
+            check(&format!("random {case}"), &build(weights));
+        }
     }
 
     #[test]

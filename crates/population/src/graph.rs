@@ -807,6 +807,9 @@ impl InteractionGraph for AnyGraph {
         }
     }
 
+    // The scheduled block fills check every arc with this; without the
+    // hint it stays out of line there, called through the GOT.
+    #[inline]
     fn is_arc(&self, initiator: usize, responder: usize) -> bool {
         match self {
             AnyGraph::DirectedRing(g) => g.is_arc(initiator, responder),

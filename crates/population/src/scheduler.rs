@@ -35,6 +35,38 @@ pub trait Scheduler<G: InteractionGraph>: Send {
     /// once their sequence runs out; the random scheduler never fails.
     fn next_interaction<R: Rng + ?Sized>(&mut self, graph: &G, rng: &mut R) -> Result<Interaction>;
 
+    /// Chooses the interactions of the next steps at once: writes a
+    /// prefix of `arcs` and returns its length, along with the error that
+    /// cut the block short, if any.
+    ///
+    /// The contract is exactly that of successive
+    /// [`Scheduler::next_interaction`] calls, one per slot: the block stops
+    /// right after the first pair that is not an arc of `graph` (which is
+    /// written and counted) or at an error (which is not), and it leaves
+    /// the RNG, [`Scheduler::phase`] and any other state where those calls
+    /// would.  The default is that loop; a scheduler overrides it only to
+    /// fill the same arcs faster.  The erased blanket
+    /// [`DynScheduler::schedule_block`] calls it.
+    fn next_block<R: Rng + ?Sized>(
+        &mut self,
+        graph: &G,
+        rng: &mut R,
+        arcs: &mut [Interaction],
+    ) -> (usize, Result<()>) {
+        for (filled, slot) in arcs.iter_mut().enumerate() {
+            match self.next_interaction(graph, rng) {
+                Ok(arc) => {
+                    *slot = arc;
+                    if !graph.is_arc(arc.initiator().index(), arc.responder().index()) {
+                        return (filled + 1, Ok(()));
+                    }
+                }
+                Err(e) => return (filled, Err(e)),
+            }
+        }
+        (arcs.len(), Ok(()))
+    }
+
     /// The scheduler's deterministic phase, if it has one: a value that,
     /// together with the current configuration, determines the distribution
     /// of every future choice.  Periodic schedulers return their step counter
@@ -247,7 +279,11 @@ pub trait DynScheduler: Send {
     /// default fills exactly one arc: a scheduler that reads the states
     /// (such as a greedy adversary) sees every state it chooses from.
     /// Every typed [`Scheduler<AnyGraph>`] is blind to the states by
-    /// construction, and its blanket impl fills the whole block.
+    /// construction, and its blanket impl fills the whole block with
+    /// [`Scheduler::next_block`]: by default one inlined
+    /// `next_interaction` call and `is_arc` check per arc, or the
+    /// scheduler's own tighter loop (the epoch-partition scheduler fills
+    /// each run of an epoch at once).
     ///
     /// The block must be the one the same calls to
     /// [`DynScheduler::schedule`] would give, and it must end at the first
@@ -295,18 +331,7 @@ impl<S: Scheduler<AnyGraph>> DynScheduler for S {
         rng: &mut ChaCha8Rng,
         arcs: &mut [Interaction],
     ) -> (usize, Result<()>) {
-        for (filled, slot) in arcs.iter_mut().enumerate() {
-            match Scheduler::next_interaction(self, graph, rng) {
-                Ok(arc) => {
-                    *slot = arc;
-                    if !graph.is_arc(arc.initiator().index(), arc.responder().index()) {
-                        return (filled + 1, Ok(()));
-                    }
-                }
-                Err(e) => return (filled, Err(e)),
-            }
-        }
-        (arcs.len(), Ok(()))
+        Scheduler::next_block(self, graph, rng, arcs)
     }
 
     fn phase(&self) -> Option<u64> {
