@@ -656,6 +656,35 @@ mod tests {
         assert!(traj.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
+    /// Fischer–Jiang's oracle broadcast never changes a leader output, so
+    /// each trajectory sample is the leader count of the same run stopped
+    /// at that step.
+    #[test]
+    fn fischer_jiang_trajectory_samples_are_the_stopped_runs_leader_counts() {
+        let scenario = |budget: u64| {
+            fischer_jiang_builder()
+                .stop_when("never", |_p, _c| false)
+                .step_budget(move |_pt| budget)
+                .build()
+                .expect("complete scenario")
+        };
+        let point = SweepPoint::new(8, 4);
+        let traj = scenario(3_000).leader_trajectory(&point, 3_000, 100);
+        let first = traj.first().unwrap().1;
+        assert!(
+            traj.iter().any(|&(_, c)| c != first),
+            "trajectory: {traj:?}"
+        );
+        for &(step, leaders) in &traj {
+            let stopped = scenario(step).run_full(&point);
+            assert_eq!(
+                stopped.sim.count_leaders(),
+                leaders,
+                "sample at step {step}"
+            );
+        }
+    }
+
     #[test]
     fn all_detect_measurement_terminates() {
         let report = all_detect_scenario(|_pt| 50_000_000).run(&SweepPoint::new(8, 2));

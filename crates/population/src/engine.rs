@@ -3,9 +3,9 @@
 //! A [`Run`] is one prepared run in progress: the erased simulation, its
 //! step source (the uniform burst or a [`DynScheduler`]), its fault and
 //! churn schedules and its stop predicate.  [`Run::drive`] advances it in
-//! segments that end at the next check boundary or event, and a [`Watch`]
-//! decides what each step feeds: nothing ([`NoObserver`], whose bursts run
-//! in blocks), a [`LeaderCounter`], or the [`Recurrence`] detector.
+//! segments that end at the next check boundary or event.  Every burst runs
+//! in blocks, except a scheduled one under the run's optional
+//! [`Recurrence`] detector, which steps one at a time to feed it.
 
 use std::rc::Rc;
 
@@ -16,10 +16,8 @@ use crate::erase::DynProtocol;
 use crate::error::{PopulationError, Result};
 use crate::faults::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
 use crate::graph::AnyGraph;
-use crate::observer::{LeaderCounter, NoObserver, StepObserver};
 use crate::recurrence::{FingerprintSum, RecurrenceCandidate, RecurrenceDetector};
 use crate::scenario::DynStop;
-use crate::schedule::Interaction;
 use crate::scheduler::DynScheduler;
 use crate::simulation::Simulation;
 use crate::slot::DynState;
@@ -50,6 +48,9 @@ pub(crate) struct Run {
     pub(crate) faults: FaultSchedule,
     pub(crate) churn: ChurnSchedule,
     pub(crate) stop: DynStop,
+    /// The recurrence detector of a detecting run, fed every scheduled
+    /// step; `None` lets every burst run in blocks.
+    pub(crate) detector: Option<Recurrence>,
     /// Stamps the run's identity on its telemetry events until it drops.
     pub(crate) _scope: ssle_telemetry::RunScope,
 }
@@ -58,20 +59,20 @@ impl Run {
     /// The discrete-event segment loop: the next segment ends at the
     /// earliest of the next multiple of `every` (capped at `horizon`) and
     /// the next fault or churn event.  After each segment the due churn and
-    /// fault events fire, `observer` is re-seeded if any fired, and on the
-    /// grid (and at `horizon`) `boundary` runs.  `boundary` also runs
-    /// once before the first step; `true` from it ends the run as converged.
+    /// fault events fire, the detector (if any) is re-seeded if any fired,
+    /// and on the grid (and at `horizon`) `boundary` runs.  `boundary` also
+    /// runs once before the first step; `true` from it ends the run as
+    /// converged.
     ///
     /// Returns the steps executed and whether the run converged, after
     /// emitting the `converged` and `run_end` telemetry events.
-    pub(crate) fn drive<O: Watch>(
+    pub(crate) fn drive(
         &mut self,
-        observer: &mut O,
         every: u64,
         horizon: u64,
-        mut boundary: impl FnMut(&mut Run, &O) -> bool,
+        mut boundary: impl FnMut(&mut Run) -> bool,
     ) -> Result<(u64, bool)> {
-        let mut converged = boundary(self, observer);
+        let mut converged = boundary(self);
         // The simulation starts at step 0, so its step counter is the run's.
         let mut done = self.sim.steps();
         while !converged && done < horizon {
@@ -80,17 +81,19 @@ impl Run {
             // Segment-constant: `clip` ends every segment at the next event,
             // and events fire only between segments.
             let settled = !self.faults.pending() && !self.churn.pending();
-            let ended = self.segment(target - done, settled, observer)?;
+            let ended = self.segment(target - done, settled)?;
             done = self.sim.steps();
             if ended {
                 break;
             }
             let churned = self.churn.fire_due(done, &mut self.sim)?;
             if self.faults.fire_due(done, &mut self.sim) | churned {
-                observer.reseed(&self.sim);
+                if let Some(detector) = &mut self.detector {
+                    detector.reseed(&self.sim);
+                }
             }
             if done.is_multiple_of(every) || done == horizon {
-                converged = boundary(self, observer);
+                converged = boundary(self);
             }
         }
         if converged && ssle_telemetry::enabled() {
@@ -100,39 +103,68 @@ impl Run {
         Ok((done, converged))
     }
 
-    /// Runs `k` steps from the step source: the uniform burst or the
-    /// scheduled one, each in blocks when unobserved and per step under an
-    /// observer.  Returns `true` if the observer ended the run early.
-    fn segment<O: Watch>(&mut self, k: u64, settled: bool, observer: &mut O) -> Result<bool> {
+    /// Runs `k` steps from the step source: the uniform burst and an
+    /// undetected scheduled burst in blocks, a detected scheduled burst per
+    /// step.  Returns `true` if the detector ended the run early.
+    fn segment(&mut self, k: u64, settled: bool) -> Result<bool> {
         let Run {
             sim,
             scheduler,
             stop,
+            detector,
             ..
         } = self;
         let Some(sched) = scheduler else {
             // The uniform burst counts its steps in `hot_steps` itself.
-            observer.burst(sim, k);
+            sim.run_steps(k);
             return Ok(false);
         };
-        let (ran, ended) = observer.scheduled(sim, &mut **sched, k, settled, stop)?;
+        let (ran, ended) = match detector {
+            Some(detector) => detector.scheduled(sim, &mut **sched, k, settled, stop)?,
+            None => {
+                sim.run_chosen_by(k, |g, c, rng, arcs| {
+                    sched.schedule_block(g, c.states(), rng, arcs)
+                })?;
+                (k, false)
+            }
+        };
         // Scheduled steps are counted here, once per segment.
         ssle_telemetry::metrics::well_known::SCHEDULED_STEPS.add(ran);
         Ok(ended)
     }
 }
 
-/// What a [`Run`] feeds every step.  Plain runs use [`NoObserver`], whose
-/// hooks compile away.
-pub(crate) trait Watch: StepObserver<DynProtocol> + Sized {
-    /// Runs `k` uniform steps, observed one by one.
-    fn burst(&mut self, sim: &mut ErasedSim, k: u64) {
-        sim.run_steps_observed(k, self);
+/// The detector of [`Scenario::try_run_detecting`]: an incremental
+/// fingerprint sum feeding a Brent-schedule recurrence detector.
+///
+/// [`Scenario::try_run_detecting`]: crate::scenario::Scenario::try_run_detecting
+pub(crate) struct Recurrence {
+    sum: FingerprintSum,
+    detector: RecurrenceDetector,
+    pub(crate) found: Option<RecurrenceCandidate>,
+}
+
+impl Recurrence {
+    /// Seeds the fingerprint sum from `states`.
+    pub(crate) fn new(states: &[DynState]) -> Self {
+        Recurrence {
+            sum: FingerprintSum::new(states),
+            detector: RecurrenceDetector::new(),
+            found: None,
+        }
     }
 
-    /// Runs up to `k` steps chosen by `sched`, observed and inspected
-    /// ([`Watch::after_step`]) one by one.  Returns the steps run and
-    /// whether the observer ended the run.
+    /// Re-seeds from the configuration after a fault or churn event
+    /// rewrote states out of band.
+    fn reseed(&mut self, sim: &ErasedSim) {
+        self.sum.resync(sim.config().states());
+        self.detector.reset();
+    }
+
+    /// Runs up to `k` steps chosen by `sched` one by one, folding each into
+    /// the sum and, once `settled` (no fault or churn event can still
+    /// fire), into the detector.  Returns the steps run and whether a
+    /// recurrence ended the run.
     fn scheduled(
         &mut self,
         sim: &mut ErasedSim,
@@ -142,125 +174,42 @@ pub(crate) trait Watch: StepObserver<DynProtocol> + Sized {
         stop: &mut DynStop,
     ) -> Result<(u64, bool)> {
         for step in 0..k {
-            sim.step_chosen_by_observed(self, |g, c, rng| sched.schedule(g, c.states(), rng))?;
-            if self.after_step(sim, sched, settled, stop) {
-                return Ok((step + 1, true));
+            sim.step_chosen_by_observed(&mut self.sum, |g, c, rng| {
+                sched.schedule(g, c.states(), rng)
+            })?;
+            // A recurrence confirmed while events are still pending proves
+            // nothing — a future fault or churn event would perturb the
+            // cycle — so the detector stays disarmed until the schedules
+            // are exhausted and only the event-free suffix is searched.
+            if !settled {
+                continue;
             }
+            let Some(candidate) =
+                self.detector
+                    .observe(self.sum.value(), sched.phase(), sim.steps(), sim.config())
+            else {
+                continue;
+            };
+            if stop(sim.config().states()) {
+                // The recurrent configuration satisfies the stop predicate:
+                // the run converged between two check boundaries (a stable
+                // fixed point "recurs" trivially).  Let the boundary check
+                // report it exactly like the plain run would.
+                self.detector.reset();
+                continue;
+            }
+            if ssle_telemetry::enabled() {
+                ssle_telemetry::metrics::well_known::RECURRENCES.incr();
+                ssle_telemetry::emit(
+                    ssle_telemetry::Event::new("recurrence_candidate")
+                        .count("step", candidate.entry_step)
+                        .count("period", candidate.period),
+                );
+            }
+            self.found = Some(candidate);
+            return Ok((step + 1, true));
         }
         Ok((k, false))
-    }
-
-    /// Re-seeds from the configuration after a fault or churn event
-    /// rewrote states out of band.
-    fn reseed(&mut self, _sim: &ErasedSim) {}
-
-    /// Inspects the run after each scheduled step; `true` ends it.
-    /// `settled` is `true` when no fault or churn event can still fire.
-    fn after_step(
-        &mut self,
-        _sim: &ErasedSim,
-        _scheduler: &dyn DynScheduler,
-        _settled: bool,
-        _stop: &mut DynStop,
-    ) -> bool {
-        false
-    }
-}
-
-/// Nothing to observe, so both bursts run in blocks, one virtual call each.
-impl Watch for NoObserver {
-    fn burst(&mut self, sim: &mut ErasedSim, k: u64) {
-        sim.run_steps(k);
-    }
-
-    fn scheduled(
-        &mut self,
-        sim: &mut ErasedSim,
-        sched: &mut dyn DynScheduler,
-        k: u64,
-        _settled: bool,
-        _stop: &mut DynStop,
-    ) -> Result<(u64, bool)> {
-        sim.run_chosen_by(k, |g, c, rng, arcs| {
-            sched.schedule_block(g, c.states(), rng, arcs)
-        })?;
-        Ok((k, false))
-    }
-}
-
-impl Watch for LeaderCounter {
-    fn reseed(&mut self, sim: &ErasedSim) {
-        self.resync(sim.protocol(), sim.config().states());
-    }
-}
-
-/// The observer of [`Scenario::try_run_detecting`]: an incremental
-/// fingerprint sum feeding a Brent-schedule recurrence detector.
-///
-/// [`Scenario::try_run_detecting`]: crate::scenario::Scenario::try_run_detecting
-pub(crate) struct Recurrence {
-    pub(crate) sum: FingerprintSum,
-    pub(crate) detector: RecurrenceDetector,
-    pub(crate) found: Option<RecurrenceCandidate>,
-}
-
-impl StepObserver<DynProtocol> for Recurrence {
-    fn pre_interaction(&mut self, p: &DynProtocol, i: Interaction, a: &DynState, b: &DynState) {
-        self.sum.pre_interaction(p, i, a, b);
-    }
-
-    fn post_interaction(&mut self, p: &DynProtocol, i: Interaction, a: &DynState, b: &DynState) {
-        self.sum.post_interaction(p, i, a, b);
-    }
-}
-
-impl Watch for Recurrence {
-    fn reseed(&mut self, sim: &ErasedSim) {
-        self.sum.resync(sim.config().states());
-        self.detector.reset();
-    }
-
-    fn after_step(
-        &mut self,
-        sim: &ErasedSim,
-        scheduler: &dyn DynScheduler,
-        settled: bool,
-        stop: &mut DynStop,
-    ) -> bool {
-        // A recurrence confirmed while events are still pending proves
-        // nothing — a future fault or churn event would
-        // perturb the cycle — so the detector stays disarmed until the
-        // schedules are exhausted and only the event-free suffix is
-        // searched.
-        if !settled {
-            return false;
-        }
-        let Some(candidate) = self.detector.observe(
-            self.sum.value(),
-            scheduler.phase(),
-            sim.steps(),
-            sim.config(),
-        ) else {
-            return false;
-        };
-        if stop(sim.config().states()) {
-            // The recurrent configuration satisfies the stop predicate: the
-            // run converged between two check boundaries (a stable fixed
-            // point "recurs" trivially).  Let the boundary check report it
-            // exactly like the plain run would.
-            self.detector.reset();
-            return false;
-        }
-        if ssle_telemetry::enabled() {
-            ssle_telemetry::metrics::well_known::RECURRENCES.incr();
-            ssle_telemetry::emit(
-                ssle_telemetry::Event::new("recurrence_candidate")
-                    .count("step", candidate.entry_step)
-                    .count("period", candidate.period),
-            );
-        }
-        self.found = Some(candidate);
-        true
     }
 }
 

@@ -280,6 +280,11 @@ impl InteractionGraph for CompleteGraph {
 pub struct ArbitraryGraph {
     n: usize,
     arcs: Vec<Interaction>,
+    /// Agent `i`'s out-arcs end at `heads[offsets[i]..offsets[i + 1]]`,
+    /// sorted, so [`InteractionGraph::is_arc`] searches one agent's arcs
+    /// instead of scanning them all.
+    offsets: Vec<usize>,
+    heads: Vec<usize>,
 }
 
 impl ArbitraryGraph {
@@ -314,7 +319,21 @@ impl ArbitraryGraph {
                 });
             }
         }
-        Ok(ArbitraryGraph { n, arcs })
+        let mut pairs: Vec<_> = arcs
+            .iter()
+            .map(|a| (a.initiator().index(), a.responder().index()))
+            .collect();
+        pairs.sort_unstable();
+        let offsets = (0..=n)
+            .map(|i| pairs.partition_point(|&(from, _)| from < i))
+            .collect();
+        let heads = pairs.into_iter().map(|(_, to)| to).collect();
+        Ok(ArbitraryGraph {
+            n,
+            arcs,
+            offsets,
+            heads,
+        })
     }
 
     /// Builds the arbitrary-graph representation of a directed ring; useful
@@ -335,8 +354,10 @@ impl InteractionGraph for ArbitraryGraph {
     }
 
     fn is_arc(&self, initiator: usize, responder: usize) -> bool {
-        let probe = Interaction::new(initiator, responder);
-        self.arcs.contains(&probe)
+        initiator < self.n
+            && self.heads[self.offsets[initiator]..self.offsets[initiator + 1]]
+                .binary_search(&responder)
+                .is_ok()
     }
 
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Interaction {
@@ -1011,6 +1032,37 @@ mod tests {
         for i in 0..7 {
             for j in 0..7 {
                 assert_eq!(a.is_arc(i, j), b.is_arc(i, j));
+            }
+        }
+    }
+
+    /// The per-agent index answers `is_arc` as the arc list does, for
+    /// every pair including out-of-range agents, and duplicate arcs.
+    #[test]
+    fn is_arc_matches_the_arc_list() {
+        let mut graphs = vec![ArbitraryGraph::new(
+            4,
+            vec![
+                Interaction::new(2, 1),
+                Interaction::new(0, 3),
+                Interaction::new(2, 1),
+                Interaction::new(0, 1),
+            ],
+        )
+        .unwrap()];
+        for n in [16, 64] {
+            graphs.push(torus(n).unwrap());
+            graphs.push(small_world(n, 4, 300, 0xFEED).unwrap());
+            graphs.push(preferential_attachment(n, 2, 0xBEEF).unwrap());
+            graphs.push(random_regular(n, 3, 0xCAFE).unwrap());
+        }
+        for g in &graphs {
+            let n = g.num_agents();
+            for i in 0..=n {
+                for j in 0..=n {
+                    let listed = g.arcs().contains(&Interaction::new(i, j));
+                    assert_eq!(g.is_arc(i, j), listed, "{} ({i}, {j})", g.describe());
+                }
             }
         }
     }

@@ -7,23 +7,25 @@
 //! of each interaction, before and after the transition — everything an
 //! incremental statistic needs, at constant cost per step.
 //!
-//! Observers are passed explicitly into the observed run methods
+//! Observers are passed explicitly into the observed single steps
 //! ([`crate::simulation::Simulation::step_observed`],
-//! [`crate::simulation::Simulation::run_steps_observed`]), so the unobserved
-//! hot loop pays nothing: [`NoObserver`]'s empty hooks inline away.
+//! [`crate::simulation::Simulation::step_chosen_by_observed`]), so the
+//! unobserved hot loop pays nothing: [`NoObserver`]'s empty hooks inline
+//! away, and the bursts, which run in blocks, take no observer at all.
 //!
-//! [`LeaderCounter`] is the workhorse observer: it maintains the number of
-//! agents outputting `L` as a running counter updated from the two touched
-//! agents only, plus a per-step "leader set changed" flag.  It powers
-//! `Simulation::run_tracking_leader_changes` and
-//! `Scenario::leader_trajectory`.
+//! [`LeaderCounter`] maintains the number of agents outputting `L` as a
+//! running counter updated from the two touched agents only, plus a
+//! per-step "leader set changed" flag.  It powers
+//! `Simulation::run_tracking_leader_changes`, which needs every change;
+//! `Scenario::leader_trajectory` needs the count only at its samples, so
+//! it recounts the configuration there instead.
 //!
 //! Incremental observation is sound for a statistic as long as nothing
 //! between hooks changes what it folds.  An oracle's broadcast
 //! ([`Protocol::oracle_apply`]) rewrites agents outside the interacting pair
 //! but never their leader outputs, so [`LeaderCounter`] is exact for oracle
-//! protocols too; out-of-band rewrites (faults, churn) re-seed it with
-//! [`LeaderCounter::resync`].
+//! protocols too; out-of-band rewrites (faults, `config_mut` edits) must
+//! re-seed it with [`LeaderCounter::resync`].
 
 use crate::protocol::{LeaderElection, Protocol};
 use crate::schedule::Interaction;

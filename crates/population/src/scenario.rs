@@ -83,14 +83,11 @@ use crate::batch::{group_by_size, BatchRunner, BatchSummary, Outcome};
 use crate::churn::ChurnSchedule;
 use crate::config::Configuration;
 use crate::convergence::ConvergenceReport;
-use crate::engine::{
-    telemetry_run_start, DynCorrupt, DynTargets, FaultSchedule, Recurrence, Run, Watch,
-};
+use crate::engine::{telemetry_run_start, DynCorrupt, DynTargets, FaultSchedule, Recurrence, Run};
 use crate::error::{PopulationError, Result};
 use crate::graph::InteractionGraph;
-use crate::observer::{LeaderCounter, NoObserver};
 use crate::protocol::{LeaderElection, Protocol};
-use crate::recurrence::{FingerprintSum, RecurrenceCandidate, RecurrenceDetector};
+use crate::recurrence::RecurrenceCandidate;
 use crate::simulation::{check_size, Simulation};
 use crate::sweep::{SweepGrid, SweepPoint};
 
@@ -329,7 +326,7 @@ impl Scenario {
     /// See [`Scenario::try_run`].
     pub fn try_run_full(&self, point: &SweepPoint) -> Result<ScenarioRun> {
         let mut run = self.start(point)?;
-        let report = self.converge(point, &mut run, &mut NoObserver)?;
+        let report = self.converge(point, &mut run)?;
         Ok(ScenarioRun {
             report,
             sim: run.sim,
@@ -364,6 +361,7 @@ impl Scenario {
             faults,
             churn,
             stop: erased.stop,
+            detector: None,
             _scope: scope,
         })
     }
@@ -371,15 +369,10 @@ impl Scenario {
     /// Drives `run` until the stop predicate holds at a check boundary (every
     /// `check_interval` steps, and once at step 0) or the step budget is
     /// spent, and reports the outcome.
-    fn converge<O: Watch>(
-        &self,
-        point: &SweepPoint,
-        run: &mut Run,
-        observer: &mut O,
-    ) -> Result<ConvergenceReport> {
+    fn converge(&self, point: &SweepPoint, run: &mut Run) -> Result<ConvergenceReport> {
         let check_interval = (self.check_interval)(point).max(1);
         let max_steps = (self.max_steps)(point);
-        let (steps, converged) = run.drive(observer, check_interval, max_steps, |run, _| {
+        let (steps, converged) = run.drive(check_interval, max_steps, |run| {
             (run.stop)(run.sim.config().states())
         })?;
         Ok(ConvergenceReport {
@@ -426,10 +419,10 @@ impl Scenario {
     /// [`Scenario::run`], and the scenario's scheduler family drives the
     /// steps exactly as it does there too.
     ///
-    /// The leader count is maintained incrementally by a [`LeaderCounter`]
-    /// observer (O(1) amortized per step, re-seeded only when a fault
-    /// rewrites states out-of-band; an oracle's broadcast never changes
-    /// leader outputs).
+    /// Each sample counts the leaders of the configuration at its step
+    /// (O(n) per sample), so the steps in between run in blocks exactly as
+    /// under [`Scenario::run`], and a fault or churn event between two
+    /// samples needs no resync.
     ///
     /// # Panics
     ///
@@ -463,9 +456,8 @@ impl Scenario {
         let mut out = Vec::new();
         // A trajectory has no stop predicate: its boundary action samples
         // and never ends the run.
-        let mut counter = LeaderCounter::new(run.sim.protocol(), run.sim.config().states());
-        run.drive(&mut counter, every, total_steps, |run, counter| {
-            out.push((run.sim.steps(), counter.count()));
+        run.drive(every, total_steps, |run| {
+            out.push((run.sim.steps(), run.sim.count_leaders()));
             false
         })?;
         Ok(out)
@@ -518,7 +510,7 @@ impl Scenario {
     /// same scheduler choices, RNG stream, fault events and stop-check
     /// boundaries — except that every step additionally feeds an incremental
     /// sum of state fingerprints ([`DynState::fingerprint`]) into a
-    /// Brent-schedule [`RecurrenceDetector`].
+    /// Brent-schedule [`RecurrenceDetector`](crate::recurrence::RecurrenceDetector).
     /// When a configuration provably repeats at the same scheduler
     /// [`DynScheduler::phase`], the run aborts early and the confirmed
     /// [`RecurrenceCandidate`] is returned alongside the (unconverged)
@@ -556,21 +548,15 @@ impl Scenario {
         // by chance constantly — every interaction that happens not to
         // change any state is a period-1 "recurrence" — so detection is
         // only meaningful for schedulers with a deterministic phase.
-        let detecting = !run.sim.environment_active()
-            && run.scheduler.as_ref().is_some_and(|s| s.phase().is_some());
-        let (report, recurrence) = if detecting {
-            let mut watch = Recurrence {
-                sum: FingerprintSum::new(run.sim.config().states()),
-                detector: RecurrenceDetector::new(),
-                found: None,
-            };
-            (self.converge(point, &mut run, &mut watch)?, watch.found)
-        } else {
-            (self.converge(point, &mut run, &mut NoObserver)?, None)
-        };
+        if !run.sim.environment_active()
+            && run.scheduler.as_ref().is_some_and(|s| s.phase().is_some())
+        {
+            run.detector = Some(Recurrence::new(run.sim.config().states()));
+        }
+        let report = self.converge(point, &mut run)?;
         Ok(DetectedRun {
             report,
-            recurrence,
+            recurrence: run.detector.and_then(|d| d.found),
             faults_pending: run.faults.pending() || run.churn.pending(),
             sim: run.sim,
         })

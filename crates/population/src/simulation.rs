@@ -587,15 +587,6 @@ impl<P: Protocol, G: InteractionGraph> Simulation<P, G> {
         Ok(())
     }
 
-    /// Runs exactly `k` steps under the uniformly random scheduler with an
-    /// observer attached.
-    pub fn run_steps_observed<O: StepObserver<P>>(&mut self, k: u64, observer: &mut O) {
-        for _ in 0..k {
-            self.step_observed(observer);
-        }
-        ssle_telemetry::metrics::well_known::HOT_STEPS.add(k);
-    }
-
     /// Applies every interaction of `seq`, in order.
     pub fn apply_sequence(&mut self, seq: &InteractionSeq) {
         for &interaction in seq.iter() {

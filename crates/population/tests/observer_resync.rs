@@ -1,10 +1,9 @@
 //! Integration coverage of the observation layer: agreement between the
 //! incremental [`population::LeaderCounter`] and a full recount after every
-//! step, observer hook ordering, and — the case the unit tests cannot reach —
-//! the **fault-boundary resync** of the scenario trajectory loop: a
-//! [`population::FaultKind::CorruptTargets`] strike rewrites states behind
-//! the incremental counter's back, and only the boundary resync keeps the
-//! sampled leader counts truthful afterwards.
+//! step, observer hook ordering, and the scenario trajectory's samples: each
+//! is the leader count of the same run stopped at that step, also after a
+//! [`population::FaultKind::CorruptTargets`] strike or a join rewrote
+//! states between two samples.
 
 use population::prelude::*;
 
@@ -115,13 +114,12 @@ fn strike_scenario(strike_at: u64) -> Scenario {
 
 #[test]
 fn leader_trajectory_resyncs_the_counter_at_the_fault_boundary() {
-    // The trajectory loop counts leaders through the incremental
-    // LeaderCounter, which a targeted strike silently desynchronizes: the
-    // fault rewrites the leader's state out-of-band, so every sample after
-    // the strike would still read 1 without the boundary resync.  The
-    // strike lands at step 30 — *between* the 25-step sample boundaries —
-    // so this also pins the burst-splitting path that fires (and resyncs)
-    // at a non-sample boundary.
+    // The trajectory counts the leaders of the configuration at each
+    // sample, so a targeted strike that rewrites the leader's state
+    // out-of-band must show in every later sample (a count kept per step
+    // and never re-seeded would still read 1).  The strike lands at step
+    // 30 — *between* the 25-step sample boundaries — so this also pins the
+    // burst-splitting path that fires the fault at a non-sample boundary.
     let traj = strike_scenario(30).leader_trajectory(&SweepPoint::new(8, 3), 100, 25);
     assert_eq!(traj.first(), Some(&(0, 1)));
     assert_eq!(traj.last(), Some(&(100, 0)));
@@ -135,6 +133,67 @@ fn leader_trajectory_resyncs_the_counter_at_the_fault_boundary() {
     // Both regimes were actually sampled.
     assert!(traj.iter().any(|&(step, _)| step < 30));
     assert!(traj.iter().any(|&(step, _)| step >= 30));
+}
+
+/// Fratricide from all leaders on the complete graph of 16 agents under
+/// `scheduler`, with one of three event plans: none, a strike that demotes
+/// one leader at step 55, or three agents joining as leaders at step 75
+/// (the corruption function demotes the first 16 agents and crowns every
+/// later one).  The stop predicate never holds, so a run is exactly
+/// `budget` steps.
+fn counted_scenario(scheduler: &SchedulerFamily, events: &str, budget: u64) -> Scenario {
+    let scenario = ScenarioBuilder::new("counted", |_pt: &SweepPoint| Fratricide)
+        .graph(GraphFamily::Complete)
+        .init(|_p, pt| Configuration::uniform(pt.n, true))
+        .stop_when("never", |_p: &Fratricide, _c| false)
+        .step_budget(move |_pt| budget)
+        .scheduler(scheduler.clone())
+        .fault_targets(|p: &Fratricide, s, _agent| p.is_leader(s))
+        .corruption(|_p, _rng, agent| agent >= 16)
+        .build()
+        .expect("complete counted scenario");
+    match events {
+        "none" => scenario,
+        "strike" => scenario
+            .with_fault_plan(FaultPlan::new().at(55, FaultKind::CorruptTargets { limit: 1 })),
+        "join" => scenario.with_churn_plan(ChurnPlan::new().at(75, ChurnKind::Join { count: 3 })),
+        _ => unreachable!("unknown event plan {events}"),
+    }
+}
+
+#[test]
+fn every_trajectory_sample_is_the_leader_count_of_the_run_stopped_there() {
+    // A trajectory counts the leaders at each sample.  The same scenario
+    // stopped at that sample's step (a stop predicate that never holds and
+    // a budget of that many steps) must end with the same count, whether
+    // the steps run uniformly or under a custom state-blind scheduler, and
+    // whether a strike or a join landed between two samples.
+    let schedulers = [
+        SchedulerFamily::Random,
+        SchedulerFamily::custom("random-boxed", |_pt, _g| Box::new(RandomScheduler::new())),
+    ];
+    for scheduler in &schedulers {
+        for events in ["none", "strike", "join"] {
+            for seed in [1, 5, 9] {
+                let point = SweepPoint::new(16, seed);
+                let traj =
+                    counted_scenario(scheduler, events, 400).leader_trajectory(&point, 400, 10);
+                assert_eq!(traj.len(), 41);
+                let counts: std::collections::HashSet<_> = traj.iter().map(|&(_, c)| c).collect();
+                assert!(counts.len() > 3, "{events} seed {seed}: {traj:?}");
+                for &(step, leaders) in &traj {
+                    let stopped = counted_scenario(scheduler, events, step).run_full(&point);
+                    assert_eq!(stopped.report.steps_executed, step);
+                    assert_eq!(
+                        stopped.sim.count_leaders(),
+                        leaders,
+                        "{} {events} seed {seed}: sample at step {step}",
+                        scheduler.name()
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]

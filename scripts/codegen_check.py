@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Checks that the release perfbench binary's block loops keep their
-per-arc work inline.
+"""Checks that the release perfbench binary keeps its per-arc work inline.
 
     python3 scripts/codegen_check.py [--binary PATH]
 
@@ -24,6 +23,10 @@ calls, out of line, one of the functions that run once per arc:
 epoch scheduler's `advance`), the protocols' `interact`,
 `OracleFold::catch_up` and the panics are allowed.  It prints every block
 loop with its out-of-line callees either way.
+
+It also fails if any function anywhere in the binary calls
+`AnyGraph::sample` or the ChaCha `next_u32`/`next_u64` out of line
+(resolved the same way), and prints each such caller.
 """
 
 import argparse
@@ -48,6 +51,12 @@ PER_ARC = re.compile(
     r"|rand::Rng::gen_range$"
     r"|rand::SampleRange<T>>::sample_from$"
     r"|rand::UniformInt>::uniform(_inclusive)?$"
+    r"|<rand_chacha::ChaCha8Rng as rand::RngCore>::next_u(32|64)$"
+)
+
+# Called out of line by no function at all.
+MUST_INLINE = re.compile(
+    r"<population::graph::AnyGraph as population::graph::InteractionGraph>::sample$"
     r"|<rand_chacha::ChaCha8Rng as rand::RngCore>::next_u(32|64)$"
 )
 
@@ -113,7 +122,8 @@ def main():
         subprocess.run(["cargo", "build", "--quiet", "--release", "--offline",
                         "--manifest-path", "perfbench/Cargo.toml"], cwd=ROOT, check=True)
         binary = ROOT / "perfbench" / "target" / "release" / "perfbench"
-    loops = {f: c for f, c in callees(binary).items() if BLOCK_LOOPS.search(f[1])}
+    calls = callees(binary)
+    loops = {f: c for f, c in calls.items() if BLOCK_LOOPS.search(f[1])}
     if not loops:
         sys.exit(f"{binary}: no block-loop function found; is it a perfbench build?")
     failures = 0
@@ -124,7 +134,14 @@ def main():
             failures += bad
             print(f"  {'FAIL' if bad else 'ok  '} {n:3} × {callee}")
     print(f"{len(loops)} block-loop functions, {failures} out-of-line per-arc callees")
-    return 1 if failures else 0
+    stray = 0
+    for (start, function), counts in sorted(calls.items(), key=lambda item: item[0][1]):
+        for callee, n in sorted(counts.items()):
+            if MUST_INLINE.search(callee):
+                stray += 1
+                print(f"FAIL {function} @ {start:x}: {n} × {callee}")
+    print(f"{stray} out-of-line calls to AnyGraph::sample or a ChaCha word in the whole binary")
+    return 1 if failures or stray else 0
 
 
 if __name__ == "__main__":
